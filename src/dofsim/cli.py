@@ -33,11 +33,6 @@ _SCHEME_SCENARIO = {
     "s3": "unmatched",
 }
 
-_ANALYTIC_NAME = {
-    "optimal-unmatched": "optimal",
-    "matched-optimal": "optimal",
-}
-
 
 def _open_out(path: Optional[str]):
     if path in (None, "-"):
@@ -122,8 +117,7 @@ def cmd_simulate(args) -> int:
     report = linkmc.estimate_dof(descriptor, q, scenario, ladder, args.trials, args.seed)
     with _open_out(args.out) as stream:
         stream.write(report.to_json())
-    target = float(schemes.analytic_sum_dof(
-        _ANALYTIC_NAME.get(args.scheme, args.scheme), q, scenario))
+    target = float(schemes.analytic_sum_dof(args.scheme, q, scenario))
     print(
         f"{args.scheme}: measured sum DoF {report.dof['sum']:.4f} "
         f"(analytic {target:.4f}, fit residual {report.dof['residual']:.4f})",

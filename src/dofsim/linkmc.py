@@ -7,29 +7,38 @@ cancellation of the repeated symbol).  Ergodic rates average those over
 per-trial substreams; the DoF estimate is the slope of duration-normalised
 rate against log2(P) over an SNR ladder.
 
-Every trial draws its randomness from ``trial_rng(seed, trial)``, so the
-per-trial rate table is a pure function of (seed, trial index) and means
-are bit-identical no matter how the trial range is partitioned.
+The walk is elementwise: a realization whose vectors carry a leading
+trial axis (``channel.sample_ladder``) yields rate arrays with that axis,
+so one walk per ladder point covers a whole block of trials.  Every trial
+draws its randomness from ``trial_rng(seed, trial)``, once for the whole
+ladder, so the per-trial rate table is a pure function of (seed, trial
+index) and means are bit-identical no matter how the trial range is
+partitioned.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import (
+    TRIAL_BLOCK,
     ChannelRealization,
     QualityPair,
     Scenario,
     db_to_linear,
-    sample_realization,
-    trial_rng,
+    sample_ladder,
     unit,
     zf_direction,
 )
+# Not called here, but kept importable as ``linkmc.trial_rng`` and
+# ``linkmc.sample_realization``: the per-layer trace wraps them by this path.
+from .channel import sample_realization, trial_rng  # noqa: F401
 from .schemes import SchemeDescriptor, SymbolSpec
 
 #: Fit residual (bits per channel use) above which the slope estimate falls
@@ -47,46 +56,50 @@ def _precoder_vector(realization: ChannelRealization, sym: SymbolSpec) -> np.nda
     return zf_direction(ref) if pre.kind == "zf_orth" else unit(ref)
 
 
-def received_power(
-    realization: ChannelRealization, sym: SymbolSpec, user: str, p: float
-) -> float:
-    """|h^H w|^2 times the symbol's allocated power at linear SNR p."""
+def received_power(realization: ChannelRealization, sym: SymbolSpec, user: str, p: float):
+    """|h^H w|^2 times the symbol's allocated power at linear SNR p.
+
+    Elementwise over any leading trial axis of the realization's vectors.
+    """
     if p <= 1:
         raise ValueError(f"linear SNR must exceed 1, got {p}")
     h = realization.true(user, sym.slot)
     w = _precoder_vector(realization, sym)
-    return float(np.abs(np.vdot(h, w)) ** 2) * sym.power.value(p)
+    return np.abs(np.sum(h.conj() * w, axis=-1)) ** 2 * sym.power.value(p)
 
 
 @dataclass(frozen=True)
 class InstantRates:
-    """Per-symbol rates, keyed by symbol id then decoding user."""
+    """Per-symbol rates, keyed by symbol id then decoding user.
+
+    A rate is a number, or an array with one entry per trial.
+    """
 
     rates: Dict[str, Dict[str, float]]
 
     def delivered(self, sym_id: str) -> float:
         """Rate credited to a symbol: the worst of its designated decoders."""
-        return min(self.rates[sym_id].values())
+        return functools.reduce(np.minimum, self.rates[sym_id].values())
 
 
 def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) -> InstantRates:
-    """Walk the decode plan on one realization.
+    """Walk the decode plan on one realization, or on a block of trials.
 
     At each step the target's received power S competes against unit noise
     plus the received powers I of all same-slot symbols that the step has
-    not cancelled.
+    not cancelled.  Rates have the realization's leading trial axis, if any.
     """
     if p <= 1:
         raise ValueError(f"linear SNR must exceed 1, got {p}")
-    power_cache: Dict[Tuple[str, str, str], float] = {}
+    power_cache: Dict[Tuple[str, str, str], np.ndarray] = {}
 
-    def rp(sym: SymbolSpec, user: str) -> float:
+    def rp(sym: SymbolSpec, user: str) -> np.ndarray:
         key = (sym.id, sym.slot, user)
         if key not in power_cache:
             power_cache[key] = received_power(realization, sym, user, p)
         return power_cache[key]
 
-    rates: Dict[str, Dict[str, float]] = {}
+    rates: Dict[str, Dict[str, np.ndarray]] = {}
     for step in d.decode_plan:
         target = d.instance(step.symbol, step.slot)
         signal = rp(target, step.user)
@@ -95,7 +108,7 @@ def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) ->
             for sym in d.instances_in(step.slot)
             if sym.id != step.symbol and sym.id not in step.cancel
         )
-        rate = float(np.log2(1.0 + signal / (1.0 + interference)))
+        rate = np.log2(1.0 + signal / (1.0 + interference))
         rates.setdefault(step.symbol, {})[step.user] = rate
     return InstantRates(rates)
 
@@ -120,16 +133,36 @@ def trial_rates(
     start + t), so disjoint ranges computed separately concatenate into
     exactly the array a single full run would produce.
     """
+    return _ladder_rates(d, q, scenario, [p], trials, seed, start)[0]
+
+
+def _ladder_rates(
+    d: SchemeDescriptor,
+    q: QualityPair,
+    scenario: Scenario,
+    ps: Sequence[float],
+    trials: int,
+    seed: int,
+    start: int = 0,
+) -> np.ndarray:
+    """Rate tables of trials [start, start + trials) at every linear SNR in ps.
+
+    Shape (len(ps), trials, cells); ``out[k]`` is ``trial_rates`` at
+    ``ps[k]``.  Trials go in blocks of TRIAL_BLOCK, each sampled once for
+    the whole ladder and walked once per ladder point.
+    """
     if trials < 1:
         raise ValueError("at least one trial is required")
     _check_descriptor_matches(d, q, scenario)
     cells = rate_cells(d)
-    out = np.empty((trials, len(cells)))
-    for t in range(trials):
-        rng = trial_rng(seed, start + t)
-        realization = sample_realization(rng, q, scenario, p)
-        inst = sic_rates(d, realization, p)
-        out[t] = [inst.rates[s][u] for s, u in cells]
+    out = np.empty((len(ps), trials, len(cells)))
+    for lo in range(0, trials, TRIAL_BLOCK):
+        n = min(TRIAL_BLOCK, trials - lo)
+        realizations = sample_ladder(seed, q, scenario, ps, n, start + lo)
+        for k, (p, realization) in enumerate(zip(ps, realizations)):
+            inst = sic_rates(d, realization, p)
+            for c, (sym_id, user) in enumerate(cells):
+                out[k, lo:lo + n, c] = inst.rates[sym_id][user]
     return out
 
 
@@ -157,7 +190,10 @@ def ergodic_rates(
     seed: int = 0,
 ) -> InstantRates:
     """Mean per-symbol rates over independent trials (same layout as sic_rates)."""
-    table = trial_rates(d, q, scenario, p, trials, seed)
+    return _mean_rates(d, trial_rates(d, q, scenario, p, trials, seed))
+
+
+def _mean_rates(d: SchemeDescriptor, table: np.ndarray) -> InstantRates:
     means = table.mean(axis=0)
     rates: Dict[str, Dict[str, float]] = {}
     for (sym_id, user), value in zip(rate_cells(d), means):
@@ -271,16 +307,22 @@ def estimate_dof(
     estimates appear in the report.
     """
     ladder = [float(v) for v in ladder_db]
+    if not all(math.isfinite(v) for v in ladder):
+        raise ValueError(f"SNR ladder values must be finite, got {ladder_db}")
     if len(ladder) < 3 or sorted(ladder) != ladder or len(set(ladder)) != len(ladder):
         raise ValueError(f"SNR ladder must be strictly ascending with >= 3 points, got {ladder_db}")
-    ps = [db_to_linear(v) for v in ladder]
+    try:
+        ps = [db_to_linear(v) for v in ladder]
+    except OverflowError:
+        raise ValueError(f"SNR ladder {ladder_db} dB overflows a linear SNR") from None
     if any(p <= 1 for p in ps):
         raise ValueError("every ladder point must exceed 0 dB")
 
     sym_rates: Dict[str, Dict[str, float]] = {s: {} for s in d.symbol_ids()}
     sums, users1, users2 = [], [], []
-    for snr_db, p in zip(ladder, ps):
-        ergodic = ergodic_rates(d, q, scenario, p, trials, seed)
+    tables = _ladder_rates(d, q, scenario, ps, trials, seed)
+    for snr_db, table in zip(ladder, tables):
+        ergodic = _mean_rates(d, table)
         delivered = _delivered_per_use(d, ergodic)
         for sym_id, r in delivered.items():
             sym_rates[sym_id][_db_key(snr_db)] = r

@@ -93,6 +93,24 @@ def test_error_norm_mean_at_half_exponent():
     assert 0.0196 <= mean <= 0.0204, f"mean ||error||^2 = {mean:.6f}"
 
 
+def test_draw_layout_is_fixed():
+    """The seeded stream contract, spelled out: per cell the estimate's two
+    real parts, its two imaginary parts, then the error's; a zero-variance
+    draw takes no normals."""
+    p = 1e4
+    z = ch.trial_rng(9, 0).standard_normal(24)
+    pair = ch.sample_pair(ch.trial_rng(9, 0), 0.5, p)
+    s2 = p ** -0.5
+    assert np.array_equal(pair.estimate, np.sqrt((1 - s2) / 2) * (z[0:2] + 1j * z[2:4]))
+    assert np.array_equal(pair.error, np.sqrt(s2 / 2) * (z[4:6] + 1j * z[6:8]))
+    # matched (0.5, 0): cells (user1, A), (user2, A) take 8 normals each,
+    # then (user1, B), (user2, B) draw only their error, 4 normals each.
+    r = ch.sample_realization(ch.trial_rng(9, 0), ch.QualityPair(0.5, 0.0), ch.MATCHED, p)
+    assert np.array_equal(r.pair("user2", "A").error, np.sqrt(s2 / 2) * (z[12:14] + 1j * z[14:16]))
+    assert np.array_equal(r.pair("user1", "B").error, np.sqrt(0.5) * (z[16:18] + 1j * z[18:20]))
+    assert np.array_equal(r.pair("user2", "B").error, np.sqrt(0.5) * (z[20:22] + 1j * z[22:24]))
+
+
 def test_sample_realization_covers_all_cells():
     r = ch.sample_realization(ch.trial_rng(0, 0), ch.QualityPair(0.8, 0.5),
                               ch.UNMATCHED, 1e4)
@@ -226,3 +244,96 @@ def test_measure_error_exponent_validation():
         ch.measure_error_exponent(0.5, [0.5, 1e3], trials=10)
     with pytest.raises(ValueError):
         ch.measure_error_exponent(0.5, [1e3, 1e4], trials=0)
+
+
+# ---------------------------------------------------------------------------
+# batched sampling over an SNR ladder
+
+
+def _assert_realizations_equal(batch, row, single):
+    for key, pair in single.pairs.items():
+        got = batch.pair(*key)
+        for part in ("true", "estimate", "error"):
+            assert np.array_equal(getattr(got, part)[row], getattr(pair, part)), (key, part)
+
+
+@pytest.mark.parametrize("q,scenario,ladder", [
+    (ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e4, 1e5, 1e6)),
+    (ch.QualityPair(1.0, 0.0), ch.MATCHED, (1e4, 1e5, 1e6)),
+    (ch.QualityPair(0.6, 0.0), ch.UNMATCHED, (1.5, 1e3)),
+    # 1 - p**-1e-18 rounds to 0 at p = 100 but not at p = 1e300, so the
+    # estimate draw of the alpha cells is skipped at one point only.
+    (ch.QualityPair(0.9, 1e-18), ch.UNMATCHED, (1e2, 1e300)),
+])
+def test_sample_ladder_rows_equal_per_trial_draws(q, scenario, ladder):
+    seed, start, trials = 21, 5, 7
+    batch = ch.sample_ladder(seed, q, scenario, ladder, trials, start)
+    assert len(batch) == len(ladder)
+    for realization, p in zip(batch, ladder):
+        assert realization.true("user1", "A").shape == (trials, 2)
+        for t in range(trials):
+            single = ch.sample_realization(ch.trial_rng(seed, start + t), q, scenario, p)
+            _assert_realizations_equal(realization, t, single)
+
+
+def test_sample_ladder_skips_zero_variance_estimates():
+    q = ch.QualityPair(0.8, 0.0)
+    (r,) = ch.sample_ladder(3, q, ch.UNMATCHED, (1e4,), 4)
+    assert np.all(r.estimate("user1", "B") == 0) and np.all(r.estimate("user2", "A") == 0)
+    assert np.all(r.estimate("user1", "A") != 0)
+
+
+def test_sample_ladder_draws_each_trial_once(monkeypatch):
+    calls = []
+    real = ch.trial_rng
+
+    def counting(seed, trial):
+        calls.append(trial)
+        return real(seed, trial)
+
+    monkeypatch.setattr(ch, "trial_rng", counting)
+    ch.sample_ladder(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3, 1e4, 1e5), 6, start=2)
+    assert calls == [2, 3, 4, 5, 6, 7]
+
+
+def test_batched_zf_direction_and_unit_match_rows():
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    zf, u = ch.zf_direction(v), ch.unit(v)
+    assert zf.shape == u.shape == (50, 2)
+    for t in range(50):
+        assert np.array_equal(zf[t], ch.zf_direction(v[t]))
+        assert np.array_equal(u[t], ch.unit(v[t]))
+    assert np.max(np.abs(np.sum(v.conj() * zf, axis=-1))) < 1e-12
+
+
+def test_batched_direction_raises_on_one_zero_row():
+    v = np.ones((4, 2), dtype=complex)
+    v[2] = 0
+    with pytest.raises(ValueError, match="cannot zero-force on a zero estimate"):
+        ch.zf_direction(v)
+    with pytest.raises(ValueError, match="degenerate"):
+        ch.unit(v)
+    with pytest.raises(ValueError):
+        ch.zf_direction(np.ones((4, 3)))
+
+
+def test_measure_error_exponent_matches_per_trial_loop():
+    """The batched measurement against the loop it replaced: one sample_pair
+    per (trial, ladder point) and a BLAS inner product per draw."""
+    ladder, trials = [1e2, 1e3, 1e4], 300
+    for a in (0.0, 0.5, 1.0):
+        log_means = []
+        for p in ladder:
+            sq = [np.vdot(e, e).real for e in
+                  (ch.sample_pair(ch.trial_rng(4, t), a, p).error for t in range(trials))]
+            log_means.append(-np.log2(np.mean(sq) / 2.0))
+        want = np.polyfit(np.log2(ladder), log_means, 1)[0]
+        got = ch.measure_error_exponent(a, ladder, trials=trials, seed=4)
+        assert got == pytest.approx(want, abs=1e-12), a
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_measure_error_exponent_rejects_non_finite_snr(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ch.measure_error_exponent(0.5, [1e2, 1e3, bad], trials=10)

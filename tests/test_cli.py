@@ -101,11 +101,28 @@ def test_simulate_scenario_conflicts(capsys):
     ["--snr", "40,forty,60"],
     ["--snr", ""],
     ["--snr", "20,30"],
+    ["--snr", "40,50,inf"],
+    ["--snr", "40,50,nan"],
+    ["--snr", "40,50,4000"],
     ["--beta", "1.4"],
 ])
 def test_simulate_bad_arguments(extra, capsys):
     assert cli.main(["simulate", "--scheme", "fdma"] + extra) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ladder", ["40,50,inf", "40,50,nan"])
+def test_simulate_rejects_non_finite_snr_up_front(ladder, capsys):
+    assert cli.main(["simulate", "--scheme", "optimal-unmatched", "--snr", ladder]) == 2
+    assert "SNR ladder values must be finite" in capsys.readouterr().err
+
+
+def test_simulate_names_the_analytic_value_of_each_optimal_scheme(capsys):
+    for scheme in ("optimal-unmatched", "matched-optimal"):
+        assert cli.main(["simulate", "--scheme", scheme, "--snr", "20,30,40",
+                         "--trials", "5", "--out", "-"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"{scheme}: measured sum DoF ") and "(analytic 1.6500, " in err
 
 
 def test_unknown_scheme_is_an_argparse_error(capsys):

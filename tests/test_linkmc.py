@@ -262,3 +262,72 @@ def test_report_rates_are_duration_weighted_delivered_rates():
         else:
             split[0 if group[0].owner == "user1" else 1] += per_use[sym]
     assert split[0] + split[1] == pytest.approx(total, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched walk against the per-trial walk
+
+
+def _cli_pairs():
+    from dofsim.cli import _SCHEME_SCENARIO
+
+    for scheme in sch.SCHEME_NAMES:
+        implied = _SCHEME_SCENARIO.get(scheme)
+        for kind in [implied] if implied else ["unmatched", "matched"]:
+            yield scheme, ch.Scenario(kind)
+
+
+@pytest.mark.parametrize("scheme,scenario", list(_cli_pairs()))
+def test_trial_rates_rows_match_per_trial_walk(scheme, scenario):
+    q, p, seed, start, trials = QualityPair(0.9, 0.4), 1e5, 13, 3, 25
+    d = sch.build_descriptor(scheme, q, scenario)
+    table = mc.trial_rates(d, q, scenario, p, trials, seed=seed, start=start)
+    cells = mc.rate_cells(d)
+    for t in range(trials):
+        r = ch.sample_realization(ch.trial_rng(seed, start + t), q, scenario, p)
+        inst = mc.sic_rates(d, r, p)
+        want = np.array([inst.rates[s][u] for s, u in cells])
+        np.testing.assert_array_max_ulp(table[t], want, maxulp=2)
+
+
+def test_estimate_dof_draws_each_trial_once_for_the_ladder(monkeypatch):
+    calls = []
+    real = ch.trial_rng
+
+    def counting(seed, trial):
+        calls.append(trial)
+        return real(seed, trial)
+
+    monkeypatch.setattr(ch, "trial_rng", counting)
+    d = sch.optimal_unmatched_descriptor(Q)
+    mc.estimate_dof(d, Q, UNMATCHED, (40.0, 50.0, 60.0), trials=12, seed=2)
+    assert calls == list(range(12))
+
+
+def test_trial_rates_do_not_depend_on_the_block_size(monkeypatch):
+    d = sch.s3_descriptor(Q)
+    whole = mc.trial_rates(d, Q, UNMATCHED, 1e4, trials=10, seed=1)
+    monkeypatch.setattr(mc, "TRIAL_BLOCK", 4)
+    assert np.array_equal(mc.trial_rates(d, Q, UNMATCHED, 1e4, trials=10, seed=1), whole)
+
+
+@pytest.mark.parametrize("bad", [(40.0, 50.0, float("inf")), (40.0, 50.0, float("nan")),
+                                 (40.0, 50.0, 4000.0)])
+def test_estimate_dof_rejects_non_finite_ladder(bad):
+    with pytest.raises(ValueError, match="finite|overflows"):
+        mc.estimate_dof(sch.fdma_descriptor(), Q, UNMATCHED, bad, trials=5, seed=0)
+
+
+def test_traced_functions_still_resolve(monkeypatch):
+    """The benchmark's per-layer trace wraps functions by their module path
+    (``linkmc.trial_rng``, ``linkmc.zf_direction``, ...); each must exist."""
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spec
+    import tracing
+
+    for _, targets, _ in spec.TRACED:
+        for target in targets:
+            owner, attr = tracing._resolve(target)
+            assert callable(getattr(owner, attr)), target
