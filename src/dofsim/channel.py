@@ -16,7 +16,10 @@ the zero vector, and zero-forcing on it fails loudly).
 Randomness is drawn from per-trial substreams: ``trial_rng(seed, t)`` is a
 pure function of the master seed and the trial index, so runs are
 bit-reproducible and results do not depend on how trials are partitioned
-across workers.
+across workers.  ``trial_rng`` defines the contract; the batched sampler
+reproduces its streams without building one ``SeedSequence`` per trial
+(``_trial_normals``): it runs SeedSequence's 32-bit hash over a whole
+array of trial indices and re-seeds a single PCG64 by setting its state.
 
 One trial's cells are built from one ``standard_normal`` draw in a fixed
 layout (``_pairs_from_normals``).  ``sample_pair`` and
@@ -31,7 +34,9 @@ arrays.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -109,6 +114,14 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
+def check_seed(seed) -> int:
+    """The master seed as an int; a negative seed raises ValueError."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ChannelPair:
     """True channel, transmitter-side estimate and estimation error (2-vectors)."""
@@ -138,6 +151,123 @@ class ChannelRealization:
 #: ranges in blocks of this size, which bounds the memory of the normals
 #: and of everything computed from them.
 TRIAL_BLOCK = 4096
+
+# Constants of numpy's SeedSequence (hashmix, mix, generate_state) and of
+# PCG64's seeding step, which ``_trial_normals`` reproduces.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(h: int, mult: int, n: int) -> List[int]:
+    """h and the n hash constants that follow it, each the last times mult."""
+    out = [h]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _words(n: int) -> List[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (ints or uint32 arrays)."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _seed_pool(seed: int) -> Tuple[List[int], int]:
+    """SeedSequence's pool once the seed's words are mixed in, and the next hash constant.
+
+    A spawned SeedSequence zero-pads the seed's words to the pool size and
+    appends the spawn key's words, so this prefix is the same for every
+    trial of one seed.
+    """
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool, h
+
+
+def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
+    """k standard normals per trial: row t is ``trial_rng(seed, start + t).standard_normal(k)``.
+
+    The spawn-key words of trials [start, start + trials) go through
+    SeedSequence's hash as uint32 arrays, one row per pool word, and
+    ``generate_state(4, uint64)`` follows.  Each trial's PCG64 state then
+    comes from PCG64's seeding step in Python ints and is set on one bit
+    generator created for this call.
+    """
+    pool, h = _seed_pool(check_seed(seed))
+    gen_consts = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint32)
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    z = np.empty((trials, k))
+    lo, end = start, start + trials
+    while lo < end:
+        # Trials whose spawn key has the same number of words.
+        n_words = len(_words(lo))
+        hi = min(end, 1 << (32 * n_words))
+        index = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
+        mixer = np.array(pool, dtype=np.uint32)[:, None]
+        consts = np.array(_hash_constants(h, _MULT_A, _POOL_SIZE * n_words), dtype=np.uint32)
+        for j in range(n_words):
+            word = (index >> (32 * j) & _MASK32).astype(np.uint32)
+            c = consts[_POOL_SIZE * j:_POOL_SIZE * (j + 1) + 1, None]
+            v = (word ^ c[:-1]) * c[1:]
+            mixer = _mix(mixer, v ^ (v >> 16))
+        out = (np.concatenate([mixer, mixer]) ^ gen_consts[:-1, None]) * gen_consts[1:, None]
+        out ^= out >> 16
+        words64 = (out[1::2].astype(np.uint64) << 32 | out[0::2]).tolist()
+        for row, (s0, s1, i0, i1) in enumerate(zip(*words64), start=lo - start):
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            inner["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+            inner["inc"] = inc
+            bit_gen.state = state
+            gen.standard_normal(out=z[row])
+        lo = hi
+    return z
+
+
+@functools.cache
+def _check_seeding() -> None:
+    """Once per process: ``_trial_normals`` must match ``trial_rng`` bit for bit."""
+    seed, trial = 2**70 + 3, 2**32 + 1
+    want = trial_rng(seed, trial).standard_normal(8)
+    if not np.array_equal(_trial_normals(seed, trial, 1, 8)[0], want):
+        raise RuntimeError(
+            f"numpy {np.__version__} seeds SeedSequence/PCG64 differently from the "
+            "batched sampler; trial streams would not match trial_rng"
+        )
+
 
 #: Draw order of one trial's cells: (user, subband) in (subband, user) order.
 _CELLS = tuple((user, subband) for subband in SUBBANDS for user in USERS)
@@ -216,14 +346,14 @@ def _sample_cells(
 
     Returns one list of cells per linear SNR in ``ps``; every vector has a
     leading trial axis.  Each trial's normals come from a single draw on
-    ``trial_rng(seed, start + t)``, long enough for the ladder point that
-    needs the most; a point that skips a draw reads a prefix of them.
+    its ``trial_rng(seed, start + t)`` stream, long enough for the ladder
+    point that needs the most; a point that skips a draw reads a prefix of
+    them.
     """
     per_point = [[_variances(a, p) for a in qualities] for p in ps]
     k = max(_normals_needed(variances) for variances in per_point)
-    z = np.empty((trials, k))
-    for t in range(trials):
-        trial_rng(seed, start + t).standard_normal(out=z[t])
+    _check_seeding()
+    z = _trial_normals(seed, start, trials, k)
     return [_pairs_from_normals(z, variances) for variances in per_point]
 
 
@@ -239,8 +369,8 @@ def sample_ladder(
 
     Vectors have shape (trials, 2).  Row t of the realization at ``ps[k]``
     equals ``sample_realization(trial_rng(seed, start + t), q, scenario,
-    ps[k])`` bit for bit, and ``trial_rng`` is called once per trial for
-    the whole ladder.
+    ps[k])`` bit for bit, and each trial's stream is seeded once for the
+    whole ladder.
     """
     qualities = [scenario.quality(u, s, q) for u, s in _CELLS]
     return [
@@ -291,6 +421,7 @@ def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> 
     with variance p**-a the slope estimates a.  Trial t draws from
     ``trial_rng(seed, t)`` once for the whole ladder.
     """
+    check_seed(seed)
     ladder = [float(p) for p in snr_ladder]
     if not all(math.isfinite(p) for p in ladder):
         raise ValueError(f"SNR ladder values must be finite, got {snr_ladder}")

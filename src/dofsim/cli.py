@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import linkmc, regions, schemes, switcher
-from .channel import MATCHED, UNMATCHED, QualityPair, Scenario
+from .channel import MATCHED, UNMATCHED, QualityPair, Scenario, check_seed
 
 _SCHEME_SCENARIO = {
     "optimal-unmatched": "unmatched",
@@ -48,6 +48,15 @@ def _parse_snr_list(text: str) -> List[float]:
     if not values:
         raise ValueError("--snr expects at least one dB value")
     return values
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    try:
+        return check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}") from None
 
 
 def _gnuplot_block(stream, name: str, vertices) -> None:
@@ -246,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--snr", default="40,50,60",
                        help="comma-separated SNR ladder in dB")
     p_sim.add_argument("--trials", type=int, default=20000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out", default="-", help="report path, - for stdout")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -263,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the built-in invariant battery")
     p_verify.add_argument("--scenario", choices=["unmatched", "matched"], default=None,
                           help="restrict scenario-specific checks")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -31,6 +31,7 @@ from .channel import (
     ChannelRealization,
     QualityPair,
     Scenario,
+    check_seed,
     db_to_linear,
     sample_ladder,
     unit,
@@ -160,7 +161,10 @@ def _ladder_rates(
         n = min(TRIAL_BLOCK, trials - lo)
         realizations = sample_ladder(seed, q, scenario, ps, n, start + lo)
         for k, (p, realization) in enumerate(zip(ps, realizations)):
-            inst = sic_rates(d, realization, p)
+            # Received powers can overflow at extreme SNR; the rates then
+            # come out inf or nan, which estimate_dof rejects.
+            with np.errstate(over="ignore", invalid="ignore"):
+                inst = sic_rates(d, realization, p)
             for c, (sym_id, user) in enumerate(cells):
                 out[k, lo:lo + n, c] = inst.rates[sym_id][user]
     return out
@@ -306,6 +310,7 @@ def estimate_dof(
     to the top SNR pair, which sheds most of the finite-SNR offset; both
     estimates appear in the report.
     """
+    check_seed(seed)
     ladder = [float(v) for v in ladder_db]
     if not all(math.isfinite(v) for v in ladder):
         raise ValueError(f"SNR ladder values must be finite, got {ladder_db}")
@@ -321,6 +326,8 @@ def estimate_dof(
     sym_rates: Dict[str, Dict[str, float]] = {s: {} for s in d.symbol_ids()}
     sums, users1, users2 = [], [], []
     tables = _ladder_rates(d, q, scenario, ps, trials, seed)
+    if not np.all(np.isfinite(tables)):
+        raise ValueError(f"SNR ladder {ladder_db} dB overflows the received powers")
     for snr_db, table in zip(ladder, tables):
         ergodic = _mean_rates(d, table)
         delivered = _delivered_per_use(d, ergodic)

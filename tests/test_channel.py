@@ -283,17 +283,41 @@ def test_sample_ladder_skips_zero_variance_estimates():
     assert np.all(r.estimate("user1", "A") != 0)
 
 
-def test_sample_ladder_draws_each_trial_once(monkeypatch):
+def test_sample_ladder_seeds_each_trial_once(monkeypatch):
+    ch._check_seeding()
     calls = []
-    real = ch.trial_rng
+    real = ch._trial_normals
 
-    def counting(seed, trial):
-        calls.append(trial)
-        return real(seed, trial)
+    def counting(seed, start, trials, k):
+        calls.append((seed, start, trials))
+        return real(seed, start, trials, k)
 
-    monkeypatch.setattr(ch, "trial_rng", counting)
+    monkeypatch.setattr(ch, "_trial_normals", counting)
     ch.sample_ladder(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3, 1e4, 1e5), 6, start=2)
-    assert calls == [2, 3, 4, 5, 6, 7]
+    assert calls == [(0, 2, 6)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 5, 2**70 + 3])
+@pytest.mark.parametrize("start", [0, 12345, 2**32 - 3, 2**64 - 3])
+@pytest.mark.parametrize("trials", [1, 300])
+def test_trial_normals_equal_trial_rng_streams(seed, start, trials):
+    # With 300 trials, 2**32 - 3 crosses from one-word to two-word spawn
+    # keys and 2**64 - 3 from two words to three.
+    got = ch._trial_normals(seed, start, trials, 16)
+    assert got.shape == (trials, 16)
+    for t in range(trials):
+        assert np.array_equal(got[t], ch.trial_rng(seed, start + t).standard_normal(16)), t
+
+
+def test_trial_normals_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        ch._trial_normals(-1, 0, 3, 16)
+
+
+def test_seeding_check_raises_on_a_different_stream(monkeypatch):
+    monkeypatch.setattr(ch, "trial_rng", lambda seed, trial: np.random.default_rng(seed + 1))
+    with pytest.raises(RuntimeError, match="seeds SeedSequence/PCG64 differently"):
+        ch._check_seeding.__wrapped__()
 
 
 def test_batched_zf_direction_and_unit_match_rows():
@@ -337,3 +361,9 @@ def test_measure_error_exponent_matches_per_trial_loop():
 def test_measure_error_exponent_rejects_non_finite_snr(bad):
     with pytest.raises(ValueError, match="finite"):
         ch.measure_error_exponent(0.5, [1e2, 1e3, bad], trials=10)
+
+
+def test_measure_error_exponent_rejects_a_negative_seed(monkeypatch):
+    monkeypatch.setattr(ch, "_sample_cells", None)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+        ch.measure_error_exponent(0.5, [1e2, 1e3], trials=10, seed=-3)

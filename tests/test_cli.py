@@ -117,6 +117,32 @@ def test_simulate_rejects_non_finite_snr_up_front(ladder, capsys):
     assert "SNR ladder values must be finite" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_ladder_that_overflows(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["simulate", "--scheme", "fdma", "--snr", "3000,3050,3080",
+                     "--trials", "20", "--out", str(out)]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate --scheme fdma", "verify"])
+@pytest.mark.parametrize("seed", ["-3", "1.5", "x"])
+def test_bad_seed_is_an_argparse_error(command, seed, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_simulate", None)
+    monkeypatch.setattr(cli, "cmd_verify", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command.split() + ["--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" \
+        in capsys.readouterr().err
+
+
+def test_simulate_accepts_a_seed_wider_than_64_bits(capsys):
+    assert cli.main(["simulate", "--scheme", "fdma", "--snr", "20,30,40", "--trials", "5",
+                     "--seed", str(2**70 + 3)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**70 + 3
+
+
 def test_simulate_names_the_analytic_value_of_each_optimal_scheme(capsys):
     for scheme in ("optimal-unmatched", "matched-optimal"):
         assert cli.main(["simulate", "--scheme", scheme, "--snr", "20,30,40",

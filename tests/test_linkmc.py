@@ -290,18 +290,20 @@ def test_trial_rates_rows_match_per_trial_walk(scheme, scenario):
         np.testing.assert_array_max_ulp(table[t], want, maxulp=2)
 
 
-def test_estimate_dof_draws_each_trial_once_for_the_ladder(monkeypatch):
+def test_estimate_dof_seeds_each_trial_once_for_the_ladder(monkeypatch):
+    ch._check_seeding()
     calls = []
-    real = ch.trial_rng
+    real = ch._trial_normals
 
-    def counting(seed, trial):
-        calls.append(trial)
-        return real(seed, trial)
+    def counting(seed, start, trials, k):
+        calls.append((seed, start, trials))
+        return real(seed, start, trials, k)
 
-    monkeypatch.setattr(ch, "trial_rng", counting)
+    monkeypatch.setattr(ch, "_trial_normals", counting)
+    monkeypatch.setattr(mc, "TRIAL_BLOCK", 5)
     d = sch.optimal_unmatched_descriptor(Q)
     mc.estimate_dof(d, Q, UNMATCHED, (40.0, 50.0, 60.0), trials=12, seed=2)
-    assert calls == list(range(12))
+    assert calls == [(2, 0, 5), (2, 5, 5), (2, 10, 2)]
 
 
 def test_trial_rates_do_not_depend_on_the_block_size(monkeypatch):
@@ -316,6 +318,20 @@ def test_trial_rates_do_not_depend_on_the_block_size(monkeypatch):
 def test_estimate_dof_rejects_non_finite_ladder(bad):
     with pytest.raises(ValueError, match="finite|overflows"):
         mc.estimate_dof(sch.fdma_descriptor(), Q, UNMATCHED, bad, trials=5, seed=0)
+
+
+def test_estimate_dof_rejects_rates_that_overflow():
+    # Finite linear SNRs (up to 1e308) whose received powers overflow float64.
+    with pytest.raises(ValueError, match=r"SNR ladder .*3080.* overflows"):
+        mc.estimate_dof(sch.fdma_descriptor(), Q, UNMATCHED, (3000.0, 3050.0, 3080.0),
+                        trials=20, seed=0)
+
+
+def test_estimate_dof_rejects_a_negative_seed(monkeypatch):
+    monkeypatch.setattr(mc, "_ladder_rates", None)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+        mc.estimate_dof(sch.fdma_descriptor(), Q, UNMATCHED, (40.0, 50.0, 60.0),
+                        trials=5, seed=-3)
 
 
 def test_traced_functions_still_resolve(monkeypatch):
