@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -151,6 +152,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+#: Quality pairs a gap of 10**-k from the edges of the square: near
+#: beta = alpha (in the middle and at the top), alpha = 0 and beta = 1.
+#: Each one gives some region component a weight of about the gap.
+_EDGE_PAIRS = [pair for k in range(1, 13) for pair in (
+    (0.5, 0.5 - 10.0 ** -k), (1.0, 1.0 - 10.0 ** -k),
+    (0.5, 10.0 ** -k), (1.0 - 10.0 ** -k, 0.5),
+)]
+
+
 def _verify_checks(scenarios: Sequence[Scenario], seed: int):
     """Yield (name, passed, detail) for the invariant battery."""
     grid = [i / 20 for i in range(21)]
@@ -193,16 +203,20 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
         yield "achievability-margins", False, str(exc)
 
     rng = np.random.default_rng(seed)
-    bad = 0
+    pairs = []
     for _ in range(200):
         lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
-        q = QualityPair(float(hi), float(lo))
+        pairs.append((float(hi), float(lo)))
+    bad = 0
+    for b, a in pairs + _EDGE_PAIRS:
+        q = QualityPair(b, a)
         for scenario in scenarios:
             compose = (regions.compose_unmatched if scenario.kind == "unmatched"
                        else regions.compose_matched)
             if not regions.region_equal(compose(q), regions.outer_bound(q)):
                 bad += 1
-    yield "composition-identity", bad == 0, f"{bad} mismatches in 200 random pairs"
+    yield ("composition-identity", bad == 0,
+           f"{bad} mismatches in 200 random pairs and {len(_EDGE_PAIRS)} edge pairs")
 
     for scenario in scenarios:
         value, argmin = switcher.min_ratio(scenario, step=0.005)
@@ -243,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_regions.add_argument("--alpha", type=float, default=0.5)
     p_regions.add_argument("--format", choices=["json", "gnuplot"], default="json")
     p_regions.add_argument("--out", default="-", help="output path, - for stdout")
-    p_regions.set_defaults(func=cmd_regions)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo DoF slope estimate for one scheme")
     p_sim.add_argument("--scheme", required=True,
@@ -257,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=20000)
     p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out", default="-", help="report path, - for stdout")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="strategy-switching map over the quality grid")
     p_sweep.add_argument("--scenario", choices=["unmatched", "matched"],
@@ -267,20 +279,28 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ratio threshold below which a cell needs the optimal scheme")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--out", default="-", help="output path, - for stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the built-in invariant battery")
     p_verify.add_argument("--scenario", choices=["unmatched", "matched"], default=None,
                           help="restrict scenario-specific checks")
     p_verify.add_argument("--seed", type=_seed, default=0)
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call rather than bound into the reused parser, so a
+    # command replaced on this module (a test double, a tracer) is the one
+    # that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

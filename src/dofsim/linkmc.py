@@ -145,12 +145,15 @@ def _ladder_rates(
     trials: int,
     seed: int,
     start: int = 0,
+    ladder: Optional[str] = None,
 ) -> np.ndarray:
     """Rate tables of trials [start, start + trials) at every linear SNR in ps.
 
     Shape (len(ps), trials, cells); ``out[k]`` is ``trial_rates`` at
     ``ps[k]``.  Trials go in blocks of TRIAL_BLOCK, each sampled once for
-    the whole ladder and walked once per ladder point.
+    the whole ladder and walked once per ladder point.  Raises ValueError
+    if a rate is not finite (the received powers overflowed); ``ladder``
+    names the ladder in that message, by default its linear SNRs.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -162,11 +165,14 @@ def _ladder_rates(
         realizations = sample_ladder(seed, q, scenario, ps, n, start + lo)
         for k, (p, realization) in enumerate(zip(ps, realizations)):
             # Received powers can overflow at extreme SNR; the rates then
-            # come out inf or nan, which estimate_dof rejects.
+            # come out inf or nan and are rejected below.
             with np.errstate(over="ignore", invalid="ignore"):
                 inst = sic_rates(d, realization, p)
             for c, (sym_id, user) in enumerate(cells):
                 out[k, lo:lo + n, c] = inst.rates[sym_id][user]
+    if not np.all(np.isfinite(out)):
+        name = ladder if ladder is not None else f"{list(ps)} (linear)"
+        raise ValueError(f"SNR ladder {name} overflows the received powers")
     return out
 
 
@@ -325,9 +331,7 @@ def estimate_dof(
 
     sym_rates: Dict[str, Dict[str, float]] = {s: {} for s in d.symbol_ids()}
     sums, users1, users2 = [], [], []
-    tables = _ladder_rates(d, q, scenario, ps, trials, seed)
-    if not np.all(np.isfinite(tables)):
-        raise ValueError(f"SNR ladder {ladder_db} dB overflows the received powers")
+    tables = _ladder_rates(d, q, scenario, ps, trials, seed, ladder=f"{ladder_db} dB")
     for snr_db, table in zip(ladder, tables):
         ergodic = _mean_rates(d, table)
         delivered = _delivered_per_use(d, ergodic)

@@ -29,29 +29,38 @@ def _cross(o: Point, a: Point, b: Point) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _dedupe(points: Iterable[Point]) -> List[Point]:
-    pts = sorted(points)
-    out = [pts[0]]
-    for p in pts[1:]:
+def _dedupe(points: Sequence[Point], tol: float) -> List[Point]:
+    """Sorted points, each dropped if within tol of the last one kept."""
+    out = [points[0]]
+    for p in points[1:]:
         q = out[-1]
-        if abs(p[0] - q[0]) > _EPS or abs(p[1] - q[1]) > _EPS:
+        if abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol:
             out.append(p)
     return out
 
 
 def _hull_ccw(points: Sequence[Point]) -> List[Point]:
-    """Monotone-chain hull, counterclockwise, collinear points dropped."""
-    pts = _dedupe(points)
+    """Monotone-chain hull, counterclockwise, collinear points dropped.
+
+    The tolerances shrink with the point set's extent (capped at 1), so a
+    region scaled by a tiny weight keeps its shape: cross products scale
+    with the square of the extent.
+    """
+    pts = sorted(points)
+    span = max(pts[-1][0] - pts[0][0], max(p[1] for p in pts) - min(p[1] for p in pts))
+    span = min(1.0, span)
+    pts = _dedupe(pts, _EPS * span)
     if len(pts) <= 2:
         return pts
+    tol = _EPS * span * span
     lower: List[Point] = []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= _EPS:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= tol:
             lower.pop()
         lower.append(p)
     upper: List[Point] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= _EPS:
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= tol:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]

@@ -26,6 +26,8 @@ from fractions import Fraction
 from numbers import Real
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .channel import SUBBANDS, USERS, QualityPair, Scenario
 
 OWNERS = USERS + ("common",)
@@ -522,10 +524,18 @@ def analytic_sum_dof(strategy: str, q: QualityPair, scenario="unmatched"):
     private-loading diagnostics icc-private and optimal-private which are
     undefined at beta = 0.
     """
+    return analytic_sum_dof_at(strategy, q.beta, q.alpha, scenario)
+
+
+def analytic_sum_dof_at(strategy: str, beta, alpha, scenario="unmatched"):
+    """``analytic_sum_dof`` on raw exponents, which may be numpy arrays.
+
+    The caller keeps 0 <= alpha <= beta <= 1 elementwise.  fdma gives the
+    scalar 1 whatever the shape of the exponents.
+    """
     kind = scenario.kind if isinstance(scenario, Scenario) else str(scenario)
     if kind not in ("unmatched", "matched"):
         raise ValueError(f"unknown scenario {scenario!r}")
-    beta, alpha = q.beta, q.alpha
     if strategy == "fdma":
         return 1
     if strategy == "zfbf":
@@ -537,11 +547,11 @@ def analytic_sum_dof(strategy: str, q: QualityPair, scenario="unmatched"):
     if strategy in ("optimal", "optimal-unmatched", "matched-optimal"):
         return 1 + (beta + alpha) / 2
     if strategy == "icc-private":
-        if beta == 0:
+        if np.any(beta == 0):
             raise ValueError("icc-private is undefined at beta = 0")
         return (2 * beta + 2 * alpha + 2 * (beta - alpha)) / (3 * beta - alpha)
     if strategy == "optimal-private":
-        if beta == 0:
+        if np.any(beta == 0):
             raise ValueError("optimal-private is undefined at beta = 0")
         return (2 * beta + 2 * alpha + (beta - alpha)) / (2 * beta)
     raise ValueError(f"unsupported strategy {strategy!r}")

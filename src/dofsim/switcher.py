@@ -7,6 +7,11 @@ diagonal are evaluated on the swapped pair, since relabelling the users
 mirrors the problem) and labels each cell either with the winning simple
 strategy or with "optimal-needed" when even the winner's ratio falls
 below the threshold rho.
+
+A sweep is computed as float64 arrays over the whole grid: the same
+closed forms (``schemes.analytic_sum_dof_at``) and the same winner rule
+as ``best_strategy``, applied elementwise.  ``SweepMap`` keeps the
+columns and builds per-cell ``SweepCell`` objects only on request.
 """
 
 from __future__ import annotations
@@ -15,16 +20,25 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .channel import QualityPair, Scenario
-from .schemes import analytic_sum_dof
+from .schemes import analytic_sum_dof, analytic_sum_dof_at
 
 #: Comparison slack: keeps exact ties (ratio == rho, equal sum DoF) stable
 #: under floating-point noise.
 _TIE_EPS = 1e-12
 
 OPTIMAL_NEEDED = "optimal-needed"
+
+#: Simple strategies in tie-break order; ``SweepMap.best`` indexes this.
+STRATEGIES = ("fdma", "zfbf", "s3")
+
+#: Rows of CSV text joined per write.
+_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -39,55 +53,94 @@ class SweepCell:
     ratio: float
 
 
+def _candidates(scenario: Scenario) -> Tuple[str, ...]:
+    return STRATEGIES if scenario.kind == "unmatched" else STRATEGIES[:2]
+
+
+def _pick(values: Sequence):
+    """Index and value of the winning candidate, elementwise.
+
+    A later candidate wins only if it beats the current best by more than
+    _TIE_EPS, so ties go to the earlier strategy in STRATEGIES order.
+    """
+    best, best_value = 0, values[0]
+    for k, value in enumerate(values[1:], start=1):
+        better = value > best_value + _TIE_EPS
+        best = np.where(better, k, best)
+        best_value = np.where(better, value, best_value)
+    return best, best_value
+
+
+def _needs_optimal(ratio, rho: float):
+    return ratio < rho - _TIE_EPS
+
+
 def best_strategy(q: QualityPair, scenario: Scenario) -> SweepCell:
     """Score the simple strategies at one quality pair.
 
     ``best`` is the highest-DoF simple strategy, ties resolved by the
     fixed order fdma < zfbf < s3; ``ratio`` is its sum DoF over the
-    optimal scheme's.
+    optimal scheme's.  The formulas see ``q`` as given, so Fraction
+    entries are exact until the final conversion to float.
     """
-    d_fdma = float(analytic_sum_dof("fdma", q, scenario))
-    d_zfbf = float(analytic_sum_dof("zfbf", q, scenario))
-    candidates = [("fdma", d_fdma), ("zfbf", d_zfbf)]
-    d_s3: Optional[float] = None
-    if scenario.kind == "unmatched":
-        d_s3 = float(analytic_sum_dof("s3", q, scenario))
-        candidates.append(("s3", d_s3))
+    values = [float(analytic_sum_dof(name, q, scenario)) for name in _candidates(scenario)]
     d_opt = float(analytic_sum_dof("optimal", q, scenario))
-    best_name, best_value = candidates[0]
-    for name, value in candidates[1:]:
-        if value > best_value + _TIE_EPS:
-            best_name, best_value = name, value
+    best, best_value = _pick(values)
     return SweepCell(
         beta=float(q.beta), alpha=float(q.alpha),
-        d_fdma=d_fdma, d_zfbf=d_zfbf, d_s3=d_s3, d_opt=d_opt,
-        best=best_name, ratio=best_value / d_opt,
+        d_fdma=values[0], d_zfbf=values[1],
+        d_s3=values[2] if len(values) > 2 else None, d_opt=d_opt,
+        best=STRATEGIES[int(best)], ratio=float(best_value / d_opt),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepMap:
+    """A scored grid, stored as one array per ``SweepCell`` field.
+
+    Cells run row-major in beta, then alpha.  The float columns are
+    float64; ``best`` holds indices into STRATEGIES; ``d_s3`` is None in
+    the matched scenario.  ``cells`` is built on first access.
+    """
+
     scenario: str
     step: float
     rho: float
-    cells: Tuple[SweepCell, ...]
+    beta: np.ndarray
+    alpha: np.ndarray
+    d_fdma: np.ndarray
+    d_zfbf: np.ndarray
+    d_s3: Optional[np.ndarray]
+    d_opt: np.ndarray
+    best: np.ndarray
+    ratio: np.ndarray
+
+    @cached_property
+    def cells(self) -> Tuple[SweepCell, ...]:
+        n = len(self.ratio)
+        d_s3 = [None] * n if self.d_s3 is None else self.d_s3.tolist()
+        best = [STRATEGIES[k] for k in self.best.tolist()]
+        return tuple(map(
+            SweepCell, self.beta.tolist(), self.alpha.tolist(), self.d_fdma.tolist(),
+            self.d_zfbf.tolist(), d_s3, self.d_opt.tolist(), best, self.ratio.tolist(),
+        ))
 
     def label(self, cell: SweepCell) -> str:
-        return OPTIMAL_NEEDED if cell.ratio < self.rho - _TIE_EPS else cell.best
+        return OPTIMAL_NEEDED if _needs_optimal(cell.ratio, self.rho) else cell.best
 
     def counts_by_strategy(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for cell in self.cells:
-            label = self.label(cell)
-            counts[label] = counts.get(label, 0) + 1
-        return counts
+        """Cells per label, keyed in order of first appearance."""
+        labels = np.where(_needs_optimal(self.ratio, self.rho), len(STRATEGIES), self.best)
+        kinds, first, counts = np.unique(labels, return_index=True, return_counts=True)
+        names = STRATEGIES + (OPTIMAL_NEEDED,)
+        return {names[kinds[i]]: int(counts[i]) for i in np.argsort(first)}
 
     def min_ratio(self) -> float:
-        return min(cell.ratio for cell in self.cells)
+        return float(self.ratio.min())
 
     def argmin(self) -> List[Tuple[float, float]]:
-        m = self.min_ratio()
-        return [(c.beta, c.alpha) for c in self.cells if c.ratio <= m + 1e-9]
+        near = self.ratio <= self.min_ratio() + 1e-9
+        return list(zip(self.beta[near].tolist(), self.alpha[near].tolist()))
 
     def summary_dict(self) -> dict:
         return {
@@ -100,13 +153,13 @@ class SweepMap:
         }
 
 
-def _grid(step: float) -> List[float]:
+def _grid(step: float) -> np.ndarray:
     if not 0 < step <= 0.1:
         raise ValueError(f"grid step must lie in (0, 0.1], got {step}")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"grid step must divide 1 evenly, got {step}")
-    return [i / n for i in range(n + 1)]
+    return np.arange(n + 1) / n
 
 
 def sweep(scenario: Scenario, step: float = 0.01, rho: float = 0.9) -> SweepMap:
@@ -118,17 +171,22 @@ def sweep(scenario: Scenario, step: float = 0.01, rho: float = 0.9) -> SweepMap:
     if not 0 < rho <= 1:
         raise ValueError(f"ratio threshold rho must lie in (0, 1], got {rho}")
     grid = _grid(step)
-    cells: List[SweepCell] = []
-    for beta in grid:
-        for alpha in grid:
-            q = QualityPair(max(beta, alpha), min(beta, alpha))
-            scored = best_strategy(q, scenario)
-            cells.append(SweepCell(
-                beta=beta, alpha=alpha,
-                d_fdma=scored.d_fdma, d_zfbf=scored.d_zfbf, d_s3=scored.d_s3,
-                d_opt=scored.d_opt, best=scored.best, ratio=scored.ratio,
-            ))
-    return SweepMap(scenario=scenario.kind, step=step, rho=rho, cells=tuple(cells))
+    beta = np.repeat(grid, len(grid))
+    alpha = np.tile(grid, len(grid))
+    hi, lo = np.maximum(beta, alpha), np.minimum(beta, alpha)
+
+    def score(name: str) -> np.ndarray:
+        value = analytic_sum_dof_at(name, hi, lo, scenario)
+        return np.broadcast_to(np.asarray(value, dtype=float), hi.shape)
+
+    values = [score(name) for name in _candidates(scenario)]
+    d_opt = score("optimal")
+    best, best_value = _pick(values)
+    return SweepMap(
+        scenario=scenario.kind, step=step, rho=rho, beta=beta, alpha=alpha,
+        d_fdma=values[0], d_zfbf=values[1], d_s3=values[2] if len(values) > 2 else None,
+        d_opt=d_opt, best=best, ratio=best_value / d_opt,
+    )
 
 
 def min_ratio(scenario: Scenario, step: float = 0.01) -> Tuple[float, List[Tuple[float, float]]]:
@@ -140,16 +198,28 @@ def min_ratio(scenario: Scenario, step: float = 0.01) -> Tuple[float, List[Tuple
 CSV_HEADER = ["beta", "alpha", "d_fdma", "d_zfbf", "d_s3", "d_opt", "best", "ratio"]
 
 
+def _reprs(column: np.ndarray) -> np.ndarray:
+    """repr of every entry, computed once per distinct value."""
+    values, inverse = np.unique(column, return_inverse=True)
+    return np.array([repr(v) for v in values.tolist()], dtype=object)[inverse]
+
+
 def write_sweep_csv(m: SweepMap, stream: io.TextIOBase) -> None:
-    """One row per cell; floats as repr so parsing the file is lossless."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for c in m.cells:
-        writer.writerow([
-            repr(c.beta), repr(c.alpha), repr(c.d_fdma), repr(c.d_zfbf),
-            "" if c.d_s3 is None else repr(c.d_s3),
-            repr(c.d_opt), c.best, repr(c.ratio),
-        ])
+    """One row per cell; floats as repr so parsing the file is lossless.
+
+    No field ever needs csv quoting: each is a float repr, a strategy
+    name or empty.
+    """
+    blank = np.full(len(m.ratio), "", dtype=object)
+    columns = [
+        _reprs(m.beta), _reprs(m.alpha), _reprs(m.d_fdma), _reprs(m.d_zfbf),
+        blank if m.d_s3 is None else _reprs(m.d_s3),
+        _reprs(m.d_opt), np.array(STRATEGIES, dtype=object)[m.best], _reprs(m.ratio),
+    ]
+    stream.write(",".join(CSV_HEADER) + "\n")
+    for lo in range(0, len(blank), _CSV_BLOCK):
+        rows = zip(*(column[lo:lo + _CSV_BLOCK] for column in columns))
+        stream.write("".join([",".join(row) + "\n" for row in rows]))
 
 
 def read_sweep_csv(stream: io.TextIOBase) -> List[SweepCell]:

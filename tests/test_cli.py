@@ -192,6 +192,52 @@ def test_verify_battery_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_checks_the_edge_pairs(capsys):
+    assert cli.main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert len(cli._EDGE_PAIRS) == 48
+    assert "[PASS] composition-identity: 0 mismatches in 200 random pairs and 48 edge pairs" \
+        in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--beta", "0.9967576436742457", "--alpha", "0.9967575589877823"],
+    ["--beta", "0.700001", "--alpha", "0.7"],
+    ["--beta", "0.9999999", "--alpha", "0.3"],
+    ["--scenario", "matched", "--beta", "1.0", "--alpha", "0.999999"],
+])
+def test_regions_with_a_tiny_component_weight_matches_the_bound(argv, capsys):
+    assert cli.main(["regions"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["equal"] is True
+
+
+def test_parser_defaults_do_not_leak_between_calls(capsys):
+    argv = ["simulate", "--scheme", "fdma", "--snr", "20,30,40", "--trials", "3"]
+    assert cli.main(argv + ["--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_runs_the_command_the_module_holds_now(monkeypatch):
+    # The reused parser must not pin the command functions it was built
+    # with: a command replaced later (a test double, a tracer) runs.
+    cli._parser()
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: 7 if args.step == 0.05 else 8)
+    assert cli.main(["sweep", "--step", "0.05"]) == 7
+
+
+def test_argparse_errors_still_exit_2_with_a_reused_parser(capsys):
+    for argv in (["sweep", "--format", "xml"], ["regions", "--beta", "x"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert cli.main(["regions"]) == 0
+    capsys.readouterr()
+
+
 def test_verify_can_restrict_scenario(capsys):
     assert cli.main(["verify", "--scenario", "matched"]) == 0
     out = capsys.readouterr().out

@@ -327,6 +327,13 @@ def test_estimate_dof_rejects_rates_that_overflow():
                         trials=20, seed=0)
 
 
+@pytest.mark.parametrize("rates", [mc.trial_rates, mc.ergodic_rates])
+def test_rates_that_overflow_raise_in_every_entry_point(rates):
+    # A linear SNR of 1e308 overflows the received powers of trial 1.
+    with pytest.raises(ValueError, match=r"SNR ladder \[1e\+308\] \(linear\) overflows"):
+        rates(sch.fdma_descriptor(), Q, UNMATCHED, 1e308, 3)
+
+
 def test_estimate_dof_rejects_a_negative_seed(monkeypatch):
     monkeypatch.setattr(mc, "_ladder_rates", None)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):

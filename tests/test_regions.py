@@ -273,6 +273,38 @@ def test_composition_equals_outer_bound(x, y):
     assert reg.region_equal(reg.compose_matched(q), reg.outer_bound(q), 1e-9)
 
 
+_GAPS = [10.0 ** -k for k in range(4, 13)]
+
+
+@pytest.mark.parametrize("weight, pair", [
+    # One component weight equal to the gap g, for each weight that can shrink.
+    ("unmatched perfect: alpha", lambda g: QualityPair(0.5, g)),
+    ("unmatched alternating: beta - alpha", lambda g: QualityPair(0.7 + g, 0.7)),
+    ("unmatched no_csit: 1 - beta", lambda g: QualityPair(1.0 - g, 0.3)),
+    ("matched no_csit: 1 - (beta + alpha) / 2", lambda g: QualityPair(1.0, 1.0 - 2 * g)),
+])
+def test_small_component_weights_keep_their_shape(weight, pair):
+    # The hull tolerances follow the point set's extent, so a component
+    # scaled by a tiny weight keeps every vertex of its building block and
+    # the composition still meets the converse bound.
+    for g in _GAPS:
+        q = pair(g)
+        for compose, components in ((reg.compose_unmatched, reg.components_unmatched),
+                                    (reg.compose_matched, reg.components_matched)):
+            assert reg.region_equal(compose(q), reg.outer_bound(q), 1e-9), (weight, g)
+            for name, w, region in components(q):
+                if w > 0:
+                    assert len(region.vertices) == len(reg.canonical(name).vertices), \
+                        (weight, g, name)
+
+
+def test_scale_by_a_tiny_weight_keeps_every_vertex():
+    for kind in ("no_csit", "alternating", "perfect"):
+        unit = reg.canonical(kind)
+        for w in _GAPS:
+            assert reg.scale(unit, w).vertices == tuple((w * x, w * y) for x, y in unit.vertices)
+
+
 def test_composition_monotone_in_quality():
     rng = np.random.default_rng(99)
     for _ in range(50):

@@ -1,11 +1,125 @@
-"""Strategy-switching sweeps, ratio certificates and map serialization."""
+"""Strategy-switching sweeps, ratio certificates and map serialization.
 
+The array sweep is checked against the per-cell loop it replaced: one
+``QualityPair`` and one scalar scoring per cell, rows written with
+``csv.writer``.
+"""
+
+import contextlib
+import csv
+import functools
 import io
+import json
+from fractions import Fraction
 
 import pytest
 
+from dofsim import cli
 from dofsim import switcher as sw
-from dofsim.channel import MATCHED, UNMATCHED, QualityPair
+from dofsim.channel import MATCHED, UNMATCHED, QualityPair, Scenario
+from dofsim.schemes import analytic_sum_dof
+
+
+def _oracle_cell(beta, alpha, scenario):
+    q = QualityPair(max(beta, alpha), min(beta, alpha))
+    d_fdma = float(analytic_sum_dof("fdma", q, scenario))
+    d_zfbf = float(analytic_sum_dof("zfbf", q, scenario))
+    candidates = [("fdma", d_fdma), ("zfbf", d_zfbf)]
+    d_s3 = None
+    if scenario.kind == "unmatched":
+        d_s3 = float(analytic_sum_dof("s3", q, scenario))
+        candidates.append(("s3", d_s3))
+    d_opt = float(analytic_sum_dof("optimal", q, scenario))
+    best_name, best_value = candidates[0]
+    for name, value in candidates[1:]:
+        if value > best_value + 1e-12:
+            best_name, best_value = name, value
+    return sw.SweepCell(beta=beta, alpha=alpha, d_fdma=d_fdma, d_zfbf=d_zfbf, d_s3=d_s3,
+                        d_opt=d_opt, best=best_name, ratio=best_value / d_opt)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_cells(kind, step):
+    n = round(1.0 / step)
+    grid = [i / n for i in range(n + 1)]
+    scenario = Scenario(kind)
+    return tuple(_oracle_cell(b, a, scenario) for b in grid for a in grid)
+
+
+def _oracle_counts(cells, rho):
+    counts = {}
+    for c in cells:
+        label = sw.OPTIMAL_NEEDED if c.ratio < rho - 1e-12 else c.best
+        counts[label] = counts.get(label, 0) + 1
+    return counts
+
+
+def _oracle_outputs(kind, step, rho):
+    """(csv text, json text, stderr line) of the per-cell sweep."""
+    cells = _oracle_cells(kind, step)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(sw.CSV_HEADER)
+    for c in cells:
+        writer.writerow([
+            repr(c.beta), repr(c.alpha), repr(c.d_fdma), repr(c.d_zfbf),
+            "" if c.d_s3 is None else repr(c.d_s3), repr(c.d_opt), c.best, repr(c.ratio),
+        ])
+    m = min(c.ratio for c in cells)
+    counts = _oracle_counts(cells, rho)
+    summary = {
+        "scenario": kind, "step": step, "rho": rho, "min_ratio": m,
+        "argmin": [[c.beta, c.alpha] for c in cells if c.ratio <= m + 1e-9],
+        "counts_by_strategy": counts,
+    }
+    doc = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    tally = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    return buf.getvalue(), doc, f"min ratio {m:.4f}; {tally}\n"
+
+
+def _run_sweep(kind, step, rho, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["sweep", "--scenario", kind, "--step", repr(step),
+                         "--rho", repr(rho), "--format", fmt])
+    assert code == 0
+    return out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["unmatched", "matched"])
+@pytest.mark.parametrize("step", [0.1, 0.05, 0.01, 0.005])
+@pytest.mark.parametrize("rho", [0.9, 0.8, 1.0, 0.66])
+def test_sweep_cli_bytes_match_the_per_cell_oracle(kind, step, rho):
+    want_csv, want_json, want_err = _oracle_outputs(kind, step, rho)
+    assert _run_sweep(kind, step, rho, "csv") == (want_csv, want_err)
+    assert _run_sweep(kind, step, rho, "json") == (want_json, want_err)
+
+
+@pytest.mark.parametrize("kind", ["unmatched", "matched"])
+@pytest.mark.parametrize("step", [0.1, 0.01])
+def test_sweep_cells_and_counts_match_the_per_cell_oracle(kind, step):
+    m = sw.sweep(Scenario(kind), step=step, rho=0.9)
+    assert m.cells == _oracle_cells(kind, step)
+    assert all(type(v) is float for v in (m.cells[0].beta, m.cells[-1].ratio))
+    assert m.counts_by_strategy() == _oracle_counts(m.cells, 0.9)
+
+
+@pytest.mark.parametrize("q, scenario, want", [
+    # Values of the scalar scoring on exact inputs; a float-only path gives
+    # d_opt 1.6666666666666665 and ratio 0.8 at (2/3, 2/3).
+    ((Fraction(2, 3), Fraction(2, 3)), UNMATCHED,
+     (1.0, 1.3333333333333333, 1.3333333333333333, 1.6666666666666667, "zfbf",
+      0.7999999999999999)),
+    ((Fraction(1, 3), Fraction(1, 10)), MATCHED,
+     (1.0, 0.43333333333333335, None, 1.2166666666666666, "fdma", 0.8219178082191781)),
+    ((Fraction(1, 3), Fraction(1, 10)), UNMATCHED,
+     (1.0, 0.43333333333333335, 1.1666666666666667, 1.2166666666666666, "s3",
+      0.9589041095890413)),
+])
+def test_best_strategy_is_exact_on_fractions(q, scenario, want):
+    cell = sw.best_strategy(QualityPair(*q), scenario)
+    assert (cell.d_fdma, cell.d_zfbf, cell.d_s3, cell.d_opt, cell.best, cell.ratio) == want
+    assert all(type(v) is float for v in (cell.beta, cell.d_opt, cell.ratio))
 
 
 def test_best_strategy_perfect_csit():
