@@ -28,13 +28,6 @@ import numpy as np
 from . import linkmc, regions, schemes, switcher
 from .channel import MATCHED, UNMATCHED, QualityPair, Scenario, check_seed
 
-_SCHEME_SCENARIO = {
-    "optimal-unmatched": "unmatched",
-    "matched-optimal": "matched",
-    "s3": "unmatched",
-}
-
-
 def _open_out(path: Optional[str]):
     if path in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
@@ -115,15 +108,12 @@ def cmd_regions(args) -> int:
 
 def cmd_simulate(args) -> int:
     q = QualityPair(args.beta, args.alpha)
-    implied = _SCHEME_SCENARIO.get(args.scheme)
-    kind = args.scenario if args.scenario is not None else (implied or "unmatched")
-    if implied is not None and kind != implied:
-        raise ValueError(f"scheme {args.scheme!r} requires the {implied} scenario, got {kind!r}")
+    kind = args.scenario or schemes.SCHEME_SCENARIOS[args.scheme][0]
     scenario = Scenario(kind)
+    descriptor = schemes.build_descriptor(args.scheme, q, scenario)
     ladder = _parse_snr_list(args.snr)
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
-    descriptor = schemes.build_descriptor(args.scheme, q, scenario)
     report = linkmc.estimate_dof(descriptor, q, scenario, ladder, args.trials, args.seed)
     with _open_out(args.out) as stream:
         stream.write(report.to_json())
@@ -166,12 +156,12 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
     grid = [i / 20 for i in range(21)]
 
     def descriptors_at(q: QualityPair):
-        ds = [schemes.fdma_descriptor(),
-              schemes.zfbf_descriptor(q, UNMATCHED),
-              schemes.zfbf_descriptor(q, MATCHED),
-              schemes.matched_descriptor(q)]
-        ds.append(schemes.optimal_unmatched_descriptor(q))
-        ds.append(schemes.s3_descriptor(q))
+        ds = []
+        for scheme, kinds in schemes.SCHEME_SCENARIOS.items():
+            for kind in kinds:
+                d = schemes.build_descriptor(scheme, q, Scenario(kind))
+                if d not in ds:  # fdma's descriptor is the same in both scenarios
+                    ds.append(d)
         return ds
 
     try:
@@ -209,11 +199,11 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
         pairs.append((float(hi), float(lo)))
     bad = 0
     for b, a in pairs + _EDGE_PAIRS:
-        q = QualityPair(b, a)
+        q = QualityPair(Fraction(b), Fraction(a))
         for scenario in scenarios:
             compose = (regions.compose_unmatched if scenario.kind == "unmatched"
                        else regions.compose_matched)
-            if not regions.region_equal(compose(q), regions.outer_bound(q)):
+            if not regions.region_equal(compose(q), regions.outer_bound(q), tol=0):
                 bad += 1
     yield ("composition-identity", bad == 0,
            f"{bad} mismatches in 200 random pairs and {len(_EDGE_PAIRS)} edge pairs")

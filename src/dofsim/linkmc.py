@@ -22,7 +22,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .channel import (
 # Not called here, but kept importable as ``linkmc.trial_rng`` and
 # ``linkmc.sample_realization``: the per-layer trace wraps them by this path.
 from .channel import sample_realization, trial_rng  # noqa: F401
-from .schemes import SchemeDescriptor, SymbolSpec
+from .schemes import SchemeDescriptor, SymbolSpec, credit_users
 
 #: Fit residual (bits per channel use) above which the slope estimate falls
 #: back to the top SNR pair; the common layer's rate converges slowly.
@@ -215,24 +215,9 @@ def _delivered_per_use(d: SchemeDescriptor, ergodic: InstantRates) -> Dict[str, 
     """Delivered rate of each payload, weighted by its slot's share of the frame."""
     total = d.total_duration()
     out = {}
-    for sym_id, group in d._by_id().items():
-        out[sym_id] = ergodic.delivered(sym_id) * d.slot_duration(group[0].slot) / total
+    for sym_id, sym in d.payloads().items():
+        out[sym_id] = ergodic.delivered(sym_id) * d.slot_duration(sym.slot) / total
     return out
-
-
-def _user_rates(d: SchemeDescriptor, delivered: Mapping[str, float]) -> Tuple[float, float]:
-    u1 = u2 = 0.0
-    for sym_id, group in d._by_id().items():
-        r = delivered[sym_id]
-        if group[0].owner == "common":
-            share = d.common_split[sym_id]
-            u1 += share * r
-            u2 += (1.0 - share) * r
-        elif group[0].owner == "user1":
-            u1 += r
-        else:
-            u2 += r
-    return u1, u2
 
 
 def _slope(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
@@ -337,7 +322,7 @@ def estimate_dof(
         delivered = _delivered_per_use(d, ergodic)
         for sym_id, r in delivered.items():
             sym_rates[sym_id][_db_key(snr_db)] = r
-        u1, u2 = _user_rates(d, delivered)
+        u1, u2 = credit_users(d, delivered)
         users1.append(u1)
         users2.append(u2)
         sums.append(u1 + u2)

@@ -163,11 +163,11 @@ class SchemeDescriptor:
             if (sym.id, sym.slot) in seen_instances:
                 raise ValueError(f"duplicate instance of symbol {sym.id!r} in slot {sym.slot!r}")
             seen_instances.add((sym.id, sym.slot))
-        for sym_id, group in self._by_id().items():
-            owners = {s.owner for s in group}
-            rates = {s.rate_exponent for s in group}
-            if len(owners) > 1 or len(rates) > 1:
-                raise ValueError(f"instances of {sym_id!r} disagree on owner or rate")
+        payloads = self.payloads()
+        for sym in self.symbols:
+            first = payloads[sym.id]
+            if sym.owner != first.owner or sym.rate_exponent != first.rate_exponent:
+                raise ValueError(f"instances of {sym.id!r} disagree on owner or rate")
         self._check_power_identity()
         self._check_plan()
         split = dict(self.common_split)
@@ -178,12 +178,6 @@ class SchemeDescriptor:
             if not 0 <= share <= 1:
                 raise ValueError(f"common split for {sym_id!r} must lie in [0, 1], got {share}")
         object.__setattr__(self, "common_split", split)
-
-    def _by_id(self) -> Dict[str, List[SymbolSpec]]:
-        groups: Dict[str, List[SymbolSpec]] = {}
-        for sym in self.symbols:
-            groups.setdefault(sym.id, []).append(sym)
-        return groups
 
     def _check_power_identity(self) -> None:
         for slot_id, _ in self.slots:
@@ -235,12 +229,18 @@ class SchemeDescriptor:
                 return s
         raise KeyError(f"no instance of {sym_id!r} in slot {slot_id!r}")
 
-    def symbol_ids(self) -> List[str]:
-        out: List[str] = []
+    def payloads(self) -> Dict[str, SymbolSpec]:
+        """First instance of each payload, keyed by symbol id, in order of first appearance.
+
+        A repeated payload's instances agree on owner and rate exponent.
+        """
+        out: Dict[str, SymbolSpec] = {}
         for s in self.symbols:
-            if s.id not in out:
-                out.append(s.id)
+            out.setdefault(s.id, s)
         return out
+
+    def symbol_ids(self) -> List[str]:
+        return list(self.payloads())
 
     def decoders_of(self, sym_id: str) -> Tuple[str, ...]:
         return tuple(u for u in USERS if any(
@@ -482,17 +482,21 @@ def matched_descriptor(
 
 _BUILDERS = {
     "fdma": lambda q, scenario: fdma_descriptor(),
-    "zfbf": lambda q, scenario: zfbf_descriptor(q, scenario),
-    "s3": lambda q, scenario: _require_unmatched(scenario) or s3_descriptor(q),
+    "zfbf": zfbf_descriptor,
+    "s3": lambda q, scenario: s3_descriptor(q),
     "optimal-unmatched": lambda q, scenario: optimal_unmatched_descriptor(q),
     "matched-optimal": lambda q, scenario: matched_descriptor(q),
 }
 
-
-def _require_unmatched(scenario: Scenario) -> None:
-    if scenario.kind != "unmatched":
-        raise ValueError("the s3 scheme is defined for the unmatched scenario only")
-
+#: Scenarios each scheme is defined for; the first is the one a scheme
+#: implies when no scenario is given.
+SCHEME_SCENARIOS = {
+    "fdma": ("unmatched", "matched"),
+    "zfbf": ("unmatched", "matched"),
+    "s3": ("unmatched",),
+    "optimal-unmatched": ("unmatched",),
+    "matched-optimal": ("matched",),
+}
 
 #: Scheme names accepted by build_descriptor (and the command line).
 SCHEME_NAMES = tuple(sorted(_BUILDERS))
@@ -506,10 +510,10 @@ def build_descriptor(scheme: str, q: QualityPair, scenario: Scenario) -> SchemeD
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(_BUILDERS)}"
         ) from None
-    if scheme == "optimal-unmatched" and scenario.kind != "unmatched":
-        raise ValueError("optimal-unmatched requires the unmatched scenario")
-    if scheme == "matched-optimal" and scenario.kind != "matched":
-        raise ValueError("matched-optimal requires the matched scenario")
+    kinds = SCHEME_SCENARIOS[scheme]
+    if scenario.kind not in kinds:
+        raise ValueError(
+            f"scheme {scheme!r} requires the {kinds[0]} scenario, got {scenario.kind!r}")
     return builder(q, scenario)
 
 
@@ -563,24 +567,39 @@ def sum_dof_exponent(d: SchemeDescriptor) -> float:
     Repeated payloads count once (weighted by their first instance's slot).
     """
     total = 0.0
-    for sym_id, group in d._by_id().items():
-        total += group[0].rate_exponent * d.slot_duration(group[0].slot)
+    for sym in d.payloads().values():
+        total += sym.rate_exponent * d.slot_duration(sym.slot)
     return total / d.total_duration()
+
+
+def credit_users(d: SchemeDescriptor, per_payload: Mapping[str, float]) -> Tuple[float, float]:
+    """Split per-payload amounts between the two users.
+
+    A private payload counts for its owner; a common one is shared by
+    ``d.common_split`` (user1's fraction).  Payloads are summed in
+    ``d.payloads()`` order.
+    """
+    u1 = u2 = 0.0
+    for sym_id, sym in d.payloads().items():
+        r = per_payload[sym_id]
+        if sym.owner == "common":
+            share = d.common_split[sym_id]
+            u1 += share * r
+            u2 += (1.0 - share) * r
+        elif sym.owner == "user1":
+            u1 += r
+        else:
+            u2 += r
+    return u1, u2
 
 
 def user_dof_exponents(d: SchemeDescriptor) -> Tuple[float, float]:
     """Per-user analytic DoF pair implied by ownership and the common split."""
-    per_user = {"user1": 0.0, "user2": 0.0}
-    for sym_id, group in d._by_id().items():
-        weighted = group[0].rate_exponent * d.slot_duration(group[0].slot)
-        if group[0].owner == "common":
-            share = d.common_split[sym_id]
-            per_user["user1"] += share * weighted
-            per_user["user2"] += (1.0 - share) * weighted
-        else:
-            per_user[group[0].owner] += weighted
+    weighted = {sym_id: sym.rate_exponent * d.slot_duration(sym.slot)
+                for sym_id, sym in d.payloads().items()}
+    u1, u2 = credit_users(d, weighted)
     total = d.total_duration()
-    return per_user["user1"] / total, per_user["user2"] / total
+    return u1 / total, u2 / total
 
 
 # -- static achievability --------------------------------------------------

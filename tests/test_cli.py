@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from dofsim import cli
+from dofsim import cli, regions
 from dofsim.linkmc import SimReport
 from dofsim.switcher import read_sweep_csv
 
@@ -90,9 +91,13 @@ def test_simulate_scenario_is_inferred(tmp_path, capsys):
 def test_simulate_scenario_conflicts(capsys):
     assert cli.main(["simulate", "--scheme", "s3", "--scenario", "matched",
                      "--snr", "20,30,40", "--trials", "5"]) == 2
+    assert capsys.readouterr().err == \
+        "error: scheme 's3' requires the unmatched scenario, got 'matched'\n"
+    # The scenario conflict is reported before a bad ladder or trial count.
     assert cli.main(["simulate", "--scheme", "matched-optimal", "--scenario",
-                     "unmatched", "--snr", "20,30,40", "--trials", "5"]) == 2
-    capsys.readouterr()
+                     "unmatched", "--snr", "20,x", "--trials", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: scheme 'matched-optimal' requires the matched scenario, got 'unmatched'\n"
 
 
 @pytest.mark.parametrize("extra", [
@@ -190,6 +195,19 @@ def test_verify_battery_passes(capsys):
                   "min-ratio-unmatched", "min-ratio-matched"):
         assert f"[PASS] {check}" in out
     assert "[FAIL]" not in out
+    assert "[PASS] power-identity: 2772 slot ledgers telescope to P" in out
+
+
+def test_verify_composition_identity_is_exact(monkeypatch, capsys):
+    # A composition off by 1e-15 in every rank, far inside any float
+    # tolerance, must fail the exact check.
+    compose = regions.compose_unmatched
+    tiny = regions.scale(regions.canonical("no_csit"), Fraction(1, 10**15))
+    monkeypatch.setattr(regions, "compose_unmatched",
+                        lambda q: regions.minkowski_sum(compose(q), tiny))
+    assert cli.main(["verify", "--scenario", "unmatched"]) == 1
+    assert "[FAIL] composition-identity: 248 mismatches in 200 random pairs and 48 edge pairs" \
+        in capsys.readouterr().out
 
 
 def test_verify_checks_the_edge_pairs(capsys):

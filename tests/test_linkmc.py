@@ -245,8 +245,8 @@ def test_report_rates_are_duration_weighted_delivered_rates():
     # column (common random numbers: the ladder reuses the same substreams).
     erg = mc.ergodic_rates(d, Q, UNMATCHED, ch.db_to_linear(30.0), trials=trials, seed=12)
     per_use = {
-        sym: erg.delivered(sym) * d.slot_duration(group[0].slot) / d.total_duration()
-        for sym, group in d._by_id().items()
+        sym_id: erg.delivered(sym_id) * d.slot_duration(sym.slot) / d.total_duration()
+        for sym_id, sym in d.payloads().items()
     }
     report = mc.estimate_dof(d, Q, UNMATCHED, (20.0, 30.0, 40.0), trials=trials, seed=12)
     for sym, value in per_use.items():
@@ -254,13 +254,13 @@ def test_report_rates_are_duration_weighted_delivered_rates():
     # per-user split partitions the sum rate exactly
     total = sum(per_use.values())
     split = [0.0, 0.0]
-    for sym, group in d._by_id().items():
-        if group[0].owner == "common":
-            share = d.common_split[sym]
-            split[0] += share * per_use[sym]
-            split[1] += (1 - share) * per_use[sym]
+    for sym_id, sym in d.payloads().items():
+        if sym.owner == "common":
+            share = d.common_split[sym_id]
+            split[0] += share * per_use[sym_id]
+            split[1] += (1 - share) * per_use[sym_id]
         else:
-            split[0 if group[0].owner == "user1" else 1] += per_use[sym]
+            split[0 if sym.owner == "user1" else 1] += per_use[sym_id]
     assert split[0] + split[1] == pytest.approx(total, rel=1e-12)
 
 
@@ -269,11 +269,8 @@ def test_report_rates_are_duration_weighted_delivered_rates():
 
 
 def _cli_pairs():
-    from dofsim.cli import _SCHEME_SCENARIO
-
     for scheme in sch.SCHEME_NAMES:
-        implied = _SCHEME_SCENARIO.get(scheme)
-        for kind in [implied] if implied else ["unmatched", "matched"]:
+        for kind in sch.SCHEME_SCENARIOS[scheme]:
             yield scheme, ch.Scenario(kind)
 
 

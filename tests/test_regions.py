@@ -1,12 +1,15 @@
-"""Tests for the DoF-region polytope algebra.
+"""Tests for the DoF-region polymatroid algebra.
 
-The Minkowski edge-merge implementation is checked against two independent
+The corner-sum Minkowski implementation is checked against two independent
 oracles: the convex hull of all pairwise vertex sums (via scipy) and
-support-function additivity over a fan of directions.
+support-function additivity over a fan of directions.  The composed
+regions are checked the same way, against the iterated hull of the scaled
+building blocks' vertex sums.
 """
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,15 +19,37 @@ from scipy.spatial import ConvexHull
 
 from dofsim import regions as reg
 from dofsim.channel import QualityPair
+from dofsim.cli import _EDGE_PAIRS
+
+_COMPOSERS = (
+    (reg.compose_unmatched, reg.components_unmatched),
+    (reg.compose_matched, reg.components_matched),
+)
 
 
 def _sorted_vertices(region):
     return sorted(region.vertices)
 
 
-def _random_region(rng, max_points=6):
-    pts = rng.uniform(0.0, 1.5, size=(rng.integers(1, max_points + 1), 2))
-    return reg.DofRegion(tuple(map(tuple, pts)))
+def _from_ranks(r1, r2, r12):
+    """The polymatroid {d1 <= r1, d2 <= r2, d1 + d2 <= r12} by its corners."""
+    return reg.DofRegion((r1, r12 - r1), (r12 - r2, r2))
+
+
+def _random_region(rng):
+    """Random full-dimensional polymatroid on a dyadic grid (floats are exact)."""
+    r1, r2 = (Fraction(int(k), 64) for k in rng.integers(1, 97, size=2))
+    r12 = max(r1, r2) + Fraction(int(rng.integers(0, 65)), 64) * min(r1, r2)
+    return _from_ranks(r1, r2, r12)
+
+
+def _random_pairs(seed, n):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+        pairs.append((float(hi), float(lo)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -86,45 +111,57 @@ def test_scale_negative_weight_rejected():
 
 
 # ---------------------------------------------------------------------------
-# canonical form of arbitrary inputs
+# corner-point representation
 
 
 def test_constructor_enforces_down_closure():
-    r = reg.DofRegion(((0.3, 0.7), (0.9, 0.2)))
-    for p in [(0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.9, 0.0), (0.3, 0.7), (0.9, 0.2)]:
+    r = reg.DofRegion((0.9, 0.2), (0.4, 0.7))
+    assert r.ranks == (0.9, 0.7, 0.9 + 0.2)
+    assert r.vertices == ((0.0, 0.0), (0.9, 0.0), (0.9, 0.2), (0.4, 0.7), (0.0, 0.7))
+    for p in [(0.0, 0.0), (0.9, 0.0), (0.0, 0.7), (0.4, 0.0), (0.0, 0.2), (0.9, 0.2), (0.4, 0.7)]:
         assert reg.contains(r, p)
+    assert not reg.contains(r, (0.9, 0.21))
 
 
 def test_constructor_rejects_negative_coordinates():
     with pytest.raises(ValueError):
-        reg.DofRegion(((0.5, -0.2),))
+        reg.DofRegion((0.5, -0.2), (0.0, 0.0))
     with pytest.raises(ValueError):
-        reg.DofRegion(())
+        reg.DofRegion((0.5, 0.0), (-0.1, 0.3))
+    # c2 must lie left of and above c1.
+    with pytest.raises(ValueError):
+        reg.DofRegion((0.3, 0.7), (0.9, 0.2))
 
 
 def test_degenerate_point_region():
-    r = reg.DofRegion(((0.0, 0.0),))
+    r = reg.DofRegion((0.0, 0.0), (0.0, 0.0))
     assert r.vertices == ((0.0, 0.0),)
     assert reg.contains(r, (0.0, 0.0))
     assert not reg.contains(r, (0.1, 0.0))
 
 
 def test_degenerate_segment_region():
-    r = reg.DofRegion(((0.5, 0.0),))
+    r = reg.DofRegion((0.5, 0.0), (0.0, 0.0))
     assert r.vertices == ((0.0, 0.0), (0.5, 0.0))
     assert reg.contains(r, (0.25, 0.0))
     assert not reg.contains(r, (0.25, 0.01))
     assert not reg.contains(r, (0.51, 0.0))
 
 
+_RANK = st.fractions(0, 2, max_denominator=1000)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(0, 2), st.floats(0, 2)), min_size=1, max_size=8))
-def test_canonical_form_invariants(points):
-    r = reg.DofRegion(tuple(points))
+@given(_RANK, _RANK, st.fractions(0, 1, max_denominator=1000))
+def test_canonical_form_invariants(r1, r2, t):
+    r12 = max(r1, r2) + t * min(r1, r2)
+    r = _from_ranks(r1, r2, r12)
     v = r.vertices
+    assert r.ranks == (r1, r2, r12)
     assert v[0] == (0.0, 0.0), "canonical ring starts at the origin"
     assert len(set(v)) == len(v), "no duplicate vertices"
     assert all(x >= 0 and y >= 0 for x, y in v)
+    assert all(isinstance(c, float) for p in v for c in p)
     if len(v) >= 3:
         # Strictly convex counterclockwise ring: every turn is a left turn.
         n = len(v)
@@ -132,6 +169,10 @@ def test_canonical_form_invariants(points):
             o, a, b = v[i], v[(i + 1) % n], v[(i + 2) % n]
             cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
             assert cross > 0, f"vertices {o}, {a}, {b} are not a left turn"
+    # The ranks are the support values along the three constraint normals.
+    # Each is one rounded float sum away from the exact rank.
+    assert (reg.support(r, (1, 0)), reg.support(r, (0, 1)), reg.support(r, (1, 1))) == \
+        pytest.approx((r1, r2, r12), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +181,7 @@ def test_canonical_form_invariants(points):
 
 def test_minkowski_origin_is_additive_identity():
     tri = reg.canonical("no_csit")
-    origin = reg.DofRegion(((0.0, 0.0),))
+    origin = reg.DofRegion((0.0, 0.0), (0.0, 0.0))
     assert reg.minkowski_sum(tri, origin).vertices == tri.vertices
     assert reg.minkowski_sum(origin, tri).vertices == tri.vertices
 
@@ -166,7 +207,11 @@ def test_weighted_sum_face_value():
 
 
 def test_minkowski_matches_pairwise_hull_oracle():
-    """Edge merge == scipy convex hull of all pairwise vertex sums."""
+    """Corner sum == scipy convex hull of all pairwise vertex sums.
+
+    The regions sit on a dyadic grid, so every float is exact and the hull's
+    vertex set must equal the sum's vertex ring.
+    """
     rng = np.random.default_rng(1905)
     for _ in range(60):
         r1, r2 = _random_region(rng), _random_region(rng)
@@ -174,13 +219,9 @@ def test_minkowski_matches_pairwise_hull_oracle():
         sums = np.array([
             (x1 + x2, y1 + y2) for x1, y1 in r1.vertices for x2, y2 in r2.vertices
         ])
-        if len(sums) >= 3 and ConvexHull(sums, qhull_options="QJ Pp").volume > 1e-9:
-            hull = ConvexHull(sums)
-            oracle = reg.DofRegion(tuple(map(tuple, sums[hull.vertices])))
-        else:  # degenerate stack (points / segments): hull == input set
-            oracle = reg.DofRegion(tuple(map(tuple, sums)))
-        assert reg.region_equal(result, oracle, 1e-9), (
-            f"edge merge disagrees with hull oracle for {r1.vertices} + {r2.vertices}"
+        oracle = sorted(map(tuple, sums[ConvexHull(sums).vertices].tolist()))
+        assert oracle == sorted(result.vertices), (
+            f"corner sum disagrees with hull oracle for {r1} + {r2}"
         )
 
 
@@ -321,10 +362,14 @@ def test_support_trivial():
 
 def test_region_equal_respects_tolerance():
     r = reg.outer_bound(QualityPair(0.8, 0.5))
-    nudged = reg.DofRegion(tuple((x + 1e-12, y) for x, y in r.vertices))
-    off = reg.DofRegion(tuple((x * (1 + 1e-6), y) for x, y in r.vertices))
+    nudged = reg.minkowski_sum(r, reg.scale(reg.canonical("no_csit"), 1e-12))
+    off = reg.scale(r, 1 + 1e-6)
     assert reg.region_equal(r, nudged, 1e-9)
     assert not reg.region_equal(r, off, 1e-9)
+    exact = reg.outer_bound(QualityPair(Fraction(4, 5), Fraction(1, 2)))
+    tiny = reg.scale(reg.canonical("no_csit"), Fraction(1, 10**30))
+    assert reg.region_equal(exact, reg.minkowski_sum(exact, reg.scale(tiny, 0)), tol=0)
+    assert not reg.region_equal(exact, reg.minkowski_sum(exact, tiny), tol=0)
 
 
 def test_thousand_random_compositions_under_five_seconds():
@@ -336,3 +381,101 @@ def test_thousand_random_compositions_under_five_seconds():
         assert reg.region_equal(reg.compose_unmatched(q), reg.outer_bound(q), 1e-9)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"1000 compositions took {elapsed:.2f}s"
+
+
+# ---------------------------------------------------------------------------
+# exact composition, symmetry and the hull oracle for composed regions
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(0, 1), st.fractions(0, 1))
+def test_composition_is_exact_on_fraction_pairs(x, y):
+    q = QualityPair(max(x, y), min(x, y))
+    outer = reg.outer_bound(q)
+    for compose, _ in _COMPOSERS:
+        composed = compose(q)
+        assert composed == outer
+        assert reg.region_equal(composed, outer, tol=0)
+
+
+def test_composed_region_reaches_the_top_edge_near_beta_equal_alpha_one():
+    # The composed top edge sits at d2 = 1 exactly, and the outer bound
+    # keeps its d1 + d2 facet although it is only 5e-13 below the corner (1, 1).
+    q = QualityPair(1.0, 0.999999999999)
+    for compose, _ in _COMPOSERS:
+        v = compose(q).vertices
+        assert max(y for _, y in v) == 1.0 and max(x for x, _ in v) == 1.0
+    outer = reg.outer_bound(q).vertices
+    assert outer == ((0.0, 0.0), (1.0, 0.0), (1.0, 0.9999999999995),
+                     (0.9999999999995, 1.0), (0.0, 1.0))
+
+
+def test_composed_corner_sits_on_the_top_edge():
+    q = QualityPair(0.5, 0.499999999999)
+    assert reg.compose_unmatched(q).vertices == (
+        (0.0, 0.0), (1.0, 0.0), (1.0, 0.4999999999995), (0.4999999999995, 1.0), (0.0, 1.0))
+
+
+def _exact_ring(region):
+    (x1, y1), (x2, y2) = region.c1, region.c2
+    ring = []
+    for p in ((0, 0), (x1, 0), (x1, y1), (x2, y2), (0, y2)):
+        if p not in ring:
+            ring.append(p)
+    return ring
+
+
+def test_composed_rings_are_mirror_symmetric_and_near_exact():
+    grid = [i / 20 for i in range(21)]
+    pairs = _random_pairs(31, 300) + _EDGE_PAIRS + [(b, a) for b in grid for a in grid if a <= b]
+    for b, a in pairs:
+        exact_q = QualityPair(Fraction(b), Fraction(a))
+        for compose, _ in _COMPOSERS:
+            v = compose(QualityPair(b, a)).vertices
+            assert sorted(v) == sorted((y, x) for x, y in v), (b, a, v)
+            exact = _exact_ring(compose(exact_q))
+            assert len(exact) == len(v), (b, a, v)
+            for p, e in zip(v, exact):
+                assert abs(Fraction(p[0]) - e[0]) <= 2.3e-16 and \
+                    abs(Fraction(p[1]) - e[1]) <= 2.3e-16, (b, a, p, e)
+
+
+def test_component_vertex_bytes_golden():
+    # At w = 0.6 the alternating corner 0.5 * w is 0.3, while deriving it
+    # from the ranks as fl(1.5 * w) - w would give 0.29999999999999993.
+    assert 1.5 * 0.6 - 0.6 != 0.5 * 0.6
+    parts = reg.components_unmatched(QualityPair(0.7, 0.1))
+    assert [(name, repr(w), repr(region.vertices)) for name, w, region in parts] == [
+        ("perfect", "0.1", "((0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.0, 0.1))"),
+        ("alternating", "0.6",
+         "((0.0, 0.0), (0.6, 0.0), (0.6, 0.3), (0.3, 0.6), (0.0, 0.6))"),
+        ("no_csit", "0.30000000000000004",
+         "((0.0, 0.0), (0.30000000000000004, 0.0), (0.0, 0.30000000000000004))"),
+    ]
+
+
+def _hull_of_vertex_sums(regions):
+    """Iterated convex hull of pairwise vertex sums (scipy), as (points, hull)."""
+    points = np.array([(0.0, 0.0)])
+    for region in regions:
+        sums = (points[:, None, :] + np.array(region.vertices)[None, :, :]).reshape(-1, 2)
+        sums = np.unique(sums, axis=0)
+        if len(sums) >= 3:
+            points = sums[ConvexHull(sums).vertices]
+        else:
+            points = sums
+    return points, ConvexHull(points)
+
+
+@pytest.mark.parametrize("compose, components", _COMPOSERS)
+def test_composition_matches_iterated_hull_oracle(compose, components):
+    """compose_* == hull of the scaled blocks' pairwise vertex sums, within 1e-12."""
+    for b, a in _random_pairs(77, 200) + _EDGE_PAIRS:
+        q = QualityPair(b, a)
+        blocks = [region for _, w, region in components(q) if w > 0]
+        points, hull = _hull_of_vertex_sums(blocks)
+        ring = np.array(compose(q).vertices)
+        mine = ConvexHull(ring)
+        # Each vertex set lies in the other polygon (half-planes n.x + c <= 0).
+        assert np.max(ring @ hull.equations[:, :2].T + hull.equations[:, 2]) <= 1e-12, (b, a)
+        assert np.max(points @ mine.equations[:, :2].T + mine.equations[:, 2]) <= 1e-12, (b, a)

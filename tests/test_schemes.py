@@ -223,6 +223,18 @@ def test_build_descriptor_dispatch():
     }
 
 
+@pytest.mark.parametrize("scheme", sch.SCHEME_NAMES)
+def test_build_descriptor_follows_the_scenario_table(scheme):
+    kinds = sch.SCHEME_SCENARIOS[scheme]
+    for scenario in (UNMATCHED, MATCHED):
+        if scenario.kind in kinds:
+            assert sch.build_descriptor(scheme, Q, scenario).scenario in (scenario.kind, None)
+        else:
+            with pytest.raises(ValueError, match=f"scheme '{scheme}' requires the "
+                                                 f"{kinds[0]} scenario, got '{scenario.kind}'"):
+                sch.build_descriptor(scheme, Q, scenario)
+
+
 # ---------------------------------------------------------------------------
 # descriptor validation
 
@@ -389,6 +401,14 @@ def test_user_dof_split_default_and_custom():
     v1, v2 = sch.user_dof_exponents(skewed)
     assert v1 + v2 == pytest.approx(u1 + u2, abs=1e-12)
     assert (v1, v2) == (pytest.approx(0.8, abs=1e-12), pytest.approx(0.85, abs=1e-12))
+
+
+def test_credit_users_splits_common_payloads():
+    d = sch.optimal_unmatched_descriptor(Q, common_split={"xc_A": 0.25, "xc_B": 0.0})
+    payloads = d.payloads()
+    assert list(payloads) == ["xc_A", "u_A", "u_0", "v_A", "xc_B", "v_B", "u_B"]
+    assert payloads["u_0"].slot == "A", "a repeated payload is keyed by its first instance"
+    assert sch.credit_users(d, {sym_id: 1.0 for sym_id in payloads}) == (3.25, 3.75)
 
 
 def test_user_dof_pairs_inside_outer_bound():
