@@ -155,38 +155,24 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
     """Yield (name, passed, detail) for the invariant battery."""
     grid = [i / 20 for i in range(21)]
 
-    def descriptors_at(q: QualityPair):
-        ds = []
-        for scheme, kinds in schemes.SCHEME_SCENARIOS.items():
-            for kind in kinds:
-                d = schemes.build_descriptor(scheme, q, Scenario(kind))
-                if d not in ds:  # fdma's descriptor is the same in both scenarios
-                    ds.append(d)
-        return ds
-
+    descriptors = []
     try:
-        count = 0
-        for b in grid:
-            for a in grid:
-                if a > b:
-                    continue
-                for d in descriptors_at(QualityPair(b, a)):
-                    for slot, _ in d.slots:
-                        assert schemes.power_ledger(d, slot) == {1.0: Fraction(1)}
-                        count += 1
+        for q in [QualityPair(b, a) for b in grid for a in grid if a <= b]:
+            at_q = []
+            for scheme, kinds in schemes.SCHEME_SCENARIOS.items():
+                for kind in kinds:
+                    d = schemes.build_descriptor(scheme, q, Scenario(kind))
+                    if d not in at_q:  # fdma's descriptor is the same in both scenarios
+                        at_q.append(d)
+            descriptors += at_q
+        # Each descriptor's constructor checks that its slot ledgers telescope.
+        count = sum(len(d.slots) for d in descriptors)
         yield "power-identity", True, f"{count} slot ledgers telescope to P"
-    except (AssertionError, ValueError) as exc:
+    except ValueError as exc:
         yield "power-identity", False, str(exc)
 
     try:
-        worst = float("inf")
-        for b in grid:
-            for a in grid:
-                if a > b:
-                    continue
-                for d in descriptors_at(QualityPair(b, a)):
-                    report = schemes.static_achievability_check(d)
-                    worst = min(worst, min(s.margin for s in report))
+        worst = min(s.margin for d in descriptors for s in schemes.static_achievability_check(d))
         passed = worst >= -1e-12
         yield "achievability-margins", passed, f"worst step margin {worst:.3g}"
     except schemes.AchievabilityError as exc:

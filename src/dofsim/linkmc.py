@@ -1,9 +1,10 @@
 """Monte Carlo link layer: instantaneous SIC rates and DoF slope estimates.
 
-Given a scheme descriptor and a channel realization, the decoder walk
-produces per-symbol rates log2(1 + S / (1 + I)) in decode order, where
-cancelled symbols no longer interfere (including the cross-subband
-cancellation of the repeated symbol).  Ergodic rates average those over
+The decoder walks the descriptor's compiled table (``schemes.DecodeTable``),
+the one the static achievability check walks over exponents: per linear
+SNR it builds each precoder and each (symbol, user) received power once,
+then gives every decode step the rate log2(1 + S / (1 + I)), where I sums
+the powers the step has not cancelled.  Ergodic rates average those over
 per-trial substreams; the DoF estimate is the slope of duration-normalised
 rate against log2(P) over an SNR ladder.
 
@@ -40,7 +41,7 @@ from .channel import (
 # Not called here, but kept importable as ``linkmc.trial_rng`` and
 # ``linkmc.sample_realization``: the per-layer trace wraps them by this path.
 from .channel import sample_realization, trial_rng  # noqa: F401
-from .schemes import SchemeDescriptor, SymbolSpec, credit_users
+from .schemes import Precoder, SchemeDescriptor, SymbolSpec, credit_users
 
 #: Fit residual (bits per channel use) above which the slope estimate falls
 #: back to the top SNR pair; the common layer's rate converges slowly.
@@ -49,12 +50,15 @@ RESIDUAL_FALLBACK = 0.02
 _E1 = np.array([1.0, 0.0], dtype=complex)
 
 
-def _precoder_vector(realization: ChannelRealization, sym: SymbolSpec) -> np.ndarray:
-    pre = sym.precoder
+def _direction(realization: ChannelRealization, pre: Precoder) -> np.ndarray:
     if pre.kind == "basis_e1":
         return _E1
     ref = realization.estimate(pre.user, pre.subband)
     return zf_direction(ref) if pre.kind == "zf_orth" else unit(ref)
+
+
+def _link_power(h: np.ndarray, w: np.ndarray, power: float) -> np.ndarray:
+    return np.abs(np.sum(h.conj() * w, axis=-1)) ** 2 * power
 
 
 def received_power(realization: ChannelRealization, sym: SymbolSpec, user: str, p: float):
@@ -64,9 +68,22 @@ def received_power(realization: ChannelRealization, sym: SymbolSpec, user: str, 
     """
     if p <= 1:
         raise ValueError(f"linear SNR must exceed 1, got {p}")
-    h = realization.true(user, sym.slot)
-    w = _precoder_vector(realization, sym)
-    return np.abs(np.sum(h.conj() * w, axis=-1)) ** 2 * sym.power.value(p)
+    return _link_power(realization.true(user, sym.slot), _direction(realization, sym.precoder),
+                       sym.power.value(p))
+
+
+def _step_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) -> list:
+    """The rate of every step of ``d.table``, in decode-plan order."""
+    directions: Dict[Precoder, np.ndarray] = {}
+    powers = []
+    for i, user in d.table.links:
+        sym = d.symbols[i]
+        if sym.precoder not in directions:
+            directions[sym.precoder] = _direction(realization, sym.precoder)
+        powers.append(_link_power(realization.true(user, sym.slot), directions[sym.precoder],
+                                  sym.power.value(p)))
+    return [np.log2(1.0 + powers[step.signal] / (1.0 + sum(powers[i] for i in step.interference)))
+            for step in d.table.steps]
 
 
 @dataclass(frozen=True)
@@ -84,7 +101,7 @@ class InstantRates:
 
 
 def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) -> InstantRates:
-    """Walk the decode plan on one realization, or on a block of trials.
+    """Walk the decode table on one realization, or on a block of trials.
 
     At each step the target's received power S competes against unit noise
     plus the received powers I of all same-slot symbols that the step has
@@ -92,31 +109,19 @@ def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) ->
     """
     if p <= 1:
         raise ValueError(f"linear SNR must exceed 1, got {p}")
-    power_cache: Dict[Tuple[str, str, str], np.ndarray] = {}
+    return _by_symbol(d, _step_rates(d, realization, p))
 
-    def rp(sym: SymbolSpec, user: str) -> np.ndarray:
-        key = (sym.id, sym.slot, user)
-        if key not in power_cache:
-            power_cache[key] = received_power(realization, sym, user, p)
-        return power_cache[key]
 
-    rates: Dict[str, Dict[str, np.ndarray]] = {}
-    for step in d.decode_plan:
-        target = d.instance(step.symbol, step.slot)
-        signal = rp(target, step.user)
-        interference = sum(
-            rp(sym, step.user)
-            for sym in d.instances_in(step.slot)
-            if sym.id != step.symbol and sym.id not in step.cancel
-        )
-        rate = np.log2(1.0 + signal / (1.0 + interference))
-        rates.setdefault(step.symbol, {})[step.user] = rate
+def _by_symbol(d: SchemeDescriptor, per_step: Sequence) -> InstantRates:
+    rates: Dict[str, Dict[str, float]] = {}
+    for (sym_id, user), rate in zip(rate_cells(d), per_step):
+        rates.setdefault(sym_id, {})[user] = rate
     return InstantRates(rates)
 
 
 def rate_cells(d: SchemeDescriptor) -> List[Tuple[str, str]]:
-    """Fixed (symbol, decoding user) enumeration of a descriptor's rate table."""
-    return [(sym_id, u) for sym_id in d.symbol_ids() for u in d.decoders_of(sym_id)]
+    """(symbol, decoding user) of each rate-table column: one per decode step, in plan order."""
+    return [(d.symbols[step.target].id, step.user) for step in d.table.steps]
 
 
 def trial_rates(
@@ -158,8 +163,7 @@ def _ladder_rates(
     if trials < 1:
         raise ValueError("at least one trial is required")
     _check_descriptor_matches(d, q, scenario)
-    cells = rate_cells(d)
-    out = np.empty((len(ps), trials, len(cells)))
+    out = np.empty((len(ps), trials, len(d.table.steps)))
     for lo in range(0, trials, TRIAL_BLOCK):
         n = min(TRIAL_BLOCK, trials - lo)
         realizations = sample_ladder(seed, q, scenario, ps, n, start + lo)
@@ -167,9 +171,9 @@ def _ladder_rates(
             # Received powers can overflow at extreme SNR; the rates then
             # come out inf or nan and are rejected below.
             with np.errstate(over="ignore", invalid="ignore"):
-                inst = sic_rates(d, realization, p)
-            for c, (sym_id, user) in enumerate(cells):
-                out[k, lo:lo + n, c] = inst.rates[sym_id][user]
+                rates = _step_rates(d, realization, p)
+            for c, rate in enumerate(rates):
+                out[k, lo:lo + n, c] = rate
     if not np.all(np.isfinite(out)):
         name = ladder if ladder is not None else f"{list(ps)} (linear)"
         raise ValueError(f"SNR ladder {name} overflows the received powers")
@@ -200,24 +204,8 @@ def ergodic_rates(
     seed: int = 0,
 ) -> InstantRates:
     """Mean per-symbol rates over independent trials (same layout as sic_rates)."""
-    return _mean_rates(d, trial_rates(d, q, scenario, p, trials, seed))
-
-
-def _mean_rates(d: SchemeDescriptor, table: np.ndarray) -> InstantRates:
-    means = table.mean(axis=0)
-    rates: Dict[str, Dict[str, float]] = {}
-    for (sym_id, user), value in zip(rate_cells(d), means):
-        rates.setdefault(sym_id, {})[user] = float(value)
-    return InstantRates(rates)
-
-
-def _delivered_per_use(d: SchemeDescriptor, ergodic: InstantRates) -> Dict[str, float]:
-    """Delivered rate of each payload, weighted by its slot's share of the frame."""
-    total = d.total_duration()
-    out = {}
-    for sym_id, sym in d.payloads().items():
-        out[sym_id] = ergodic.delivered(sym_id) * d.slot_duration(sym.slot) / total
-    return out
+    means = trial_rates(d, q, scenario, p, trials, seed).mean(axis=0)
+    return _by_symbol(d, [float(v) for v in means])
 
 
 def _slope(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
@@ -314,12 +302,16 @@ def estimate_dof(
     if any(p <= 1 for p in ps):
         raise ValueError("every ladder point must exceed 0 dB")
 
-    sym_rates: Dict[str, Dict[str, float]] = {s: {} for s in d.symbol_ids()}
+    payloads, total = d.table.payloads, d.total_duration()
+    sym_rates: Dict[str, Dict[str, float]] = {sym_id: {} for sym_id, _, _ in payloads}
     sums, users1, users2 = [], [], []
     tables = _ladder_rates(d, q, scenario, ps, trials, seed, ladder=f"{ladder_db} dB")
     for snr_db, table in zip(ladder, tables):
-        ergodic = _mean_rates(d, table)
-        delivered = _delivered_per_use(d, ergodic)
+        means = table.mean(axis=0)
+        # A payload delivers its worst decoder's rate, weighted by its
+        # slot's share of the frame.
+        delivered = {sym_id: float(min(means[c] for c in columns)) * duration / total
+                     for sym_id, columns, duration in payloads}
         for sym_id, r in delivered.items():
             sym_rates[sym_id][_db_key(snr_db)] = r
         u1, u2 = credit_users(d, delivered)

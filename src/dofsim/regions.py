@@ -21,6 +21,7 @@ regions.  The vertex ring is derived for output only.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -40,7 +41,8 @@ class DofRegion:
     """Two-user polymatroid, held by its greedy corners c1 and c2.
 
     c1 maximises d1 first, c2 maximises d2 first; both lie in the
-    nonnegative quadrant with c2 left of and above c1.
+    nonnegative quadrant with c2 left of and above c1, and both sum to
+    r12 (float corners within four ulps of the sum's magnitude).
     """
 
     c1: Point
@@ -53,6 +55,9 @@ class DofRegion:
                 f"corners {self.c1} and {self.c2} do not bound a down-closed region "
                 "in the nonnegative quadrant"
             )
+        r12, other = x1 + y1, x2 + y2
+        if r12 != other and abs(r12 - other) > 4 * sys.float_info.epsilon * max(r12, other):
+            raise ValueError(f"corners {self.c1} and {self.c2} sum to {r12} and {other}")
 
     @property
     def ranks(self) -> Tuple[float, float, float]:
@@ -78,6 +83,7 @@ class DofRegion:
         return [[x, y] for x, y in self.vertices]
 
 
+@functools.cache
 def canonical(kind: str) -> DofRegion:
     """One of the unit-weight building blocks: no_csit, alternating, perfect."""
     try:

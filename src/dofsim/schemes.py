@@ -3,9 +3,10 @@
 A scheme is described by *what is sent*, not by code: a list of slots, a
 list of precoded symbols with power terms of the form coeff * (P^hi - P^lo)
 and target rate exponents, and an ordered successive-interference-
-cancellation (SIC) decode plan per user.  The Monte Carlo link layer and
-the analytic checks both consume these descriptors, so there is a single
-source of truth per scheme.
+cancellation (SIC) decode plan per user.  Each descriptor is compiled
+once, when built, into a ``DecodeTable``, which two walks read: the Monte
+Carlo link layer sums linear received powers over it and
+``static_achievability_check`` takes the max of high-SNR exponents.
 
 Builders are provided for the five strategies under study:
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -139,6 +140,72 @@ class DecodeStep:
     cancel: Tuple[str, ...] = ()
 
 
+class Step(NamedTuple):
+    """A decode step: the target's link and the links still interfering."""
+
+    user: str
+    target: int  # index into the descriptor's symbols
+    signal: int  # index into DecodeTable.links
+    interference: Tuple[int, ...]  # link indices, in descriptor instance order
+
+
+class DecodeTable(NamedTuple):
+    """A descriptor's decode plan, resolved to indices once.
+
+    A rate table built on it has one column per step.
+    """
+
+    links: Tuple[Tuple[int, str], ...]  # (symbol index, user) pairs, in order of first use
+    steps: Tuple[Step, ...]  # in decode-plan order
+    #: (id, indices of the steps that decode it, duration of its first
+    #: instance's slot) per payload, in order of first appearance
+    payloads: Tuple[Tuple[str, Tuple[int, ...], float], ...]
+
+
+def _compile(d: "SchemeDescriptor") -> DecodeTable:
+    """Resolve d's decode plan against its instances; raises on a bad reference."""
+    index: Dict[Tuple[str, str], int] = {}
+    for i, sym in enumerate(d.symbols):
+        if index.setdefault((sym.id, sym.slot), i) != i:
+            raise ValueError(f"duplicate instance of symbol {sym.id!r} in slot {sym.slot!r}")
+    ids = {s.id for s in d.symbols}
+    decoded: Dict[str, Dict[str, int]] = {u: {} for u in USERS}  # symbol -> step
+    links: Dict[Tuple[int, str], int] = {}  # (instance, user) -> link index
+    steps: List[Step] = []
+    for step in d.decode_plan:
+        if step.user not in USERS:
+            raise ValueError(f"decode step names unknown user {step.user!r}")
+        target = index.get((step.symbol, step.slot))
+        if target is None:
+            raise ValueError(
+                f"decode plan references {step.symbol!r} in slot {step.slot!r}, "
+                "which is not transmitted there"
+            )
+        for c in step.cancel:
+            if c not in ids:
+                raise ValueError(f"decode plan cancels unknown symbol {c!r}")
+            if c not in decoded[step.user]:
+                raise ValueError(f"{step.user} cancels {c!r} before having decoded it")
+        if step.symbol in decoded[step.user]:
+            raise ValueError(f"{step.user} decodes {step.symbol!r} twice")
+        decoded[step.user][step.symbol] = len(steps)
+        signal = links.setdefault((target, step.user), len(links))
+        interference = tuple(
+            links.setdefault((i, step.user), len(links)) for (sym_id, slot), i in index.items()
+            if slot == step.slot and sym_id != step.symbol and sym_id not in step.cancel
+        )
+        steps.append(Step(step.user, target, signal, interference))
+    payloads = tuple(
+        (sym_id, tuple(decoded[u][sym_id] for u in USERS if sym_id in decoded[u]),
+         d.slot_duration(sym.slot))
+        for sym_id, sym in d.payloads().items()
+    )
+    undecoded = [sym_id for sym_id, columns, _ in payloads if not columns]
+    if undecoded:
+        raise ValueError(f"symbols {sorted(undecoded)} are never decoded")
+    return DecodeTable(tuple(links), tuple(steps), payloads)
+
+
 @dataclass(frozen=True)
 class SchemeDescriptor:
     name: str
@@ -149,6 +216,8 @@ class SchemeDescriptor:
     decode_plan: Tuple[DecodeStep, ...]
     #: common symbol id -> fraction of its rate credited to user1
     common_split: Mapping[str, float] = field(default_factory=dict)
+    #: The compiled decode plan, built by the constructor.
+    table: DecodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         slot_ids = [s for s, _ in self.slots]
@@ -156,20 +225,16 @@ class SchemeDescriptor:
             raise ValueError("slots must be nonempty with unique ids")
         if any(dur <= 0 for _, dur in self.slots):
             raise ValueError("slot durations must be positive")
-        seen_instances = set()
         for sym in self.symbols:
             if sym.slot not in slot_ids:
                 raise ValueError(f"symbol {sym.id!r} references unknown slot {sym.slot!r}")
-            if (sym.id, sym.slot) in seen_instances:
-                raise ValueError(f"duplicate instance of symbol {sym.id!r} in slot {sym.slot!r}")
-            seen_instances.add((sym.id, sym.slot))
         payloads = self.payloads()
         for sym in self.symbols:
             first = payloads[sym.id]
             if sym.owner != first.owner or sym.rate_exponent != first.rate_exponent:
                 raise ValueError(f"instances of {sym.id!r} disagree on owner or rate")
         self._check_power_identity()
-        self._check_plan()
+        object.__setattr__(self, "table", _compile(self))
         split = dict(self.common_split)
         for sym in self.symbols:
             if sym.owner == "common" and sym.id not in split:
@@ -188,30 +253,6 @@ class SchemeDescriptor:
                     f"summed terms are {ledger} instead of P"
                 )
 
-    def _check_plan(self) -> None:
-        instances = {(s.id, s.slot) for s in self.symbols}
-        ids = {s.id for s in self.symbols}
-        decoded: Dict[str, set] = {u: set() for u in USERS}
-        for step in self.decode_plan:
-            if step.user not in USERS:
-                raise ValueError(f"decode step names unknown user {step.user!r}")
-            if (step.symbol, step.slot) not in instances:
-                raise ValueError(
-                    f"decode plan references {step.symbol!r} in slot {step.slot!r}, "
-                    "which is not transmitted there"
-                )
-            for c in step.cancel:
-                if c not in ids:
-                    raise ValueError(f"decode plan cancels unknown symbol {c!r}")
-                if c not in decoded[step.user]:
-                    raise ValueError(
-                        f"{step.user} cancels {c!r} before having decoded it"
-                    )
-            decoded[step.user].add(step.symbol)
-        undecoded = ids - set().union(*decoded.values()) if decoded else ids
-        if undecoded:
-            raise ValueError(f"symbols {sorted(undecoded)} are never decoded")
-
     # -- accessors ---------------------------------------------------------
 
     def total_duration(self) -> float:
@@ -223,12 +264,6 @@ class SchemeDescriptor:
     def instances_in(self, slot_id: str) -> List[SymbolSpec]:
         return [s for s in self.symbols if s.slot == slot_id]
 
-    def instance(self, sym_id: str, slot_id: str) -> SymbolSpec:
-        for s in self.symbols:
-            if s.id == sym_id and s.slot == slot_id:
-                return s
-        raise KeyError(f"no instance of {sym_id!r} in slot {slot_id!r}")
-
     def payloads(self) -> Dict[str, SymbolSpec]:
         """First instance of each payload, keyed by symbol id, in order of first appearance.
 
@@ -238,17 +273,6 @@ class SchemeDescriptor:
         for s in self.symbols:
             out.setdefault(s.id, s)
         return out
-
-    def symbol_ids(self) -> List[str]:
-        return list(self.payloads())
-
-    def decoders_of(self, sym_id: str) -> Tuple[str, ...]:
-        return tuple(u for u in USERS if any(
-            st.symbol == sym_id and st.user == u for st in self.decode_plan
-        ))
-
-    def steps_for(self, user: str) -> List[DecodeStep]:
-        return [st for st in self.decode_plan if st.user == user]
 
     def to_dict(self) -> dict:
         """JSON-ready description (slots, symbols, decode plan)."""
@@ -615,45 +639,36 @@ class StepMargin:
     margin: float
 
 
-def _received_exponent(d: SchemeDescriptor, sym: SymbolSpec, user: str) -> float:
-    """High-SNR exponent of a symbol's received power at one user.
-
-    Full power exponent unless the symbol is zero-forced against this very
-    user's estimate, in which case the leakage is reduced by that
-    estimate's quality exponent.
-    """
-    e = float(sym.power.hi)
-    if sym.precoder.kind == "zf_orth" and sym.precoder.user == user:
-        scenario = Scenario(d.scenario)
-        e -= float(scenario.quality(user, sym.slot, d.quality))
-    return e
-
-
 def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
     """Verify every decode step's rate against its SINR exponent ladder.
 
-    For each step: signal exponent minus the largest not-yet-cancelled
-    same-slot interference exponent (floored at the noise level 0) must
-    cover the symbol's rate exponent.  Raises AchievabilityError naming
-    the first failing step; returns all step margins otherwise.
+    Walks ``d.table`` in max-plus: a link's received exponent is its power
+    term's top exponent, lowered by the CSIT quality exponent when the
+    symbol is zero-forced against the receiving user's estimate in the
+    symbol's own slot.  For each step: signal exponent minus the largest
+    interference exponent (floored at the noise level 0) must cover the
+    symbol's rate exponent.  Raises AchievabilityError naming the first
+    failing step; returns all step margins otherwise.
     """
+    exponents = []
+    for i, user in d.table.links:
+        sym = d.symbols[i]
+        e = float(sym.power.hi)
+        if sym.precoder == zf_orth(user, sym.slot):
+            e -= float(Scenario(d.scenario).quality(user, sym.slot, d.quality))
+        exponents.append(e)
     report: List[StepMargin] = []
-    for step in d.decode_plan:
-        target = d.instance(step.symbol, step.slot)
-        signal = _received_exponent(d, target, step.user)
-        others = [
-            _received_exponent(d, sym, step.user)
-            for sym in d.instances_in(step.slot)
-            if sym.id != step.symbol and sym.id not in step.cancel
-        ]
-        interference = max(others) if others else float("-inf")
+    for step in d.table.steps:
+        target = d.symbols[step.target]
+        signal = exponents[step.signal]
+        interference = max((exponents[i] for i in step.interference), default=float("-inf"))
         margin = signal - max(interference, 0.0) - target.rate_exponent
         if margin < -1e-12:
             raise AchievabilityError(
-                f"{d.name}: step ({step.user}, slot {step.slot}, {step.symbol}) "
+                f"{d.name}: step ({step.user}, slot {target.slot}, {target.id}) "
                 f"needs rate exponent {target.rate_exponent} but the SINR "
                 f"exponent is {signal - max(interference, 0.0):.6g}"
             )
-        report.append(StepMargin(step.user, step.slot, step.symbol,
+        report.append(StepMargin(step.user, target.slot, target.id,
                                  signal, interference, margin))
     return report

@@ -81,15 +81,39 @@ def test_sample_pair_validation():
         ch.sample_pair(rng, 0.5, 1.0)
 
 
+def _sample_pairs(rng, a, p, n):
+    """n successive ``sample_pair(rng, a, p)`` draws in one array pass, one per row.
+
+    One (n, k) normal draw gives the values of n draws of k, in order.
+    """
+    variances = [ch._variances(a, p)]
+    (pair,) = ch._pairs_from_normals(
+        rng.standard_normal((n, ch._normals_needed(variances))), variances)
+    return pair
+
+
+def _leakage(true, w):
+    """|true^H w|^2 row by row."""
+    return np.abs(np.sum(true.conj() * w, axis=-1)) ** 2
+
+
+def test_sample_pairs_matches_successive_sample_pair_draws():
+    for a in (0.5, 0.0):
+        rng = np.random.default_rng(4)
+        rows = [ch.sample_pair(rng, a, 1e4) for _ in range(5)]
+        batch = _sample_pairs(np.random.default_rng(4), a, 1e4, 5)
+        for t, pair in enumerate(rows):
+            assert np.array_equal(batch.true[t], pair.true)
+            assert np.array_equal(batch.estimate[t], pair.estimate)
+            assert np.array_equal(batch.error[t], pair.error)
+
+
 def test_error_norm_mean_at_half_exponent():
     # a = 0.5, p = 1e4: E||error||^2 = 2 * p**-0.5 = 0.02.
     rng = np.random.default_rng(11)
     n = 100_000
-    acc = 0.0
-    for _ in range(n):
-        pair = ch.sample_pair(rng, 0.5, 1e4)
-        acc += np.vdot(pair.error, pair.error).real
-    mean = acc / n
+    error = _sample_pairs(rng, 0.5, 1e4, n).error
+    mean = float(np.mean(np.sum(np.abs(error) ** 2, axis=-1)))
     assert 0.0196 <= mean <= 0.0204, f"mean ||error||^2 = {mean:.6f}"
 
 
@@ -168,22 +192,15 @@ def test_zf_residual_statistics():
     """
     p, n = 1e4, 100_000
     for a in (0.25, 0.5, 1.0):
-        rng = np.random.default_rng(int(a * 1000))
-        acc = 0.0
-        for _ in range(n):
-            pair = ch.sample_pair(rng, a, p)
-            w = ch.zf_direction(pair.estimate)
-            acc += abs(np.vdot(pair.true, w)) ** 2
+        pair = _sample_pairs(np.random.default_rng(int(a * 1000)), a, p, n)
+        mean = float(np.mean(_leakage(pair.true, ch.zf_direction(pair.estimate))))
         sigma2 = p ** -a
-        assert abs(acc / n - sigma2) <= 0.05 * sigma2, (
-            f"a={a}: residual mean {acc / n:.3e} vs sigma2 {sigma2:.3e}"
+        assert abs(mean - sigma2) <= 0.05 * sigma2, (
+            f"a={a}: residual mean {mean:.3e} vs sigma2 {sigma2:.3e}"
         )
-    rng = np.random.default_rng(0)
+    pair = _sample_pairs(np.random.default_rng(0), 0.0, p, n)
     w = np.array([0.0, 1.0 + 0.0j])
-    acc = 0.0
-    for _ in range(n):
-        acc += abs(np.vdot(ch.sample_pair(rng, 0.0, p).true, w)) ** 2
-    assert abs(acc / n - 1.0) <= 0.05
+    assert abs(float(np.mean(_leakage(pair.true, w))) - 1.0) <= 0.05
 
 
 # ---------------------------------------------------------------------------

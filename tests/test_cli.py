@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, output formats, reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -270,3 +271,43 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["equal"] is True
+
+
+# Byte identity of the primary artifacts across refactors: a change that
+# moves one bit of a report or of the verify battery must say so here.
+_SIMULATE_GOLDEN = {
+    ("fdma", "unmatched"): "946dece0e20c93225bd8e4b01804c25bf04eb77d44b00c8a6a62df44be5e5b94",
+    ("fdma", "matched"): "9580c14785bf7b4df706684baaa90153d0141bff429daf6f2578c8be7d20edce",
+    ("matched-optimal", "matched"):
+        "77d6fe919ed4f5ad3081bdd4649a69692dd75cc34ef7dd72dada1dadab21084a",
+    ("optimal-unmatched", "unmatched"):
+        "d9127c6719d5e9d6613ab040a6bed1e8cd32702b18fc97073c8bd8f0cf387866",
+    ("s3", "unmatched"): "ea90ec30e603542c806ffe8fa400f32a72f426424ce3feee9e56c432cc676f32",
+    ("zfbf", "unmatched"): "e7e40d67478b4da1dec5e34d2a222372a258d2b9fb371d2a27e6ef94c14bd8b0",
+    ("zfbf", "matched"): "d2b314316557fea8d6f6721982912b6109612b4738a8156b3856215f37423b64",
+}
+
+
+@pytest.mark.parametrize("scheme,kind", list(_SIMULATE_GOLDEN))
+def test_simulate_report_bytes_golden(scheme, kind, capsys):
+    """sha256 of the reports at (0.8, 0.5) and (0.9, 0.4) on both ladders, 200 trials."""
+    digest = hashlib.sha256()
+    for beta, alpha in (("0.8", "0.5"), ("0.9", "0.4")):
+        for ladder in ("40,50,60", "140,160,180"):
+            assert cli.main(["simulate", "--scheme", scheme, "--scenario", kind,
+                             "--beta", beta, "--alpha", alpha, "--snr", ladder,
+                             "--trials", "200", "--out", "-"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _SIMULATE_GOLDEN[(scheme, kind)]
+
+
+def test_verify_stdout_bytes_golden(capsys):
+    assert cli.main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "[PASS] power-identity: 2772 slot ledgers telescope to P\n"
+        "[PASS] achievability-margins: worst step margin -5.55e-17\n"
+        "[PASS] composition-identity: 0 mismatches in 200 random pairs and 48 edge pairs\n"
+        "[PASS] min-ratio-unmatched: min ratio 0.8003 at [(0.665, 0.665)]\n"
+        "[PASS] min-ratio-matched: min ratio 0.6667 on beta + alpha = 1 (201 cells)\n"
+    )

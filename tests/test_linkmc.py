@@ -22,6 +22,10 @@ Q = QualityPair(0.8, 0.5)
 FDMA_ERGODIC_40DB = 12.456356
 
 
+def _instance(d, sym_id, slot):
+    return next(s for s in d.symbols if (s.id, s.slot) == (sym_id, slot))
+
+
 def _manual_realization():
     def pair(true, estimate):
         t = np.asarray(true, dtype=complex)
@@ -42,7 +46,7 @@ def _manual_realization():
 
 def test_received_power_basis_symbol_exact():
     r = _manual_realization()
-    x_a = sch.fdma_descriptor().instance("x_A", "A")
+    x_a = _instance(sch.fdma_descriptor(), "x_A", "A")
     p = 1e4
     # |h_A[0]|^2 * p with h_A = (2, i)
     assert mc.received_power(r, x_a, "user1", p) == pytest.approx(4.0 * p, rel=1e-12)
@@ -52,7 +56,7 @@ def test_received_power_basis_symbol_exact():
 def test_received_power_zf_symbol_exact():
     r = _manual_realization()
     d = sch.zfbf_descriptor(Q, UNMATCHED)
-    u_a = d.instance("u_A", "A")  # orthogonal to user2's estimate (0, 1)
+    u_a = _instance(d, "u_A", "A")  # orthogonal to user2's estimate (0, 1)
     p = 100.0
     assert mc.received_power(r, u_a, "user1", p) == pytest.approx(4.0 * p / 2, rel=1e-12)
     assert mc.received_power(r, u_a, "user2", p) == pytest.approx(0.25 * p / 2, rel=1e-12)
@@ -60,7 +64,7 @@ def test_received_power_zf_symbol_exact():
 
 def test_received_power_requires_snr_above_one():
     r = _manual_realization()
-    x_a = sch.fdma_descriptor().instance("x_A", "A")
+    x_a = _instance(sch.fdma_descriptor(), "x_A", "A")
     with pytest.raises(ValueError):
         mc.received_power(r, x_a, "user1", 1.0)
 
@@ -68,7 +72,7 @@ def test_received_power_requires_snr_above_one():
 def test_zf_leakage_mean_is_half():
     """E |g^H zf(g_est)|^2 * p^alpha / 2 = sigma2 * p^alpha / 2 = 1/2."""
     d = sch.optimal_unmatched_descriptor(Q)
-    u_a = d.instance("u_A", "A")
+    u_a = _instance(d, "u_A", "A")
     p = 1e4
     acc = 0.0
     n = 3000
@@ -285,6 +289,46 @@ def test_trial_rates_rows_match_per_trial_walk(scheme, scenario):
         inst = mc.sic_rates(d, r, p)
         want = np.array([inst.rates[s][u] for s, u in cells])
         np.testing.assert_array_max_ulp(table[t], want, maxulp=2)
+
+
+def _differential_pairs():
+    """Seeded random pairs with alpha > 0, plus three fixed corners.
+
+    alpha = 0 is left out: zero-forcing and normalising a zero estimate
+    fail, so ``simulate`` exits 2 there for zfbf, s3 and optimal-unmatched.
+    """
+    rng = np.random.default_rng(2024)
+    pairs = []
+    while len(pairs) < 8:
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+        if lo > 0:
+            pairs.append((float(hi), float(lo)))
+    return pairs + [(1.0, 1.0), (1.0, 0.3), (0.6, 0.6)]
+
+
+#: Largest |MC step slope - audit SINR exponent| allowed at 140/160/180 dB
+#: with 2000 trials and seed 0.  The two separate walks that preceded the
+#: decode table measured 0.0215 on these pairs (optimal-unmatched u_A at
+#: alpha = 0.079): finite-SNR bias of the weakest private symbol, not
+#: sampling error.
+STEP_SLOPE_BOUND = 0.025
+
+
+@pytest.mark.parametrize("scheme,scenario", list(_cli_pairs()))
+def test_step_slopes_match_the_audit_exponents(scheme, scenario):
+    ps = [ch.db_to_linear(v) for v in (140.0, 160.0, 180.0)]
+    for b, a in _differential_pairs():
+        q = QualityPair(b, a)
+        d = sch.build_descriptor(scheme, q, scenario)
+        report = sch.static_achievability_check(d)
+        # MC rate columns and audit steps are the same list: the decode table's.
+        assert mc.rate_cells(d) == [(st.symbol, st.user) for st in report]
+        means = np.array([mc.trial_rates(d, q, scenario, p, 2000, seed=0).mean(axis=0)
+                          for p in ps])
+        slopes = np.polyfit(np.log2(ps), means, 1)[0]
+        for st, slope in zip(report, slopes):
+            want = st.signal_exponent - max(st.interference_exponent, 0.0)
+            assert abs(slope - want) <= STEP_SLOPE_BOUND, (scheme, b, a, st, slope)
 
 
 def test_estimate_dof_seeds_each_trial_once_for_the_ladder(monkeypatch):

@@ -133,6 +133,27 @@ def test_constructor_rejects_negative_coordinates():
         reg.DofRegion((0.3, 0.7), (0.9, 0.2))
 
 
+def test_constructor_rejects_unequal_corner_sums():
+    # Both corners of a polymatroid lie on the facet d1 + d2 = r12.
+    with pytest.raises(ValueError, match="sum to 1.5 and 1.2"):
+        reg.DofRegion((1, 0.5), (0.2, 1))
+    # One rounding apart is the same sum: 0.2 + 0.1 and 0.0 + 0.3 differ in the last bit.
+    assert 0.2 + 0.1 != 0.0 + 0.3
+    assert reg.DofRegion((0.2, 0.1), (0.0, 0.3)).ranks == (0.2, 0.3, 0.2 + 0.1)
+
+
+def test_every_built_region_has_equal_corner_sums():
+    pairs = _random_pairs(19, 300) + _EDGE_PAIRS + [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    for b, a in pairs:
+        for q in (QualityPair(b, a), QualityPair(Fraction(b), Fraction(a))):
+            # Building each region runs the constructor's corner-sum check.
+            built = [reg.outer_bound(q)]
+            for compose, components in _COMPOSERS:
+                built.append(compose(q))
+                built.extend(region for _, _, region in components(q))
+            assert all(isinstance(r, reg.DofRegion) for r in built)
+
+
 def test_degenerate_point_region():
     r = reg.DofRegion((0.0, 0.0), (0.0, 0.0))
     assert r.vertices == ((0.0, 0.0),)
@@ -141,7 +162,7 @@ def test_degenerate_point_region():
 
 
 def test_degenerate_segment_region():
-    r = reg.DofRegion((0.5, 0.0), (0.0, 0.0))
+    r = reg.DofRegion((0.5, 0.0), (0.5, 0.0))
     assert r.vertices == ((0.0, 0.0), (0.5, 0.0))
     assert reg.contains(r, (0.25, 0.0))
     assert not reg.contains(r, (0.25, 0.01))

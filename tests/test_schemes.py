@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dofsim import linkmc as mc
 from dofsim import schemes as sch
 from dofsim.channel import MATCHED, UNMATCHED, QualityPair
 from dofsim.regions import contains, outer_bound
@@ -110,18 +111,19 @@ def test_optimal_unmatched_precoders_and_repetition():
     pre = {s.slot: s.precoder for s in u0}
     assert (pre["A"].kind, pre["A"].user, pre["A"].subband) == ("aligned", "user2", "A")
     assert (pre["B"].kind, pre["B"].user, pre["B"].subband) == ("aligned", "user1", "B")
-    assert d.instance("u_A", "A").precoder == sch.zf_orth("user2", "A")
-    assert d.instance("v_A", "A").precoder == sch.zf_orth("user1", "A")
-    assert d.instance("xc_A", "A").precoder == sch.basis_e1()
+    in_a = {s.id: s for s in d.instances_in("A")}
+    assert in_a["u_A"].precoder == sch.zf_orth("user2", "A")
+    assert in_a["v_A"].precoder == sch.zf_orth("user1", "A")
+    assert in_a["xc_A"].precoder == sch.basis_e1()
     # repeated payload is decoded once per user, in different subbands
-    assert d.decoders_of("u_0") == ("user1", "user2")
+    assert [st.user for st in d.decode_plan if st.symbol == "u_0"] == ["user1", "user2"]
     steps = {st.user: st.slot for st in d.decode_plan if st.symbol == "u_0"}
     assert steps == {"user1": "A", "user2": "B"}
 
 
 def test_optimal_unmatched_decode_order_and_cancellation():
     d = sch.optimal_unmatched_descriptor(Q)
-    user1 = [(st.slot, st.symbol, st.cancel) for st in d.steps_for("user1")]
+    user1 = [(st.slot, st.symbol, st.cancel) for st in d.decode_plan if st.user == "user1"]
     assert user1 == [
         ("A", "xc_A", ()),
         ("B", "xc_B", ()),
@@ -129,7 +131,7 @@ def test_optimal_unmatched_decode_order_and_cancellation():
         ("A", "u_A", ("xc_A", "u_0")),
         ("B", "u_B", ("xc_B", "u_0")),
     ]
-    user2 = [(st.slot, st.symbol, st.cancel) for st in d.steps_for("user2")]
+    user2 = [(st.slot, st.symbol, st.cancel) for st in d.decode_plan if st.user == "user2"]
     assert user2 == [
         ("A", "xc_A", ()),
         ("B", "xc_B", ()),
@@ -177,7 +179,7 @@ def test_power_identity_everywhere(x, y):
 
 def test_optimal_unmatched_drops_common_at_beta_one():
     d = sch.optimal_unmatched_descriptor(QualityPair(1.0, 0.0))
-    ids = set(d.symbol_ids())
+    ids = set(d.payloads())
     assert "xc_A" not in ids and "xc_B" not in ids
     rates = {s.id: s.rate_exponent for s in d.symbols}
     assert rates["u_A"] == 0.0
@@ -187,7 +189,7 @@ def test_optimal_unmatched_drops_common_at_beta_one():
 
 def test_optimal_unmatched_drops_u0_at_equal_quality():
     d = sch.optimal_unmatched_descriptor(QualityPair(0.6, 0.6))
-    assert "u_0" not in d.symbol_ids()
+    assert "u_0" not in d.payloads()
     assert sch.sum_dof_exponent(d) == pytest.approx(1.6, abs=1e-12)
 
 
@@ -283,6 +285,12 @@ def test_cancel_requires_prior_decode():
             sch.DecodeStep("user1", "A", "x", cancel=("ghost",)),
             sch.DecodeStep("user2", "A", "y"),
         ))
+
+
+def test_a_user_decodes_each_payload_once():
+    x = sch.SymbolSpec("x", "user1", "A", sch.basis_e1(), sch.PowerTerm(1, 1.0), 1.0)
+    with pytest.raises(ValueError, match="user1 decodes 'x' twice"):
+        _one_slot((x,), (sch.DecodeStep("user1", "A", "x"), sch.DecodeStep("user1", "A", "x")))
 
 
 def test_every_symbol_needs_a_decoder():
@@ -468,6 +476,39 @@ def test_static_check_flags_overloaded_step():
     ))
     with pytest.raises(sch.AchievabilityError, match=r"user1, slot A, x"):
         sch.static_achievability_check(d)
+
+
+def _cross_subband_zf():
+    """u_A is zero-forced against user2's estimate of subband B but sent in A."""
+    half = sch.PowerTerm(Fraction(1, 2), 1.0)
+    return sch.SchemeDescriptor(
+        name="cross-zf", scenario="unmatched", quality=Q,
+        slots=(("A", 1.0), ("B", 1.0)),
+        symbols=(
+            sch.SymbolSpec("u_A", "user1", "A", sch.zf_orth("user2", "B"), half, 0.5),
+            sch.SymbolSpec("v_A", "user2", "A", sch.zf_orth("user1", "A"), half, 0.5),
+            sch.SymbolSpec("x_B", "user2", "B", sch.basis_e1(), sch.PowerTerm(1, 1.0), 1.0),
+        ),
+        decode_plan=(
+            sch.DecodeStep("user1", "A", "u_A"),
+            sch.DecodeStep("user2", "A", "v_A"),
+            sch.DecodeStep("user2", "B", "x_B"),
+        ),
+    )
+
+
+def test_zero_forcing_on_another_subband_does_not_null_leakage():
+    # g_A is independent of user2's estimate in B, so u_A reaches user2 at
+    # full power and v_A's SINR exponent is 1 - 1 = 0, not 1 - alpha.
+    d = _cross_subband_zf()
+    with pytest.raises(sch.AchievabilityError,
+                       match=r"step \(user2, slot A, v_A\) needs rate exponent 0.5 but "
+                             r"the SINR exponent is 0$"):
+        sch.static_achievability_check(d)
+    # The simulator agrees: user2's DoF is x_B's 1/2 alone; a v_A at SINR
+    # exponent 1/2 would add 1/4.
+    report = mc.estimate_dof(d, Q, UNMATCHED, (140.0, 160.0, 180.0), trials=400, seed=0)
+    assert report.dof["user2"] == pytest.approx(0.5, abs=0.01)
 
 
 @settings(max_examples=100, deadline=None)
