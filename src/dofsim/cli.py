@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import linkmc, regions, schemes, switcher
-from .channel import MATCHED, UNMATCHED, QualityPair, Scenario, check_seed
+from .channel import MATCHED, SUBBANDS, UNMATCHED, QualityPair, Scenario, check_seed
 
 def _open_out(path: Optional[str]):
     if path in (None, "-"):
@@ -165,8 +165,8 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
                     if d not in at_q:  # fdma's descriptor is the same in both scenarios
                         at_q.append(d)
             descriptors += at_q
-        # Each descriptor's constructor checks that its slot ledgers telescope.
-        count = sum(len(d.slots) for d in descriptors)
+        # Each descriptor's constructor checks that its subband ledgers telescope.
+        count = len(SUBBANDS) * len(descriptors)
         yield "power-identity", True, f"{count} slot ledgers telescope to P"
     except ValueError as exc:
         yield "power-identity", False, str(exc)

@@ -5,8 +5,8 @@ the one the static achievability check walks over exponents: per linear
 SNR it builds each precoder and each (symbol, user) received power once,
 then gives every decode step the rate log2(1 + S / (1 + I)), where I sums
 the powers the step has not cancelled.  Ergodic rates average those over
-per-trial substreams; the DoF estimate is the slope of duration-normalised
-rate against log2(P) over an SNR ladder.
+per-trial substreams; the DoF estimate is the slope of the rate per
+channel use of the two-subband frame against log2(P) over an SNR ladder.
 
 The walk is elementwise: a realization whose vectors carry a leading
 trial axis (``channel.sample_ladder``) yields rate arrays with that axis,
@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import (
+    SUBBANDS,
     TRIAL_BLOCK,
     ChannelRealization,
     QualityPair,
@@ -302,16 +303,16 @@ def estimate_dof(
     if any(p <= 1 for p in ps):
         raise ValueError("every ladder point must exceed 0 dB")
 
-    payloads, total = d.table.payloads, d.total_duration()
-    sym_rates: Dict[str, Dict[str, float]] = {sym_id: {} for sym_id, _, _ in payloads}
+    payloads = d.table.payloads
+    sym_rates: Dict[str, Dict[str, float]] = {sym_id: {} for sym_id, _ in payloads}
     sums, users1, users2 = [], [], []
     tables = _ladder_rates(d, q, scenario, ps, trials, seed, ladder=f"{ladder_db} dB")
     for snr_db, table in zip(ladder, tables):
         means = table.mean(axis=0)
-        # A payload delivers its worst decoder's rate, weighted by its
-        # slot's share of the frame.
-        delivered = {sym_id: float(min(means[c] for c in columns)) * duration / total
-                     for sym_id, columns, duration in payloads}
+        # A payload delivers its worst decoder's rate once per frame of
+        # len(SUBBANDS) equal-width subbands.
+        delivered = {sym_id: float(min(means[c] for c in columns)) / len(SUBBANDS)
+                     for sym_id, columns in payloads}
         for sym_id, r in delivered.items():
             sym_rates[sym_id][_db_key(snr_db)] = r
         u1, u2 = credit_users(d, delivered)

@@ -1,11 +1,14 @@
 """Declarative transmission-scheme descriptors for the two-subband downlink.
 
-A scheme is described by *what is sent*, not by code: a list of slots, a
-list of precoded symbols with power terms of the form coeff * (P^hi - P^lo)
-and target rate exponents, and an ordered successive-interference-
-cancellation (SIC) decode plan per user.  Each descriptor is compiled
-once, when built, into a ``DecodeTable``, which two walks read: the Monte
-Carlo link layer sums linear received powers over it and
+A scheme is described by *what is sent*, not by code: a list of precoded
+symbols, each sent in one of the two equal-width subbands of
+``channel.SUBBANDS`` with a power term of the form coeff * (P^hi - P^lo)
+and a target rate exponent, and an ordered decode plan per user.  Every
+receiver runs successive interference cancellation (SIC): a step sees as
+interference exactly the same-subband symbols its user has not decoded
+yet, so the plan's order is the whole SIC schedule.  Each descriptor is
+compiled once, when built, into a ``DecodeTable``, which two walks read:
+the Monte Carlo link layer sums linear received powers over it and
 ``static_achievability_check`` takes the max of high-SNR exponents.
 
 Builders are provided for the five strategies under study:
@@ -126,18 +129,17 @@ class SymbolSpec:
             raise ValueError(f"symbol owner must be one of {OWNERS}, got {self.owner!r}")
         if self.slot not in SUBBANDS:
             raise ValueError(f"symbol slot must be one of {SUBBANDS}, got {self.slot!r}")
-        if self.rate_exponent < 0:
+        if not 0 <= self.rate_exponent:  # also rejects nan
             raise ValueError(f"rate exponent must be nonnegative, got {self.rate_exponent}")
 
 
 @dataclass(frozen=True)
 class DecodeStep:
-    """Decode `symbol` at `user` in `slot`, with `cancel` already removed."""
+    """Decode `symbol` at `user` in `slot`, after the user's earlier steps."""
 
     user: str
     slot: str
     symbol: str
-    cancel: Tuple[str, ...] = ()
 
 
 class Step(NamedTuple):
@@ -157,18 +159,21 @@ class DecodeTable(NamedTuple):
 
     links: Tuple[Tuple[int, str], ...]  # (symbol index, user) pairs, in order of first use
     steps: Tuple[Step, ...]  # in decode-plan order
-    #: (id, indices of the steps that decode it, duration of its first
-    #: instance's slot) per payload, in order of first appearance
-    payloads: Tuple[Tuple[str, Tuple[int, ...], float], ...]
+    #: (id, indices of the steps that decode it) per payload, in order of
+    #: first appearance
+    payloads: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
 
 def _compile(d: "SchemeDescriptor") -> DecodeTable:
-    """Resolve d's decode plan against its instances; raises on a bad reference."""
+    """Resolve d's decode plan against its instances; raises on a bad reference.
+
+    A step's interference is every same-slot instance other than its target
+    whose symbol the step's user has not decoded in an earlier step.
+    """
     index: Dict[Tuple[str, str], int] = {}
     for i, sym in enumerate(d.symbols):
         if index.setdefault((sym.id, sym.slot), i) != i:
             raise ValueError(f"duplicate instance of symbol {sym.id!r} in slot {sym.slot!r}")
-    ids = {s.id for s in d.symbols}
     decoded: Dict[str, Dict[str, int]] = {u: {} for u in USERS}  # symbol -> step
     links: Dict[Tuple[int, str], int] = {}  # (instance, user) -> link index
     steps: List[Step] = []
@@ -181,26 +186,21 @@ def _compile(d: "SchemeDescriptor") -> DecodeTable:
                 f"decode plan references {step.symbol!r} in slot {step.slot!r}, "
                 "which is not transmitted there"
             )
-        for c in step.cancel:
-            if c not in ids:
-                raise ValueError(f"decode plan cancels unknown symbol {c!r}")
-            if c not in decoded[step.user]:
-                raise ValueError(f"{step.user} cancels {c!r} before having decoded it")
-        if step.symbol in decoded[step.user]:
+        done = decoded[step.user]
+        if step.symbol in done:
             raise ValueError(f"{step.user} decodes {step.symbol!r} twice")
-        decoded[step.user][step.symbol] = len(steps)
         signal = links.setdefault((target, step.user), len(links))
         interference = tuple(
             links.setdefault((i, step.user), len(links)) for (sym_id, slot), i in index.items()
-            if slot == step.slot and sym_id != step.symbol and sym_id not in step.cancel
+            if slot == step.slot and sym_id != step.symbol and sym_id not in done
         )
+        done[step.symbol] = len(steps)
         steps.append(Step(step.user, target, signal, interference))
     payloads = tuple(
-        (sym_id, tuple(decoded[u][sym_id] for u in USERS if sym_id in decoded[u]),
-         d.slot_duration(sym.slot))
-        for sym_id, sym in d.payloads().items()
+        (sym_id, tuple(decoded[u][sym_id] for u in USERS if sym_id in decoded[u]))
+        for sym_id in d.payloads()
     )
-    undecoded = [sym_id for sym_id, columns, _ in payloads if not columns]
+    undecoded = [sym_id for sym_id, columns in payloads if not columns]
     if undecoded:
         raise ValueError(f"symbols {sorted(undecoded)} are never decoded")
     return DecodeTable(tuple(links), tuple(steps), payloads)
@@ -211,7 +211,6 @@ class SchemeDescriptor:
     name: str
     scenario: Optional[str]
     quality: Optional[QualityPair]
-    slots: Tuple[Tuple[str, float], ...]
     symbols: Tuple[SymbolSpec, ...]
     decode_plan: Tuple[DecodeStep, ...]
     #: common symbol id -> fraction of its rate credited to user1
@@ -220,14 +219,6 @@ class SchemeDescriptor:
     table: DecodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        slot_ids = [s for s, _ in self.slots]
-        if len(set(slot_ids)) != len(slot_ids) or not slot_ids:
-            raise ValueError("slots must be nonempty with unique ids")
-        if any(dur <= 0 for _, dur in self.slots):
-            raise ValueError("slot durations must be positive")
-        for sym in self.symbols:
-            if sym.slot not in slot_ids:
-                raise ValueError(f"symbol {sym.id!r} references unknown slot {sym.slot!r}")
         payloads = self.payloads()
         for sym in self.symbols:
             first = payloads[sym.id]
@@ -245,7 +236,7 @@ class SchemeDescriptor:
         object.__setattr__(self, "common_split", split)
 
     def _check_power_identity(self) -> None:
-        for slot_id, _ in self.slots:
+        for slot_id in SUBBANDS:
             ledger = power_ledger(self, slot_id)
             if ledger != {1.0: Fraction(1)}:
                 raise ValueError(
@@ -254,12 +245,6 @@ class SchemeDescriptor:
                 )
 
     # -- accessors ---------------------------------------------------------
-
-    def total_duration(self) -> float:
-        return float(sum(dur for _, dur in self.slots))
-
-    def slot_duration(self, slot_id: str) -> float:
-        return float(dict(self.slots)[slot_id])
 
     def instances_in(self, slot_id: str) -> List[SymbolSpec]:
         return [s for s in self.symbols if s.slot == slot_id]
@@ -275,13 +260,12 @@ class SchemeDescriptor:
         return out
 
     def to_dict(self) -> dict:
-        """JSON-ready description (slots, symbols, decode plan)."""
+        """JSON-ready description (symbols, decode plan)."""
         return {
             "name": self.name,
             "scenario": self.scenario,
             "beta": None if self.quality is None else float(self.quality.beta),
             "alpha": None if self.quality is None else float(self.quality.alpha),
-            "slots": [[sid, dur] for sid, dur in self.slots],
             "symbols": [
                 {
                     "id": s.id,
@@ -302,8 +286,7 @@ class SchemeDescriptor:
                 for s in self.symbols
             ],
             "decode_plan": [
-                {"user": st.user, "slot": st.slot, "symbol": st.symbol,
-                 "cancel": list(st.cancel)}
+                {"user": st.user, "slot": st.slot, "symbol": st.symbol}
                 for st in self.decode_plan
             ],
             "common_split": dict(self.common_split),
@@ -325,16 +308,12 @@ def power_ledger(d: SchemeDescriptor, slot_id: str) -> Dict[float, Fraction]:
 
 # -- descriptor builders ---------------------------------------------------
 
-_TWO_SLOTS = (("A", 1.0), ("B", 1.0))
-
-
 def fdma_descriptor() -> SchemeDescriptor:
     """Subband A carries user1's symbol at full power, subband B user2's."""
     return SchemeDescriptor(
         name="fdma",
         scenario=None,
         quality=None,
-        slots=_TWO_SLOTS,
         symbols=(
             SymbolSpec("x_A", "user1", "A", basis_e1(), PowerTerm(1, 1.0), 1.0),
             SymbolSpec("x_B", "user2", "B", basis_e1(), PowerTerm(1, 1.0), 1.0),
@@ -367,7 +346,7 @@ def zfbf_descriptor(q: QualityPair, scenario: Scenario) -> SchemeDescriptor:
     plan.sort(key=lambda st: st.user)
     return SchemeDescriptor(
         name="zfbf", scenario=scenario.kind, quality=q,
-        slots=_TWO_SLOTS, symbols=tuple(symbols), decode_plan=tuple(plan),
+        symbols=tuple(symbols), decode_plan=tuple(plan),
     )
 
 
@@ -389,13 +368,13 @@ def s3_descriptor(q: QualityPair) -> SchemeDescriptor:
     )
     plan = (
         DecodeStep("user1", "A", "u_0"),
-        DecodeStep("user1", "B", "u_B", cancel=("u_0",)),
+        DecodeStep("user1", "B", "u_B"),
         DecodeStep("user2", "B", "u_0"),
-        DecodeStep("user2", "A", "v_A", cancel=("u_0",)),
+        DecodeStep("user2", "A", "v_A"),
     )
     return SchemeDescriptor(
         name="s3", scenario="unmatched", quality=q,
-        slots=_TWO_SLOTS, symbols=symbols, decode_plan=plan,
+        symbols=symbols, decode_plan=plan,
     )
 
 
@@ -436,25 +415,23 @@ def optimal_unmatched_descriptor(
     symbols.append(SymbolSpec("u_B", "user1", "B", zf_orth("user2", "B"),
                               PowerTerm(Fraction(1, 2), b), b))
 
-    common = ("xc_A", "xc_B") if has_common else ()
-    u0 = ("u_0",) if has_u0 else ()
     plan: List[DecodeStep] = []
-    for user in USERS:
-        plan.extend(DecodeStep(user, sym[-1], sym) for sym in common)
+    if has_common:
+        plan.extend(DecodeStep(user, slot, f"xc_{slot}") for user in USERS for slot in SUBBANDS)
     if has_u0:
-        plan.append(DecodeStep("user1", "A", "u_0", cancel=common[:1]))
-    plan.append(DecodeStep("user1", "A", "u_A", cancel=common[:1] + u0))
-    plan.append(DecodeStep("user1", "B", "u_B", cancel=common[1:] + u0))
+        plan.append(DecodeStep("user1", "A", "u_0"))
+    plan.append(DecodeStep("user1", "A", "u_A"))
+    plan.append(DecodeStep("user1", "B", "u_B"))
     if has_u0:
-        plan.append(DecodeStep("user2", "B", "u_0", cancel=common[1:]))
-    plan.append(DecodeStep("user2", "B", "v_B", cancel=common[1:] + u0))
-    plan.append(DecodeStep("user2", "A", "v_A", cancel=common[:1] + u0))
+        plan.append(DecodeStep("user2", "B", "u_0"))
+    plan.append(DecodeStep("user2", "B", "v_B"))
+    plan.append(DecodeStep("user2", "A", "v_A"))
 
     if common_split is None:
         common_split = {"xc_A": 1.0, "xc_B": 0.0} if has_common else {}
     return SchemeDescriptor(
         name="optimal-unmatched", scenario="unmatched", quality=q,
-        slots=_TWO_SLOTS, symbols=tuple(symbols), decode_plan=tuple(plan),
+        symbols=tuple(symbols), decode_plan=tuple(plan),
         common_split=common_split,
     )
 
@@ -484,13 +461,12 @@ def matched_descriptor(
             symbols.append(SymbolSpec(xc, "common", slot, basis_e1(),
                                       PowerTerm(1, 1.0, j), 1.0 - j))
             present_common.append(xc)
-        cancel = (xc,) if j < 1.0 else ()
         symbols.append(SymbolSpec(f"u_{slot}", "user1", slot,
                                   zf_orth("user2", slot), PowerTerm(Fraction(1, 2), j), j))
         symbols.append(SymbolSpec(f"v_{slot}", "user2", slot,
                                   zf_orth("user1", slot), PowerTerm(Fraction(1, 2), j), j))
-        plan_private.append(DecodeStep("user1", slot, f"u_{slot}", cancel=cancel))
-        plan_private.append(DecodeStep("user2", slot, f"v_{slot}", cancel=cancel))
+        plan_private.append(DecodeStep("user1", slot, f"u_{slot}"))
+        plan_private.append(DecodeStep("user2", slot, f"v_{slot}"))
     for user in USERS:
         plan_common.extend(DecodeStep(user, xc[-1], xc) for xc in present_common)
 
@@ -498,8 +474,7 @@ def matched_descriptor(
         common_split = {xc: (1.0 if xc == "xc_A" else 0.0) for xc in present_common}
     return SchemeDescriptor(
         name="matched-optimal", scenario="matched", quality=q,
-        slots=_TWO_SLOTS, symbols=tuple(symbols),
-        decode_plan=tuple(plan_common + plan_private),
+        symbols=tuple(symbols), decode_plan=tuple(plan_common + plan_private),
         common_split=common_split,
     )
 
@@ -586,14 +561,11 @@ def analytic_sum_dof_at(strategy: str, beta, alpha, scenario="unmatched"):
 
 
 def sum_dof_exponent(d: SchemeDescriptor) -> float:
-    """Duration-weighted sum of symbol rate exponents per channel use.
+    """Sum of payload rate exponents per channel use of the two-subband frame.
 
-    Repeated payloads count once (weighted by their first instance's slot).
+    Repeated payloads count once.
     """
-    total = 0.0
-    for sym in d.payloads().values():
-        total += sym.rate_exponent * d.slot_duration(sym.slot)
-    return total / d.total_duration()
+    return sum(sym.rate_exponent for sym in d.payloads().values()) / len(SUBBANDS)
 
 
 def credit_users(d: SchemeDescriptor, per_payload: Mapping[str, float]) -> Tuple[float, float]:
@@ -619,11 +591,9 @@ def credit_users(d: SchemeDescriptor, per_payload: Mapping[str, float]) -> Tuple
 
 def user_dof_exponents(d: SchemeDescriptor) -> Tuple[float, float]:
     """Per-user analytic DoF pair implied by ownership and the common split."""
-    weighted = {sym_id: sym.rate_exponent * d.slot_duration(sym.slot)
-                for sym_id, sym in d.payloads().items()}
-    u1, u2 = credit_users(d, weighted)
-    total = d.total_duration()
-    return u1 / total, u2 / total
+    u1, u2 = credit_users(d, {sym_id: sym.rate_exponent
+                              for sym_id, sym in d.payloads().items()})
+    return u1 / len(SUBBANDS), u2 / len(SUBBANDS)
 
 
 # -- static achievability --------------------------------------------------

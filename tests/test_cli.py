@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from dofsim import cli, regions
+from dofsim import cli, regions, switcher
 from dofsim.linkmc import SimReport
 from dofsim.switcher import read_sweep_csv
 
@@ -187,6 +187,16 @@ def test_sweep_bad_step(capsys):
     assert cli.main(["sweep", "--step", "0.007"]) == 2
     assert cli.main(["sweep", "--rho", "1.5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("step", ["1e-7", "5e-324"])
+def test_sweep_rejects_an_oversized_grid(step, capsys):
+    # 1e-7 would raster 1e14 cells and used to die in numpy asking for
+    # hundreds of TiB; 5e-324 overflowed 1 / step.
+    assert cli.main(["sweep", "--step", step]) == 2
+    err = capsys.readouterr().err
+    assert f"rasters more than {switcher.MAX_GRID_CELLS} cells" in err
+    assert err.endswith("the smallest allowed step is 0.001\n")
 
 
 def test_verify_battery_passes(capsys):

@@ -115,22 +115,18 @@ def test_sic_u0_step_matches_hand_computed_sinr():
 
 def test_sic_cancellation_never_hurts():
     q = QualityPair(0.9, 0.4)
-    base = sch.s3_descriptor(q)
-    stripped = sch.SchemeDescriptor(
-        name="s3-nocancel", scenario=base.scenario, quality=base.quality,
-        slots=base.slots, symbols=base.symbols,
-        decode_plan=tuple(
-            sch.DecodeStep(s.user, s.slot, s.symbol) for s in base.decode_plan
-        ),
-    )
+    d = sch.s3_descriptor(q)
     p = 1e3
     for t in range(20):
         r = ch.sample_realization(ch.trial_rng(2, t), q, UNMATCHED, p)
-        with_cancel = mc.sic_rates(base, r, p)
-        without = mc.sic_rates(stripped, r, p)
-        for sym_id, per_user in with_cancel.rates.items():
-            for user, rate in per_user.items():
-                assert rate >= without.rates[sym_id][user] - 1e-12
+        with_sic = mc.sic_rates(d, r, p)
+        for st in d.decode_plan:
+            # Treating every other same-slot instance as noise is the floor.
+            target = _instance(d, st.symbol, st.slot)
+            noise = sum(mc.received_power(r, s, st.user, p) for s in d.symbols
+                        if s.slot == st.slot and s is not target)
+            floor = np.log2(1 + mc.received_power(r, target, st.user, p) / (1 + noise))
+            assert with_sic.rates[st.symbol][st.user] >= floor - 1e-12
 
 
 def test_delivered_rate_is_worst_decoder():
@@ -249,8 +245,7 @@ def test_report_rates_are_duration_weighted_delivered_rates():
     # column (common random numbers: the ladder reuses the same substreams).
     erg = mc.ergodic_rates(d, Q, UNMATCHED, ch.db_to_linear(30.0), trials=trials, seed=12)
     per_use = {
-        sym_id: erg.delivered(sym_id) * d.slot_duration(sym.slot) / d.total_duration()
-        for sym_id, sym in d.payloads().items()
+        sym_id: erg.delivered(sym_id) / len(ch.SUBBANDS) for sym_id in d.payloads()
     }
     report = mc.estimate_dof(d, Q, UNMATCHED, (20.0, 30.0, 40.0), trials=trials, seed=12)
     for sym, value in per_use.items():

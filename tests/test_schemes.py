@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
-from dofsim.channel import MATCHED, UNMATCHED, QualityPair
+from dofsim.channel import MATCHED, SUBBANDS, UNMATCHED, QualityPair
 from dofsim.regions import contains, outer_bound
 
 Q = QualityPair(0.8, 0.5)
@@ -123,21 +123,28 @@ def test_optimal_unmatched_precoders_and_repetition():
 
 def test_optimal_unmatched_decode_order_and_cancellation():
     d = sch.optimal_unmatched_descriptor(Q)
-    user1 = [(st.slot, st.symbol, st.cancel) for st in d.decode_plan if st.user == "user1"]
-    assert user1 == [
-        ("A", "xc_A", ()),
-        ("B", "xc_B", ()),
-        ("A", "u_0", ("xc_A",)),
-        ("A", "u_A", ("xc_A", "u_0")),
-        ("B", "u_B", ("xc_B", "u_0")),
+
+    def walk(user):
+        """(slot, symbol, interfering symbols) of each of user's steps, in order."""
+        return [
+            (d.symbols[st.target].slot, d.symbols[st.target].id,
+             tuple(d.symbols[d.table.links[i][0]].id for i in st.interference))
+            for st in d.table.steps if st.user == user
+        ]
+
+    assert walk("user1") == [
+        ("A", "xc_A", ("u_A", "u_0", "v_A")),
+        ("B", "xc_B", ("v_B", "u_0", "u_B")),
+        ("A", "u_0", ("u_A", "v_A")),
+        ("A", "u_A", ("v_A",)),
+        ("B", "u_B", ("v_B",)),
     ]
-    user2 = [(st.slot, st.symbol, st.cancel) for st in d.decode_plan if st.user == "user2"]
-    assert user2 == [
-        ("A", "xc_A", ()),
-        ("B", "xc_B", ()),
-        ("B", "u_0", ("xc_B",)),
-        ("B", "v_B", ("xc_B", "u_0")),
-        ("A", "v_A", ("xc_A", "u_0")),
+    assert walk("user2") == [
+        ("A", "xc_A", ("u_A", "u_0", "v_A")),
+        ("B", "xc_B", ("v_B", "u_0", "u_B")),
+        ("B", "u_0", ("v_B", "u_B")),
+        ("B", "v_B", ("u_B",)),
+        ("A", "v_A", ("u_A",)),
     ]
 
 
@@ -156,7 +163,7 @@ def test_matched_descriptor_reference_point():
 def test_power_identity_symbolic_and_numeric():
     for name, build in ALL_BUILDERS:
         d = build(Q)
-        for slot, _ in d.slots:
+        for slot in SUBBANDS:
             assert sch.power_ledger(d, slot) == {1.0: Fraction(1)}, (name, slot)
             for p in (10.0, 1e4):
                 total = sum(s.power.value(p) for s in d.instances_in(slot))
@@ -169,7 +176,7 @@ def test_power_identity_everywhere(x, y):
     q = QualityPair(max(x, y), min(x, y))
     for name, build in ALL_BUILDERS:
         d = build(q)
-        for slot, _ in d.slots:
+        for slot in SUBBANDS:
             assert sch.power_ledger(d, slot) == {1.0: Fraction(1)}, (name, slot)
 
 
@@ -241,10 +248,13 @@ def test_build_descriptor_follows_the_scenario_table(scheme):
 # descriptor validation
 
 
-def _one_slot(symbols, plan):
+def _probe(symbols, plan):
+    """A descriptor of the given subband-A symbols and plan; subband B
+    carries one full-power symbol, decoded last."""
+    b = sch.SymbolSpec("b", "user2", "B", sch.basis_e1(), sch.PowerTerm(1, 1.0), 1.0)
     return sch.SchemeDescriptor(
         name="probe", scenario=None, quality=None,
-        slots=(("A", 1.0),), symbols=symbols, decode_plan=plan,
+        symbols=symbols + (b,), decode_plan=plan + (sch.DecodeStep("user2", "B", "b"),),
     )
 
 
@@ -252,45 +262,28 @@ def test_power_identity_violation_is_rejected():
     sym = sch.SymbolSpec("x", "user1", "A", sch.basis_e1(),
                          sch.PowerTerm(Fraction(1, 2), 1.0), 1.0)
     with pytest.raises(ValueError, match="power identity"):
-        _one_slot((sym,), (sch.DecodeStep("user1", "A", "x"),))
+        _probe((sym,), (sch.DecodeStep("user1", "A", "x"),))
 
 
 def test_duplicate_instance_rejected():
     sym = sch.SymbolSpec("x", "user1", "A", sch.basis_e1(),
                          sch.PowerTerm(Fraction(1, 2), 1.0), 1.0)
     with pytest.raises(ValueError, match="duplicate"):
-        _one_slot((sym, sym), (sch.DecodeStep("user1", "A", "x"),))
+        _probe((sym, sym), (sch.DecodeStep("user1", "A", "x"),))
 
 
 def test_plan_must_reference_transmitted_instances():
     sym = sch.SymbolSpec("x", "user1", "A", sch.basis_e1(), sch.PowerTerm(1, 1.0), 1.0)
     with pytest.raises(ValueError, match="not transmitted"):
-        _one_slot((sym,), (sch.DecodeStep("user1", "B", "x"),))
+        _probe((sym,), (sch.DecodeStep("user1", "B", "x"),))
     with pytest.raises(ValueError, match="not transmitted"):
-        _one_slot((sym,), (sch.DecodeStep("user1", "A", "y"),))
-
-
-def test_cancel_requires_prior_decode():
-    x = sch.SymbolSpec("x", "user1", "A", sch.basis_e1(),
-                       sch.PowerTerm(Fraction(1, 2), 1.0), 1.0)
-    y = sch.SymbolSpec("y", "user2", "A", sch.basis_e1(),
-                       sch.PowerTerm(Fraction(1, 2), 1.0), 1.0)
-    with pytest.raises(ValueError, match="before having decoded"):
-        _one_slot((x, y), (
-            sch.DecodeStep("user1", "A", "x", cancel=("y",)),
-            sch.DecodeStep("user2", "A", "y"),
-        ))
-    with pytest.raises(ValueError, match="unknown symbol"):
-        _one_slot((x, y), (
-            sch.DecodeStep("user1", "A", "x", cancel=("ghost",)),
-            sch.DecodeStep("user2", "A", "y"),
-        ))
+        _probe((sym,), (sch.DecodeStep("user1", "A", "y"),))
 
 
 def test_a_user_decodes_each_payload_once():
     x = sch.SymbolSpec("x", "user1", "A", sch.basis_e1(), sch.PowerTerm(1, 1.0), 1.0)
     with pytest.raises(ValueError, match="user1 decodes 'x' twice"):
-        _one_slot((x,), (sch.DecodeStep("user1", "A", "x"), sch.DecodeStep("user1", "A", "x")))
+        _probe((x,), (sch.DecodeStep("user1", "A", "x"), sch.DecodeStep("user1", "A", "x")))
 
 
 def test_every_symbol_needs_a_decoder():
@@ -299,7 +292,7 @@ def test_every_symbol_needs_a_decoder():
     y = sch.SymbolSpec("y", "user2", "A", sch.basis_e1(),
                        sch.PowerTerm(Fraction(1, 2), 1.0), 1.0)
     with pytest.raises(ValueError, match="never decoded"):
-        _one_slot((x, y), (sch.DecodeStep("user1", "A", "x"),))
+        _probe((x, y), (sch.DecodeStep("user1", "A", "x"),))
 
 
 def test_common_split_validation():
@@ -313,9 +306,16 @@ def test_instances_must_agree_on_rate():
     with pytest.raises(ValueError, match="disagree"):
         sch.SchemeDescriptor(
             name="probe", scenario=None, quality=None,
-            slots=(("A", 1.0), ("B", 1.0)), symbols=(a, b),
-            decode_plan=(sch.DecodeStep("user1", "A", "x"),),
+            symbols=(a, b), decode_plan=(sch.DecodeStep("user1", "A", "x"),),
         )
+
+
+@pytest.mark.parametrize("rate", [-0.1, math.nan])
+def test_rate_exponent_must_be_nonnegative(rate):
+    # nan != nan, so a nan exponent used to pass here and fail later as a
+    # disagreement between the instances of one symbol.
+    with pytest.raises(ValueError, match="rate exponent must be nonnegative"):
+        sch.SymbolSpec("x", "user1", "A", sch.basis_e1(), sch.PowerTerm(1, 1.0), rate)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +470,7 @@ def test_static_check_flags_overloaded_step():
                        sch.PowerTerm(Fraction(1, 2), 1.0), 1.0)
     y = sch.SymbolSpec("y", "user2", "A", sch.basis_e1(),
                        sch.PowerTerm(Fraction(1, 2), 1.0), 1.0)
-    d = _one_slot((x, y), (
+    d = _probe((x, y), (
         sch.DecodeStep("user1", "A", "x"),
         sch.DecodeStep("user2", "A", "y"),
     ))
@@ -483,7 +483,6 @@ def _cross_subband_zf():
     half = sch.PowerTerm(Fraction(1, 2), 1.0)
     return sch.SchemeDescriptor(
         name="cross-zf", scenario="unmatched", quality=Q,
-        slots=(("A", 1.0), ("B", 1.0)),
         symbols=(
             sch.SymbolSpec("u_A", "user1", "A", sch.zf_orth("user2", "B"), half, 0.5),
             sch.SymbolSpec("v_A", "user2", "A", sch.zf_orth("user1", "A"), half, 0.5),
@@ -530,10 +529,10 @@ def test_to_dict_is_json_ready_and_complete():
     assert doc["name"] == "optimal-unmatched"
     assert doc["scenario"] == "unmatched"
     assert doc["beta"] == 0.8 and doc["alpha"] == 0.5
-    assert doc["slots"] == [["A", 1.0], ["B", 1.0]]
     assert len(doc["symbols"]) == len(d.symbols)
     u0 = [s for s in doc["symbols"] if s["id"] == "u_0"]
     assert len(u0) == 2
     assert u0[0]["power"]["coeff"] == [1, 2]
     assert doc["common_split"] == {"xc_A": 1.0, "xc_B": 0.0}
     assert len(doc["decode_plan"]) == len(d.decode_plan)
+    assert doc["decode_plan"][0] == {"user": "user1", "slot": "A", "symbol": "xc_A"}
