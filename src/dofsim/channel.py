@@ -23,13 +23,14 @@ array of trial indices and re-seeds a single PCG64 by setting its state.
 
 One trial's cells are built from one ``standard_normal`` draw in a fixed
 layout (``_pairs_from_normals``).  ``sample_pair`` and
-``sample_realization`` build one trial at one SNR.  ``sample_ladder``
-builds many trials at every point of an SNR ladder: each trial's normals
-are drawn once and rescaled per point (common random numbers), and the
-vectors carry a leading trial axis.  Row t at ladder point k equals
-``sample_realization(trial_rng(seed, start + t), q, scenario, ps[k])``
-bit for bit.  ``zf_direction`` and ``unit`` work row by row on such
-arrays.
+``sample_realization`` build one trial at one SNR.  ``sample_ladder_cells``
+builds many trials at every point of an SNR ladder in one pass: each
+trial's normals are drawn once and rescaled along a ladder axis (common
+random numbers), so the vectors carry a leading ladder axis and then a
+trial axis.  Row t at ladder point k equals ``sample_realization(
+trial_rng(seed, start + t), q, scenario, ps[k])`` bit for bit;
+``sample_ladder`` gives the same cells as one realization per point.
+``zf_direction`` and ``unit`` work row by row on such arrays.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ class ChannelRealization:
         return self.pairs[(user, subband)].estimate
 
 
-#: Trials per array pass.  Callers of ``sample_ladder`` walk long trial
-#: ranges in blocks of this size, which bounds the memory of the normals
-#: and of everything computed from them.
+#: Trials per array pass.  Callers of ``sample_ladder_cells`` walk long
+#: trial ranges in blocks of this size, which bounds the memory of the
+#: normals and of everything computed from them.
 TRIAL_BLOCK = 4096
 
 # Constants of numpy's SeedSequence (hashmix, mix, generate_state) and of
@@ -297,21 +298,33 @@ def _pairs_from_normals(
     real parts, then two imaginary parts) and scales them to per-entry
     variance ``var``.  A draw with ``var <= 0`` is the zero vector and
     takes no normals, so every later draw reads four positions earlier.
+
+    ``variances`` holds one (estimate, error) pair per cell.  It may carry
+    a trailing ladder axis, one variance per ladder point, whose entries
+    agree on whether they are 0; the vectors then gain a leading ladder
+    axis.  All draws are scaled in one array pass.
     """
-    pairs = []
-    offset = 0
-    for cell in variances:
-        drawn = []
-        for var in cell:
-            if var <= 0.0:
-                drawn.append(np.zeros(z.shape[:-1] + (2,), dtype=complex))
-                continue
-            re, im = z[..., offset:offset + 2], z[..., offset + 2:offset + 4]
-            drawn.append(np.sqrt(var / 2.0) * (re + 1j * im))
-            offset += 4
-        estimate, error = drawn
-        pairs.append(ChannelPair(true=estimate + error, estimate=estimate, error=error))
-    return pairs
+    draws = np.asarray(variances, dtype=float)
+    lead = draws.shape[2:]  # the ladder axis, if any
+    draws = draws.reshape((-1,) + lead)  # in draw order
+    taken = draws.reshape(len(draws), -1)[:, 0] > 0.0
+    scale = np.sqrt(draws[taken] / 2.0)
+    m, trials = len(scale), z.shape[:-1]
+    # The normals of the taken draws as (draw, *trials, entry, real or
+    # imaginary part), scaled straight into the memory of the complex
+    # vectors (draw, *lead, *trials, entry).
+    normals = np.moveaxis(z[..., :4 * m].reshape(trials + (m, 2, 2)), -3, 0).swapaxes(-1, -2)
+    values = np.empty((m,) + lead + trials + (2,), dtype=complex)
+    np.multiply(normals.reshape((m,) + (1,) * len(lead) + trials + (2, 2)),
+                scale.reshape(scale.shape + (1,) * (len(trials) + 2)),
+                out=values.view(float).reshape(values.shape + (2,)))
+    drawn = values
+    if not taken.all():
+        drawn = np.zeros((len(draws),) + values.shape[1:], dtype=complex)
+        drawn[taken] = values
+    true = drawn[0::2] + drawn[1::2]
+    return [ChannelPair(true=true[c], estimate=drawn[2 * c], error=drawn[2 * c + 1])
+            for c in range(len(true))]
 
 
 def sample_pair(rng: np.random.Generator, a: float, p: float) -> ChannelPair:
@@ -341,20 +354,52 @@ def sample_realization(
 
 def _sample_cells(
     seed: int, qualities: Sequence[float], ps: Sequence[float], trials: int, start: int
-) -> List[List[ChannelPair]]:
+) -> List[ChannelPair]:
     """Cells of quality ``qualities`` (in draw order) for trials [start, start + trials).
 
-    Returns one list of cells per linear SNR in ``ps``; every vector has a
-    leading trial axis.  Each trial's normals come from a single draw on
-    its ``trial_rng(seed, start + t)`` stream, long enough for the ladder
-    point that needs the most; a point that skips a draw reads a prefix of
-    them.
+    Every vector has shape (len(ps), trials, 2): a ladder axis, one entry
+    per linear SNR in ``ps``, then a trial axis.  Each trial's normals
+    come from a single draw on its ``trial_rng(seed, start + t)`` stream,
+    long enough for the ladder point that needs the most.  Ladder points
+    that skip the same zero-variance draws are built in one pass; a point
+    that skips more reads a prefix of the normals.
     """
     per_point = [[_variances(a, p) for a in qualities] for p in ps]
     k = max(_normals_needed(variances) for variances in per_point)
     _check_seeding()
     z = _trial_normals(seed, start, trials, k)
-    return [_pairs_from_normals(z, variances) for variances in per_point]
+    variances = np.array(per_point)  # (points, cells, 2)
+    groups: Dict[bytes, List[int]] = {}
+    for point, zero in enumerate(variances <= 0.0):
+        groups.setdefault(zero.tobytes(), []).append(point)
+    if len(groups) == 1:
+        return _pairs_from_normals(z, variances.transpose(1, 2, 0))
+    cells = [ChannelPair(*(np.empty((len(ps), trials, 2), dtype=complex) for _ in range(3)))
+             for _ in qualities]
+    for points in groups.values():
+        for cell, part in zip(cells, _pairs_from_normals(z, variances[points].transpose(1, 2, 0))):
+            cell.true[points], cell.estimate[points], cell.error[points] = (
+                part.true, part.estimate, part.error)
+    return cells
+
+
+def sample_ladder_cells(
+    seed: int,
+    q: QualityPair,
+    scenario: Scenario,
+    ps: Sequence[float],
+    trials: int,
+    start: int = 0,
+) -> ChannelRealization:
+    """Trials [start, start + trials) at every linear SNR in ps, as one realization.
+
+    Vectors have shape (len(ps), trials, 2).  Entry [k, t] equals
+    ``sample_realization(trial_rng(seed, start + t), q, scenario, ps[k])``
+    bit for bit, and each trial's stream is seeded once for the whole
+    ladder.
+    """
+    qualities = [scenario.quality(u, s, q) for u, s in _CELLS]
+    return ChannelRealization(dict(zip(_CELLS, _sample_cells(seed, qualities, ps, trials, start))))
 
 
 def sample_ladder(
@@ -365,23 +410,22 @@ def sample_ladder(
     trials: int,
     start: int = 0,
 ) -> List[ChannelRealization]:
-    """Realizations of trials [start, start + trials) at every linear SNR in ps.
+    """``sample_ladder_cells`` as one realization per ladder point.
 
-    Vectors have shape (trials, 2).  Row t of the realization at ``ps[k]``
-    equals ``sample_realization(trial_rng(seed, start + t), q, scenario,
-    ps[k])`` bit for bit, and each trial's stream is seeded once for the
-    whole ladder.
+    Vectors have shape (trials, 2) and are views of the ladder's cells.
     """
-    qualities = [scenario.quality(u, s, q) for u, s in _CELLS]
+    cells = sample_ladder_cells(seed, q, scenario, ps, trials, start).pairs
     return [
-        ChannelRealization(dict(zip(_CELLS, pairs)))
-        for pairs in _sample_cells(seed, qualities, ps, trials, start)
+        ChannelRealization({key: ChannelPair(pair.true[k], pair.estimate[k], pair.error[k])
+                            for key, pair in cells.items()})
+        for k in range(len(ps))
     ]
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """||v||^2 over the last axis."""
-    return np.sum(v.real ** 2, axis=-1) + np.sum(v.imag ** 2, axis=-1)
+    """||v||^2 over the last axis, which has length 2."""
+    re, im = v.real ** 2, v.imag ** 2
+    return (re[..., 0] + re[..., 1]) + (im[..., 0] + im[..., 1])
 
 
 def _checked_norm(v: np.ndarray, action: str) -> np.ndarray:
@@ -432,7 +476,7 @@ def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> 
     sq = np.empty((len(ladder), trials))
     for lo in range(0, trials, TRIAL_BLOCK):
         n = min(TRIAL_BLOCK, trials - lo)
-        for k, (pair,) in enumerate(_sample_cells(seed, [a], ladder, n, lo)):
-            sq[k, lo:lo + n] = _sq_norm(pair.error)
+        (pair,) = _sample_cells(seed, [a], ladder, n, lo)
+        sq[:, lo:lo + n] = _sq_norm(pair.error)
     log_means = -np.log2(np.mean(sq, axis=1) / 2.0)
     return float(np.polyfit(np.log2(ladder), log_means, 1)[0])

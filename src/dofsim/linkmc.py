@@ -1,20 +1,21 @@
 """Monte Carlo link layer: instantaneous SIC rates and DoF slope estimates.
 
 The decoder walks the descriptor's compiled table (``schemes.DecodeTable``),
-the one the static achievability check walks over exponents: per linear
-SNR it builds each precoder and each (symbol, user) received power once,
-then gives every decode step the rate log2(1 + S / (1 + I)), where I sums
-the powers the step has not cancelled.  Ergodic rates average those over
-per-trial substreams; the DoF estimate is the slope of the rate per
-channel use of the two-subband frame against log2(P) over an SNR ladder.
+the one the static achievability check walks over exponents: it builds
+each precoder and each (symbol, user) received power once, then gives
+every decode step the rate log2(1 + S / (1 + I)), where I sums the powers
+the step has not cancelled.  Ergodic rates average those over per-trial
+substreams; the DoF estimate is the slope of the rate per channel use of
+the two-subband frame against log2(P) over an SNR ladder.
 
-The walk is elementwise: a realization whose vectors carry a leading
-trial axis (``channel.sample_ladder``) yields rate arrays with that axis,
-so one walk per ladder point covers a whole block of trials.  Every trial
-draws its randomness from ``trial_rng(seed, trial)``, once for the whole
-ladder, so the per-trial rate table is a pure function of (seed, trial
-index) and means are bit-identical no matter how the trial range is
-partitioned.
+The walk is elementwise over leading axes: the cells of
+``channel.sample_ladder_cells`` carry a ladder axis and a trial axis, so
+one walk covers a whole block of trials at every ladder point, with a
+fixed number of array operations whatever the ladder's length.  Every
+trial draws its randomness from ``trial_rng(seed, trial)``, once for the
+whole ladder, so the per-trial rate table is a pure function of (seed,
+trial index) and means are bit-identical no matter how the trial range
+is partitioned.
 """
 
 from __future__ import annotations
@@ -23,26 +24,34 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .channel import (
     SUBBANDS,
     TRIAL_BLOCK,
+    ChannelPair,
     ChannelRealization,
     QualityPair,
     Scenario,
     check_seed,
     db_to_linear,
-    sample_ladder,
+    sample_ladder_cells,
     unit,
     zf_direction,
 )
 # Not called here, but kept importable as ``linkmc.trial_rng`` and
 # ``linkmc.sample_realization``: the per-layer trace wraps them by this path.
 from .channel import sample_realization, trial_rng  # noqa: F401
-from .schemes import Precoder, SchemeDescriptor, SymbolSpec, credit_users
+from .schemes import (
+    PRECODER_KINDS,
+    DecodeTable,
+    Precoder,
+    SchemeDescriptor,
+    SymbolSpec,
+    credit_users,
+)
 
 #: Fit residual (bits per channel use) above which the slope estimate falls
 #: back to the top SNR pair; the common layer's rate converges slowly.
@@ -51,15 +60,117 @@ RESIDUAL_FALLBACK = 0.02
 _E1 = np.array([1.0, 0.0], dtype=complex)
 
 
-def _direction(realization: ChannelRealization, pre: Precoder) -> np.ndarray:
+def _direction(realization: ChannelRealization, pre: Precoder, k: int) -> np.ndarray:
+    """The precoder's direction at ladder point k."""
     if pre.kind == "basis_e1":
         return _E1
-    ref = realization.estimate(pre.user, pre.subband)
+    ref = realization.estimate(pre.user, pre.subband)[k]
     return zf_direction(ref) if pre.kind == "zf_orth" else unit(ref)
 
 
-def _link_power(h: np.ndarray, w: np.ndarray, power: float) -> np.ndarray:
-    return np.abs(np.sum(h.conj() * w, axis=-1)) ** 2 * power
+class _LinkPlan(NamedTuple):
+    """A list of links resolved to index arrays."""
+
+    precoders: Tuple[Precoder, ...]  # each direction once, in order of first use
+    #: (kind, rows of ``precoders`` of that kind), in ``PRECODER_KINDS`` order
+    kinds: Tuple[Tuple[str, np.ndarray], ...]
+    symbols: Tuple[int, ...]  # each symbol index once, in order of first use
+    #: per (user, subband) cell: its links and their rows in ``precoders``
+    #: and in ``symbols``
+    cells: Tuple[Tuple[Tuple[str, str], np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _link_plan(
+    links: Tuple[Tuple[int, str], ...], layout: Tuple[Tuple[str, Precoder], ...]
+) -> _LinkPlan:
+    """Plan of (symbol index, user) links over symbols with these (slot, precoder)s.
+
+    It depends on neither the quality pair nor the SNR, so one plan
+    serves every descriptor a builder makes with the same symbols.
+    """
+    precoders = tuple(dict.fromkeys(layout[i][1] for i, _ in links))
+    symbols = tuple(dict.fromkeys(i for i, _ in links))
+    kinds = []
+    for kind in PRECODER_KINDS:
+        rows = [r for r, pre in enumerate(precoders) if pre.kind == kind]
+        if rows:
+            kinds.append((kind, np.array(rows, dtype=np.intp)))
+    by_cell: Dict[Tuple[str, str], List[int]] = {}
+    for n, (i, user) in enumerate(links):
+        by_cell.setdefault((user, layout[i][0]), []).append(n)
+    cells = tuple((cell, np.array(ns, dtype=np.intp),
+                   np.array([precoders.index(layout[links[n][0]][1]) for n in ns], dtype=np.intp),
+                   np.array([symbols.index(links[n][0]) for n in ns], dtype=np.intp))
+                  for cell, ns in by_cell.items())
+    return _LinkPlan(precoders, tuple(kinds), symbols, cells)
+
+
+def _directions(realization: ChannelRealization, plan: _LinkPlan) -> np.ndarray:
+    """Every direction of the plan, stacked on a leading axis.
+
+    All zero-forcing directions come from one ``zf_direction`` call and all
+    aligned ones from one ``unit`` call.  On a zero estimate this raises
+    the error of the first degenerate direction in order at the first
+    ladder point that has one, as a walk of one point at a time would.
+    """
+    shape = realization.true("user1", "A").shape
+    out = np.empty((len(plan.precoders),) + shape, dtype=complex)
+    try:
+        for kind, rows in plan.kinds:
+            if kind == "basis_e1":
+                out[rows] = _E1
+                continue
+            refs = [realization.estimate(plan.precoders[r].user, plan.precoders[r].subband)
+                    for r in rows]
+            out[rows] = (zf_direction if kind == "zf_orth" else unit)(np.stack(refs))
+    except ValueError:
+        for k in range(shape[0]):
+            for pre in plan.precoders:
+                _direction(realization, pre, k)
+        raise
+    return out
+
+
+def _link_powers(
+    realization: ChannelRealization,
+    symbols: Sequence[SymbolSpec],
+    links: Tuple[Tuple[int, str], ...],
+    ps: Sequence[float],
+) -> np.ndarray:
+    """|h^H w|^2 times the symbol's power for every (symbol index, user) link.
+
+    The realization's vectors carry a leading ladder axis, one entry per
+    linear SNR in ps.  Returns shape (len(links) + 1,) + that vector shape
+    less its last axis; the extra last row is zero, for padding.  One
+    array pass per receiving cell covers all of its links.
+    """
+    plan = _link_plan(links, tuple((sym.slot, sym.precoder) for sym in symbols))
+    w = _directions(realization, plan)
+    values = np.array([[symbols[i].power.value(p) for p in ps] for i in plan.symbols])
+    values = values.reshape(values.shape + (1,) * (w.ndim - 3))  # over the trial axis, if any
+    out = np.zeros((len(links) + 1,) + w.shape[1:-1])
+    for cell, ns, rows, sym_rows in plan.cells:
+        products = realization.true(*cell).conj() * w[rows]
+        out[ns] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[sym_rows]
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _step_index(table: DecodeTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Each step's signal link and its interfering links, padded with the zero row."""
+    width = max((len(step.interference) for step in table.steps), default=0)
+    pad = (len(table.links),) * width
+    interference = np.array([(step.interference + pad)[:width] for step in table.steps],
+                            dtype=np.intp).reshape(len(table.steps), width)
+    return np.array([step.signal for step in table.steps], dtype=np.intp), interference
+
+
+def _ladder_axis(realization: ChannelRealization) -> ChannelRealization:
+    """The realization with a ladder axis of length 1 in front."""
+    return ChannelRealization({key: ChannelPair(pair.true[None], pair.estimate[None],
+                                                pair.error[None])
+                               for key, pair in realization.pairs.items()})
 
 
 def received_power(realization: ChannelRealization, sym: SymbolSpec, user: str, p: float):
@@ -69,22 +180,22 @@ def received_power(realization: ChannelRealization, sym: SymbolSpec, user: str, 
     """
     if p <= 1:
         raise ValueError(f"linear SNR must exceed 1, got {p}")
-    return _link_power(realization.true(user, sym.slot), _direction(realization, sym.precoder),
-                       sym.power.value(p))
+    return _link_powers(_ladder_axis(realization), (sym,), ((0, user),), [p])[0, 0]
 
 
-def _step_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) -> list:
-    """The rate of every step of ``d.table``, in decode-plan order."""
-    directions: Dict[Precoder, np.ndarray] = {}
-    powers = []
-    for i, user in d.table.links:
-        sym = d.symbols[i]
-        if sym.precoder not in directions:
-            directions[sym.precoder] = _direction(realization, sym.precoder)
-        powers.append(_link_power(realization.true(user, sym.slot), directions[sym.precoder],
-                                  sym.power.value(p)))
-    return [np.log2(1.0 + powers[step.signal] / (1.0 + sum(powers[i] for i in step.interference)))
-            for step in d.table.steps]
+def _step_rates(d: SchemeDescriptor, realization: ChannelRealization, ps: Sequence[float]):
+    """The rate of every step of ``d.table`` at every linear SNR in ps.
+
+    The realization's vectors carry a leading ladder axis, one entry per
+    ps.  Returns shape (steps, points, ...), steps in decode-plan order.
+    Each step's interference is summed in descriptor order, left to right,
+    as a Python ``sum`` over its links would.
+    """
+    powers = _link_powers(realization, d.symbols, d.table.links, ps)
+    signal, interference = _step_index(d.table)
+    gathered = powers[interference]
+    total = sum(gathered[:, j] for j in range(interference.shape[1]))
+    return np.log2(1.0 + powers[signal] / (1.0 + total))
 
 
 @dataclass(frozen=True)
@@ -110,7 +221,7 @@ def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) ->
     """
     if p <= 1:
         raise ValueError(f"linear SNR must exceed 1, got {p}")
-    return _by_symbol(d, _step_rates(d, realization, p))
+    return _by_symbol(d, _step_rates(d, _ladder_axis(realization), [p])[:, 0])
 
 
 def _by_symbol(d: SchemeDescriptor, per_step: Sequence) -> InstantRates:
@@ -138,9 +249,14 @@ def trial_rates(
 
     Columns follow ``rate_cells(d)``.  Row t depends only on (seed,
     start + t), so disjoint ranges computed separately concatenate into
-    exactly the array a single full run would produce.
+    exactly the array a single full run would produce.  Raises ValueError
+    if a rate is not finite (the received powers overflowed).
     """
-    return _ladder_rates(d, q, scenario, [p], trials, seed, start)[0]
+    blocks = [rates[0] for rates in _ladder_rates(d, q, scenario, [p], trials, seed, start)]
+    # In C order, so that a mean over trials adds them one row at a time.
+    out = np.concatenate(blocks, out=np.empty((trials, len(d.table.steps))))
+    _check_finite(out, f"{[p]} (linear)")
+    return out
 
 
 def _ladder_rates(
@@ -150,35 +266,55 @@ def _ladder_rates(
     ps: Sequence[float],
     trials: int,
     seed: int,
-    start: int = 0,
-    ladder: Optional[str] = None,
-) -> np.ndarray:
-    """Rate tables of trials [start, start + trials) at every linear SNR in ps.
+    start: int,
+) -> Iterator[np.ndarray]:
+    """Rate tables of trials [start, start + trials) in blocks of TRIAL_BLOCK.
 
-    Shape (len(ps), trials, cells); ``out[k]`` is ``trial_rates`` at
-    ``ps[k]``.  Trials go in blocks of TRIAL_BLOCK, each sampled once for
-    the whole ladder and walked once per ladder point.  Raises ValueError
-    if a rate is not finite (the received powers overflowed); ``ladder``
-    names the ladder in that message, by default its linear SNRs.
+    Yields each block's rates, shaped (len(ps), trials in the block,
+    steps), in trial order.  Each block is sampled once for the whole
+    ladder and walked once.  Received powers can overflow at extreme SNR;
+    the rates then come out inf or nan, and the caller rejects them with
+    ``_check_finite``.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
     _check_descriptor_matches(d, q, scenario)
-    out = np.empty((len(ps), trials, len(d.table.steps)))
     for lo in range(0, trials, TRIAL_BLOCK):
-        n = min(TRIAL_BLOCK, trials - lo)
-        realizations = sample_ladder(seed, q, scenario, ps, n, start + lo)
-        for k, (p, realization) in enumerate(zip(ps, realizations)):
-            # Received powers can overflow at extreme SNR; the rates then
-            # come out inf or nan and are rejected below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                rates = _step_rates(d, realization, p)
-            for c, rate in enumerate(rates):
-                out[k, lo:lo + n, c] = rate
-    if not np.all(np.isfinite(out)):
-        name = ladder if ladder is not None else f"{list(ps)} (linear)"
-        raise ValueError(f"SNR ladder {name} overflows the received powers")
-    return out
+        cells = sample_ladder_cells(seed, q, scenario, ps, min(TRIAL_BLOCK, trials - lo), start + lo)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = _step_rates(d, cells, ps)
+        yield rates.transpose(1, 2, 0)
+
+
+def _check_finite(rates: np.ndarray, ladder: str) -> None:
+    """Raise ValueError, naming the ladder, if a rate is not finite."""
+    if not np.all(np.isfinite(rates)):
+        raise ValueError(f"SNR ladder {ladder} overflows the received powers")
+
+
+def _mean_rates(
+    d: SchemeDescriptor,
+    q: QualityPair,
+    scenario: Scenario,
+    ps: Sequence[float],
+    trials: int,
+    seed: int,
+    ladder: str,
+) -> np.ndarray:
+    """Mean rate of each step at each linear SNR in ps over trials [0, trials).
+
+    Shape (len(ps), steps), in O(TRIAL_BLOCK) memory.  Each block is
+    accumulated onto the running sums with the sums as its first row, so
+    the trials are added one at a time in trial order whatever the block
+    size.  For tables of two or more steps that is how the mean of the
+    whole rate table adds them, so the means are bit-identical to it.
+    ``ladder`` names the ladder in the error on a rate that is not finite.
+    """
+    sums = np.zeros((len(ps), len(d.table.steps)))
+    for block in _ladder_rates(d, q, scenario, ps, trials, seed, 0):
+        sums = np.add.accumulate(np.concatenate([sums[:, None], block], axis=1), axis=1)[:, -1]
+    _check_finite(sums, ladder)
+    return sums / trials
 
 
 def _check_descriptor_matches(d: SchemeDescriptor, q: QualityPair, scenario: Scenario) -> None:
@@ -209,16 +345,16 @@ def ergodic_rates(
     return _by_symbol(d, [float(v) for v in means])
 
 
-def _slope(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
-    """Least-squares slope, top-pair slope and max |residual| of y on x."""
+def _slopes(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares slope, top-pair slope and max |residual| of each column of y on x."""
     coeffs = np.polyfit(x, y, 1)
-    residual = float(np.max(np.abs(np.polyval(coeffs, x) - y)))
-    top = float((y[-1] - y[-2]) / (x[-1] - x[-2]))
-    return float(coeffs[0]), top, residual
+    residual = np.max(np.abs(np.polyval(coeffs, x[:, None]) - y), axis=0)
+    top = (y[-1] - y[-2]) / (x[-1] - x[-2])
+    return coeffs[0], top, residual
 
 
 def _headline(ls: float, top: float, residual: float) -> float:
-    return top if residual > RESIDUAL_FALLBACK else ls
+    return float(top if residual > RESIDUAL_FALLBACK else ls)
 
 
 def _db_key(snr_db: float) -> str:
@@ -305,32 +441,26 @@ def estimate_dof(
 
     payloads = d.table.payloads
     sym_rates: Dict[str, Dict[str, float]] = {sym_id: {} for sym_id, _ in payloads}
-    sums, users1, users2 = [], [], []
-    tables = _ladder_rates(d, q, scenario, ps, trials, seed, ladder=f"{ladder_db} dB")
-    for snr_db, table in zip(ladder, tables):
-        means = table.mean(axis=0)
+    per_point = []  # (sum, user1, user2) at each ladder point
+    means = _mean_rates(d, q, scenario, ps, trials, seed, ladder=f"{ladder_db} dB")
+    for snr_db, row in zip(ladder, means):
         # A payload delivers its worst decoder's rate once per frame of
         # len(SUBBANDS) equal-width subbands.
-        delivered = {sym_id: float(min(means[c] for c in columns)) / len(SUBBANDS)
+        delivered = {sym_id: float(min(row[c] for c in columns)) / len(SUBBANDS)
                      for sym_id, columns in payloads}
         for sym_id, r in delivered.items():
             sym_rates[sym_id][_db_key(snr_db)] = r
         u1, u2 = credit_users(d, delivered)
-        users1.append(u1)
-        users2.append(u2)
-        sums.append(u1 + u2)
+        per_point.append((u1 + u2, u1, u2))
 
-    x = np.log2(ps)
-    ls_sum, top_sum, res_sum = _slope(x, np.asarray(sums))
-    ls_u1, top_u1, res_u1 = _slope(x, np.asarray(users1))
-    ls_u2, top_u2, res_u2 = _slope(x, np.asarray(users2))
+    ls, top, res = _slopes(np.log2(ps), np.array(per_point))
     dof = {
-        "user1": _headline(ls_u1, top_u1, res_u1),
-        "user2": _headline(ls_u2, top_u2, res_u2),
-        "sum": _headline(ls_sum, top_sum, res_sum),
-        "residual": res_sum,
-        "sum_regression": ls_sum,
-        "sum_top_pair": top_sum,
+        "user1": _headline(ls[1], top[1], res[1]),
+        "user2": _headline(ls[2], top[2], res[2]),
+        "sum": _headline(ls[0], top[0], res[0]),
+        "residual": float(res[0]),
+        "sum_regression": float(ls[0]),
+        "sum_top_pair": float(top[0]),
     }
     return SimReport(
         scheme=d.name,

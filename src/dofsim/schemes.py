@@ -171,31 +171,34 @@ def _compile(d: "SchemeDescriptor") -> DecodeTable:
     whose symbol the step's user has not decoded in an earlier step.
     """
     index: Dict[Tuple[str, str], int] = {}
+    by_slot: Dict[str, List[Tuple[str, int]]] = {}  # (symbol id, instance), descriptor order
     for i, sym in enumerate(d.symbols):
         if index.setdefault((sym.id, sym.slot), i) != i:
             raise ValueError(f"duplicate instance of symbol {sym.id!r} in slot {sym.slot!r}")
+        by_slot.setdefault(sym.slot, []).append((sym.id, i))
     decoded: Dict[str, Dict[str, int]] = {u: {} for u in USERS}  # symbol -> step
     links: Dict[Tuple[int, str], int] = {}  # (instance, user) -> link index
     steps: List[Step] = []
     for step in d.decode_plan:
-        if step.user not in USERS:
-            raise ValueError(f"decode step names unknown user {step.user!r}")
-        target = index.get((step.symbol, step.slot))
+        user, symbol, slot = step.user, step.symbol, step.slot
+        if user not in USERS:
+            raise ValueError(f"decode step names unknown user {user!r}")
+        target = index.get((symbol, slot))
         if target is None:
             raise ValueError(
-                f"decode plan references {step.symbol!r} in slot {step.slot!r}, "
+                f"decode plan references {symbol!r} in slot {slot!r}, "
                 "which is not transmitted there"
             )
-        done = decoded[step.user]
-        if step.symbol in done:
-            raise ValueError(f"{step.user} decodes {step.symbol!r} twice")
-        signal = links.setdefault((target, step.user), len(links))
-        interference = tuple(
-            links.setdefault((i, step.user), len(links)) for (sym_id, slot), i in index.items()
-            if slot == step.slot and sym_id != step.symbol and sym_id not in done
-        )
-        done[step.symbol] = len(steps)
-        steps.append(Step(step.user, target, signal, interference))
+        done = decoded[user]
+        if symbol in done:
+            raise ValueError(f"{user} decodes {symbol!r} twice")
+        signal = links.setdefault((target, user), len(links))
+        interference = []
+        for sym_id, i in by_slot[slot]:
+            if sym_id != symbol and sym_id not in done:
+                interference.append(links.setdefault((i, user), len(links)))
+        done[symbol] = len(steps)
+        steps.append(Step(user, target, signal, tuple(interference)))
     payloads = tuple(
         (sym_id, tuple(decoded[u][sym_id] for u in USERS if sym_id in decoded[u]))
         for sym_id in d.payloads()

@@ -384,3 +384,10 @@ def test_measure_error_exponent_rejects_a_negative_seed(monkeypatch):
     monkeypatch.setattr(ch, "_sample_cells", None)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
         ch.measure_error_exponent(0.5, [1e2, 1e3], trials=10, seed=-3)
+
+
+def test_measure_error_exponent_where_the_ladder_points_skip_different_draws():
+    # The estimate draw is skipped at 1e4 and 1e5 but not at 1e18 (see
+    # test_sample_ladder_rows_equal_per_trial_draws); pinned to the value
+    # of the per-point sampler.
+    assert ch.measure_error_exponent(3e-18, [1e4, 1e5, 1e18], 200, 0) == -0.003263050109110934

@@ -321,3 +321,48 @@ def test_verify_stdout_bytes_golden(capsys):
         "[PASS] min-ratio-unmatched: min ratio 0.8003 at [(0.665, 0.665)]\n"
         "[PASS] min-ratio-matched: min ratio 0.6667 on beta + alpha = 1 (201 cells)\n"
     )
+
+
+def test_simulate_bytes_where_the_ladder_points_skip_different_draws(capsys):
+    """At alpha = 3e-18 the alpha cells' estimates have zero variance at 40
+    and 50 dB but not at 180 dB, so those points skip draws the top point
+    makes; the report is pinned to the bytes of the per-point sampler."""
+    assert cli.main(["simulate", "--scheme", "fdma", "--beta", "0.5", "--alpha", "3e-18",
+                     "--snr", "40,50,180", "--trials", "50"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "aa904606ea517f5da2904dc1278dc4bb3116c210ec5d443ce66016df6ac037af")
+    assert captured.err == "fdma: measured sum DoF 1.0086 (analytic 1.0000, fit residual 0.0094)\n"
+
+
+_ZERO_FORCE = "error: degenerate direction: cannot zero-force on a zero estimate\n"
+_NORMALISE = "error: degenerate direction: cannot normalise a zero estimate\n"
+
+
+# The first degenerate direction in decode-table link order names the error:
+# optimal-unmatched reads a zero-forced link first at (0, 0) and the aligned
+# u_0 first at (1, 0), where beta > alpha keeps u_0.
+@pytest.mark.parametrize("scheme,beta,alpha,err", [
+    ("zfbf", "0", "0", _ZERO_FORCE),
+    ("zfbf", "1", "0", _ZERO_FORCE),
+    ("s3", "0", "0", _NORMALISE),
+    ("s3", "1", "0", _NORMALISE),
+    ("optimal-unmatched", "0", "0", _ZERO_FORCE),
+    ("optimal-unmatched", "1", "0", _NORMALISE),
+])
+def test_simulate_refusals_at_alpha_zero(scheme, beta, alpha, err, capsys):
+    assert cli.main(["simulate", "--scheme", scheme, "--beta", beta, "--alpha", alpha,
+                     "--trials", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize("scheme", ["fdma", "matched-optimal"])
+@pytest.mark.parametrize("beta", ["0", "1"])
+def test_simulate_runs_at_alpha_zero(scheme, beta, capsys):
+    assert cli.main(["simulate", "--scheme", scheme, "--beta", beta, "--alpha", "0",
+                     "--trials", "20"]) == 0
+    captured = capsys.readouterr()
+    assert SimReport.from_json(captured.out).scheme == scheme
+    assert captured.err.startswith(f"{scheme}: measured sum DoF ")

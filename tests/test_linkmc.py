@@ -342,6 +342,83 @@ def test_estimate_dof_seeds_each_trial_once_for_the_ladder(monkeypatch):
     assert calls == [(2, 0, 5), (2, 5, 5), (2, 10, 2)]
 
 
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_each_trial_block_is_sampled_and_walked_once_for_the_whole_ladder(monkeypatch):
+    ch._check_seeding()
+    calls = []
+    for module, name in ((ch, "_trial_normals"), (ch, "_pairs_from_normals"),
+                         (mc, "_step_rates")):
+        _counting(monkeypatch, module, name, calls)
+    monkeypatch.setattr(mc, "TRIAL_BLOCK", 5)
+    monkeypatch.setattr(ch, "TRIAL_BLOCK", 5)
+    d = sch.optimal_unmatched_descriptor(Q)
+    mc.estimate_dof(d, Q, UNMATCHED, (40.0, 50.0, 60.0, 70.0, 80.0), trials=12, seed=2)
+    assert calls == ["_trial_normals", "_pairs_from_normals", "_step_rates"] * 3
+    calls.clear()
+    ch.measure_error_exponent(0.5, [1e2, 1e3, 1e4, 1e5], trials=12, seed=2)
+    assert calls == ["_trial_normals", "_pairs_from_normals"] * 3
+
+
+def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch):
+    d = sch.optimal_unmatched_descriptor(Q)
+    ladder, trials = (30.0, 40.0, 50.0), 30
+    whole = mc.estimate_dof(d, Q, UNMATCHED, ladder, trials, seed=5)
+    # The streamed means against the mean of the whole per-trial table.
+    for snr_db in ladder:
+        means = mc.trial_rates(d, Q, UNMATCHED, ch.db_to_linear(snr_db), trials,
+                               seed=5).mean(axis=0)
+        for sym_id, columns in d.table.payloads:
+            want = float(min(means[c] for c in columns)) / len(ch.SUBBANDS)
+            assert whole.rates[sym_id][mc._db_key(snr_db)] == want, (snr_db, sym_id)
+    monkeypatch.setattr(mc, "TRIAL_BLOCK", 7)
+    assert mc.estimate_dof(d, Q, UNMATCHED, ladder, trials, seed=5).to_json() == whole.to_json()
+
+
+def test_one_step_report_does_not_depend_on_the_block_size(monkeypatch):
+    # numpy sums a one-column table pairwise along the trials, so a mean
+    # reduced block by block would depend on where the blocks split.
+    full = sch.PowerTerm(1, 1.0)
+    d = sch.SchemeDescriptor(
+        "one-step", None, None,
+        (sch.SymbolSpec("x", "user1", "A", sch.basis_e1(), full, 1.0),
+         sch.SymbolSpec("x", "user1", "B", sch.basis_e1(), full, 1.0)),
+        (sch.DecodeStep("user1", "A", "x"),))
+    assert len(d.table.steps) == 1
+    whole = mc.estimate_dof(d, Q, UNMATCHED, (40.0, 50.0, 60.0), trials=300, seed=1)
+    monkeypatch.setattr(mc, "TRIAL_BLOCK", 7)
+    assert mc.estimate_dof(d, Q, UNMATCHED, (40.0, 50.0, 60.0), trials=300,
+                           seed=1).to_json() == whole.to_json()
+
+
+def test_estimate_dof_memory_does_not_grow_with_the_trial_count(monkeypatch):
+    import tracemalloc
+
+    d = sch.optimal_unmatched_descriptor(Q)
+    block, ladder = 256, (40.0, 50.0, 60.0)
+    monkeypatch.setattr(mc, "TRIAL_BLOCK", block)
+    mc.estimate_dof(d, Q, UNMATCHED, ladder, trials=block, seed=0)  # warm caches
+    peaks = []
+    for blocks in (2, 8):
+        tracemalloc.start()
+        mc.estimate_dof(d, Q, UNMATCHED, ladder, trials=block * blocks, seed=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # Holding the rate table would add a block's table per block (61 KB
+    # here).  The seeding's Python ints vary in size with their values, so
+    # the peak moves by ~1 KB from run to run.
+    table_per_block = len(ladder) * block * len(d.table.steps) * 8
+    assert abs(peaks[1] - peaks[0]) < table_per_block / 8, peaks
+
+
 def test_trial_rates_do_not_depend_on_the_block_size(monkeypatch):
     d = sch.s3_descriptor(Q)
     whole = mc.trial_rates(d, Q, UNMATCHED, 1e4, trials=10, seed=1)
