@@ -8,7 +8,6 @@ from .channel import (
     QualityPair,
     Scenario,
     db_to_linear,
-    linear_to_db,
     measure_error_exponent,
     sample_pair,
     sample_realization,
@@ -16,9 +15,7 @@ from .channel import (
     zf_direction,
 )
 from .linkmc import (
-    InstantRates,
     SimReport,
-    ergodic_rates,
     estimate_dof,
     received_power,
     sic_rates,

@@ -28,8 +28,8 @@ builds many trials at every point of an SNR ladder in one pass: each
 trial's normals are drawn once and rescaled along a ladder axis (common
 random numbers), so the vectors carry a leading ladder axis and then a
 trial axis.  Row t at ladder point k equals ``sample_realization(
-trial_rng(seed, start + t), q, scenario, ps[k])`` bit for bit;
-``sample_ladder`` gives the same cells as one realization per point.
+trial_rng(seed, start + t), q, scenario, ps[k])`` bit for bit, so
+``cells.true(u, s)[k]`` is the (trials, 2) array of one ladder point.
 ``zf_direction`` and ``unit`` work row by row on such arrays.
 """
 
@@ -102,10 +102,6 @@ def db_to_linear(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def linear_to_db(p: float) -> float:
-    return 10.0 * np.log10(p)
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent substream for one Monte Carlo trial.
 
@@ -121,6 +117,12 @@ def check_seed(seed) -> int:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return seed
+
+
+def check_snr(p) -> None:
+    """Raise ValueError unless the linear SNR p exceeds 1 (nan does not)."""
+    if not p > 1:
+        raise ValueError(f"linear SNR must exceed 1, got {p}")
 
 
 @dataclass(frozen=True)
@@ -182,38 +184,9 @@ def _words(n: int) -> List[int]:
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words (ints or uint32 arrays)."""
+    """SeedSequence's mix of two arrays of 32-bit words."""
     r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return r ^ (r >> 16)
-
-
-def _seed_pool(seed: int) -> Tuple[List[int], int]:
-    """SeedSequence's pool once the seed's words are mixed in, and the next hash constant.
-
-    A spawned SeedSequence zero-pads the seed's words to the pool size and
-    appends the spawn key's words, so this prefix is the same for every
-    trial of one seed.
-    """
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    h = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool, h
 
 
 def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
@@ -225,7 +198,15 @@ def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
     comes from PCG64's seeding step in Python ints and is set on one bit
     generator created for this call.
     """
-    pool, h = _seed_pool(check_seed(seed))
+    seed = check_seed(seed)
+    if start < 0:
+        raise ValueError(f"start must be a non-negative trial index, got {start}")
+    # A spawned SeedSequence zero-pads the seed's words to the pool size and
+    # appends the spawn key's words, so once the seed's words are mixed in
+    # its pool is SeedSequence(seed).pool, after 16 hashmix calls plus 4 per
+    # seed word past the fourth.
+    pool = np.random.SeedSequence(seed).pool
+    h = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, len(_words(seed)) - _POOL_SIZE))[-1]
     gen_consts = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint32)
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
@@ -238,7 +219,7 @@ def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
         n_words = len(_words(lo))
         hi = min(end, 1 << (32 * n_words))
         index = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
-        mixer = np.array(pool, dtype=np.uint32)[:, None]
+        mixer = pool[:, None]
         consts = np.array(_hash_constants(h, _MULT_A, _POOL_SIZE * n_words), dtype=np.uint32)
         for j in range(n_words):
             word = (index >> (32 * j) & _MASK32).astype(np.uint32)
@@ -278,8 +259,7 @@ def _variances(a: float, p: float) -> Tuple[float, float]:
     """Per-entry (estimate, error) variances of a cell with quality a at linear SNR p."""
     if not 0 <= a <= 1:
         raise ValueError(f"quality exponent must lie in [0, 1], got {a}")
-    if p <= 1:
-        raise ValueError(f"linear SNR must exceed 1, got {p}")
+    check_snr(p)
     sigma2 = float(p) ** (-float(a))
     return 1.0 - sigma2, sigma2
 
@@ -400,26 +380,6 @@ def sample_ladder_cells(
     """
     qualities = [scenario.quality(u, s, q) for u, s in _CELLS]
     return ChannelRealization(dict(zip(_CELLS, _sample_cells(seed, qualities, ps, trials, start))))
-
-
-def sample_ladder(
-    seed: int,
-    q: QualityPair,
-    scenario: Scenario,
-    ps: Sequence[float],
-    trials: int,
-    start: int = 0,
-) -> List[ChannelRealization]:
-    """``sample_ladder_cells`` as one realization per ladder point.
-
-    Vectors have shape (trials, 2) and are views of the ladder's cells.
-    """
-    cells = sample_ladder_cells(seed, q, scenario, ps, trials, start).pairs
-    return [
-        ChannelRealization({key: ChannelPair(pair.true[k], pair.estimate[k], pair.error[k])
-                            for key, pair in cells.items()})
-        for k in range(len(ps))
-    ]
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:

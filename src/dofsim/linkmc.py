@@ -1,12 +1,14 @@
-"""Monte Carlo link layer: instantaneous SIC rates and DoF slope estimates.
+"""Monte Carlo link layer: SIC step rates and DoF slope estimates.
 
 The decoder walks the descriptor's compiled table (``schemes.DecodeTable``),
 the one the static achievability check walks over exponents: it builds
 each precoder and each (symbol, user) received power once, then gives
 every decode step the rate log2(1 + S / (1 + I)), where I sums the powers
-the step has not cancelled.  Ergodic rates average those over per-trial
-substreams; the DoF estimate is the slope of the rate per channel use of
-the two-subband frame against log2(P) over an SNR ladder.
+the step has not cancelled.  Rates come as one array with a leading step
+axis in ``d.table.steps`` order; ``d.table.payloads`` names the steps
+that decode each payload, whose worst rate the payload delivers.  The DoF
+estimate is the slope of the mean delivered rate per channel use of the
+two-subband frame against log2(P) over an SNR ladder.
 
 The walk is elementwise over leading axes: the cells of
 ``channel.sample_ladder_cells`` carry a ladder axis and a trial axis, so
@@ -36,6 +38,7 @@ from .channel import (
     QualityPair,
     Scenario,
     check_seed,
+    check_snr,
     db_to_linear,
     sample_ladder_cells,
     unit,
@@ -178,8 +181,7 @@ def received_power(realization: ChannelRealization, sym: SymbolSpec, user: str, 
 
     Elementwise over any leading trial axis of the realization's vectors.
     """
-    if p <= 1:
-        raise ValueError(f"linear SNR must exceed 1, got {p}")
+    check_snr(p)
     return _link_powers(_ladder_axis(realization), (sym,), ((0, user),), [p])[0, 0]
 
 
@@ -198,42 +200,16 @@ def _step_rates(d: SchemeDescriptor, realization: ChannelRealization, ps: Sequen
     return np.log2(1.0 + powers[signal] / (1.0 + total))
 
 
-@dataclass(frozen=True)
-class InstantRates:
-    """Per-symbol rates, keyed by symbol id then decoding user.
-
-    A rate is a number, or an array with one entry per trial.
-    """
-
-    rates: Dict[str, Dict[str, float]]
-
-    def delivered(self, sym_id: str) -> float:
-        """Rate credited to a symbol: the worst of its designated decoders."""
-        return functools.reduce(np.minimum, self.rates[sym_id].values())
-
-
-def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) -> InstantRates:
+def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) -> np.ndarray:
     """Walk the decode table on one realization, or on a block of trials.
 
     At each step the target's received power S competes against unit noise
     plus the received powers I of all same-slot symbols that the step has
-    not cancelled.  Rates have the realization's leading trial axis, if any.
+    not cancelled.  Returns shape (steps, ...), steps in ``d.table.steps``
+    order, then the realization's leading trial axis, if any.
     """
-    if p <= 1:
-        raise ValueError(f"linear SNR must exceed 1, got {p}")
-    return _by_symbol(d, _step_rates(d, _ladder_axis(realization), [p])[:, 0])
-
-
-def _by_symbol(d: SchemeDescriptor, per_step: Sequence) -> InstantRates:
-    rates: Dict[str, Dict[str, float]] = {}
-    for (sym_id, user), rate in zip(rate_cells(d), per_step):
-        rates.setdefault(sym_id, {})[user] = rate
-    return InstantRates(rates)
-
-
-def rate_cells(d: SchemeDescriptor) -> List[Tuple[str, str]]:
-    """(symbol, decoding user) of each rate-table column: one per decode step, in plan order."""
-    return [(d.symbols[step.target].id, step.user) for step in d.table.steps]
+    check_snr(p)
+    return _step_rates(d, _ladder_axis(realization), [p])[:, 0]
 
 
 def trial_rates(
@@ -247,7 +223,7 @@ def trial_rates(
 ) -> np.ndarray:
     """Rate table for trials [start, start + trials), one row per trial.
 
-    Columns follow ``rate_cells(d)``.  Row t depends only on (seed,
+    Columns follow ``d.table.steps``.  Row t depends only on (seed,
     start + t), so disjoint ranges computed separately concatenate into
     exactly the array a single full run would produce.  Raises ValueError
     if a rate is not finite (the received powers overflowed).
@@ -330,19 +306,6 @@ def _check_descriptor_matches(d: SchemeDescriptor, q: QualityPair, scenario: Sce
             f"descriptor {d.name!r} was built for beta={d.quality.beta}, "
             f"alpha={d.quality.alpha}; simulation asked for beta={q.beta}, alpha={q.alpha}"
         )
-
-
-def ergodic_rates(
-    d: SchemeDescriptor,
-    q: QualityPair,
-    scenario: Scenario,
-    p: float,
-    trials: int,
-    seed: int = 0,
-) -> InstantRates:
-    """Mean per-symbol rates over independent trials (same layout as sic_rates)."""
-    means = trial_rates(d, q, scenario, p, trials, seed).mean(axis=0)
-    return _by_symbol(d, [float(v) for v in means])
 
 
 def _slopes(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -249,9 +249,6 @@ class SchemeDescriptor:
 
     # -- accessors ---------------------------------------------------------
 
-    def instances_in(self, slot_id: str) -> List[SymbolSpec]:
-        return [s for s in self.symbols if s.slot == slot_id]
-
     def payloads(self) -> Dict[str, SymbolSpec]:
         """First instance of each payload, keyed by symbol id, in order of first appearance.
 
@@ -262,39 +259,6 @@ class SchemeDescriptor:
             out.setdefault(s.id, s)
         return out
 
-    def to_dict(self) -> dict:
-        """JSON-ready description (symbols, decode plan)."""
-        return {
-            "name": self.name,
-            "scenario": self.scenario,
-            "beta": None if self.quality is None else float(self.quality.beta),
-            "alpha": None if self.quality is None else float(self.quality.alpha),
-            "symbols": [
-                {
-                    "id": s.id,
-                    "owner": s.owner,
-                    "slot": s.slot,
-                    "precoder": {
-                        "kind": s.precoder.kind,
-                        "user": s.precoder.user,
-                        "subband": s.precoder.subband,
-                    },
-                    "power": {
-                        "coeff": [s.power.coeff.numerator, s.power.coeff.denominator],
-                        "hi": s.power.hi,
-                        "lo": s.power.lo,
-                    },
-                    "rate_exponent": s.rate_exponent,
-                }
-                for s in self.symbols
-            ],
-            "decode_plan": [
-                {"user": st.user, "slot": st.slot, "symbol": st.symbol}
-                for st in self.decode_plan
-            ],
-            "common_split": dict(self.common_split),
-        }
-
 
 def power_ledger(d: SchemeDescriptor, slot_id: str) -> Dict[float, Fraction]:
     """Net (exponent -> coefficient) map of one slot's transmit power.
@@ -303,7 +267,7 @@ def power_ledger(d: SchemeDescriptor, slot_id: str) -> Dict[float, Fraction]:
     to {1.0: 1}, i.e. the terms telescope to P for every P.
     """
     acc: Dict[float, Fraction] = {}
-    for sym in d.instances_in(slot_id):
+    for sym in (s for s in d.symbols if s.slot == slot_id):
         for exponent, coeff in sym.power.ledger():
             acc[exponent] = acc.get(exponent, Fraction(0)) + coeff
     return {e: c for e, c in acc.items() if c != 0}

@@ -49,7 +49,7 @@ def test_scenario_validation():
 
 def test_db_conversions():
     assert ch.db_to_linear(40.0) == pytest.approx(1e4)
-    assert ch.linear_to_db(1e4) == pytest.approx(40.0)
+    assert ch.db_to_linear(-10.0) == pytest.approx(0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +79,8 @@ def test_sample_pair_validation():
         ch.sample_pair(rng, 1.1, 100.0)
     with pytest.raises(ValueError):
         ch.sample_pair(rng, 0.5, 1.0)
+    with pytest.raises(ValueError, match="linear SNR must exceed 1, got nan"):
+        ch.sample_pair(rng, 0.5, float("nan"))
 
 
 def _sample_pairs(rng, a, p, n):
@@ -284,20 +286,19 @@ def _assert_realizations_equal(batch, row, single):
 ])
 def test_sample_ladder_rows_equal_per_trial_draws(q, scenario, ladder):
     seed, start, trials = 21, 5, 7
-    batch = ch.sample_ladder(seed, q, scenario, ladder, trials, start)
-    assert len(batch) == len(ladder)
-    for realization, p in zip(batch, ladder):
-        assert realization.true("user1", "A").shape == (trials, 2)
+    cells = ch.sample_ladder_cells(seed, q, scenario, ladder, trials, start)
+    assert cells.true("user1", "A").shape == (len(ladder), trials, 2)
+    for k, p in enumerate(ladder):
         for t in range(trials):
             single = ch.sample_realization(ch.trial_rng(seed, start + t), q, scenario, p)
-            _assert_realizations_equal(realization, t, single)
+            _assert_realizations_equal(cells, (k, t), single)
 
 
 def test_sample_ladder_skips_zero_variance_estimates():
     q = ch.QualityPair(0.8, 0.0)
-    (r,) = ch.sample_ladder(3, q, ch.UNMATCHED, (1e4,), 4)
-    assert np.all(r.estimate("user1", "B") == 0) and np.all(r.estimate("user2", "A") == 0)
-    assert np.all(r.estimate("user1", "A") != 0)
+    r = ch.sample_ladder_cells(3, q, ch.UNMATCHED, (1e4,), 4)
+    assert np.all(r.estimate("user1", "B")[0] == 0) and np.all(r.estimate("user2", "A")[0] == 0)
+    assert np.all(r.estimate("user1", "A")[0] != 0)
 
 
 def test_sample_ladder_seeds_each_trial_once(monkeypatch):
@@ -310,16 +311,18 @@ def test_sample_ladder_seeds_each_trial_once(monkeypatch):
         return real(seed, start, trials, k)
 
     monkeypatch.setattr(ch, "_trial_normals", counting)
-    ch.sample_ladder(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3, 1e4, 1e5), 6, start=2)
+    ch.sample_ladder_cells(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3, 1e4, 1e5), 6,
+                           start=2)
     assert calls == [(0, 2, 6)]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 5, 2**70 + 3])
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 5, 2**70 + 3, 2**130 + 7, 2**300 - 1])
 @pytest.mark.parametrize("start", [0, 12345, 2**32 - 3, 2**64 - 3])
 @pytest.mark.parametrize("trials", [1, 300])
 def test_trial_normals_equal_trial_rng_streams(seed, start, trials):
     # With 300 trials, 2**32 - 3 crosses from one-word to two-word spawn
-    # keys and 2**64 - 3 from two words to three.
+    # keys and 2**64 - 3 from two words to three.  Seeds of more than four
+    # words mix their words past the fourth into the pool one at a time.
     got = ch._trial_normals(seed, start, trials, 16)
     assert got.shape == (trials, 16)
     for t in range(trials):
@@ -329,6 +332,12 @@ def test_trial_normals_equal_trial_rng_streams(seed, start, trials):
 def test_trial_normals_reject_a_negative_seed():
     with pytest.raises(ValueError, match="non-negative"):
         ch._trial_normals(-1, 0, 3, 16)
+
+
+def test_sample_ladder_cells_rejects_a_negative_start():
+    with pytest.raises(ValueError, match="start must be a non-negative trial index, got -1"):
+        ch.sample_ladder_cells(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3, 1e4), 3,
+                               start=-1)
 
 
 def test_seeding_check_raises_on_a_different_stream(monkeypatch):

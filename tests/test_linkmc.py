@@ -1,6 +1,9 @@
 """Monte Carlo link level: received powers, SIC walks, ergodic rates and
 DoF slope estimation.
 
+Rates are arrays with one column (or leading row) per decode step, in
+``d.table.steps`` order; ``_column`` finds the step of a (symbol, user).
+
 The FDMA ergodic reference values below come from the closed form
 E log2(1 + |h|^2 p) = e^(1/p) E1(1/p) / ln 2 for |h|^2 ~ Exp(1), evaluated
 independently (scipy.special.exp1 and numerical quadrature agree):
@@ -24,6 +27,15 @@ FDMA_ERGODIC_40DB = 12.456356
 
 def _instance(d, sym_id, slot):
     return next(s for s in d.symbols if (s.id, s.slot) == (sym_id, slot))
+
+
+def _steps(d):
+    """(symbol, decoding user) of each decode step, in ``d.table.steps`` order."""
+    return [(d.symbols[step.target].id, step.user) for step in d.table.steps]
+
+
+def _column(d, sym_id, user):
+    return _steps(d).index((sym_id, user))
 
 
 def _manual_realization():
@@ -65,8 +77,9 @@ def test_received_power_zf_symbol_exact():
 def test_received_power_requires_snr_above_one():
     r = _manual_realization()
     x_a = _instance(sch.fdma_descriptor(), "x_A", "A")
-    with pytest.raises(ValueError):
-        mc.received_power(r, x_a, "user1", 1.0)
+    for p in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="linear SNR must exceed 1"):
+            mc.received_power(r, x_a, "user1", p)
 
 
 def test_zf_leakage_mean_is_half():
@@ -89,17 +102,18 @@ def test_zf_leakage_mean_is_half():
 def test_sic_fdma_rate_is_single_user_formula():
     r = _manual_realization()
     p = 1e4
-    inst = mc.sic_rates(sch.fdma_descriptor(), r, p)
-    assert inst.rates["x_A"]["user1"] == pytest.approx(np.log2(1 + 4.0 * p), rel=1e-12)
-    assert inst.rates["x_B"]["user2"] == pytest.approx(np.log2(1 + 1.0 * p), rel=1e-12)
-    assert inst.delivered("x_A") == inst.rates["x_A"]["user1"]
+    d = sch.fdma_descriptor()
+    x_a, x_b = mc.sic_rates(d, r, p)
+    assert x_a == pytest.approx(np.log2(1 + 4.0 * p), rel=1e-12)
+    assert x_b == pytest.approx(np.log2(1 + 1.0 * p), rel=1e-12)
+    assert d.table.payloads == (("x_A", (0,)), ("x_B", (1,)))
 
 
 def test_sic_u0_step_matches_hand_computed_sinr():
     p = 10 ** 4.5
     realization = ch.sample_realization(ch.trial_rng(8, 0), Q, UNMATCHED, p)
     d = sch.optimal_unmatched_descriptor(Q)
-    inst = mc.sic_rates(d, realization, p)
+    rates = mc.sic_rates(d, realization, p)
 
     h = realization.true("user1", "A")
     g_est = realization.estimate("user2", "A")
@@ -110,7 +124,7 @@ def test_sic_u0_step_matches_hand_computed_sinr():
         + abs(np.vdot(h, ch.zf_direction(h_est))) ** 2 * p**0.8 / 2
     )
     want = np.log2(1 + signal / (1 + interference))
-    assert inst.rates["u_0"]["user1"] == pytest.approx(want, rel=1e-12)
+    assert rates[_column(d, "u_0", "user1")] == pytest.approx(want, rel=1e-12)
 
 
 def test_sic_cancellation_never_hurts():
@@ -126,20 +140,31 @@ def test_sic_cancellation_never_hurts():
             noise = sum(mc.received_power(r, s, st.user, p) for s in d.symbols
                         if s.slot == st.slot and s is not target)
             floor = np.log2(1 + mc.received_power(r, target, st.user, p) / (1 + noise))
-            assert with_sic.rates[st.symbol][st.user] >= floor - 1e-12
+            assert with_sic[_column(d, st.symbol, st.user)] >= floor - 1e-12
+
+
+def test_sic_rates_require_snr_above_one():
+    for p in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="linear SNR must exceed 1"):
+            mc.sic_rates(sch.fdma_descriptor(), _manual_realization(), p)
 
 
 def test_delivered_rate_is_worst_decoder():
-    inst = mc.InstantRates({"xc": {"user1": 3.0, "user2": 2.5}})
-    assert inst.delivered("xc") == 2.5
+    # Both users decode the common symbol, so its payload reads both their
+    # steps; a report credits the minimum over a payload's steps.
+    d = sch.optimal_unmatched_descriptor(Q)
+    columns = dict(d.table.payloads)["xc_A"]
+    assert sorted(columns) == sorted(_column(d, "xc_A", user) for user in ch.USERS)
 
 
-def test_rate_cells_enumeration():
-    assert mc.rate_cells(sch.fdma_descriptor()) == [("x_A", "user1"), ("x_B", "user2")]
-    cells = mc.rate_cells(sch.optimal_unmatched_descriptor(Q))
+def test_rate_columns_follow_the_decode_steps():
+    assert _steps(sch.fdma_descriptor()) == [("x_A", "user1"), ("x_B", "user2")]
+    d = sch.optimal_unmatched_descriptor(Q)
+    cells = _steps(d)
     assert cells.count(("u_0", "user1")) == 1 and cells.count(("u_0", "user2")) == 1
     assert ("xc_A", "user1") in cells and ("xc_A", "user2") in cells
     assert ("u_A", "user2") not in cells
+    assert mc.trial_rates(d, Q, UNMATCHED, 1e3, trials=2).shape == (2, len(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +188,25 @@ def test_trial_rates_validation():
         mc.trial_rates(d, Q, MATCHED, 1e3, trials=1)
     with pytest.raises(ValueError, match="beta"):
         mc.trial_rates(d, QualityPair(0.9, 0.5), UNMATCHED, 1e3, trials=1)
+    with pytest.raises(ValueError, match="linear SNR must exceed 1, got nan"):
+        mc.trial_rates(d, Q, UNMATCHED, float("nan"), trials=1)
+    with pytest.raises(ValueError, match="start must be a non-negative trial index, got -2"):
+        mc.trial_rates(d, Q, UNMATCHED, 1e3, trials=3, start=-2)
 
 
 def test_ergodic_rates_reproducible():
     d = sch.s3_descriptor(Q)
-    a = mc.ergodic_rates(d, Q, UNMATCHED, 1e3, trials=40, seed=4)
-    b = mc.ergodic_rates(d, Q, UNMATCHED, 1e3, trials=40, seed=4)
-    assert a.rates == b.rates
+    a = mc.trial_rates(d, Q, UNMATCHED, 1e3, trials=40, seed=4).mean(axis=0)
+    b = mc.trial_rates(d, Q, UNMATCHED, 1e3, trials=40, seed=4).mean(axis=0)
+    assert np.array_equal(a, b)
 
 
 def test_fdma_ergodic_matches_closed_form():
     d = sch.fdma_descriptor()
-    erg = mc.ergodic_rates(d, Q, UNMATCHED, ch.db_to_linear(40.0), trials=20_000, seed=0)
-    assert erg.rates["x_A"]["user1"] == pytest.approx(FDMA_ERGODIC_40DB, abs=0.05)
-    assert erg.rates["x_B"]["user2"] == pytest.approx(FDMA_ERGODIC_40DB, abs=0.05)
+    x_a, x_b = mc.trial_rates(d, Q, UNMATCHED, ch.db_to_linear(40.0), trials=20_000,
+                              seed=0).mean(axis=0)
+    assert x_a == pytest.approx(FDMA_ERGODIC_40DB, abs=0.05)
+    assert x_b == pytest.approx(FDMA_ERGODIC_40DB, abs=0.05)
 
 
 def test_zfbf_perfect_csit_rate_offset():
@@ -185,9 +215,10 @@ def test_zfbf_perfect_csit_rate_offset():
     q = QualityPair(1.0, 1.0)
     d = sch.zfbf_descriptor(q, UNMATCHED)
     p = 1e4
-    erg = mc.ergodic_rates(d, q, UNMATCHED, p, trials=800, seed=3)
-    for sym in ("u_A", "v_A", "u_B", "v_B"):
-        assert abs(erg.delivered(sym) - np.log2(p / 2)) < 1.5, sym
+    means = mc.trial_rates(d, q, UNMATCHED, p, trials=800, seed=3).mean(axis=0)
+    for sym, columns in d.table.payloads:
+        assert abs(min(means[c] for c in columns) - np.log2(p / 2)) < 1.5, sym
+    assert [sym for sym, _ in d.table.payloads] == ["u_A", "v_A", "u_B", "v_B"]
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +274,10 @@ def test_report_rates_are_duration_weighted_delivered_rates():
     trials = 30
     # Standalone ergodic run at 30 dB must reappear as the report's 30 dB
     # column (common random numbers: the ladder reuses the same substreams).
-    erg = mc.ergodic_rates(d, Q, UNMATCHED, ch.db_to_linear(30.0), trials=trials, seed=12)
+    means = mc.trial_rates(d, Q, UNMATCHED, ch.db_to_linear(30.0), trials, seed=12).mean(axis=0)
     per_use = {
-        sym_id: erg.delivered(sym_id) / len(ch.SUBBANDS) for sym_id in d.payloads()
+        sym_id: min(means[c] for c in columns) / len(ch.SUBBANDS)
+        for sym_id, columns in d.table.payloads
     }
     report = mc.estimate_dof(d, Q, UNMATCHED, (20.0, 30.0, 40.0), trials=trials, seed=12)
     for sym, value in per_use.items():
@@ -278,12 +310,9 @@ def test_trial_rates_rows_match_per_trial_walk(scheme, scenario):
     q, p, seed, start, trials = QualityPair(0.9, 0.4), 1e5, 13, 3, 25
     d = sch.build_descriptor(scheme, q, scenario)
     table = mc.trial_rates(d, q, scenario, p, trials, seed=seed, start=start)
-    cells = mc.rate_cells(d)
     for t in range(trials):
         r = ch.sample_realization(ch.trial_rng(seed, start + t), q, scenario, p)
-        inst = mc.sic_rates(d, r, p)
-        want = np.array([inst.rates[s][u] for s, u in cells])
-        np.testing.assert_array_max_ulp(table[t], want, maxulp=2)
+        np.testing.assert_array_max_ulp(table[t], mc.sic_rates(d, r, p), maxulp=2)
 
 
 def _differential_pairs():
@@ -317,7 +346,7 @@ def test_step_slopes_match_the_audit_exponents(scheme, scenario):
         d = sch.build_descriptor(scheme, q, scenario)
         report = sch.static_achievability_check(d)
         # MC rate columns and audit steps are the same list: the decode table's.
-        assert mc.rate_cells(d) == [(st.symbol, st.user) for st in report]
+        assert _steps(d) == [(st.symbol, st.user) for st in report]
         means = np.array([mc.trial_rates(d, q, scenario, p, 2000, seed=0).mean(axis=0)
                           for p in ps])
         slopes = np.polyfit(np.log2(ps), means, 1)[0]
@@ -440,7 +469,7 @@ def test_estimate_dof_rejects_rates_that_overflow():
                         trials=20, seed=0)
 
 
-@pytest.mark.parametrize("rates", [mc.trial_rates, mc.ergodic_rates])
+@pytest.mark.parametrize("rates", [mc.trial_rates])
 def test_rates_that_overflow_raise_in_every_entry_point(rates):
     # A linear SNR of 1e308 overflows the received powers of trial 1.
     with pytest.raises(ValueError, match=r"SNR ladder \[1e\+308\] \(linear\) overflows"):
@@ -452,18 +481,3 @@ def test_estimate_dof_rejects_a_negative_seed(monkeypatch):
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
         mc.estimate_dof(sch.fdma_descriptor(), Q, UNMATCHED, (40.0, 50.0, 60.0),
                         trials=5, seed=-3)
-
-
-def test_traced_functions_still_resolve(monkeypatch):
-    """The benchmark's per-layer trace wraps functions by their module path
-    (``linkmc.trial_rng``, ``linkmc.zf_direction``, ...); each must exist."""
-    from pathlib import Path
-
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import spec
-    import tracing
-
-    for _, targets, _ in spec.TRACED:
-        for target in targets:
-            owner, attr = tracing._resolve(target)
-            assert callable(getattr(owner, attr)), target

@@ -1,7 +1,6 @@
 """Scheme descriptors: power allocations, decode plans, analytic DoF,
 and the static exponent-ladder achievability check."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -84,9 +83,13 @@ def test_symbol_spec_validation():
 # the reference descriptor (beta, alpha) = (0.8, 0.5)
 
 
+def _in_slot(d, slot):
+    return [s for s in d.symbols if s.slot == slot]
+
+
 def test_optimal_unmatched_slot_a_power_ladder():
     d = sch.optimal_unmatched_descriptor(Q)
-    by_id = {s.id: s for s in d.instances_in("A")}
+    by_id = {s.id: s for s in _in_slot(d, "A")}
     assert set(by_id) == {"xc_A", "u_A", "u_0", "v_A"}
     assert (by_id["xc_A"].power.hi, by_id["xc_A"].power.lo) == (1.0, 0.8)
     assert by_id["xc_A"].power.coeff == 1
@@ -111,7 +114,7 @@ def test_optimal_unmatched_precoders_and_repetition():
     pre = {s.slot: s.precoder for s in u0}
     assert (pre["A"].kind, pre["A"].user, pre["A"].subband) == ("aligned", "user2", "A")
     assert (pre["B"].kind, pre["B"].user, pre["B"].subband) == ("aligned", "user1", "B")
-    in_a = {s.id: s for s in d.instances_in("A")}
+    in_a = {s.id: s for s in _in_slot(d, "A")}
     assert in_a["u_A"].precoder == sch.zf_orth("user2", "A")
     assert in_a["v_A"].precoder == sch.zf_orth("user1", "A")
     assert in_a["xc_A"].precoder == sch.basis_e1()
@@ -151,8 +154,8 @@ def test_optimal_unmatched_decode_order_and_cancellation():
 def test_matched_descriptor_reference_point():
     d = sch.matched_descriptor(Q)
     assert len(d.symbols) == 6
-    a = {s.id: s for s in d.instances_in("A")}
-    b = {s.id: s for s in d.instances_in("B")}
+    a = {s.id: s for s in _in_slot(d, "A")}
+    b = {s.id: s for s in _in_slot(d, "B")}
     assert (a["xc_A"].power.hi, a["xc_A"].power.lo) == (1.0, 0.8)
     assert a["u_A"].power == sch.PowerTerm(Fraction(1, 2), 0.8)
     assert a["v_A"].rate_exponent == pytest.approx(0.8)
@@ -166,7 +169,7 @@ def test_power_identity_symbolic_and_numeric():
         for slot in SUBBANDS:
             assert sch.power_ledger(d, slot) == {1.0: Fraction(1)}, (name, slot)
             for p in (10.0, 1e4):
-                total = sum(s.power.value(p) for s in d.instances_in(slot))
+                total = sum(s.power.value(p) for s in _in_slot(d, slot))
                 assert total == pytest.approx(p, rel=1e-12), (name, slot, p)
 
 
@@ -517,22 +520,3 @@ def test_static_margins_hold_everywhere(x, y):
     for name, build in ALL_BUILDERS:
         for step in sch.static_achievability_check(build(q)):
             assert step.margin >= -1e-12, (name, q, step)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_to_dict_is_json_ready_and_complete():
-    d = sch.optimal_unmatched_descriptor(Q)
-    doc = json.loads(json.dumps(d.to_dict()))
-    assert doc["name"] == "optimal-unmatched"
-    assert doc["scenario"] == "unmatched"
-    assert doc["beta"] == 0.8 and doc["alpha"] == 0.5
-    assert len(doc["symbols"]) == len(d.symbols)
-    u0 = [s for s in doc["symbols"] if s["id"] == "u_0"]
-    assert len(u0) == 2
-    assert u0[0]["power"]["coeff"] == [1, 2]
-    assert doc["common_split"] == {"xc_A": 1.0, "xc_B": 0.0}
-    assert len(doc["decode_plan"]) == len(d.decode_plan)
-    assert doc["decode_plan"][0] == {"user": "user1", "slot": "A", "symbol": "xc_A"}
