@@ -17,9 +17,14 @@ Randomness is drawn from per-trial substreams: ``trial_rng(seed, t)`` is a
 pure function of the master seed and the trial index, so runs are
 bit-reproducible and results do not depend on how trials are partitioned
 across workers.  ``trial_rng`` defines the contract; the batched sampler
-reproduces its streams without building one ``SeedSequence`` per trial
-(``_trial_normals``): it runs SeedSequence's 32-bit hash over a whole
-array of trial indices and re-seeds a single PCG64 by setting its state.
+(``_trial_normals``) reproduces its streams a block of trials at a time in
+array passes.  It runs SeedSequence's 32-bit hash over the trial indices,
+jumps each PCG64 stream ahead in closed form (the 128-bit LCG state after
+n steps is affine in the seeded state) to every raw word, and applies the
+fast path of numpy's ziggurat, with tables read back from numpy once per
+process.  A trial with a draw that path rejects is resumed by numpy from
+the state before that draw.  A once-per-process check compares a fixed
+block, with both kinds of trial, against ``trial_rng``.
 
 One trial's cells are built from one ``standard_normal`` draw in a fixed
 layout (``_pairs_from_normals``).  ``sample_pair`` and
@@ -39,7 +44,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -120,9 +125,11 @@ def check_seed(seed) -> int:
 
 
 def check_snr(p) -> None:
-    """Raise ValueError unless the linear SNR p exceeds 1 (nan does not)."""
+    """Raise ValueError unless the linear SNR p is finite and exceeds 1 (nan does not)."""
     if not p > 1:
         raise ValueError(f"linear SNR must exceed 1, got {p}")
+    if p == math.inf:
+        raise ValueError(f"linear SNR must be finite, got {p}")
 
 
 @dataclass(frozen=True)
@@ -156,21 +163,26 @@ class ChannelRealization:
 TRIAL_BLOCK = 4096
 
 # Constants of numpy's SeedSequence (hashmix, mix, generate_state) and of
-# PCG64's seeding step, which ``_trial_normals`` reproduces.
+# PCG64's LCG, which ``_trial_normals`` reproduces.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_CHUNK_DRAWS = 1 << 14  # per array pass of ``_fill_normals``, to stay in cache
 
 
-def _hash_constants(h: int, mult: int, n: int) -> List[int]:
-    """h and the n hash constants that follow it, each the last times mult."""
+@functools.cache
+def _hash_constants(h: int, mult: int, n: int) -> np.ndarray:
+    """h and the n hash constants that follow it, each the last times mult (read-only uint32)."""
     out = [h]
     for _ in range(n):
         out.append(out[-1] * mult & _MASK32)
+    out = np.array(out, dtype=np.uint32)
+    out.flags.writeable = False
     return out
 
 
@@ -189,14 +201,109 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
+def _pcg64_setter() -> Callable[[int, int], np.random.Generator]:
+    """A new PCG64 generator, behind a function that sets its (state, inc) and returns it."""
+    gen, inner = np.random.Generator(np.random.PCG64(0)), {}
+    full = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+
+    def set_state(state: int, inc: int) -> np.random.Generator:
+        inner["state"], inner["inc"] = state, inc
+        gen.bit_generator.state = full
+        return gen
+
+    return set_state
+
+
+@functools.cache
+def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables wi and ki, signed and indexed by r & 0x1ff.
+
+    A raw word r gives the layer r & 0xff, the sign (bit 8) and rabs (bits
+    9..60); numpy returns +-rabs * wi[layer] if rabs < ki[layer], else it
+    takes its slow path.  With inc = -r * MULT the state (r - inc) / MULT
+    outputs r (the stepped state r has high word 0: no rotation), and after
+    a fast-path draw the next raw output is 0.  wi[layer] is the normal
+    drawn for rabs = 1; ki, a lower bound on numpy's, is floor(2**52 *
+    wi[layer - 1] / wi[layer] * (1 - 1e-9)) if rabs = ki - 1 takes the
+    fast path, else binary-searched.
+    """
+    inverse, set_state = pow(_PCG64_MULT, -1, 1 << 128), _pcg64_setter()
+
+    def draw(layer: int, rabs: int) -> Tuple[float, bool]:
+        word = rabs << 9 | layer
+        inc = -word * _PCG64_MULT & _MASK128
+        gen = set_state((word - inc) * inverse & _MASK128, inc)
+        return gen.standard_normal(), gen.bit_generator.random_raw() == 0
+
+    wi = [draw(layer, 1)[0] for layer in range(256)]
+    ki = []
+    for layer in range(256):
+        guess = min(max(int(2**52 * wi[layer - 1] / wi[layer] * (1 - 1e-9)), 0), 2**52)
+        if guess and not draw(layer, guess - 1)[1]:
+            lo, hi = 0, guess - 1  # numpy's ki lies in [lo, hi]; try 0 first (layer 1)
+            while lo < hi:
+                mid = (lo + hi + 1) // 2 if lo else 1
+                lo, hi = (mid, hi) if draw(layer, mid - 1)[1] else (lo, mid - 1)
+            guess = lo
+        ki.append(guess)
+    wi, ki = np.array(wi), np.array(ki, dtype=np.int64)
+    return np.concatenate([wi, -wi]), np.concatenate([ki, ki])
+
+
+@functools.cache
+def _jumps(k: int) -> Tuple[np.ndarray, ...]:
+    """(high, low, low & 0xffffffff, low >> 32) of A (row 0) and B (row 1), each (2, k + 1, 1).
+
+    From PCG64's seeded state u * MULT + inc, the state before draw n is
+    u * A + inc * B mod 2**128, with A = MULT**(n + 1), B = 1 + ... + MULT**n.
+    """
+    a, b, rows = _PCG64_MULT, 1, []
+    for _ in range(k + 1):
+        rows.append((a, b))
+        a, b = a * _PCG64_MULT & _MASK128, (b * _PCG64_MULT + 1) & _MASK128
+    c = np.array(rows, dtype=object).T[:, :, None]
+    lo = c & _MASK64
+    return tuple(np.array(x, dtype=np.uint64) for x in (c >> 64, lo, lo & _MASK32, lo >> 32))
+
+
+def _fill_normals(z: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+                  set_state: Callable[[int, int], np.random.Generator]) -> None:
+    """Row t of z: the first normals of the PCG64 stream with (u, inc) = (hi, lo)[:, t].
+
+    Each state u * A + inc * B is computed on uint64 halves (the high word
+    of a low-by-low product from 32-bit limbs) and gives its XSL-RR output.
+    Fast-path draws are +-rabs * wi[layer]; a row with a rejected draw is
+    finished by numpy, on its own slow path, from the state before it.
+    """
+    a_hi, a_lo, a0, a1 = _jumps(z.shape[1])
+    hi, lo = hi[:, None], lo[:, None]
+    x0, x1 = lo & _MASK32, lo >> 32
+    p00, p01, p10, p_lo = a0 * x0, a1 * x0, a0 * x1, a_lo * lo
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    p_hi = a1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a_hi * lo + a_lo * hi
+    s_lo = p_lo[0] + p_lo[1]
+    s_hi = p_hi[0] + p_hi[1] + (s_lo < p_lo[1])
+    x, rot = s_hi[1:] ^ s_lo[1:], s_hi[1:] >> 58
+    words = x >> rot | x << (64 - rot)  # numpy shifts by 64 to 0
+    wi, ki = _ziggurat()
+    layer = (words & 0x1FF).view(np.int64)
+    rabs = (words >> 9 & (1 << 52) - 1).view(np.int64)
+    np.multiply(rabs, wi.take(layer), out=z.T)
+    rejected = rabs >= ki.take(layer)
+    rows = np.flatnonzero(rejected.any(axis=0))
+    first = rejected[:, rows].argmax(axis=0)
+    halves = np.stack([s_hi[first, rows], s_lo[first, rows], hi[1, 0, rows], lo[1, 0, rows]])
+    for t, j, s1, s0, i1, i0 in zip(rows.tolist(), first.tolist(), *halves.tolist()):
+        set_state(s1 << 64 | s0, i1 << 64 | i0).standard_normal(out=z[t, j:])
+
+
 def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
     """k standard normals per trial: row t is ``trial_rng(seed, start + t).standard_normal(k)``.
 
     The spawn-key words of trials [start, start + trials) go through
     SeedSequence's hash as uint32 arrays, one row per pool word, and
-    ``generate_state(4, uint64)`` follows.  Each trial's PCG64 state then
-    comes from PCG64's seeding step in Python ints and is set on one bit
-    generator created for this call.
+    ``generate_state(4, uint64)`` follows.  PCG64's seeding step gives
+    each trial's u and inc, and ``_fill_normals`` draws a chunk at a time.
     """
     seed = check_seed(seed)
     if start < 0:
@@ -206,13 +313,9 @@ def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
     # its pool is SeedSequence(seed).pool, after 16 hashmix calls plus 4 per
     # seed word past the fourth.
     pool = np.random.SeedSequence(seed).pool
-    h = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, len(_words(seed)) - _POOL_SIZE))[-1]
-    gen_consts = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint32)
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    inner = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    z = np.empty((trials, k))
+    h = int(_hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, len(_words(seed)) - _POOL_SIZE))[-1])
+    gen_consts = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    states = [np.empty((4, 0), dtype=np.uint64)]
     lo, end = start, start + trials
     while lo < end:
         # Trials whose spawn key has the same number of words.
@@ -220,7 +323,7 @@ def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
         hi = min(end, 1 << (32 * n_words))
         index = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
         mixer = pool[:, None]
-        consts = np.array(_hash_constants(h, _MULT_A, _POOL_SIZE * n_words), dtype=np.uint32)
+        consts = _hash_constants(h, _MULT_A, _POOL_SIZE * n_words)
         for j in range(n_words):
             word = (index >> (32 * j) & _MASK32).astype(np.uint32)
             c = consts[_POOL_SIZE * j:_POOL_SIZE * (j + 1) + 1, None]
@@ -228,26 +331,34 @@ def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
             mixer = _mix(mixer, v ^ (v >> 16))
         out = (np.concatenate([mixer, mixer]) ^ gen_consts[:-1, None]) * gen_consts[1:, None]
         out ^= out >> 16
-        words64 = (out[1::2].astype(np.uint64) << 32 | out[0::2]).tolist()
-        for row, (s0, s1, i0, i1) in enumerate(zip(*words64), start=lo - start):
-            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            inner["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-            inner["inc"] = inc
-            bit_gen.state = state
-            gen.standard_normal(out=z[row])
+        states.append(out[1::2].astype(np.uint64) << 32 | out[0::2])
         lo = hi
+    s1, s0, i1, i0 = np.concatenate(states, axis=1)
+    # inc = (i1:i0) * 2 + 1 and u = (s1:s0) + inc, as (high, low) words.
+    inc_hi, inc_lo = i1 << 1 | i0 >> 63, i0 << 1 | 1
+    u_lo = s0 + inc_lo
+    hi, lo = np.stack([s1 + inc_hi + (u_lo < inc_lo), inc_hi]), np.stack([u_lo, inc_lo])
+    z, set_state = np.empty((trials, k)), _pcg64_setter()
+    chunk = max(1, _CHUNK_DRAWS // (k + 1))
+    for c in range(0, trials, chunk):
+        _fill_normals(z[c:c + chunk], hi[:, c:c + chunk], lo[:, c:c + chunk], set_state)
     return z
+
+
+#: (seed, start, trials, k): rows on the fast path alone and rows with a
+#: rejection, across the one- to two-word spawn-key boundary.
+_CHECK_BLOCK = (2**70 + 941, 2**32 - 3, 6, 32)
 
 
 @functools.cache
 def _check_seeding() -> None:
     """Once per process: ``_trial_normals`` must match ``trial_rng`` bit for bit."""
-    seed, trial = 2**70 + 3, 2**32 + 1
-    want = trial_rng(seed, trial).standard_normal(8)
-    if not np.array_equal(_trial_normals(seed, trial, 1, 8)[0], want):
+    seed, start, trials, k = _CHECK_BLOCK
+    want = [trial_rng(seed, start + t).standard_normal(k) for t in range(trials)]
+    if not np.array_equal(_trial_normals(seed, start, trials, k), want):
         raise RuntimeError(
             f"numpy {np.__version__} seeds SeedSequence/PCG64 differently from the "
-            "batched sampler; trial streams would not match trial_rng"
+            "batched sampler, or its ziggurat differs; trial streams would not match trial_rng"
         )
 
 
@@ -344,6 +455,10 @@ def _sample_cells(
     that skip the same zero-variance draws are built in one pass; a point
     that skips more reads a prefix of the normals.
     """
+    if not len(ps):
+        raise ValueError("the SNR ladder needs at least one point")
+    if trials < 1:
+        raise ValueError(f"at least one trial is required, got {trials}")
     per_point = [[_variances(a, p) for a in qualities] for p in ps]
     k = max(_normals_needed(variances) for variances in per_point)
     _check_seeding()

@@ -25,6 +25,7 @@ Builders are provided for the five strategies under study:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
@@ -97,9 +98,13 @@ class PowerTerm:
         if self.lo is not None and not self.lo < self.hi:
             raise ValueError(f"need lo < hi in a power term, got hi={self.hi}, lo={self.lo}")
 
+    @functools.cached_property
+    def _scale(self) -> float:
+        return float(self.coeff)
+
     def value(self, p: float) -> float:
         base = p ** self.hi - (p ** self.lo if self.lo is not None else 0.0)
-        return float(self.coeff) * base
+        return self._scale * base
 
     def ledger(self) -> List[Tuple[float, Fraction]]:
         """Signed (exponent, coefficient) entries for the telescoping check."""

@@ -346,6 +346,76 @@ def test_seeding_check_raises_on_a_different_stream(monkeypatch):
         ch._check_seeding.__wrapped__()
 
 
+def _fast_path(seed, start, trials, k):
+    """Each row's raw words read as ziggurat draws, from ``trial_rng``'s own generator.
+
+    Returns each word's layer, whether the fast path accepts it (by the
+    sampler's tables), and each row's first rejected draw (k if none).
+    Words past a row's first rejection are not draws of that row.
+    """
+    _, ki = ch._ziggurat()
+    words = np.array([ch.trial_rng(seed, start + t).bit_generator.random_raw(k)
+                      for t in range(trials)])
+    index = (words & np.uint64(0x1FF)).astype(np.int64)
+    rabs = (words >> np.uint64(9) & np.uint64((1 << 52) - 1)).astype(np.int64)
+    accepted = rabs < ki[index]
+    first = np.where(accepted.all(axis=1), k, np.argmin(accepted, axis=1))
+    return index & 0xFF, accepted, first
+
+
+def test_the_check_block_takes_every_path_of_the_sampler():
+    seed, start, trials, k = ch._CHECK_BLOCK
+    layer, accepted, first = _fast_path(seed, start, trials, k)
+    drawn = np.arange(k) <= first[:, None]
+    assert (first == k).any()  # rows the fast path draws alone
+    assert (first == 0).any() and (first == k - 1).any()  # rejections at the first and last draw
+    assert (drawn & accepted & (layer == 0)).any()  # the tail layer on the fast path
+    assert (drawn & (layer == 1)).any()  # layer 1, which numpy always rejects
+    assert start < 2**32 < start + trials  # one- and two-word spawn keys
+    got = ch._trial_normals(seed, start, trials, k)
+    for t in range(trials):
+        assert np.array_equal(got[t], ch.trial_rng(seed, start + t).standard_normal(k)), t
+
+
+def test_seeding_check_raises_on_a_perturbed_ziggurat_table(monkeypatch):
+    seed, start, trials, k = ch._CHECK_BLOCK
+    wi, ki = ch._ziggurat()
+    _, _, first = _fast_path(seed, start, trials, k)
+    row = int(np.argmax(first == k))  # drawn on the fast path alone
+    index = int(ch.trial_rng(seed, start + row).bit_generator.random_raw() & np.uint64(0x1FF))
+    bad = wi.copy()
+    bad[index] = np.nextafter(bad[index], np.inf)
+    monkeypatch.setattr(ch, "_ziggurat", lambda: (bad, ki))
+    with pytest.raises(RuntimeError, match="ziggurat differs"):
+        ch._check_seeding.__wrapped__()
+
+
+def test_ziggurat_tables_are_derived_once_and_in_bounds():
+    wi, ki = ch._ziggurat()
+    assert ch._ziggurat() is ch._ziggurat()
+    assert wi.shape == ki.shape == (512,)
+    assert np.array_equal(wi[256:], -wi[:256]) and np.array_equal(ki[256:], ki[:256])
+    assert ki[1] == 0 and np.all((ki >= 0) & (ki < 2**52))
+    assert np.all(np.diff(wi[1:256]) > 0)  # layer widths grow towards the base
+
+
+@pytest.mark.parametrize("ps, message", [
+    ((), "the SNR ladder needs at least one point"),
+    ((1e3, float("inf")), "linear SNR must be finite, got inf"),
+    ((1e3, 1.0), "linear SNR must exceed 1, got 1.0"),
+    ((float("nan"),), "linear SNR must exceed 1, got nan"),
+])
+def test_sample_ladder_cells_rejects_a_bad_ladder(ps, message):
+    with pytest.raises(ValueError, match=message):
+        ch.sample_ladder_cells(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, ps, 3)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sample_ladder_cells_rejects_a_trial_count_below_one(trials):
+    with pytest.raises(ValueError, match=f"at least one trial is required, got {trials}"):
+        ch.sample_ladder_cells(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3,), trials)
+
+
 def test_batched_zf_direction_and_unit_match_rows():
     rng = np.random.default_rng(5)
     v = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))

@@ -149,6 +149,16 @@ def test_sic_rates_require_snr_above_one():
             mc.sic_rates(sch.fdma_descriptor(), _manual_realization(), p)
 
 
+def test_sic_rates_and_received_power_reject_an_infinite_snr():
+    # Without the check, sic_rates gave nan rates and a numpy RuntimeWarning.
+    d = sch.optimal_unmatched_descriptor(Q)
+    r = ch.sample_realization(ch.trial_rng(0, 0), Q, UNMATCHED, 1e4)
+    with pytest.raises(ValueError, match="linear SNR must be finite, got inf"):
+        mc.sic_rates(d, r, float("inf"))
+    with pytest.raises(ValueError, match="linear SNR must be finite, got inf"):
+        mc.received_power(r, d.symbols[0], "user1", float("inf"))
+
+
 def test_delivered_rate_is_worst_decoder():
     # Both users decode the common symbol, so its payload reads both their
     # steps; a report credits the minimum over a payload's steps.
