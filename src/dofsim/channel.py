@@ -225,7 +225,8 @@ def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
     a fast-path draw the next raw output is 0.  wi[layer] is the normal
     drawn for rabs = 1; ki, a lower bound on numpy's, is floor(2**52 *
     wi[layer - 1] / wi[layer] * (1 - 1e-9)) if rabs = ki - 1 takes the
-    fast path, else binary-searched.
+    fast path, else 0, which sends every draw of the layer to numpy's slow
+    path (layer 1, which numpy always rejects, is the one that gets 0).
     """
     inverse, set_state = pow(_PCG64_MULT, -1, 1 << 128), _pcg64_setter()
 
@@ -239,13 +240,7 @@ def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
     ki = []
     for layer in range(256):
         guess = min(max(int(2**52 * wi[layer - 1] / wi[layer] * (1 - 1e-9)), 0), 2**52)
-        if guess and not draw(layer, guess - 1)[1]:
-            lo, hi = 0, guess - 1  # numpy's ki lies in [lo, hi]; try 0 first (layer 1)
-            while lo < hi:
-                mid = (lo + hi + 1) // 2 if lo else 1
-                lo, hi = (mid, hi) if draw(layer, mid - 1)[1] else (lo, mid - 1)
-            guess = lo
-        ki.append(guess)
+        ki.append(guess if guess and draw(layer, guess - 1)[1] else 0)
     wi, ki = np.array(wi), np.array(ki, dtype=np.int64)
     return np.concatenate([wi, -wi]), np.concatenate([ki, ki])
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import linkmc, regions, schemes, switcher
-from .channel import MATCHED, SUBBANDS, UNMATCHED, QualityPair, Scenario, check_seed
+from .channel import SCENARIO_KINDS, SUBBANDS, QualityPair, Scenario, check_seed
 
 def _open_out(path: Optional[str]):
     if path in (None, "-"):
@@ -108,7 +108,7 @@ def cmd_regions(args) -> int:
 
 def cmd_simulate(args) -> int:
     q = QualityPair(args.beta, args.alpha)
-    kind = args.scenario or schemes.SCHEME_SCENARIOS[args.scheme][0]
+    kind = args.scenario or schemes.SCHEMES[args.scheme].scenarios[0]
     scenario = Scenario(kind)
     descriptor = schemes.build_descriptor(args.scheme, q, scenario)
     ladder = _parse_snr_list(args.snr)
@@ -159,8 +159,8 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
     try:
         for q in [QualityPair(b, a) for b in grid for a in grid if a <= b]:
             at_q = []
-            for scheme, kinds in schemes.SCHEME_SCENARIOS.items():
-                for kind in kinds:
+            for scheme, row in schemes.SCHEMES.items():
+                for kind in row.scenarios:
                     d = schemes.build_descriptor(scheme, q, Scenario(kind))
                     if d not in at_q:  # fdma's descriptor is the same in both scenarios
                         at_q.append(d)
@@ -173,7 +173,7 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
 
     try:
         worst = min(s.margin for d in descriptors for s in schemes.static_achievability_check(d))
-        passed = worst >= -1e-12
+        passed = worst >= -schemes.MARGIN_TOL
         yield "achievability-margins", passed, f"worst step margin {worst:.3g}"
     except schemes.AchievabilityError as exc:
         yield "achievability-margins", False, str(exc)
@@ -209,7 +209,8 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
 
 
 def cmd_verify(args) -> int:
-    scenarios = [Scenario(args.scenario)] if args.scenario else [UNMATCHED, MATCHED]
+    kinds = [args.scenario] if args.scenario else SCENARIO_KINDS
+    scenarios = [Scenario(kind) for kind in kinds]
     failures = 0
     for name, passed, detail in _verify_checks(scenarios, args.seed):
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
@@ -227,17 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_regions = sub.add_parser("regions", help="compose a DoF region and check it "
                                                "against the converse bound")
-    p_regions.add_argument("--scenario", choices=["unmatched", "matched"],
-                           default="unmatched")
+    p_regions.add_argument("--scenario", choices=SCENARIO_KINDS, default="unmatched")
     p_regions.add_argument("--beta", type=float, default=0.8)
     p_regions.add_argument("--alpha", type=float, default=0.5)
     p_regions.add_argument("--format", choices=["json", "gnuplot"], default="json")
     p_regions.add_argument("--out", default="-", help="output path, - for stdout")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo DoF slope estimate for one scheme")
-    p_sim.add_argument("--scheme", required=True,
-                       choices=sorted(schemes.SCHEME_NAMES))
-    p_sim.add_argument("--scenario", choices=["unmatched", "matched"], default=None,
+    p_sim.add_argument("--scheme", required=True, choices=schemes.SCHEME_NAMES)
+    p_sim.add_argument("--scenario", choices=SCENARIO_KINDS, default=None,
                        help="defaults to the scheme's natural scenario")
     p_sim.add_argument("--beta", type=float, default=0.8)
     p_sim.add_argument("--alpha", type=float, default=0.5)
@@ -248,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default="-", help="report path, - for stdout")
 
     p_sweep = sub.add_parser("sweep", help="strategy-switching map over the quality grid")
-    p_sweep.add_argument("--scenario", choices=["unmatched", "matched"],
-                         default="unmatched")
+    p_sweep.add_argument("--scenario", choices=SCENARIO_KINDS, default="unmatched")
     p_sweep.add_argument("--step", type=float, default=0.01)
     p_sweep.add_argument("--rho", type=float, default=0.9,
                          help="ratio threshold below which a cell needs the optimal scheme")
@@ -257,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="-", help="output path, - for stdout")
 
     p_verify = sub.add_parser("verify", help="run the built-in invariant battery")
-    p_verify.add_argument("--scenario", choices=["unmatched", "matched"], default=None,
+    p_verify.add_argument("--scenario", choices=SCENARIO_KINDS, default=None,
                           help="restrict scenario-specific checks")
     p_verify.add_argument("--seed", type=_seed, default=0)
     return parser

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+import dataclasses
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -324,7 +324,7 @@ def _db_key(snr_db: float) -> str:
     return f"{float(snr_db):g}"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SimReport:
     """Result of one DoF estimation run, serialisable to JSON."""
 
@@ -339,34 +339,17 @@ class SimReport:
     dof: Dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "beta": self.beta,
-            "alpha": self.alpha,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "trials": self.trials,
-            "ladder_db": list(self.ladder_db),
-            "rates": {s: dict(per) for s, per in self.rates.items()},
-            "dof": dict(self.dof),
-        }
+        # Shallow, not dataclasses.asdict, whose deep copy of each float is ~40x slower.
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimReport":
-        return cls(
-            scheme=doc["scheme"],
-            beta=doc["beta"],
-            alpha=doc["alpha"],
-            scenario=doc["scenario"],
-            seed=doc["seed"],
-            trials=doc["trials"],
-            ladder_db=tuple(doc["ladder_db"]),
-            rates={s: dict(per) for s, per in doc["rates"].items()},
-            dof=dict(doc["dof"]),
-        )
+        """The report of ``doc``'s field entries; other keys are ignored."""
+        fields = {f.name: doc[f.name] for f in dataclasses.fields(cls)}
+        return cls(**{**fields, "ladder_db": tuple(doc["ladder_db"])})
 
     @classmethod
     def from_json(cls, text: str) -> "SimReport":

@@ -21,6 +21,10 @@ Builders are provided for the five strategies under study:
                                      aligned symbol (unmatched CSIT).
 * ``matched_descriptor``          -- per-subband rate-splitting (matched
                                      CSIT).
+
+``SCHEMES`` is the single home of each scheme's builder, the scenarios it
+is defined for and its closed-form sum DoF; ``build_descriptor``,
+``analytic_sum_dof``, the switcher and the command line all read it.
 """
 
 from __future__ import annotations
@@ -29,14 +33,18 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .channel import SUBBANDS, USERS, QualityPair, Scenario
+from .channel import SCENARIO_KINDS, SUBBANDS, USERS, QualityPair, Scenario
 
 OWNERS = USERS + ("common",)
 PRECODER_KINDS = ("basis_e1", "zf_orth", "aligned")
+
+
+#: How far below 0 a step margin may fall (float rounding) and still pass.
+MARGIN_TOL = 1e-12
 
 
 class AchievabilityError(Exception):
@@ -234,10 +242,10 @@ class SchemeDescriptor:
                 raise ValueError(f"instances of {sym.id!r} disagree on owner or rate")
         self._check_power_identity()
         object.__setattr__(self, "table", _compile(self))
-        split = dict(self.common_split)
-        for sym in self.symbols:
-            if sym.owner == "common" and sym.id not in split:
-                split[sym.id] = 0.5
+        # By default a common payload sent first in subband A goes to user1, in B to user2.
+        split = {sym_id: float(sym.slot == "A") for sym_id, sym in self.payloads().items()
+                 if sym.owner == "common"}
+        split.update(self.common_split)
         for sym_id, share in split.items():
             if not 0 <= share <= 1:
                 raise ValueError(f"common split for {sym_id!r} must lie in [0, 1], got {share}")
@@ -399,12 +407,10 @@ def optimal_unmatched_descriptor(
     plan.append(DecodeStep("user2", "B", "v_B"))
     plan.append(DecodeStep("user2", "A", "v_A"))
 
-    if common_split is None:
-        common_split = {"xc_A": 1.0, "xc_B": 0.0} if has_common else {}
     return SchemeDescriptor(
         name="optimal-unmatched", scenario="unmatched", quality=q,
         symbols=tuple(symbols), decode_plan=tuple(plan),
-        common_split=common_split,
+        common_split=common_split or {},
     )
 
 
@@ -442,50 +448,55 @@ def matched_descriptor(
     for user in USERS:
         plan_common.extend(DecodeStep(user, xc[-1], xc) for xc in present_common)
 
-    if common_split is None:
-        common_split = {xc: (1.0 if xc == "xc_A" else 0.0) for xc in present_common}
     return SchemeDescriptor(
         name="matched-optimal", scenario="matched", quality=q,
         symbols=tuple(symbols), decode_plan=tuple(plan_common + plan_private),
-        common_split=common_split,
+        common_split=common_split or {},
     )
 
 
-_BUILDERS = {
-    "fdma": lambda q, scenario: fdma_descriptor(),
-    "zfbf": zfbf_descriptor,
-    "s3": lambda q, scenario: s3_descriptor(q),
-    "optimal-unmatched": lambda q, scenario: optimal_unmatched_descriptor(q),
-    "matched-optimal": lambda q, scenario: matched_descriptor(q),
-}
+class Scheme(NamedTuple):
+    """A scheme's builder, the scenario kinds it is defined for (the first
+    is implied when none is given) and its closed-form sum DoF."""
 
-#: Scenarios each scheme is defined for; the first is the one a scheme
-#: implies when no scenario is given.
-SCHEME_SCENARIOS = {
-    "fdma": ("unmatched", "matched"),
-    "zfbf": ("unmatched", "matched"),
-    "s3": ("unmatched",),
-    "optimal-unmatched": ("unmatched",),
-    "matched-optimal": ("matched",),
+    build: Callable[[QualityPair, Scenario], SchemeDescriptor]
+    scenarios: Tuple[str, ...]
+    sum_dof: Callable  # (beta, alpha): exact on Fractions, elementwise on arrays
+
+
+def _optimal_sum_dof(beta, alpha):
+    return 1 + (beta + alpha) / 2
+
+
+#: Every scheme by its command-line name.
+SCHEMES = {
+    "fdma": Scheme(lambda q, scenario: fdma_descriptor(), SCENARIO_KINDS,
+                   lambda beta, alpha: 1),
+    "zfbf": Scheme(zfbf_descriptor, SCENARIO_KINDS, lambda beta, alpha: beta + alpha),
+    "s3": Scheme(lambda q, scenario: s3_descriptor(q), ("unmatched",),
+                 lambda beta, alpha: 1 + beta / 2),
+    "optimal-unmatched": Scheme(lambda q, scenario: optimal_unmatched_descriptor(q),
+                                ("unmatched",), _optimal_sum_dof),
+    "matched-optimal": Scheme(lambda q, scenario: matched_descriptor(q), ("matched",),
+                              _optimal_sum_dof),
 }
 
 #: Scheme names accepted by build_descriptor (and the command line).
-SCHEME_NAMES = tuple(sorted(_BUILDERS))
+SCHEME_NAMES = tuple(sorted(SCHEMES))
 
 
 def build_descriptor(scheme: str, q: QualityPair, scenario: Scenario) -> SchemeDescriptor:
     """Build any named scheme; scheme names match the command-line ones."""
     try:
-        builder = _BUILDERS[scheme]
+        row = SCHEMES[scheme]
     except KeyError:
         raise ValueError(
-            f"unknown scheme {scheme!r}; expected one of {sorted(_BUILDERS)}"
+            f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}"
         ) from None
-    kinds = SCHEME_SCENARIOS[scheme]
-    if scenario.kind not in kinds:
-        raise ValueError(
-            f"scheme {scheme!r} requires the {kinds[0]} scenario, got {scenario.kind!r}")
-    return builder(q, scenario)
+    if scenario.kind not in row.scenarios:
+        raise ValueError(f"scheme {scheme!r} requires the {row.scenarios[0]} scenario, "
+                         f"got {scenario.kind!r}")
+    return row.build(q, scenario)
 
 
 # -- analytic DoF ----------------------------------------------------------
@@ -494,10 +505,10 @@ def build_descriptor(scheme: str, q: QualityPair, scenario: Scenario) -> SchemeD
 def analytic_sum_dof(strategy: str, q: QualityPair, scenario="unmatched"):
     """Closed-form sum DoF (or normalised diagnostic ratio) of a strategy.
 
-    Exact when `q` carries Fraction entries.  Strategies: fdma, zfbf, s3,
-    optimal (aliases optimal-unmatched / matched-optimal), plus the two
-    private-loading diagnostics icc-private and optimal-private which are
-    undefined at beta = 0.
+    Exact when `q` carries Fraction entries.  Strategies: every scheme of
+    ``SCHEMES``, in the scenarios it is defined for; optimal, the optimal
+    sum DoF of either scenario; and the two private-loading diagnostics
+    icc-private and optimal-private, which are undefined at beta = 0.
     """
     return analytic_sum_dof_at(strategy, q.beta, q.alpha, scenario)
 
@@ -509,18 +520,16 @@ def analytic_sum_dof_at(strategy: str, beta, alpha, scenario="unmatched"):
     scalar 1 whatever the shape of the exponents.
     """
     kind = scenario.kind if isinstance(scenario, Scenario) else str(scenario)
-    if kind not in ("unmatched", "matched"):
+    if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    if strategy == "fdma":
-        return 1
-    if strategy == "zfbf":
-        return beta + alpha
-    if strategy == "s3":
-        if kind != "unmatched":
-            raise ValueError("the s3 scheme is defined for the unmatched scenario only")
-        return 1 + beta / 2
-    if strategy in ("optimal", "optimal-unmatched", "matched-optimal"):
-        return 1 + (beta + alpha) / 2
+    row = SCHEMES.get(strategy)
+    if row is not None:
+        if kind not in row.scenarios:
+            raise ValueError(f"the {strategy} scheme is defined for the "
+                             f"{row.scenarios[0]} scenario only")
+        return row.sum_dof(beta, alpha)
+    if strategy == "optimal":
+        return _optimal_sum_dof(beta, alpha)
     if strategy == "icc-private":
         if np.any(beta == 0):
             raise ValueError("icc-private is undefined at beta = 0")
@@ -605,7 +614,7 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
         signal = exponents[step.signal]
         interference = max((exponents[i] for i in step.interference), default=float("-inf"))
         margin = signal - max(interference, 0.0) - target.rate_exponent
-        if margin < -1e-12:
+        if margin < -MARGIN_TOL:
             raise AchievabilityError(
                 f"{d.name}: step ({step.user}, slot {target.slot}, {target.id}) "
                 f"needs rate exponent {target.rate_exponent} but the SINR "

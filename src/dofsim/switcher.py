@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import QualityPair, Scenario
-from .schemes import analytic_sum_dof, analytic_sum_dof_at
+from .schemes import SCHEMES, analytic_sum_dof, analytic_sum_dof_at
 
 #: Comparison slack: keeps exact ties (ratio == rho, equal sum DoF) stable
 #: under floating-point noise.
@@ -61,7 +61,7 @@ class SweepCell:
 
 
 def _candidates(scenario: Scenario) -> Tuple[str, ...]:
-    return STRATEGIES if scenario.kind == "unmatched" else STRATEGIES[:2]
+    return tuple(name for name in STRATEGIES if scenario.kind in SCHEMES[name].scenarios)
 
 
 def _pick(values: Sequence):

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from dofsim import cli, regions, switcher
+from dofsim import cli, regions, schemes, switcher
+from dofsim.channel import SCENARIO_KINDS
 from dofsim.linkmc import SimReport
 from dofsim.switcher import read_sweep_csv
 
@@ -83,10 +84,22 @@ def test_simulate_reports_and_is_byte_reproducible(tmp_path, capsys):
 
 def test_simulate_scenario_is_inferred(tmp_path, capsys):
     out = tmp_path / "r.json"
-    assert cli.main(["simulate", "--scheme", "matched-optimal", "--snr", "20,30,40",
-                     "--trials", "10", "--out", str(out)]) == 0
-    assert SimReport.from_json(out.read_text()).scenario == "matched"
+    for scheme in schemes.SCHEME_NAMES:
+        assert cli.main(["simulate", "--scheme", scheme, "--snr", "20,30,40",
+                         "--trials", "10", "--out", str(out)]) == 0
+        assert SimReport.from_json(out.read_text()).scenario == \
+            schemes.SCHEMES[scheme].scenarios[0], scheme
     capsys.readouterr()
+
+
+def test_parser_choices_come_from_the_model():
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert list(commands) == ["regions", "simulate", "sweep", "verify"]
+    for command, sub in commands.items():
+        choices = {a.dest: a.choices for a in sub._actions if a.choices is not None}
+        assert list(choices["scenario"]) == list(SCENARIO_KINDS), command
+        if command == "simulate":
+            assert list(choices["scheme"]) == list(schemes.SCHEME_NAMES)
 
 
 def test_simulate_scenario_conflicts(capsys):

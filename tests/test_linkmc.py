@@ -277,6 +277,7 @@ def test_sim_report_json_roundtrip_and_stability():
     doc = json.loads(text)
     assert doc["scheme"] == "s3" and doc["trials"] == 25
     assert doc["beta"] == 0.8 and doc["scenario"] == "unmatched"
+    assert mc.SimReport.from_dict({**doc, "unknown": 1}) == report  # unknown keys are ignored
 
 
 def test_report_rates_are_duration_weighted_delivered_rates():
@@ -311,7 +312,7 @@ def test_report_rates_are_duration_weighted_delivered_rates():
 
 def _cli_pairs():
     for scheme in sch.SCHEME_NAMES:
-        for kind in sch.SCHEME_SCENARIOS[scheme]:
+        for kind in sch.SCHEMES[scheme].scenarios:
             yield scheme, ch.Scenario(kind)
 
 

@@ -237,14 +237,23 @@ def test_build_descriptor_dispatch():
 
 @pytest.mark.parametrize("scheme", sch.SCHEME_NAMES)
 def test_build_descriptor_follows_the_scenario_table(scheme):
-    kinds = sch.SCHEME_SCENARIOS[scheme]
+    """build_descriptor and analytic_sum_dof accept the same scenarios, and
+    where they do the descriptor's sum DoF is the closed form's."""
+    kinds = sch.SCHEMES[scheme].scenarios
     for scenario in (UNMATCHED, MATCHED):
         if scenario.kind in kinds:
             assert sch.build_descriptor(scheme, Q, scenario).scenario in (scenario.kind, None)
+            for q in _grid(0.1):
+                d = sch.build_descriptor(scheme, q, scenario)
+                target = sch.analytic_sum_dof(scheme, q, scenario)
+                assert sch.sum_dof_exponent(d) == pytest.approx(target, abs=1e-12), (q, scenario)
         else:
             with pytest.raises(ValueError, match=f"scheme '{scheme}' requires the "
                                                  f"{kinds[0]} scenario, got '{scenario.kind}'"):
                 sch.build_descriptor(scheme, Q, scenario)
+            with pytest.raises(ValueError, match=f"^the {scheme} scheme is defined for the "
+                                                 f"{kinds[0]} scenario only$"):
+                sch.analytic_sum_dof(scheme, Q, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +310,23 @@ def test_every_symbol_needs_a_decoder():
 def test_common_split_validation():
     with pytest.raises(ValueError, match="common split"):
         sch.optimal_unmatched_descriptor(Q, common_split={"xc_A": 1.5, "xc_B": 0.0})
+
+
+def test_common_payloads_are_credited_by_the_subband_they_are_first_sent_in():
+    # Listed B first, under names that say nothing about their subband.
+    c2 = sch.SymbolSpec("c2", "common", "B", sch.basis_e1(), sch.PowerTerm(1, 1.0), 0.25)
+    c1 = sch.SymbolSpec("c1", "common", "A", sch.basis_e1(), sch.PowerTerm(1, 1.0), 1.0)
+    plan = tuple(sch.DecodeStep(u, s, c) for u in ("user1", "user2")
+                 for s, c in (("A", "c1"), ("B", "c2")))
+    d = sch.SchemeDescriptor(name="two-commons", scenario=None, quality=None,
+                             symbols=(c2, c1), decode_plan=plan)
+    assert d.common_split == {"c1": 1.0, "c2": 0.0}
+    assert sch.user_dof_exponents(d) == (0.5, 0.125)
+    # An override of one payload leaves the other on the default.
+    skewed = sch.SchemeDescriptor(name="two-commons", scenario=None, quality=None,
+                                  symbols=(c2, c1), decode_plan=plan,
+                                  common_split={"c2": 0.5})
+    assert skewed.common_split == {"c1": 1.0, "c2": 0.5}
 
 
 def test_instances_must_agree_on_rate():

@@ -1,0 +1,87 @@
+"""One sha256 over a fixed battery of ``dofsim`` command-line calls.
+
+Usage::
+
+    python tools/cli_digest.py <repo>
+
+imports ``dofsim`` from ``<repo>/src``, runs every call below in process
+through ``dofsim.cli.main`` with ``COLUMNS=80`` and prints the sha256 of
+each call's argv, exit code, stdout and stderr, in order.  Two trees give
+the same digest exactly when the battery's bytes agree, so a refactor that
+claims unchanged command-line behaviour shows it by running this on both
+trees under the same interpreter (argparse's help layout varies across
+Python versions).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+# Spelled out rather than read from dofsim, so every tree runs the same calls.
+SCHEMES = ("fdma", "matched-optimal", "optimal-unmatched", "s3", "zfbf")
+SCENARIOS = ("unmatched", "matched")
+COMMANDS = ("regions", "simulate", "sweep", "verify")
+
+
+def battery():
+    """The argv lists, in order."""
+    yield ["--help"]
+    for command in COMMANDS:
+        yield [command, "--help"]
+        needs_scheme = ["--scheme", "fdma"] if command == "simulate" else []
+        yield [command, *needs_scheme, "--scenario", "duplex"]
+    yield ["simulate", "--scheme", "dpc"]
+    mc = ["--snr", "40,50,60", "--trials", "50"]
+    for scheme in SCHEMES:
+        for scenario in (None, *SCENARIOS):
+            chosen = [] if scenario is None else ["--scenario", scenario]
+            yield ["simulate", "--scheme", scheme, *chosen, *mc]
+        for beta in ("0", "1"):
+            yield ["simulate", "--scheme", scheme, "--beta", beta, "--alpha", "0", *mc]
+    yield ["verify"]
+    yield ["verify", "--scenario", "matched"]
+    for scenario in SCENARIOS:
+        yield ["sweep", "--scenario", scenario, "--step", "0.05"]
+        yield ["sweep", "--scenario", scenario, "--step", "0.1", "--format", "json"]
+        for beta, alpha in (("0.8", "0.5"), ("1", "0"), ("0.3", "0.3"), ("1", "1")):
+            for fmt in ("json", "gnuplot"):
+                yield ["regions", "--scenario", scenario, "--beta", beta, "--alpha", alpha,
+                       "--format", fmt]
+
+
+def run(main, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(repo: Path) -> str:
+    os.environ["COLUMNS"] = "80"
+    sys.path.insert(0, str(repo / "src"))
+    from dofsim import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(repo.resolve()):
+        raise SystemExit(f"imported dofsim from {cli.__file__}, not from {repo}")
+    h = hashlib.sha256()
+    for argv in battery():
+        code, out, err = run(cli.main, argv)
+        for part in (json.dumps(argv), str(code), out, err):
+            data = part.encode()
+            h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python tools/cli_digest.py <repo>")
+    print(digest(Path(sys.argv[1])))
