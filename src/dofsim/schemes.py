@@ -245,6 +245,11 @@ class SchemeDescriptor:
         # By default a common payload sent first in subband A goes to user1, in B to user2.
         split = {sym_id: float(sym.slot == "A") for sym_id, sym in self.payloads().items()
                  if sym.owner == "common"}
+        for sym_id in self.common_split:
+            if sym_id not in split:
+                raise ValueError(
+                    f"common split names {sym_id!r}, which is not a common payload of "
+                    f"{self.name!r}; its common payloads are {sorted(split)}")
         split.update(self.common_split)
         for sym_id, share in split.items():
             if not 0 <= share <= 1:

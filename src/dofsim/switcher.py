@@ -42,8 +42,9 @@ STRATEGIES = ("fdma", "zfbf", "s3")
 _CSV_BLOCK = 4096
 
 #: Most cells a sweep rasters: the grid of step 0.001.  Memory grows with
-#: the cell count; a csv sweep of this grid peaks near 230 MB (x86-64,
-#: Python 3.11, numpy 2.4).
+#: the cell count; a csv sweep of this grid peaks near 196 MB unmatched and
+#: 139 MB matched, a json one near 109 MB (ru_maxrss, x86-64, Python 3.11,
+#: numpy 2.4).
 MAX_GRID_CELLS = 1001 ** 2
 _MAX_DIVISIONS = math.isqrt(MAX_GRID_CELLS) - 1
 
@@ -135,12 +136,17 @@ class SweepMap:
     def label(self, cell: SweepCell) -> str:
         return OPTIMAL_NEEDED if _needs_optimal(cell.ratio, self.rho) else cell.best
 
-    def counts_by_strategy(self) -> Dict[str, int]:
-        """Cells per label, keyed in order of first appearance."""
-        labels = np.where(_needs_optimal(self.ratio, self.rho), len(STRATEGIES), self.best)
-        kinds, first, counts = np.unique(labels, return_index=True, return_counts=True)
+    @cached_property
+    def _counts(self) -> Dict[str, int]:
         names = STRATEGIES + (OPTIMAL_NEEDED,)
-        return {names[kinds[i]]: int(counts[i]) for i in np.argsort(first)}
+        labels = np.where(_needs_optimal(self.ratio, self.rho), len(STRATEGIES), self.best)
+        counts = np.bincount(labels, minlength=len(names))
+        present = sorted(np.flatnonzero(counts).tolist(), key=lambda k: np.argmax(labels == k))
+        return {names[k]: int(counts[k]) for k in present}
+
+    def counts_by_strategy(self) -> Dict[str, int]:
+        """Cells per label, keyed in order of first appearance; counted once per map."""
+        return dict(self._counts)
 
     def min_ratio(self) -> float:
         return float(self.ratio.min())
@@ -209,28 +215,39 @@ def min_ratio(scenario: Scenario, step: float = 0.01) -> Tuple[float, List[Tuple
 CSV_HEADER = ["beta", "alpha", "d_fdma", "d_zfbf", "d_s3", "d_opt", "best", "ratio"]
 
 
-def _reprs(column: np.ndarray) -> np.ndarray:
-    """repr of every entry, computed once per distinct value."""
+def _fields(column: np.ndarray, end: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Each distinct value's repr with ``end`` attached, and every entry's index into them."""
     values, inverse = np.unique(column, return_inverse=True)
-    return np.array([repr(v) for v in values.tolist()], dtype=object)[inverse]
+    fields = np.array([repr(v) + end for v in values.tolist()], dtype=object)
+    return fields, inverse.astype(np.int32)  # a grid holds at most MAX_GRID_CELLS cells
 
 
 def write_sweep_csv(m: SweepMap, stream: io.TextIOBase) -> None:
     """One row per cell; floats as repr so parsing the file is lossless.
 
     No field ever needs csv quoting: each is a float repr, a strategy
-    name or empty.
+    name or empty.  Each field is formatted once per distinct value with
+    its separator attached, so a block of rows is one join over a
+    (rows, 8) table.
     """
-    blank = np.full(len(m.ratio), "", dtype=object)
+    n = len(m.ratio)
+    # Cells run row-major over the grid axis, so beta and alpha index its fields directly.
+    axis, _ = _fields(_grid(m.step), ",")
+    at = np.arange(len(axis), dtype=np.int32)
+    no_s3 = (np.array([","], dtype=object), np.broadcast_to(0, n))
+    best = (np.array([name + "," for name in STRATEGIES], dtype=object), m.best)
     columns = [
-        _reprs(m.beta), _reprs(m.alpha), _reprs(m.d_fdma), _reprs(m.d_zfbf),
-        blank if m.d_s3 is None else _reprs(m.d_s3),
-        _reprs(m.d_opt), np.array(STRATEGIES, dtype=object)[m.best], _reprs(m.ratio),
+        (axis, np.repeat(at, len(at))), (axis, np.tile(at, len(at))), _fields(m.d_fdma, ","),
+        _fields(m.d_zfbf, ","), no_s3 if m.d_s3 is None else _fields(m.d_s3, ","),
+        _fields(m.d_opt, ","), best, _fields(m.ratio, "\n"),
     ]
     stream.write(",".join(CSV_HEADER) + "\n")
-    for lo in range(0, len(blank), _CSV_BLOCK):
-        rows = zip(*(column[lo:lo + _CSV_BLOCK] for column in columns))
-        stream.write("".join([",".join(row) + "\n" for row in rows]))
+    table = np.empty((min(n, _CSV_BLOCK), len(columns)), dtype=object)
+    for lo in range(0, n, _CSV_BLOCK):
+        block = table[:min(_CSV_BLOCK, n - lo)]
+        for j, (fields, index) in enumerate(columns):
+            block[:, j] = fields[index[lo:lo + len(block)]]
+        stream.write("".join(block.ravel().tolist()))
 
 
 def read_sweep_csv(stream: io.TextIOBase) -> List[SweepCell]:

@@ -312,6 +312,12 @@ def test_common_split_validation():
         sch.optimal_unmatched_descriptor(Q, common_split={"xc_A": 1.5, "xc_B": 0.0})
 
 
+def test_common_split_rejects_an_unknown_id():
+    with pytest.raises(ValueError, match=r"'u_A'.*common payloads are \['xc_A', 'xc_B'\]"):
+        sch.optimal_unmatched_descriptor(QualityPair(0.8, 0.5),
+                                         common_split={"u_A": 0.3, "nope": 0.9})
+
+
 def test_common_payloads_are_credited_by_the_subband_they_are_first_sent_in():
     # Listed B first, under names that say nothing about their subband.
     c2 = sch.SymbolSpec("c2", "common", "B", sch.basis_e1(), sch.PowerTerm(1, 1.0), 0.25)

@@ -96,6 +96,22 @@ def test_sweep_cli_bytes_match_the_per_cell_oracle(kind, step, rho):
 
 
 @pytest.mark.parametrize("kind", ["unmatched", "matched"])
+@pytest.mark.parametrize("n", [63, 64])
+def test_sweep_csv_bytes_match_the_per_cell_oracle_across_a_block_boundary(kind, n):
+    # 64**2 cells fill exactly one CSV block; 65**2 leave 129 rows for a second.
+    assert (n + 1) ** 2 - sw._CSV_BLOCK == {63: 0, 64: 129}[n]
+    want_csv, _, want_err = _oracle_outputs(kind, 1 / n, 0.9)
+    assert _run_sweep(kind, 1 / n, 0.9, "csv") == (want_csv, want_err)
+
+
+@pytest.mark.parametrize("kind", ["unmatched", "matched"])
+@pytest.mark.parametrize("rho", [0.9, 0.66])
+def test_counts_are_keyed_in_order_of_first_appearance(kind, rho):
+    m = sw.sweep(Scenario(kind), step=0.05, rho=rho)
+    assert list(m.counts_by_strategy().items()) == list(_oracle_counts(m.cells, rho).items())
+
+
+@pytest.mark.parametrize("kind", ["unmatched", "matched"])
 @pytest.mark.parametrize("step", [0.1, 0.01])
 def test_sweep_cells_and_counts_match_the_per_cell_oracle(kind, step):
     m = sw.sweep(Scenario(kind), step=step, rho=0.9)

@@ -49,6 +49,8 @@ def battery():
     for scenario in SCENARIOS:
         yield ["sweep", "--scenario", scenario, "--step", "0.05"]
         yield ["sweep", "--scenario", scenario, "--step", "0.1", "--format", "json"]
+        # 40 401 cells: nine full CSV blocks of 4096 rows and a partial tenth.
+        yield ["sweep", "--scenario", scenario, "--step", "0.005", "--format", "csv"]
         for beta, alpha in (("0.8", "0.5"), ("1", "0"), ("0.3", "0.3"), ("1", "1")):
             for fmt in ("json", "gnuplot"):
                 yield ["regions", "--scenario", scenario, "--beta", beta, "--alpha", alpha,
