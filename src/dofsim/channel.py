@@ -27,15 +27,16 @@ the state before that draw.  A once-per-process check compares a fixed
 block, with both kinds of trial, against ``trial_rng``.
 
 One trial's cells are built from one ``standard_normal`` draw in a fixed
-layout (``_pairs_from_normals``).  ``sample_pair`` and
-``sample_realization`` build one trial at one SNR.  ``sample_ladder_cells``
-builds many trials at every point of an SNR ladder in one pass: each
-trial's normals are drawn once and rescaled along a ladder axis (common
-random numbers), so the vectors carry a leading ladder axis and then a
-trial axis.  Row t at ladder point k equals ``sample_realization(
-trial_rng(seed, start + t), q, scenario, ps[k])`` bit for bit, so
-``cells.true(u, s)[k]`` is the (trials, 2) array of one ladder point.
-``zf_direction`` and ``unit`` work row by row on such arrays.
+layout (``_pairs_from_normals``), stacked on a leading axis in ``CELLS``
+order.  ``sample_pair`` and ``sample_realization`` build one trial at
+one SNR.  ``sample_ladder_cells`` builds many trials at every point of
+an SNR ladder in one pass: each trial's normals are drawn once and
+rescaled along a ladder axis (common random numbers), so the stacked
+arrays have shape (cells, points, trials, 2).  Row t at ladder point k
+equals ``sample_realization(trial_rng(seed, start + t), q, scenario,
+ps[k])`` bit for bit, so ``cells.true(u, s)[k]`` is the (trials, 2)
+array of one ladder point.  ``zf_direction`` and ``unit`` work row by
+row on such arrays.
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ import numpy as np
 USERS = ("user1", "user2")
 SUBBANDS = ("A", "B")
 SCENARIO_KINDS = ("unmatched", "matched")
+#: (user, subband) cells in draw order, the order of a stack of cells.
+CELLS = tuple((user, subband) for subband in SUBBANDS for user in USERS)
+
+
+def cell_index(user: str, subband: str) -> int:
+    """The position of the (user, subband) cell in ``CELLS``."""
+    try:
+        return CELLS.index((user, subband))
+    except ValueError:
+        raise ValueError(f"unknown cell ({user!r}, {subband!r}); the cells are {CELLS}") from None
 
 
 @dataclass(frozen=True)
@@ -134,27 +145,42 @@ def check_snr(p) -> None:
 
 @dataclass(frozen=True)
 class ChannelPair:
-    """True channel, transmitter-side estimate and estimation error (2-vectors)."""
+    """True channel, transmitter-side estimate and estimation error (2-vectors).
+
+    Indexing a pair indexes its three arrays alike, so a stack of cells
+    iterates over its cells.
+    """
 
     true: np.ndarray
     estimate: np.ndarray
     error: np.ndarray
 
+    def __getitem__(self, index) -> "ChannelPair":
+        return ChannelPair(self.true[index], self.estimate[index], self.error[index])
+
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of all four (user, subband) channels."""
+    """The four (user, subband) channels of one draw or of a block of draws.
 
-    pairs: Dict[Tuple[str, str], ChannelPair]
+    ``stacked`` holds them on a leading axis in ``CELLS`` order; the
+    accessors return views of single cells.
+    """
+
+    stacked: ChannelPair
+
+    @property
+    def pairs(self) -> Dict[Tuple[str, str], ChannelPair]:
+        return dict(zip(CELLS, self.stacked))
 
     def pair(self, user: str, subband: str) -> ChannelPair:
-        return self.pairs[(user, subband)]
+        return self.stacked[cell_index(user, subband)]
 
     def true(self, user: str, subband: str) -> np.ndarray:
-        return self.pairs[(user, subband)].true
+        return self.stacked.true[cell_index(user, subband)]
 
     def estimate(self, user: str, subband: str) -> np.ndarray:
-        return self.pairs[(user, subband)].estimate
+        return self.stacked.estimate[cell_index(user, subband)]
 
 
 #: Trials per array pass.  Callers of ``sample_ladder_cells`` walk long
@@ -357,10 +383,6 @@ def _check_seeding() -> None:
         )
 
 
-#: Draw order of one trial's cells: (user, subband) in (subband, user) order.
-_CELLS = tuple((user, subband) for subband in SUBBANDS for user in USERS)
-
-
 def _variances(a: float, p: float) -> Tuple[float, float]:
     """Per-entry (estimate, error) variances of a cell with quality a at linear SNR p."""
     if not 0 <= a <= 1:
@@ -374,10 +396,8 @@ def _normals_needed(variances: Sequence[Tuple[float, float]]) -> int:
     return 4 * sum(var > 0.0 for cell in variances for var in cell)
 
 
-def _pairs_from_normals(
-    z: np.ndarray, variances: Sequence[Tuple[float, float]]
-) -> List[ChannelPair]:
-    """Build cells, in draw order, from the normals on the last axis of z.
+def _pairs_from_normals(z: np.ndarray, variances: Sequence[Tuple[float, float]]) -> ChannelPair:
+    """Build cells, stacked in draw order, from the normals on the last axis of z.
 
     This is the draw layout.  Each cell draws its estimate, then its
     error.  A draw of variance ``var`` takes the next four normals (two
@@ -387,8 +407,8 @@ def _pairs_from_normals(
 
     ``variances`` holds one (estimate, error) pair per cell.  It may carry
     a trailing ladder axis, one variance per ladder point, whose entries
-    agree on whether they are 0; the vectors then gain a leading ladder
-    axis.  All draws are scaled in one array pass.
+    agree on whether they are 0; the vectors then gain a ladder axis after
+    the cell axis.  All draws are scaled in one array pass.
     """
     draws = np.asarray(variances, dtype=float)
     lead = draws.shape[2:]  # the ladder axis, if any
@@ -408,9 +428,7 @@ def _pairs_from_normals(
     if not taken.all():
         drawn = np.zeros((len(draws),) + values.shape[1:], dtype=complex)
         drawn[taken] = values
-    true = drawn[0::2] + drawn[1::2]
-    return [ChannelPair(true=true[c], estimate=drawn[2 * c], error=drawn[2 * c + 1])
-            for c in range(len(true))]
+    return ChannelPair(true=drawn[0::2] + drawn[1::2], estimate=drawn[0::2], error=drawn[1::2])
 
 
 def sample_pair(rng: np.random.Generator, a: float, p: float) -> ChannelPair:
@@ -433,22 +451,22 @@ def sample_realization(
     rng: np.random.Generator, q: QualityPair, scenario: Scenario, p: float
 ) -> ChannelRealization:
     """Draw the four channels of one trial in a fixed (subband, user) order."""
-    variances = [_variances(scenario.quality(u, s, q), p) for u, s in _CELLS]
+    variances = [_variances(scenario.quality(u, s, q), p) for u, s in CELLS]
     z = rng.standard_normal(_normals_needed(variances))
-    return ChannelRealization(dict(zip(_CELLS, _pairs_from_normals(z, variances))))
+    return ChannelRealization(_pairs_from_normals(z, variances))
 
 
 def _sample_cells(
     seed: int, qualities: Sequence[float], ps: Sequence[float], trials: int, start: int
-) -> List[ChannelPair]:
+) -> ChannelPair:
     """Cells of quality ``qualities`` (in draw order) for trials [start, start + trials).
 
-    Every vector has shape (len(ps), trials, 2): a ladder axis, one entry
-    per linear SNR in ``ps``, then a trial axis.  Each trial's normals
-    come from a single draw on its ``trial_rng(seed, start + t)`` stream,
-    long enough for the ladder point that needs the most.  Ladder points
-    that skip the same zero-variance draws are built in one pass; a point
-    that skips more reads a prefix of the normals.
+    The stacked arrays have shape (cells, len(ps), trials, 2): a ladder
+    axis, one entry per linear SNR in ``ps``, follows the cell axis.  Each
+    trial's normals come from a single draw on its ``trial_rng(seed, start
+    + t)`` stream, long enough for the ladder point that needs the most.
+    Ladder points that skip the same zero-variance draws are built in one
+    pass; a point that skips more reads a prefix of the normals.
     """
     if not len(ps):
         raise ValueError("the SNR ladder needs at least one point")
@@ -464,12 +482,12 @@ def _sample_cells(
         groups.setdefault(zero.tobytes(), []).append(point)
     if len(groups) == 1:
         return _pairs_from_normals(z, variances.transpose(1, 2, 0))
-    cells = [ChannelPair(*(np.empty((len(ps), trials, 2), dtype=complex) for _ in range(3)))
-             for _ in qualities]
+    cells = ChannelPair(*(np.empty((len(qualities), len(ps), trials, 2), dtype=complex)
+                          for _ in range(3)))
     for points in groups.values():
-        for cell, part in zip(cells, _pairs_from_normals(z, variances[points].transpose(1, 2, 0))):
-            cell.true[points], cell.estimate[points], cell.error[points] = (
-                part.true, part.estimate, part.error)
+        part = _pairs_from_normals(z, variances[points].transpose(1, 2, 0))
+        cells.true[:, points], cells.estimate[:, points], cells.error[:, points] = (
+            part.true, part.estimate, part.error)
     return cells
 
 
@@ -483,13 +501,13 @@ def sample_ladder_cells(
 ) -> ChannelRealization:
     """Trials [start, start + trials) at every linear SNR in ps, as one realization.
 
-    Vectors have shape (len(ps), trials, 2).  Entry [k, t] equals
+    Per cell, vectors have shape (len(ps), trials, 2).  Entry [k, t] equals
     ``sample_realization(trial_rng(seed, start + t), q, scenario, ps[k])``
     bit for bit, and each trial's stream is seeded once for the whole
     ladder.
     """
-    qualities = [scenario.quality(u, s, q) for u, s in _CELLS]
-    return ChannelRealization(dict(zip(_CELLS, _sample_cells(seed, qualities, ps, trials, start))))
+    qualities = [scenario.quality(u, s, q) for u, s in CELLS]
+    return ChannelRealization(_sample_cells(seed, qualities, ps, trials, start))
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
@@ -546,7 +564,6 @@ def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> 
     sq = np.empty((len(ladder), trials))
     for lo in range(0, trials, TRIAL_BLOCK):
         n = min(TRIAL_BLOCK, trials - lo)
-        (pair,) = _sample_cells(seed, [a], ladder, n, lo)
-        sq[:, lo:lo + n] = _sq_norm(pair.error)
+        sq[:, lo:lo + n] = _sq_norm(_sample_cells(seed, [a], ladder, n, lo).error[0])
     log_means = -np.log2(np.mean(sq, axis=1) / 2.0)
     return float(np.polyfit(np.log2(ladder), log_means, 1)[0])

@@ -1,16 +1,17 @@
 """Monte Carlo link layer: SIC step rates and DoF slope estimates.
 
 The decoder walks the descriptor's compiled table (``schemes.DecodeTable``),
-the one the static achievability check walks over exponents: it builds
-each precoder and each (symbol, user) received power once, then gives
-every decode step the rate log2(1 + S / (1 + I)), where I sums the powers
-the step has not cancelled.  Rates come as one array with a leading step
+the one the static achievability check walks over exponents, through the
+index arrays it carries: it builds each precoder and each (symbol, user)
+received power once from a realization's stacked cells, then gives every
+decode step the rate log2(1 + S / (1 + I)), where I sums the powers the
+step has not cancelled.  Rates come as one array with a leading step
 axis in ``d.table.steps`` order; ``d.table.payloads`` names the steps
 that decode each payload, whose worst rate the payload delivers.  The DoF
 estimate is the slope of the mean delivered rate per channel use of the
 two-subband frame against log2(P) over an SNR ladder.
 
-The walk is elementwise over leading axes: the cells of
+The walk is elementwise over the axes after the cell axis: the cells of
 ``channel.sample_ladder_cells`` carry a ladder axis and a trial axis, so
 one walk covers a whole block of trials at every ladder point, with a
 fixed number of array operations whatever the ladder's length.  Every
@@ -22,11 +23,10 @@ is partitioned.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import dataclasses
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .channel import (
     QualityPair,
     Scenario,
     check_seed,
+    cell_index,
     check_snr,
     db_to_linear,
     sample_ladder_cells,
@@ -47,14 +48,7 @@ from .channel import (
 # Not called here, but kept importable as ``linkmc.trial_rng`` and
 # ``linkmc.sample_realization``: the per-layer trace wraps them by this path.
 from .channel import sample_realization, trial_rng  # noqa: F401
-from .schemes import (
-    PRECODER_KINDS,
-    DecodeTable,
-    Precoder,
-    SchemeDescriptor,
-    SymbolSpec,
-    credit_users,
-)
+from .schemes import LinkIndex, SchemeDescriptor, SymbolSpec, credit_users, link_index
 
 #: Fit residual (bits per channel use) above which the slope estimate falls
 #: back to the top SNR pair; the common layer's rate converges slowly.
@@ -63,117 +57,54 @@ RESIDUAL_FALLBACK = 0.02
 _E1 = np.array([1.0, 0.0], dtype=complex)
 
 
-def _direction(realization: ChannelRealization, pre: Precoder, k: int) -> np.ndarray:
-    """The precoder's direction at ladder point k."""
-    if pre.kind == "basis_e1":
-        return _E1
-    ref = realization.estimate(pre.user, pre.subband)[k]
-    return zf_direction(ref) if pre.kind == "zf_orth" else unit(ref)
+def _direction(kind: str, ref: np.ndarray) -> np.ndarray:
+    """The zf_orth or aligned direction on its reference estimates ref."""
+    return zf_direction(ref) if kind == "zf_orth" else unit(ref)
 
 
-class _LinkPlan(NamedTuple):
-    """A list of links resolved to index arrays."""
+def _directions(estimate: np.ndarray, index: LinkIndex) -> np.ndarray:
+    """Every direction of the index, stacked on a leading axis.
 
-    precoders: Tuple[Precoder, ...]  # each direction once, in order of first use
-    #: (kind, rows of ``precoders`` of that kind), in ``PRECODER_KINDS`` order
-    kinds: Tuple[Tuple[str, np.ndarray], ...]
-    symbols: Tuple[int, ...]  # each symbol index once, in order of first use
-    #: per (user, subband) cell: its links and their rows in ``precoders``
-    #: and in ``symbols``
-    cells: Tuple[Tuple[Tuple[str, str], np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-@functools.lru_cache(maxsize=256)
-def _link_plan(
-    links: Tuple[Tuple[int, str], ...], layout: Tuple[Tuple[str, Precoder], ...]
-) -> _LinkPlan:
-    """Plan of (symbol index, user) links over symbols with these (slot, precoder)s.
-
-    It depends on neither the quality pair nor the SNR, so one plan
-    serves every descriptor a builder makes with the same symbols.
-    """
-    precoders = tuple(dict.fromkeys(layout[i][1] for i, _ in links))
-    symbols = tuple(dict.fromkeys(i for i, _ in links))
-    kinds = []
-    for kind in PRECODER_KINDS:
-        rows = [r for r, pre in enumerate(precoders) if pre.kind == kind]
-        if rows:
-            kinds.append((kind, np.array(rows, dtype=np.intp)))
-    by_cell: Dict[Tuple[str, str], List[int]] = {}
-    for n, (i, user) in enumerate(links):
-        by_cell.setdefault((user, layout[i][0]), []).append(n)
-    cells = tuple((cell, np.array(ns, dtype=np.intp),
-                   np.array([precoders.index(layout[links[n][0]][1]) for n in ns], dtype=np.intp),
-                   np.array([symbols.index(links[n][0]) for n in ns], dtype=np.intp))
-                  for cell, ns in by_cell.items())
-    return _LinkPlan(precoders, tuple(kinds), symbols, cells)
-
-
-def _directions(realization: ChannelRealization, plan: _LinkPlan) -> np.ndarray:
-    """Every direction of the plan, stacked on a leading axis.
-
-    All zero-forcing directions come from one ``zf_direction`` call and all
+    ``estimate`` is the stacked estimates, (cells, points, ..., 2).  All
+    zero-forcing directions come from one ``zf_direction`` call and all
     aligned ones from one ``unit`` call.  On a zero estimate this raises
     the error of the first degenerate direction in order at the first
     ladder point that has one, as a walk of one point at a time would.
     """
-    shape = realization.true("user1", "A").shape
-    out = np.empty((len(plan.precoders),) + shape, dtype=complex)
+    out = np.empty((len(index.precoders),) + estimate.shape[1:], dtype=complex)
     try:
-        for kind, rows in plan.kinds:
-            if kind == "basis_e1":
-                out[rows] = _E1
-                continue
-            refs = [realization.estimate(plan.precoders[r].user, plan.precoders[r].subband)
-                    for r in rows]
-            out[rows] = (zf_direction if kind == "zf_orth" else unit)(np.stack(refs))
+        for kind, rows, refs in index.kinds:
+            out[rows] = _E1 if refs is None else _direction(kind, estimate[refs])
     except ValueError:
-        for k in range(shape[0]):
-            for pre in plan.precoders:
-                _direction(realization, pre, k)
+        for k in range(estimate.shape[1]):
+            for pre in index.precoders:
+                if pre.kind != "basis_e1":
+                    _direction(pre.kind, estimate[cell_index(pre.user, pre.subband), k])
         raise
     return out
 
 
 def _link_powers(
-    realization: ChannelRealization,
-    symbols: Sequence[SymbolSpec],
-    links: Tuple[Tuple[int, str], ...],
-    ps: Sequence[float],
+    cells: ChannelPair, symbols: Sequence[SymbolSpec], index: LinkIndex, ps: Sequence[float]
 ) -> np.ndarray:
-    """|h^H w|^2 times the symbol's power for every (symbol index, user) link.
+    """|h^H w|^2 times the symbol's power for every link of the index.
 
-    The realization's vectors carry a leading ladder axis, one entry per
-    linear SNR in ps.  Returns shape (len(links) + 1,) + that vector shape
-    less its last axis; the extra last row is zero, for padding.  One
-    array pass per receiving cell covers all of its links.
+    ``cells`` is a realization's stacked cells with a ladder axis after
+    the cell axis, one entry per linear SNR in ps.  Returns shape (links +
+    1, points, ...), the trailing axes those of a cell's vectors less the
+    last; the extra last row is zero, for padding.  One array pass per
+    receiving cell covers all of its links.
     """
-    plan = _link_plan(links, tuple((sym.slot, sym.precoder) for sym in symbols))
-    w = _directions(realization, plan)
-    values = np.array([[symbols[i].power.value(p) for p in ps] for i in plan.symbols])
+    w = _directions(cells.estimate, index)
+    values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
     values = values.reshape(values.shape + (1,) * (w.ndim - 3))  # over the trial axis, if any
-    out = np.zeros((len(links) + 1,) + w.shape[1:-1])
-    for cell, ns, rows, sym_rows in plan.cells:
-        products = realization.true(*cell).conj() * w[rows]
-        out[ns] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[sym_rows]
+    out = np.zeros((len(index.cell) + 1,) + w.shape[1:-1])
+    for c, true in enumerate(cells.true):
+        ns = np.flatnonzero(index.cell == c)
+        if len(ns):
+            products = true.conj() * w[index.precoder[ns]]
+            out[ns] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[index.symbol[ns]]
     return out
-
-
-@functools.lru_cache(maxsize=256)
-def _step_index(table: DecodeTable) -> Tuple[np.ndarray, np.ndarray]:
-    """Each step's signal link and its interfering links, padded with the zero row."""
-    width = max((len(step.interference) for step in table.steps), default=0)
-    pad = (len(table.links),) * width
-    interference = np.array([(step.interference + pad)[:width] for step in table.steps],
-                            dtype=np.intp).reshape(len(table.steps), width)
-    return np.array([step.signal for step in table.steps], dtype=np.intp), interference
-
-
-def _ladder_axis(realization: ChannelRealization) -> ChannelRealization:
-    """The realization with a ladder axis of length 1 in front."""
-    return ChannelRealization({key: ChannelPair(pair.true[None], pair.estimate[None],
-                                                pair.error[None])
-                               for key, pair in realization.pairs.items()})
 
 
 def received_power(realization: ChannelRealization, sym: SymbolSpec, user: str, p: float):
@@ -182,22 +113,24 @@ def received_power(realization: ChannelRealization, sym: SymbolSpec, user: str, 
     Elementwise over any leading trial axis of the realization's vectors.
     """
     check_snr(p)
-    return _link_powers(_ladder_axis(realization), (sym,), ((0, user),), [p])[0, 0]
+    index = link_index((sym,), ((0, user),))
+    return _link_powers(realization.stacked[:, None], (sym,), index, [p])[0, 0]
 
 
-def _step_rates(d: SchemeDescriptor, realization: ChannelRealization, ps: Sequence[float]):
+def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
     """The rate of every step of ``d.table`` at every linear SNR in ps.
 
-    The realization's vectors carry a leading ladder axis, one entry per
-    ps.  Returns shape (steps, points, ...), steps in decode-plan order.
-    Each step's interference is summed in descriptor order, left to right,
-    as a Python ``sum`` over its links would.
+    ``cells`` is a realization's stacked cells with a ladder axis after
+    the cell axis, one entry per ps.  Returns shape (steps, points, ...),
+    steps in decode-plan order.  Each step's interference is summed in
+    descriptor order, left to right, as a Python ``sum`` over its links
+    would.
     """
-    powers = _link_powers(realization, d.symbols, d.table.links, ps)
-    signal, interference = _step_index(d.table)
-    gathered = powers[interference]
-    total = sum(gathered[:, j] for j in range(interference.shape[1]))
-    return np.log2(1.0 + powers[signal] / (1.0 + total))
+    table = d.table
+    powers = _link_powers(cells, d.symbols, table.link_index, ps)
+    gathered = powers[table.interference]
+    total = sum(gathered[:, j] for j in range(table.interference.shape[1]))
+    return np.log2(1.0 + powers[table.signal] / (1.0 + total))
 
 
 def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) -> np.ndarray:
@@ -209,7 +142,7 @@ def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) ->
     order, then the realization's leading trial axis, if any.
     """
     check_snr(p)
-    return _step_rates(d, _ladder_axis(realization), [p])[:, 0]
+    return _step_rates(d, realization.stacked[:, None], [p])[:, 0]
 
 
 def trial_rates(
@@ -258,7 +191,7 @@ def _ladder_rates(
     for lo in range(0, trials, TRIAL_BLOCK):
         cells = sample_ladder_cells(seed, q, scenario, ps, min(TRIAL_BLOCK, trials - lo), start + lo)
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = _step_rates(d, cells, ps)
+            rates = _step_rates(d, cells.stacked, ps)
         yield rates.transpose(1, 2, 0)
 
 

@@ -9,7 +9,8 @@ interference exactly the same-subband symbols its user has not decoded
 yet, so the plan's order is the whole SIC schedule.  Each descriptor is
 compiled once, when built, into a ``DecodeTable``, which two walks read:
 the Monte Carlo link layer sums linear received powers over it and
-``static_achievability_check`` takes the max of high-SNR exponents.
+``static_achievability_check`` takes the max of high-SNR exponents.  The
+table also carries the index arrays that the Monte Carlo walk gathers with.
 
 Builders are provided for the five strategies under study:
 
@@ -33,11 +34,11 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import SCENARIO_KINDS, SUBBANDS, USERS, QualityPair, Scenario
+from .channel import SCENARIO_KINDS, SUBBANDS, USERS, QualityPair, Scenario, cell_index
 
 OWNERS = USERS + ("common",)
 PRECODER_KINDS = ("basis_e1", "zf_orth", "aligned")
@@ -164,10 +165,48 @@ class Step(NamedTuple):
     interference: Tuple[int, ...]  # link indices, in descriptor instance order
 
 
+def _indices(values) -> np.ndarray:
+    """values as a read-only index array, safe to share between walks."""
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+class LinkIndex(NamedTuple):
+    """(symbol index, receiving user) links as index arrays; cells in ``channel.CELLS`` order."""
+
+    precoders: Tuple[Precoder, ...]  # each direction the links use once, in order of first use
+    #: (kind, its rows of ``precoders``, their reference cells), in
+    #: ``PRECODER_KINDS`` order; basis_e1 references no cell (None)
+    kinds: Tuple[Tuple[str, np.ndarray, Optional[np.ndarray]], ...]
+    precoder: np.ndarray  # per link: its row of ``precoders``
+    cell: np.ndarray  # per link: the receiving user's cell in the symbol's slot
+    symbol: np.ndarray  # per link: its symbol index
+
+
+def link_index(symbols: Sequence[SymbolSpec], links: Sequence[Tuple[int, str]]) -> LinkIndex:
+    """Index arrays of (symbol index, receiving user) links over these symbols."""
+    rows: Dict[Precoder, int] = {}
+    per_link = [(rows.setdefault(symbols[i].precoder, len(rows)),
+                 cell_index(user, symbols[i].slot), i) for i, user in links]
+    precoders = tuple(rows)
+    kinds = []
+    for kind in PRECODER_KINDS:
+        of_kind = [r for r, pre in enumerate(precoders) if pre.kind == kind]
+        if of_kind:
+            refs = None if kind == "basis_e1" else _indices(
+                [cell_index(precoders[r].user, precoders[r].subband) for r in of_kind])
+            kinds.append((kind, _indices(of_kind), refs))
+    return LinkIndex(precoders, tuple(kinds), *_indices(per_link).T)
+
+
 class DecodeTable(NamedTuple):
     """A descriptor's decode plan, resolved to indices once.
 
-    A rate table built on it has one column per step.
+    A rate table built on it has one column per step.  ``signal`` and
+    ``interference`` hold each step's links as arrays: row j of
+    ``interference`` is ``steps[j].interference`` padded to a common width
+    with ``len(links)``, the index of a numeric walk's zero row.
     """
 
     links: Tuple[Tuple[int, str], ...]  # (symbol index, user) pairs, in order of first use
@@ -175,6 +214,9 @@ class DecodeTable(NamedTuple):
     #: (id, indices of the steps that decode it) per payload, in order of
     #: first appearance
     payloads: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    link_index: LinkIndex  # ``links`` as index arrays
+    signal: np.ndarray  # per step: its signal link
+    interference: np.ndarray  # (steps, width): its interfering links, padded
 
 
 def _compile(d: "SchemeDescriptor") -> DecodeTable:
@@ -219,7 +261,11 @@ def _compile(d: "SchemeDescriptor") -> DecodeTable:
     undecoded = [sym_id for sym_id, columns in payloads if not columns]
     if undecoded:
         raise ValueError(f"symbols {sorted(undecoded)} are never decoded")
-    return DecodeTable(tuple(links), tuple(steps), payloads)
+    pad = (len(links),) * max(len(step.interference) for step in steps)
+    by_step = _indices([(step.signal,) + (step.interference + pad)[:len(pad)] for step in steps])
+    pairs = tuple(links)
+    return DecodeTable(pairs, tuple(steps), payloads, link_index(d.symbols, pairs),
+                       by_step[:, 0], by_step[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -217,9 +217,12 @@ CSV_HEADER = ["beta", "alpha", "d_fdma", "d_zfbf", "d_s3", "d_opt", "best", "rat
 
 def _fields(column: np.ndarray, end: str) -> Tuple[np.ndarray, np.ndarray]:
     """Each distinct value's repr with ``end`` attached, and every entry's index into them."""
-    values, inverse = np.unique(column, return_inverse=True)
-    fields = np.array([repr(v) + end for v in values.tolist()], dtype=object)
-    return fields, inverse.astype(np.int32)  # a grid holds at most MAX_GRID_CELLS cells
+    if column.strides == (0,):  # a broadcast constant, like fdma's sum DoF: no sort
+        values, inverse = column[:1], np.broadcast_to(np.int32(0), column.shape)
+    else:
+        values, inverse = np.unique(column, return_inverse=True)
+        inverse = inverse.astype(np.int32)  # a grid holds at most MAX_GRID_CELLS cells
+    return np.array([repr(v) + end for v in values.tolist()], dtype=object), inverse
 
 
 def write_sweep_csv(m: SweepMap, stream: io.TextIOBase) -> None:

@@ -145,6 +145,8 @@ def test_sample_realization_covers_all_cells():
         for s in ch.SUBBANDS:
             assert r.true(u, s).shape == (2,)
             assert np.array_equal(r.true(u, s), r.pair(u, s).estimate + r.pair(u, s).error)
+    with pytest.raises(ValueError, match=r"unknown cell \('user3', 'A'\)"):
+        r.pair("user3", "A")
 
 
 # ---------------------------------------------------------------------------

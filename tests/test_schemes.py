@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
-from dofsim.channel import MATCHED, SUBBANDS, UNMATCHED, QualityPair
+from dofsim.channel import CELLS, MATCHED, SUBBANDS, UNMATCHED, QualityPair, Scenario
 from dofsim.regions import contains, outer_bound
 
 Q = QualityPair(0.8, 0.5)
@@ -149,6 +149,44 @@ def test_optimal_unmatched_decode_order_and_cancellation():
         ("B", "v_B", ("u_B",)),
         ("A", "v_A", ("u_A",)),
     ]
+
+
+#: One quality pair per face of the triangle 0 <= alpha <= beta <= 1: the
+#: interior, the beta = 1 edge, the diagonal, the alpha = 0 edge and the
+#: three corners.
+FACE_POINTS = [(0.8, 0.5), (1.0, 0.5), (0.5, 0.5), (0.5, 0.0), (0.0, 0.0), (1.0, 0.0),
+               (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("beta,alpha", FACE_POINTS)
+@pytest.mark.parametrize("scheme", sch.SCHEME_NAMES)
+def test_compiled_indices_match_the_links_and_steps(scheme, beta, alpha):
+    for kind in sch.SCHEMES[scheme].scenarios:
+        d = sch.build_descriptor(scheme, QualityPair(beta, alpha), Scenario(kind))
+        table, index = d.table, d.table.link_index
+        assert table.signal.tolist() == [step.signal for step in table.steps]
+        width = table.interference.shape[1]
+        assert width == max(len(step.interference) for step in table.steps)
+        for row, step in zip(table.interference.tolist(), table.steps):
+            assert row == list(step.interference) + [len(table.links)] * (width - len(
+                step.interference))
+        assert index.symbol.tolist() == [i for i, _ in table.links]
+        assert index.cell.tolist() == [CELLS.index((user, d.symbols[i].slot))
+                                       for i, user in table.links]
+        assert [index.precoders[r] for r in index.precoder] == [
+            d.symbols[i].precoder for i, _ in table.links]
+        assert len(set(index.precoders)) == len(index.precoders)
+        assert [kind for kind, _, _ in index.kinds] == [
+            k for k in sch.PRECODER_KINDS if any(pre.kind == k for pre in index.precoders)]
+        for kind, rows, refs in index.kinds:
+            assert rows.tolist() == [r for r, pre in enumerate(index.precoders)
+                                     if pre.kind == kind]
+            if kind == "basis_e1":
+                assert refs is None
+            else:
+                assert refs.tolist() == [CELLS.index((index.precoders[r].user,
+                                                      index.precoders[r].subband))
+                                         for r in rows.tolist()]
 
 
 def test_matched_descriptor_reference_point():

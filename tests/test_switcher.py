@@ -12,6 +12,7 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dofsim import cli
@@ -274,6 +275,17 @@ def test_csv_roundtrip_lossless():
     assert text.startswith(",".join(sw.CSV_HEADER) + "\n")
     cells = sw.read_sweep_csv(io.StringIO(text))
     assert tuple(cells) == m.cells
+
+
+@pytest.mark.parametrize("value", [1.0, 0.1, -0.0])
+def test_a_broadcast_column_formats_as_its_copy_does(value):
+    column = np.broadcast_to(value, 7)
+    assert column.strides == (0,)
+    fields, index = sw._fields(column, ",")
+    want_fields, want_index = sw._fields(column.copy(), ",")
+    assert fields.tolist() == want_fields.tolist() == [repr(value) + ","]
+    assert index.tolist() == want_index.tolist() == [0] * 7
+    assert index.dtype == want_index.dtype
 
 
 def test_csv_matched_leaves_s3_blank():

@@ -44,6 +44,12 @@ def battery():
             yield ["simulate", "--scheme", scheme, *chosen, *mc]
         for beta in ("0", "1"):
             yield ["simulate", "--scheme", scheme, "--beta", beta, "--alpha", "0", *mc]
+    # With alpha = 3e-18 the alpha cells' estimate variance 1 - P**-alpha
+    # rounds to 0 at 40 dB but not at 200 or 400 dB, so the ladder mixes
+    # skip patterns: fdma runs, and zfbf zero-forces on a zero estimate.
+    for scheme in ("fdma", "zfbf"):
+        yield ["simulate", "--scheme", scheme, "--beta", "0.5", "--alpha", "3e-18",
+               "--snr", "40,200,400", "--trials", "50"]
     yield ["verify"]
     yield ["verify", "--scenario", "matched"]
     for scenario in SCENARIOS:
