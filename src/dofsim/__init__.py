@@ -4,7 +4,6 @@ from .channel import (
     MATCHED,
     UNMATCHED,
     ChannelPair,
-    ChannelRealization,
     QualityPair,
     Scenario,
     db_to_linear,

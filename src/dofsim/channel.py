@@ -27,16 +27,17 @@ the state before that draw.  A once-per-process check compares a fixed
 block, with both kinds of trial, against ``trial_rng``.
 
 One trial's cells are built from one ``standard_normal`` draw in a fixed
-layout (``_pairs_from_normals``), stacked on a leading axis in ``CELLS``
-order.  ``sample_pair`` and ``sample_realization`` build one trial at
-one SNR.  ``sample_ladder_cells`` builds many trials at every point of
-an SNR ladder in one pass: each trial's normals are drawn once and
-rescaled along a ladder axis (common random numbers), so the stacked
-arrays have shape (cells, points, trials, 2).  Row t at ladder point k
-equals ``sample_realization(trial_rng(seed, start + t), q, scenario,
-ps[k])`` bit for bit, so ``cells.true(u, s)[k]`` is the (trials, 2)
-array of one ladder point.  ``zf_direction`` and ``unit`` work row by
-row on such arrays.
+layout (``_pairs_from_normals``): a realization is one ``ChannelPair``
+with the cells on a leading axis in ``CELLS`` order, so
+``cells[cell_index(u, s)]`` is one cell.  ``sample_pair`` and
+``sample_realization`` build one cell or one trial at one SNR.
+``sample_ladder_cells`` builds many trials at every point of an SNR
+ladder in one pass: each trial's normals are drawn once and rescaled
+along a ladder axis (common random numbers), so the arrays have shape
+(cells, points, trials, 2).  Row t at ladder point k equals
+``sample_realization(trial_rng(seed, start + t), q, scenario, ps[k])``
+bit for bit.  ``zf_direction`` and ``unit`` work row by row on such
+arrays.
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ def check_snr(p) -> None:
 class ChannelPair:
     """True channel, transmitter-side estimate and estimation error (2-vectors).
 
-    Indexing a pair indexes its three arrays alike, so a stack of cells
-    iterates over its cells.
+    Indexing a pair indexes its three arrays alike, so a realization (its
+    cells stacked on a leading axis in ``CELLS`` order) iterates over them.
     """
 
     true: np.ndarray
@@ -157,30 +158,6 @@ class ChannelPair:
 
     def __getitem__(self, index) -> "ChannelPair":
         return ChannelPair(self.true[index], self.estimate[index], self.error[index])
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """The four (user, subband) channels of one draw or of a block of draws.
-
-    ``stacked`` holds them on a leading axis in ``CELLS`` order; the
-    accessors return views of single cells.
-    """
-
-    stacked: ChannelPair
-
-    @property
-    def pairs(self) -> Dict[Tuple[str, str], ChannelPair]:
-        return dict(zip(CELLS, self.stacked))
-
-    def pair(self, user: str, subband: str) -> ChannelPair:
-        return self.stacked[cell_index(user, subband)]
-
-    def true(self, user: str, subband: str) -> np.ndarray:
-        return self.stacked.true[cell_index(user, subband)]
-
-    def estimate(self, user: str, subband: str) -> np.ndarray:
-        return self.stacked.estimate[cell_index(user, subband)]
 
 
 #: Trials per array pass.  Callers of ``sample_ladder_cells`` walk long
@@ -449,11 +426,11 @@ def sample_pair(rng: np.random.Generator, a: float, p: float) -> ChannelPair:
 
 def sample_realization(
     rng: np.random.Generator, q: QualityPair, scenario: Scenario, p: float
-) -> ChannelRealization:
-    """Draw the four channels of one trial in a fixed (subband, user) order."""
+) -> ChannelPair:
+    """Draw the four cells of one trial, stacked in ``CELLS`` order."""
     variances = [_variances(scenario.quality(u, s, q), p) for u, s in CELLS]
     z = rng.standard_normal(_normals_needed(variances))
-    return ChannelRealization(_pairs_from_normals(z, variances))
+    return _pairs_from_normals(z, variances)
 
 
 def _sample_cells(
@@ -498,8 +475,8 @@ def sample_ladder_cells(
     ps: Sequence[float],
     trials: int,
     start: int = 0,
-) -> ChannelRealization:
-    """Trials [start, start + trials) at every linear SNR in ps, as one realization.
+) -> ChannelPair:
+    """Trials [start, start + trials) at every linear SNR in ps, cells stacked in ``CELLS`` order.
 
     Per cell, vectors have shape (len(ps), trials, 2).  Entry [k, t] equals
     ``sample_realization(trial_rng(seed, start + t), q, scenario, ps[k])``
@@ -507,7 +484,7 @@ def sample_ladder_cells(
     ladder.
     """
     qualities = [scenario.quality(u, s, q) for u, s in CELLS]
-    return ChannelRealization(_sample_cells(seed, qualities, ps, trials, start))
+    return _sample_cells(seed, qualities, ps, trials, start)
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:

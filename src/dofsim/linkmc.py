@@ -1,13 +1,14 @@
 """Monte Carlo link layer: SIC step rates and DoF slope estimates.
 
-The decoder walks the descriptor's compiled table (``schemes.DecodeTable``),
-the one the static achievability check walks over exponents, through the
-index arrays it carries: it builds each precoder and each (symbol, user)
-received power once from a realization's stacked cells, then gives every
-decode step the rate log2(1 + S / (1 + I)), where I sums the powers the
-step has not cancelled.  Rates come as one array with a leading step
-axis in ``d.table.steps`` order; ``d.table.payloads`` names the steps
-that decode each payload, whose worst rate the payload delivers.  The DoF
+The decoder walks the index arrays of the descriptor's compiled table
+(``schemes.DecodeTable``), which the static achievability check walks
+over exponents: from a realization's cells (one ``ChannelPair`` stacked
+in ``channel.CELLS`` order) it builds each link's received power once,
+gathers them through ``d.table.signal`` and ``d.table.interference`` and
+gives every step the rate log2(1 + S / (1 + I)), where I sums the powers
+the step has not cancelled.  Rates come as one array with a leading step
+axis in decode-plan order; ``d.table.payloads`` names the steps that
+decode each payload, whose worst rate the payload delivers.  The DoF
 estimate is the slope of the mean delivered rate per channel use of the
 two-subband frame against log2(P) over an SNR ladder.
 
@@ -31,10 +32,10 @@ from typing import Dict, Iterator, Sequence, Tuple
 import numpy as np
 
 from .channel import (
+    CELLS,
     SUBBANDS,
     TRIAL_BLOCK,
     ChannelPair,
-    ChannelRealization,
     QualityPair,
     Scenario,
     check_seed,
@@ -48,7 +49,7 @@ from .channel import (
 # Not called here, but kept importable as ``linkmc.trial_rng`` and
 # ``linkmc.sample_realization``: the per-layer trace wraps them by this path.
 from .channel import sample_realization, trial_rng  # noqa: F401
-from .schemes import LinkIndex, SchemeDescriptor, SymbolSpec, credit_users, link_index
+from .schemes import LinkIndex, SchemeDescriptor, SymbolSpec, credit_users, index_links
 
 #: Fit residual (bits per channel use) above which the slope estimate falls
 #: back to the top SNR pair; the common layer's rate converges slowly.
@@ -107,14 +108,22 @@ def _link_powers(
     return out
 
 
-def received_power(realization: ChannelRealization, sym: SymbolSpec, user: str, p: float):
+def _one_point(cells: ChannelPair, p: float) -> ChannelPair:
+    """cells with a one-point ladder axis, once checked to stack ``CELLS`` at a valid SNR p."""
+    if np.shape(cells.true)[:1] != (len(CELLS),):
+        raise ValueError(f"expected the {len(CELLS)} cells stacked in CELLS order, "
+                         f"got true channels of shape {np.shape(cells.true)}")
+    check_snr(p)
+    return cells[:, None]
+
+
+def received_power(cells: ChannelPair, sym: SymbolSpec, user: str, p: float):
     """|h^H w|^2 times the symbol's allocated power at linear SNR p.
 
-    Elementwise over any leading trial axis of the realization's vectors.
+    ``cells`` is a realization's stacked cells; elementwise over any
+    trial axis after the cell axis.
     """
-    check_snr(p)
-    index = link_index((sym,), ((0, user),))
-    return _link_powers(realization.stacked[:, None], (sym,), index, [p])[0, 0]
+    return _link_powers(_one_point(cells, p), (sym,), index_links((sym,), ((0, user),)), [p])[0, 0]
 
 
 def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
@@ -127,22 +136,21 @@ def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
     would.
     """
     table = d.table
-    powers = _link_powers(cells, d.symbols, table.link_index, ps)
+    powers = _link_powers(cells, d.symbols, table.links, ps)
     gathered = powers[table.interference]
     total = sum(gathered[:, j] for j in range(table.interference.shape[1]))
     return np.log2(1.0 + powers[table.signal] / (1.0 + total))
 
 
-def sic_rates(d: SchemeDescriptor, realization: ChannelRealization, p: float) -> np.ndarray:
-    """Walk the decode table on one realization, or on a block of trials.
+def sic_rates(d: SchemeDescriptor, cells: ChannelPair, p: float) -> np.ndarray:
+    """Walk the decode table on one realization's stacked cells, or on a block of trials.
 
     At each step the target's received power S competes against unit noise
     plus the received powers I of all same-slot symbols that the step has
-    not cancelled.  Returns shape (steps, ...), steps in ``d.table.steps``
-    order, then the realization's leading trial axis, if any.
+    not cancelled.  Returns shape (steps, ...), steps in decode-plan
+    order, then the trial axis after the cell axis, if any.
     """
-    check_snr(p)
-    return _step_rates(d, realization.stacked[:, None], [p])[:, 0]
+    return _step_rates(d, _one_point(cells, p), [p])[:, 0]
 
 
 def trial_rates(
@@ -156,14 +164,14 @@ def trial_rates(
 ) -> np.ndarray:
     """Rate table for trials [start, start + trials), one row per trial.
 
-    Columns follow ``d.table.steps``.  Row t depends only on (seed,
+    Columns follow the decode plan.  Row t depends only on (seed,
     start + t), so disjoint ranges computed separately concatenate into
     exactly the array a single full run would produce.  Raises ValueError
     if a rate is not finite (the received powers overflowed).
     """
     blocks = [rates[0] for rates in _ladder_rates(d, q, scenario, [p], trials, seed, start)]
     # In C order, so that a mean over trials adds them one row at a time.
-    out = np.concatenate(blocks, out=np.empty((trials, len(d.table.steps))))
+    out = np.concatenate(blocks, out=np.empty((trials, len(d.table.signal))))
     _check_finite(out, f"{[p]} (linear)")
     return out
 
@@ -191,7 +199,7 @@ def _ladder_rates(
     for lo in range(0, trials, TRIAL_BLOCK):
         cells = sample_ladder_cells(seed, q, scenario, ps, min(TRIAL_BLOCK, trials - lo), start + lo)
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = _step_rates(d, cells.stacked, ps)
+            rates = _step_rates(d, cells, ps)
         yield rates.transpose(1, 2, 0)
 
 
@@ -219,7 +227,7 @@ def _mean_rates(
     whole rate table adds them, so the means are bit-identical to it.
     ``ladder`` names the ladder in the error on a rate that is not finite.
     """
-    sums = np.zeros((len(ps), len(d.table.steps)))
+    sums = np.zeros((len(ps), len(d.table.signal)))
     for block in _ladder_rates(d, q, scenario, ps, trials, seed, 0):
         sums = np.add.accumulate(np.concatenate([sums[:, None], block], axis=1), axis=1)[:, -1]
     _check_finite(sums, ladder)

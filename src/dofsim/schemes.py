@@ -7,10 +7,10 @@ and a target rate exponent, and an ordered decode plan per user.  Every
 receiver runs successive interference cancellation (SIC): a step sees as
 interference exactly the same-subband symbols its user has not decoded
 yet, so the plan's order is the whole SIC schedule.  Each descriptor is
-compiled once, when built, into a ``DecodeTable``, which two walks read:
-the Monte Carlo link layer sums linear received powers over it and
-``static_achievability_check`` takes the max of high-SNR exponents.  The
-table also carries the index arrays that the Monte Carlo walk gathers with.
+compiled once, when built, into a ``DecodeTable`` of index arrays: each
+link's symbol, cell and precoder, and each step's signal and interfering
+links.  Both walks gather through them: the Monte Carlo link layer sums
+linear received powers, ``static_achievability_check`` high-SNR exponents.
 
 Builders are provided for the five strategies under study:
 
@@ -31,14 +31,14 @@ is defined for and its closed-form sum DoF; ``build_descriptor``,
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Real
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import SCENARIO_KINDS, SUBBANDS, USERS, QualityPair, Scenario, cell_index
+from .channel import CELLS, SCENARIO_KINDS, SUBBANDS, USERS, QualityPair, Scenario, cell_index
 
 OWNERS = USERS + ("common",)
 PRECODER_KINDS = ("basis_e1", "zf_orth", "aligned")
@@ -156,15 +156,6 @@ class DecodeStep:
     symbol: str
 
 
-class Step(NamedTuple):
-    """A decode step: the target's link and the links still interfering."""
-
-    user: str
-    target: int  # index into the descriptor's symbols
-    signal: int  # index into DecodeTable.links
-    interference: Tuple[int, ...]  # link indices, in descriptor instance order
-
-
 def _indices(values) -> np.ndarray:
     """values as a read-only index array, safe to share between walks."""
     out = np.array(values, dtype=np.intp)
@@ -184,7 +175,7 @@ class LinkIndex(NamedTuple):
     symbol: np.ndarray  # per link: its symbol index
 
 
-def link_index(symbols: Sequence[SymbolSpec], links: Sequence[Tuple[int, str]]) -> LinkIndex:
+def index_links(symbols: Sequence[SymbolSpec], links: Sequence[Tuple[int, str]]) -> LinkIndex:
     """Index arrays of (symbol index, receiving user) links over these symbols."""
     rows: Dict[Precoder, int] = {}
     per_link = [(rows.setdefault(symbols[i].precoder, len(rows)),
@@ -201,22 +192,20 @@ def link_index(symbols: Sequence[SymbolSpec], links: Sequence[Tuple[int, str]]) 
 
 
 class DecodeTable(NamedTuple):
-    """A descriptor's decode plan, resolved to indices once.
+    """A descriptor's decode plan, resolved to index arrays once.
 
-    A rate table built on it has one column per step.  ``signal`` and
-    ``interference`` hold each step's links as arrays: row j of
-    ``interference`` is ``steps[j].interference`` padded to a common width
-    with ``len(links)``, the index of a numeric walk's zero row.
+    A rate table built on it has one column per step, in plan order.  Row
+    j of ``interference`` holds step j's interfering links in instance
+    order, padded with ``len(links.cell)``, a walk's padding row (zero
+    power, or exponent -inf).
     """
 
-    links: Tuple[Tuple[int, str], ...]  # (symbol index, user) pairs, in order of first use
-    steps: Tuple[Step, ...]  # in decode-plan order
+    links: LinkIndex  # (symbol index, receiving user) links, in order of first use
+    signal: np.ndarray  # per step: its signal link
+    interference: np.ndarray  # (steps, width): its interfering links, padded
     #: (id, indices of the steps that decode it) per payload, in order of
     #: first appearance
     payloads: Tuple[Tuple[str, Tuple[int, ...]], ...]
-    link_index: LinkIndex  # ``links`` as index arrays
-    signal: np.ndarray  # per step: its signal link
-    interference: np.ndarray  # (steps, width): its interfering links, padded
 
 
 def _compile(d: "SchemeDescriptor") -> DecodeTable:
@@ -233,7 +222,7 @@ def _compile(d: "SchemeDescriptor") -> DecodeTable:
         by_slot.setdefault(sym.slot, []).append((sym.id, i))
     decoded: Dict[str, Dict[str, int]] = {u: {} for u in USERS}  # symbol -> step
     links: Dict[Tuple[int, str], int] = {}  # (instance, user) -> link index
-    steps: List[Step] = []
+    steps: List[List[int]] = []  # per step: its signal link, then its interfering links
     for step in d.decode_plan:
         user, symbol, slot = step.user, step.symbol, step.slot
         if user not in USERS:
@@ -247,13 +236,12 @@ def _compile(d: "SchemeDescriptor") -> DecodeTable:
         done = decoded[user]
         if symbol in done:
             raise ValueError(f"{user} decodes {symbol!r} twice")
-        signal = links.setdefault((target, user), len(links))
-        interference = []
+        row = [links.setdefault((target, user), len(links))]
         for sym_id, i in by_slot[slot]:
             if sym_id != symbol and sym_id not in done:
-                interference.append(links.setdefault((i, user), len(links)))
+                row.append(links.setdefault((i, user), len(links)))
         done[symbol] = len(steps)
-        steps.append(Step(user, target, signal, tuple(interference)))
+        steps.append(row)
     payloads = tuple(
         (sym_id, tuple(decoded[u][sym_id] for u in USERS if sym_id in decoded[u]))
         for sym_id in d.payloads()
@@ -261,11 +249,9 @@ def _compile(d: "SchemeDescriptor") -> DecodeTable:
     undecoded = [sym_id for sym_id, columns in payloads if not columns]
     if undecoded:
         raise ValueError(f"symbols {sorted(undecoded)} are never decoded")
-    pad = (len(links),) * max(len(step.interference) for step in steps)
-    by_step = _indices([(step.signal,) + (step.interference + pad)[:len(pad)] for step in steps])
-    pairs = tuple(links)
-    return DecodeTable(pairs, tuple(steps), payloads, link_index(d.symbols, pairs),
-                       by_step[:, 0], by_step[:, 1:])
+    width = max(map(len, steps))
+    by_step = _indices([row + [len(links)] * (width - len(row)) for row in steps])
+    return DecodeTable(index_links(d.symbols, tuple(links)), by_step[:, 0], by_step[:, 1:], payloads)
 
 
 @dataclass(frozen=True)
@@ -333,7 +319,7 @@ def power_ledger(d: SchemeDescriptor, slot_id: str) -> Dict[float, Fraction]:
     acc: Dict[float, Fraction] = {}
     for sym in (s for s in d.symbols if s.slot == slot_id):
         for exponent, coeff in sym.power.ledger():
-            acc[exponent] = acc.get(exponent, Fraction(0)) + coeff
+            acc[exponent] = acc.get(exponent, 0) + coeff
     return {e: c for e, c in acc.items() if c != 0}
 
 
@@ -646,31 +632,33 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
 
     Walks ``d.table`` in max-plus: a link's received exponent is its power
     term's top exponent, lowered by the CSIT quality exponent when the
-    symbol is zero-forced against the receiving user's estimate in the
-    symbol's own slot.  For each step: signal exponent minus the largest
-    interference exponent (floored at the noise level 0) must cover the
-    symbol's rate exponent.  Raises AchievabilityError naming the first
-    failing step; returns all step margins otherwise.
+    symbol is zero-forced against the link's own receiving cell; a step
+    gathers them (-inf on the padding row).  Its signal exponent minus the
+    largest interference exponent (floored at the noise level 0) must
+    cover the symbol's rate exponent.  Raises AchievabilityError naming
+    the first failing step; returns all step margins otherwise.
     """
+    links = d.table.links
+    symbol, cell = links.symbol.tolist(), links.cell.tolist()
+    zf_cell = {r: ref for kind, rows, refs in links.kinds if kind == "zf_orth"
+               for r, ref in zip(rows.tolist(), refs.tolist())}  # precoder row -> nulled cell
     exponents = []
-    for i, user in d.table.links:
-        sym = d.symbols[i]
-        e = float(sym.power.hi)
-        if sym.precoder == zf_orth(user, sym.slot):
-            e -= float(Scenario(d.scenario).quality(user, sym.slot, d.quality))
+    for i, c, r in zip(symbol, cell, links.precoder.tolist()):
+        e = float(d.symbols[i].power.hi)
+        if zf_cell.get(r) == c:
+            e -= float(Scenario(d.scenario).quality(*CELLS[c], d.quality))
         exponents.append(e)
+    exponents.append(-math.inf)  # the padding row
     report: List[StepMargin] = []
-    for step in d.table.steps:
-        target = d.symbols[step.target]
-        signal = exponents[step.signal]
-        interference = max((exponents[i] for i in step.interference), default=float("-inf"))
-        margin = signal - max(interference, 0.0) - target.rate_exponent
+    for signal, row in zip(d.table.signal.tolist(), d.table.interference.tolist()):
+        user, target = CELLS[cell[signal]][0], d.symbols[symbol[signal]]
+        interference = max([exponents[n] for n in row], default=-math.inf)
+        sinr = exponents[signal] - max(interference, 0.0)
+        margin = sinr - target.rate_exponent
         if margin < -MARGIN_TOL:
             raise AchievabilityError(
-                f"{d.name}: step ({step.user}, slot {target.slot}, {target.id}) "
-                f"needs rate exponent {target.rate_exponent} but the SINR "
-                f"exponent is {signal - max(interference, 0.0):.6g}"
-            )
-        report.append(StepMargin(step.user, target.slot, target.id,
-                                 signal, interference, margin))
+                f"{d.name}: step ({user}, slot {target.slot}, {target.id}) needs rate "
+                f"exponent {target.rate_exponent} but the SINR exponent is {sinr:.6g}")
+        report.append(StepMargin(user, target.slot, target.id, exponents[signal],
+                                 interference, margin))
     return report

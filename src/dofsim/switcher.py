@@ -133,9 +133,6 @@ class SweepMap:
             self.d_zfbf.tolist(), d_s3, self.d_opt.tolist(), best, self.ratio.tolist(),
         ))
 
-    def label(self, cell: SweepCell) -> str:
-        return OPTIMAL_NEEDED if _needs_optimal(cell.ratio, self.rho) else cell.best
-
     @cached_property
     def _counts(self) -> Dict[str, int]:
         names = STRATEGIES + (OPTIMAL_NEEDED,)

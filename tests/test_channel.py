@@ -132,21 +132,24 @@ def test_draw_layout_is_fixed():
     # matched (0.5, 0): cells (user1, A), (user2, A) take 8 normals each,
     # then (user1, B), (user2, B) draw only their error, 4 normals each.
     r = ch.sample_realization(ch.trial_rng(9, 0), ch.QualityPair(0.5, 0.0), ch.MATCHED, p)
-    assert np.array_equal(r.pair("user2", "A").error, np.sqrt(s2 / 2) * (z[12:14] + 1j * z[14:16]))
-    assert np.array_equal(r.pair("user1", "B").error, np.sqrt(0.5) * (z[16:18] + 1j * z[18:20]))
-    assert np.array_equal(r.pair("user2", "B").error, np.sqrt(0.5) * (z[20:22] + 1j * z[22:24]))
+    error = r.error[[ch.cell_index(*cell) for cell in (("user2", "A"), ("user1", "B"),
+                                                      ("user2", "B"))]]
+    assert np.array_equal(error[0], np.sqrt(s2 / 2) * (z[12:14] + 1j * z[14:16]))
+    assert np.array_equal(error[1], np.sqrt(0.5) * (z[16:18] + 1j * z[18:20]))
+    assert np.array_equal(error[2], np.sqrt(0.5) * (z[20:22] + 1j * z[22:24]))
 
 
 def test_sample_realization_covers_all_cells():
     r = ch.sample_realization(ch.trial_rng(0, 0), ch.QualityPair(0.8, 0.5),
                               ch.UNMATCHED, 1e4)
-    assert set(r.pairs) == {(u, s) for u in ch.USERS for s in ch.SUBBANDS}
+    assert set(ch.CELLS) == {(u, s) for u in ch.USERS for s in ch.SUBBANDS}
+    assert r.true.shape == (len(ch.CELLS), 2)
     for u in ch.USERS:
         for s in ch.SUBBANDS:
-            assert r.true(u, s).shape == (2,)
-            assert np.array_equal(r.true(u, s), r.pair(u, s).estimate + r.pair(u, s).error)
+            cell = r[ch.cell_index(u, s)]
+            assert np.array_equal(cell.true, cell.estimate + cell.error)
     with pytest.raises(ValueError, match=r"unknown cell \('user3', 'A'\)"):
-        r.pair("user3", "A")
+        ch.cell_index("user3", "A")
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +233,7 @@ def test_trial_rng_order_independent():
     for t in range(4):
         want = forward[t]
         got = backward[3 - t]
-        for key in want.pairs:
-            assert np.array_equal(want.true(*key), got.true(*key))
+        assert np.array_equal(want.true, got.true)
 
 
 @settings(max_examples=50, deadline=None)
@@ -272,8 +274,7 @@ def test_measure_error_exponent_validation():
 
 
 def _assert_realizations_equal(batch, row, single):
-    for key, pair in single.pairs.items():
-        got = batch.pair(*key)
+    for key, pair, got in zip(ch.CELLS, single, batch):
         for part in ("true", "estimate", "error"):
             assert np.array_equal(getattr(got, part)[row], getattr(pair, part)), (key, part)
 
@@ -289,7 +290,7 @@ def _assert_realizations_equal(batch, row, single):
 def test_sample_ladder_rows_equal_per_trial_draws(q, scenario, ladder):
     seed, start, trials = 21, 5, 7
     cells = ch.sample_ladder_cells(seed, q, scenario, ladder, trials, start)
-    assert cells.true("user1", "A").shape == (len(ladder), trials, 2)
+    assert cells.true.shape == (len(ch.CELLS), len(ladder), trials, 2)
     for k, p in enumerate(ladder):
         for t in range(trials):
             single = ch.sample_realization(ch.trial_rng(seed, start + t), q, scenario, p)
@@ -299,8 +300,10 @@ def test_sample_ladder_rows_equal_per_trial_draws(q, scenario, ladder):
 def test_sample_ladder_skips_zero_variance_estimates():
     q = ch.QualityPair(0.8, 0.0)
     r = ch.sample_ladder_cells(3, q, ch.UNMATCHED, (1e4,), 4)
-    assert np.all(r.estimate("user1", "B")[0] == 0) and np.all(r.estimate("user2", "A")[0] == 0)
-    assert np.all(r.estimate("user1", "A")[0] != 0)
+    estimate = r.estimate[:, 0]
+    assert np.all(estimate[ch.cell_index("user1", "B")] == 0)
+    assert np.all(estimate[ch.cell_index("user2", "A")] == 0)
+    assert np.all(estimate[ch.cell_index("user1", "A")] != 0)
 
 
 def test_sample_ladder_seeds_each_trial_once(monkeypatch):

@@ -2,7 +2,7 @@
 DoF slope estimation.
 
 Rates are arrays with one column (or leading row) per decode step, in
-``d.table.steps`` order; ``_column`` finds the step of a (symbol, user).
+decode-plan order; ``_column`` finds the step of a (symbol, user).
 
 The FDMA ergodic reference values below come from the closed form
 E log2(1 + |h|^2 p) = e^(1/p) E1(1/p) / ln 2 for |h|^2 ~ Exp(1), evaluated
@@ -30,8 +30,9 @@ def _instance(d, sym_id, slot):
 
 
 def _steps(d):
-    """(symbol, decoding user) of each decode step, in ``d.table.steps`` order."""
-    return [(d.symbols[step.target].id, step.user) for step in d.table.steps]
+    """(symbol, decoding user) of each decode step, read off its signal link."""
+    links = d.table.links
+    return [(d.symbols[links.symbol[n]].id, ch.CELLS[links.cell[n]][0]) for n in d.table.signal]
 
 
 def _column(d, sym_id, user):
@@ -42,8 +43,7 @@ def _manual_realization():
     # One row per cell, in ch.CELLS order: (user1, A), (user2, A), (user1, B), (user2, B).
     true = np.array([[2.0, 1.0j], [0.5, 1.0], [1.0, -1.0], [1.0j, 2.0]])
     estimate = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0], [0.0, 2.0]], dtype=complex)
-    return ch.ChannelRealization(ch.ChannelPair(true=true, estimate=estimate,
-                                                error=true - estimate))
+    return ch.ChannelPair(true=true, estimate=estimate, error=true - estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,13 @@ def test_received_power_requires_snr_above_one():
     for p in (1.0, float("nan")):
         with pytest.raises(ValueError, match="linear SNR must exceed 1"):
             mc.received_power(r, x_a, "user1", p)
+
+
+def test_received_power_rejects_a_bare_pair():
+    cell = _manual_realization()[0]
+    x_a = _instance(sch.fdma_descriptor(), "x_A", "A")
+    with pytest.raises(ValueError, match=r"expected the 4 cells .* got true channels of shape \(2,\)"):
+        mc.received_power(cell, x_a, "user1", 1e4)
 
 
 def test_zf_leakage_mean_is_half():
@@ -109,9 +116,9 @@ def test_sic_u0_step_matches_hand_computed_sinr():
     d = sch.optimal_unmatched_descriptor(Q)
     rates = mc.sic_rates(d, realization, p)
 
-    h = realization.true("user1", "A")
-    g_est = realization.estimate("user2", "A")
-    h_est = realization.estimate("user1", "A")
+    h = realization.true[ch.cell_index("user1", "A")]
+    g_est = realization.estimate[ch.cell_index("user2", "A")]
+    h_est = realization.estimate[ch.cell_index("user1", "A")]
     signal = abs(np.vdot(h, ch.unit(g_est))) ** 2 * (p**0.8 - p**0.5) / 2
     interference = (
         abs(np.vdot(h, ch.zf_direction(g_est))) ** 2 * p**0.5 / 2
@@ -141,6 +148,15 @@ def test_sic_rates_require_snr_above_one():
     for p in (1.0, float("nan")):
         with pytest.raises(ValueError, match="linear SNR must exceed 1"):
             mc.sic_rates(sch.fdma_descriptor(), _manual_realization(), p)
+
+
+def test_sic_rates_rejects_a_bare_pair():
+    d = sch.fdma_descriptor()
+    single = ch.sample_pair(ch.trial_rng(0, 0), 0.5, 1e4)
+    with pytest.raises(ValueError, match=r"expected the 4 cells .* got true channels of shape \(2,\)"):
+        mc.sic_rates(d, single, 1e4)
+    with pytest.raises(ValueError, match=r"got true channels of shape \(3, 2\)"):
+        mc.sic_rates(d, _manual_realization()[:3], 1e4)
 
 
 def test_sic_rates_and_received_power_reject_an_infinite_snr():
@@ -426,7 +442,7 @@ def test_one_step_report_does_not_depend_on_the_block_size(monkeypatch):
         (sch.SymbolSpec("x", "user1", "A", sch.basis_e1(), full, 1.0),
          sch.SymbolSpec("x", "user1", "B", sch.basis_e1(), full, 1.0)),
         (sch.DecodeStep("user1", "A", "x"),))
-    assert len(d.table.steps) == 1
+    assert len(d.table.signal) == 1
     whole = mc.estimate_dof(d, Q, UNMATCHED, (40.0, 50.0, 60.0), trials=300, seed=1)
     monkeypatch.setattr(mc, "TRIAL_BLOCK", 7)
     assert mc.estimate_dof(d, Q, UNMATCHED, (40.0, 50.0, 60.0), trials=300,
@@ -449,7 +465,7 @@ def test_estimate_dof_memory_does_not_grow_with_the_trial_count(monkeypatch):
     # Holding the rate table would add a block's table per block (61 KB
     # here).  The seeding's Python ints vary in size with their values, so
     # the peak moves by ~1 KB from run to run.
-    table_per_block = len(ladder) * block * len(d.table.steps) * 8
+    table_per_block = len(ladder) * block * len(d.table.signal) * 8
     assert abs(peaks[1] - peaks[0]) < table_per_block / 8, peaks
 
 
@@ -458,7 +474,7 @@ def test_one_block_walk_gathers_one_receiving_cell_at_a_time():
 
     d = sch.optimal_unmatched_descriptor(Q)
     ps = [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
-    cells = ch.sample_ladder_cells(0, Q, UNMATCHED, ps, ch.TRIAL_BLOCK).stacked
+    cells = ch.sample_ladder_cells(0, Q, UNMATCHED, ps, ch.TRIAL_BLOCK)
     mc._step_rates(d, cells, ps)  # warm caches
     tracemalloc.start()
     try:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
-from dofsim.channel import CELLS, MATCHED, SUBBANDS, UNMATCHED, QualityPair, Scenario
+from dofsim.channel import CELLS, MATCHED, SUBBANDS, UNMATCHED, USERS, QualityPair, Scenario
 from dofsim.regions import contains, outer_bound
 
 Q = QualityPair(0.8, 0.5)
@@ -124,15 +124,59 @@ def test_optimal_unmatched_precoders_and_repetition():
     assert steps == {"user1": "A", "user2": "B"}
 
 
+def _table_steps(d):
+    """(user, target instance, interfering instances) of each step, read off d.table."""
+    links, pad = d.table.links, len(d.table.links.cell)
+    return [(CELLS[links.cell[signal]][0], int(links.symbol[signal]),
+             tuple(int(links.symbol[n]) for n in row if n != pad))
+            for signal, row in zip(d.table.signal.tolist(), d.table.interference.tolist())]
+
+
+def _reference_steps(d):
+    """(user, target instance, interfering instances) of each step, by the documented
+    rule: a step is interfered by the same-subband instances whose symbol its user has
+    not decoded yet, in descriptor order."""
+    decoded = {user: set() for user in USERS}
+    steps = []
+    for st in d.decode_plan:
+        target = next(i for i, s in enumerate(d.symbols) if (s.id, s.slot) == (st.symbol, st.slot))
+        interference = tuple(i for i, s in enumerate(d.symbols) if s.slot == st.slot
+                             and s.id != st.symbol and s.id not in decoded[st.user])
+        decoded[st.user].add(st.symbol)
+        steps.append((st.user, target, interference))
+    return steps
+
+
+def _reference_margins(d):
+    """static_achievability_check's max-plus rule walked over ``_reference_steps`` as tuples,
+    without the table's arrays."""
+
+    def exponent(i, user):
+        sym = d.symbols[i]
+        e = float(sym.power.hi)
+        if sym.precoder == sch.zf_orth(user, sym.slot):
+            e -= float(Scenario(d.scenario).quality(user, sym.slot, d.quality))
+        return e
+
+    report = []
+    for user, target, interfering in _reference_steps(d):
+        sym = d.symbols[target]
+        signal = exponent(target, user)
+        interference = max((exponent(i, user) for i in interfering), default=float("-inf"))
+        report.append(sch.StepMargin(user, sym.slot, sym.id, signal, interference,
+                                     signal - max(interference, 0.0) - sym.rate_exponent))
+    return report
+
+
 def test_optimal_unmatched_decode_order_and_cancellation():
     d = sch.optimal_unmatched_descriptor(Q)
 
     def walk(user):
         """(slot, symbol, interfering symbols) of each of user's steps, in order."""
         return [
-            (d.symbols[st.target].slot, d.symbols[st.target].id,
-             tuple(d.symbols[d.table.links[i][0]].id for i in st.interference))
-            for st in d.table.steps if st.user == user
+            (d.symbols[target].slot, d.symbols[target].id,
+             tuple(d.symbols[i].id for i in interference))
+            for step_user, target, interference in _table_steps(d) if step_user == user
         ]
 
     assert walk("user1") == [
@@ -161,20 +205,29 @@ FACE_POINTS = [(0.8, 0.5), (1.0, 0.5), (0.5, 0.5), (0.5, 0.0), (0.0, 0.0), (1.0,
 @pytest.mark.parametrize("beta,alpha", FACE_POINTS)
 @pytest.mark.parametrize("scheme", sch.SCHEME_NAMES)
 def test_compiled_indices_match_the_links_and_steps(scheme, beta, alpha):
+    """The table's arrays against the decode plan's steps under the interference rule."""
     for kind in sch.SCHEMES[scheme].scenarios:
         d = sch.build_descriptor(scheme, QualityPair(beta, alpha), Scenario(kind))
-        table, index = d.table, d.table.link_index
-        assert table.signal.tolist() == [step.signal for step in table.steps]
-        width = table.interference.shape[1]
-        assert width == max(len(step.interference) for step in table.steps)
-        for row, step in zip(table.interference.tolist(), table.steps):
-            assert row == list(step.interference) + [len(table.links)] * (width - len(
-                step.interference))
-        assert index.symbol.tolist() == [i for i, _ in table.links]
+        table, index = d.table, d.table.links
+        steps = _reference_steps(d)
+        assert _table_steps(d) == steps
+        # Every link of a step is received in the step's cell, and the
+        # links are the steps' (instance, user) pairs in order of first use.
+        for (user, _, _), signal, row in zip(steps, table.signal.tolist(),
+                                             table.interference.tolist()):
+            slot = d.symbols[index.symbol[signal]].slot
+            assert {index.cell[n] for n in row + [signal] if n != len(index.cell)} == {
+                CELLS.index((user, slot))}
+        used = {}
+        for user, target, interference in steps:
+            for i in (target,) + interference:
+                used.setdefault((i, user), len(used))
+        assert list(zip(index.symbol.tolist(), [CELLS[c][0] for c in index.cell])) == list(used)
+        assert table.interference.shape == (len(steps), max(len(st[2]) for st in steps))
         assert index.cell.tolist() == [CELLS.index((user, d.symbols[i].slot))
-                                       for i, user in table.links]
+                                       for i, user in used]
         assert [index.precoders[r] for r in index.precoder] == [
-            d.symbols[i].precoder for i, _ in table.links]
+            d.symbols[i].precoder for i, _ in used]
         assert len(set(index.precoders)) == len(index.precoders)
         assert [kind for kind, _, _ in index.kinds] == [
             k for k in sch.PRECODER_KINDS if any(pre.kind == k for pre in index.precoders)]
@@ -536,6 +589,25 @@ def test_static_margins_grid():
         for name, build in ALL_BUILDERS:
             for step in sch.static_achievability_check(build(q)):
                 assert step.margin >= -1e-12, (name, q, step)
+
+
+def _bits(margin):
+    """A StepMargin with each float spelled out bit for bit."""
+    floats = (margin.signal_exponent, margin.interference_exponent, margin.margin)
+    assert all(type(x) is float for x in floats), margin
+    return (margin.user, margin.slot, margin.symbol) + tuple(x.hex() for x in floats)
+
+
+def test_static_margins_equal_the_reference_walk_bit_for_bit():
+    count = 0
+    for q in _grid(0.05):
+        for scheme, row in sch.SCHEMES.items():
+            for kind in row.scenarios:
+                d = sch.build_descriptor(scheme, q, Scenario(kind))
+                got = [_bits(m) for m in sch.static_achievability_check(d)]
+                assert got == [_bits(m) for m in _reference_margins(d)], (scheme, kind, q)
+                count += 1
+    assert count == 1617
 
 
 def test_static_check_flags_overloaded_step():

@@ -229,13 +229,15 @@ def test_sweep_zfbf_wins_exactly_when_it_should():
 
 
 def test_sweep_label_threshold():
+    # A cell below rho is labelled as needing the optimal scheme, any other
+    # cell with its winning simple strategy; the counts follow those labels.
     m = sw.sweep(UNMATCHED, step=0.05, rho=0.9)
+    want = {}
     for c in m.cells:
-        label = m.label(c)
-        if c.ratio < 0.9 - 1e-12:
-            assert label == sw.OPTIMAL_NEEDED
-        else:
-            assert label == c.best
+        label = sw.OPTIMAL_NEEDED if c.ratio < 0.9 - 1e-12 else c.best
+        want[label] = want.get(label, 0) + 1
+    assert sw.OPTIMAL_NEEDED in want
+    assert list(m.counts_by_strategy().items()) == list(want.items())
 
 
 def test_sweep_counts_at_both_thresholds():
