@@ -29,7 +29,6 @@ from .regions import (
     outer_bound,
     region_equal,
     scale,
-    support,
 )
 from .schemes import (
     AchievabilityError,
@@ -49,6 +48,6 @@ from .schemes import (
     user_dof_exponents,
     zfbf_descriptor,
 )
-from .switcher import SweepCell, SweepMap, best_strategy, min_ratio, sweep
+from .switcher import SweepCell, SweepMap, best_strategy, sweep
 
 __version__ = "0.1.0"

@@ -528,7 +528,8 @@ def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> 
     Computes mean ||error||^2 / 2 at each ladder point and returns the
     least-squares slope of -log2(mean) against log2(p); for errors drawn
     with variance p**-a the slope estimates a.  Trial t draws from
-    ``trial_rng(seed, t)`` once for the whole ladder.
+    ``trial_rng(seed, t)`` once for the whole ladder; the block sums are
+    added in trial order, in O(TRIAL_BLOCK) memory.
     """
     check_seed(seed)
     ladder = [float(p) for p in snr_ladder]
@@ -538,9 +539,9 @@ def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> 
         raise ValueError(f"SNR ladder must be ascending with every p > 1, got {snr_ladder}")
     if trials < 1:
         raise ValueError("at least one trial is required")
-    sq = np.empty((len(ladder), trials))
+    total = 0.0
     for lo in range(0, trials, TRIAL_BLOCK):
-        n = min(TRIAL_BLOCK, trials - lo)
-        sq[:, lo:lo + n] = _sq_norm(_sample_cells(seed, [a], ladder, n, lo).error[0])
-    log_means = -np.log2(np.mean(sq, axis=1) / 2.0)
+        errors = _sample_cells(seed, [a], ladder, min(TRIAL_BLOCK, trials - lo), lo).error[0]
+        total = total + np.add.reduce(_sq_norm(errors), axis=1)
+    log_means = -np.log2(total / trials / 2.0)
     return float(np.polyfit(np.log2(ladder), log_means, 1)[0])

@@ -195,7 +195,8 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
            f"{bad} mismatches in 200 random pairs and {len(_EDGE_PAIRS)} edge pairs")
 
     for scenario in scenarios:
-        value, argmin = switcher.min_ratio(scenario, step=0.005)
+        m = switcher.sweep(scenario, step=0.005, rho=1.0)
+        value, argmin = m.min_ratio(), m.argmin()
         if scenario.kind == "unmatched":
             ok = abs(value - 0.8) <= 1e-3 and value >= 0.8 - 1e-9
             ok = ok and all(abs(b - 2 / 3) <= 0.005 and abs(a - 2 / 3) <= 0.005

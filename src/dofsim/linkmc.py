@@ -319,6 +319,11 @@ def estimate_dof(
         raise ValueError(f"SNR ladder values must be finite, got {ladder_db}")
     if len(ladder) < 3 or sorted(ladder) != ladder or len(set(ladder)) != len(ladder):
         raise ValueError(f"SNR ladder must be strictly ascending with >= 3 points, got {ladder_db}")
+    # Keys round monotonically, so points that share one are neighbours.
+    keys = [_db_key(v) for v in ladder]
+    for lo, hi, key, next_key in zip(ladder, ladder[1:], keys, keys[1:]):
+        if key == next_key:
+            raise ValueError(f"SNR ladder points {lo!r} and {hi!r} dB share the report key {key!r}")
     try:
         ps = [db_to_linear(v) for v in ladder]
     except OverflowError:

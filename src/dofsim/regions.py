@@ -147,12 +147,6 @@ def outer_bound(q) -> DofRegion:
     return DofRegion((1, s - 1), (s - 1, 1))
 
 
-def support(region: DofRegion, direction: Tuple[float, float]) -> float:
-    """Support function: max over vertices of the dot product with direction."""
-    dx, dy = direction
-    return max(dx * x + dy * y for x, y in region.vertices)
-
-
 def contains(region: DofRegion, point: Tuple[float, float], tol: float = 1e-9) -> bool:
     """Rank test: every constraint of the region holds at the point, within tol."""
     x, y = point

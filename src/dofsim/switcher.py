@@ -11,12 +11,11 @@ below the threshold rho.
 A sweep is computed as float64 arrays over the whole grid: the same
 closed forms (``schemes.analytic_sum_dof_at``) and the same winner rule
 as ``best_strategy``, applied elementwise.  ``SweepMap`` keeps the
-columns and builds per-cell ``SweepCell`` objects only on request.
+grid axis once and one score column per ``SweepCell`` field.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -42,9 +41,9 @@ STRATEGIES = ("fdma", "zfbf", "s3")
 _CSV_BLOCK = 4096
 
 #: Most cells a sweep rasters: the grid of step 0.001.  Memory grows with
-#: the cell count; a csv sweep of this grid peaks near 196 MB unmatched and
-#: 139 MB matched, a json one near 109 MB (ru_maxrss, x86-64, Python 3.11,
-#: numpy 2.4).
+#: the cell count; a csv sweep of this grid peaks near 177 MB unmatched and
+#: 120 MB matched, a json one near 94 MB unmatched (ru_maxrss, x86-64,
+#: Python 3.11, numpy 2.4).
 MAX_GRID_CELLS = 1001 ** 2
 _MAX_DIVISIONS = math.isqrt(MAX_GRID_CELLS) - 1
 
@@ -104,34 +103,24 @@ def best_strategy(q: QualityPair, scenario: Scenario) -> SweepCell:
 
 @dataclass(frozen=True, eq=False)
 class SweepMap:
-    """A scored grid, stored as one array per ``SweepCell`` field.
+    """A scored grid: the grid axis once, then one array per score field.
 
-    Cells run row-major in beta, then alpha.  The float columns are
-    float64; ``best`` holds indices into STRATEGIES; ``d_s3`` is None in
-    the matched scenario.  ``cells`` is built on first access.
+    Cell k sits at (beta, alpha) = (grid[k // n], grid[k % n]) with
+    n = len(grid), so cells run row-major in beta, then alpha.  The score
+    columns are float64; ``best`` holds indices into STRATEGIES; ``d_s3``
+    is None in the matched scenario.
     """
 
     scenario: str
     step: float
     rho: float
-    beta: np.ndarray
-    alpha: np.ndarray
+    grid: np.ndarray
     d_fdma: np.ndarray
     d_zfbf: np.ndarray
     d_s3: Optional[np.ndarray]
     d_opt: np.ndarray
     best: np.ndarray
     ratio: np.ndarray
-
-    @cached_property
-    def cells(self) -> Tuple[SweepCell, ...]:
-        n = len(self.ratio)
-        d_s3 = [None] * n if self.d_s3 is None else self.d_s3.tolist()
-        best = [STRATEGIES[k] for k in self.best.tolist()]
-        return tuple(map(
-            SweepCell, self.beta.tolist(), self.alpha.tolist(), self.d_fdma.tolist(),
-            self.d_zfbf.tolist(), d_s3, self.d_opt.tolist(), best, self.ratio.tolist(),
-        ))
 
     @cached_property
     def _counts(self) -> Dict[str, int]:
@@ -149,8 +138,8 @@ class SweepMap:
         return float(self.ratio.min())
 
     def argmin(self) -> List[Tuple[float, float]]:
-        near = self.ratio <= self.min_ratio() + 1e-9
-        return list(zip(self.beta[near].tolist(), self.alpha[near].tolist()))
+        row, col = np.divmod(np.flatnonzero(self.ratio <= self.min_ratio() + 1e-9), len(self.grid))
+        return list(zip(self.grid[row].tolist(), self.grid[col].tolist()))
 
     def summary_dict(self) -> dict:
         return {
@@ -185,9 +174,7 @@ def sweep(scenario: Scenario, step: float = 0.01, rho: float = 0.9) -> SweepMap:
     if not 0 < rho <= 1:
         raise ValueError(f"ratio threshold rho must lie in (0, 1], got {rho}")
     grid = _grid(step)
-    beta = np.repeat(grid, len(grid))
-    alpha = np.tile(grid, len(grid))
-    hi, lo = np.maximum(beta, alpha), np.minimum(beta, alpha)
+    hi, lo = np.maximum.outer(grid, grid).ravel(), np.minimum.outer(grid, grid).ravel()
 
     def score(name: str) -> np.ndarray:
         value = analytic_sum_dof_at(name, hi, lo, scenario)
@@ -197,16 +184,10 @@ def sweep(scenario: Scenario, step: float = 0.01, rho: float = 0.9) -> SweepMap:
     d_opt = score("optimal")
     best, best_value = _pick(values)
     return SweepMap(
-        scenario=scenario.kind, step=step, rho=rho, beta=beta, alpha=alpha,
+        scenario=scenario.kind, step=step, rho=rho, grid=grid,
         d_fdma=values[0], d_zfbf=values[1], d_s3=values[2] if len(values) > 2 else None,
         d_opt=d_opt, best=best, ratio=best_value / d_opt,
     )
-
-
-def min_ratio(scenario: Scenario, step: float = 0.01) -> Tuple[float, List[Tuple[float, float]]]:
-    """Worst best-simple-over-optimal ratio on the grid, with its argmin set."""
-    m = sweep(scenario, step=step, rho=1.0)
-    return m.min_ratio(), m.argmin()
 
 
 CSV_HEADER = ["beta", "alpha", "d_fdma", "d_zfbf", "d_s3", "d_opt", "best", "ratio"]
@@ -232,7 +213,7 @@ def write_sweep_csv(m: SweepMap, stream: io.TextIOBase) -> None:
     """
     n = len(m.ratio)
     # Cells run row-major over the grid axis, so beta and alpha index its fields directly.
-    axis, _ = _fields(_grid(m.step), ",")
+    axis, _ = _fields(m.grid, ",")
     at = np.arange(len(axis), dtype=np.int32)
     no_s3 = (np.array([","], dtype=object), np.broadcast_to(0, n))
     best = (np.array([name + "," for name in STRATEGIES], dtype=object), m.best)
@@ -248,24 +229,6 @@ def write_sweep_csv(m: SweepMap, stream: io.TextIOBase) -> None:
         for j, (fields, index) in enumerate(columns):
             block[:, j] = fields[index[lo:lo + len(block)]]
         stream.write("".join(block.ravel().tolist()))
-
-
-def read_sweep_csv(stream: io.TextIOBase) -> List[SweepCell]:
-    reader = csv.reader(stream)
-    header = next(reader)
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected sweep CSV header {header}")
-    cells = []
-    for row in reader:
-        if not row:
-            continue
-        cells.append(SweepCell(
-            beta=float(row[0]), alpha=float(row[1]),
-            d_fdma=float(row[2]), d_zfbf=float(row[3]),
-            d_s3=None if row[4] == "" else float(row[4]),
-            d_opt=float(row[5]), best=row[6], ratio=float(row[7]),
-        ))
-    return cells
 
 
 def write_summary_json(m: SweepMap, stream: io.TextIOBase) -> None:

@@ -26,7 +26,6 @@ from dofsim.regions import (
     components_unmatched,
     outer_bound,
     region_equal,
-    support,
 )
 from dofsim.schemes import (
     SCHEME_NAMES,
@@ -35,7 +34,7 @@ from dofsim.schemes import (
     power_ledger,
     static_achievability_check,
 )
-from dofsim.switcher import min_ratio, sweep
+from dofsim.switcher import sweep
 
 
 _CAPTURE = None
@@ -102,16 +101,17 @@ def test_reference_decomposition():
         failures.append(f"composed vertices {got}")
 
     parts = {name: (weight, region) for name, weight, region in components_unmatched(q)}
+    # A polymatroid's ranks (r1, r2, r12) are its supports along (1, 0), (0, 1) and (1, 1).
     w, r = parts["perfect"]
-    if abs(w - 0.5) > 1e-9 or abs(support(r, (1.0, 0.0)) - 0.5) > 1e-9 \
-            or abs(support(r, (1.0, 1.0)) - 1.0) > 1e-9:
+    r1, _, r12 = r.ranks
+    if abs(w - 0.5) > 1e-9 or abs(r1 - 0.5) > 1e-9 or abs(r12 - 1.0) > 1e-9:
         failures.append("scaled perfect-CSIT square")
     w, r = parts["alternating"]
-    if abs(w - 0.3) > 1e-9 or abs(support(r, (1.0, 1.0)) - 0.45) > 1e-9:
+    if abs(w - 0.3) > 1e-9 or abs(r.ranks[2] - 0.45) > 1e-9:
         failures.append("scaled alternating pentagon")
     w, r = parts["no_csit"]
-    if abs(w - 0.2) > 1e-9 or abs(support(r, (1.0, 0.0)) - 0.2) > 1e-9 \
-            or abs(support(r, (0.0, 1.0)) - 0.2) > 1e-9:
+    r1, r2, _ = r.ranks
+    if abs(w - 0.2) > 1e-9 or abs(r1 - 0.2) > 1e-9 or abs(r2 - 0.2) > 1e-9:
         failures.append("scaled no-CSIT triangle")
 
     ok = not failures
@@ -130,8 +130,9 @@ def test_reference_decomposition():
 
 def test_switching_worst_case():
     start = time.perf_counter()
-    ratio_u, argmin_u = min_ratio(UNMATCHED, step=0.005)
-    ratio_m, argmin_m = min_ratio(MATCHED, step=0.005)
+    m_u, m_m = sweep(UNMATCHED, step=0.005, rho=1.0), sweep(MATCHED, step=0.005, rho=1.0)
+    ratio_u, argmin_u = m_u.min_ratio(), m_u.argmin()
+    ratio_m, argmin_m = m_m.min_ratio(), m_m.argmin()
     elapsed = time.perf_counter() - start
 
     third = 2.0 / 3.0
@@ -161,7 +162,7 @@ def test_switching_worst_case():
 def test_switching_threshold_census():
     strict = sweep(UNMATCHED, step=0.01, rho=0.9)
     lax = sweep(UNMATCHED, step=0.01, rho=0.8)
-    n = len(strict.cells)
+    n = len(strict.ratio)
     needed_strict = strict.counts_by_strategy().get("optimal-needed", 0)
     needed_lax = lax.counts_by_strategy().get("optimal-needed", 0)
     share = needed_strict / n

@@ -475,3 +475,21 @@ def test_measure_error_exponent_where_the_ladder_points_skip_different_draws():
     # test_sample_ladder_rows_equal_per_trial_draws); pinned to the value
     # of the per-point sampler.
     assert ch.measure_error_exponent(3e-18, [1e4, 1e5, 1e18], 200, 0) == -0.003263050109110934
+
+
+def test_measure_error_exponent_memory_does_not_grow_with_the_trial_count(monkeypatch):
+    import tracemalloc
+
+    block, ladder = 1024, [1e2, 1e3, 1e4]
+    monkeypatch.setattr(ch, "TRIAL_BLOCK", block)
+    ch.measure_error_exponent(0.5, ladder, trials=block, seed=0)  # warm caches
+    peaks = []
+    for blocks in (2, 8):
+        tracemalloc.start()
+        ch.measure_error_exponent(0.5, ladder, trials=block * blocks, seed=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # Holding every draw's squared error would add a block's (points,
+    # trials) buffer per block (24 KB here), 147 KB from 2 to 8 blocks.
+    buffer_per_block = len(ladder) * block * 8
+    assert abs(peaks[1] - peaks[0]) < buffer_per_block / 4, peaks

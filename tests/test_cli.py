@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, output formats, reproducibility."""
 
+import csv
 import hashlib
 import json
 import subprocess
@@ -11,7 +12,6 @@ import pytest
 from dofsim import cli, regions, schemes, switcher
 from dofsim.channel import SCENARIO_KINDS
 from dofsim.linkmc import SimReport
-from dofsim.switcher import read_sweep_csv
 
 # exit-code contract: 0 success, 1 verification failure, 2 bad args, 3 I/O
 
@@ -144,6 +144,16 @@ def test_simulate_rejects_a_ladder_that_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_rejects_ladder_points_that_share_a_report_key(tmp_path, capsys):
+    # Rates are keyed by f"{snr_db:g}"; 40 and 40.0000001 would both write key "40".
+    out = tmp_path / "r.json"
+    assert cli.main(["simulate", "--scheme", "fdma", "--snr", "40,40.0000001,50",
+                     "--trials", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: SNR ladder points 40.0 and 40.0000001 dB share the report key '40'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate --scheme fdma", "verify"])
 @pytest.mark.parametrize("seed", ["-3", "1.5", "x"])
 def test_bad_seed_is_an_argparse_error(command, seed, monkeypatch, capsys):
@@ -182,9 +192,11 @@ def test_sweep_csv_output(tmp_path, capsys):
     assert cli.main(["sweep", "--scenario", "unmatched", "--step", "0.1",
                      "--out", str(target)]) == 0
     assert "min ratio" in capsys.readouterr().err
-    with open(target) as stream:
-        cells = read_sweep_csv(stream)
-    assert len(cells) == 121
+    with open(target, newline="") as stream:
+        header, *rows = csv.reader(stream)
+    assert header == switcher.CSV_HEADER
+    assert len(rows) == 121 and all(len(row) == len(header) for row in rows)
+    assert [float(row[0]) for row in rows[::11]] == [k / 10 for k in range(11)]
 
 
 def test_sweep_json_summary(capsys):

@@ -276,6 +276,18 @@ def test_estimate_dof_ladder_validation():
             mc.estimate_dof(d, Q, UNMATCHED, bad, trials=5, seed=0)
 
 
+@pytest.mark.parametrize("ladder, lo, hi, key", [
+    ((40.0, 40.0000001, 50.0), 40.0, 40.0000001, "40"),
+    ((20.0, 60.0, 60.000001), 60.0, 60.000001, "60"),
+])
+def test_estimate_dof_rejects_ladder_points_that_share_a_report_key(ladder, lo, hi, key):
+    # Rates are keyed by f"{snr_db:g}", six significant digits; two points
+    # with one key would leave one point's rates in the report.
+    with pytest.raises(ValueError) as exc:
+        mc.estimate_dof(sch.fdma_descriptor(), Q, UNMATCHED, ladder, trials=5, seed=0)
+    assert str(exc.value) == f"SNR ladder points {lo!r} and {hi!r} dB share the report key {key!r}"
+
+
 def test_sim_report_json_roundtrip_and_stability():
     d = sch.s3_descriptor(Q)
     report = mc.estimate_dof(d, Q, UNMATCHED, (20.0, 30.0, 40.0), trials=25, seed=6)

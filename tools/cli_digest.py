@@ -50,6 +50,8 @@ def battery():
     for scheme in ("fdma", "zfbf"):
         yield ["simulate", "--scheme", scheme, "--beta", "0.5", "--alpha", "3e-18",
                "--snr", "40,200,400", "--trials", "50"]
+    # 40 and 40.0000001 share the report key "40"; the ladder is rejected.
+    yield ["simulate", "--scheme", "fdma", "--snr", "40,40.0000001,50", "--trials", "20"]
     yield ["verify"]
     yield ["verify", "--scenario", "matched"]
     for scenario in SCENARIOS:
@@ -57,6 +59,8 @@ def battery():
         yield ["sweep", "--scenario", scenario, "--step", "0.1", "--format", "json"]
         # 40 401 cells: nine full CSV blocks of 4096 rows and a partial tenth.
         yield ["sweep", "--scenario", scenario, "--step", "0.005", "--format", "csv"]
+        # The largest grid, 1001**2 cells.
+        yield ["sweep", "--scenario", scenario, "--step", "0.001", "--format", "json"]
         for beta, alpha in (("0.8", "0.5"), ("1", "0"), ("0.3", "0.3"), ("1", "1")):
             for fmt in ("json", "gnuplot"):
                 yield ["regions", "--scenario", scenario, "--beta", beta, "--alpha", alpha,
