@@ -23,15 +23,16 @@ Builders are provided for the five strategies under study:
 * ``matched_descriptor``          -- per-subband rate-splitting (matched
                                      CSIT).
 
-``SCHEMES`` is the single home of each scheme's builder, the scenarios it
-is defined for and its closed-form sum DoF; ``build_descriptor``,
-``analytic_sum_dof``, the switcher and the command line all read it.
+``SCHEMES`` is the single home of each scheme's builder and its scenarios.
+Builders keep the number type of ``q``: the closed-form sum DoF is read off
+``Fraction`` builds, and the achievability audit runs on them, exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -42,10 +43,6 @@ from .channel import CELLS, SCENARIO_KINDS, SUBBANDS, USERS, QualityPair, Scenar
 
 OWNERS = USERS + ("common",)
 PRECODER_KINDS = ("basis_e1", "zf_orth", "aligned")
-
-
-#: How far below 0 a step margin may fall (float rounding) and still pass.
-MARGIN_TOL = 1e-12
 
 
 class AchievabilityError(Exception):
@@ -117,9 +114,9 @@ class PowerTerm:
 
     def ledger(self) -> List[Tuple[float, Fraction]]:
         """Signed (exponent, coefficient) entries for the telescoping check."""
-        entries = [(float(self.hi), self.coeff)]
+        entries = [(self.hi, self.coeff)]
         if self.lo is not None:
-            entries.append((float(self.lo), -self.coeff))
+            entries.append((self.lo, -self.coeff))
         return entries
 
 
@@ -332,8 +329,8 @@ def fdma_descriptor() -> SchemeDescriptor:
         scenario=None,
         quality=None,
         symbols=(
-            SymbolSpec("x_A", "user1", "A", basis_e1(), PowerTerm(1, 1.0), 1.0),
-            SymbolSpec("x_B", "user2", "B", basis_e1(), PowerTerm(1, 1.0), 1.0),
+            SymbolSpec("x_A", "user1", "A", basis_e1(), PowerTerm(1, 1), 1),
+            SymbolSpec("x_B", "user2", "B", basis_e1(), PowerTerm(1, 1), 1),
         ),
         decode_plan=(
             DecodeStep("user1", "A", "x_A"),
@@ -352,12 +349,12 @@ def zfbf_descriptor(q: QualityPair, scenario: Scenario) -> SchemeDescriptor:
     symbols = []
     plan = []
     for slot in SUBBANDS:
-        r1 = float(scenario.quality("user1", slot, q))
-        r2 = float(scenario.quality("user2", slot, q))
+        r1 = scenario.quality("user1", slot, q)
+        r2 = scenario.quality("user2", slot, q)
         symbols.append(SymbolSpec(f"u_{slot}", "user1", slot,
-                                  zf_orth("user2", slot), PowerTerm(Fraction(1, 2), 1.0), r1))
+                                  zf_orth("user2", slot), PowerTerm(Fraction(1, 2), 1), r1))
         symbols.append(SymbolSpec(f"v_{slot}", "user2", slot,
-                                  zf_orth("user1", slot), PowerTerm(Fraction(1, 2), 1.0), r2))
+                                  zf_orth("user1", slot), PowerTerm(Fraction(1, 2), 1), r2))
         plan.append(DecodeStep("user1", slot, f"u_{slot}"))
         plan.append(DecodeStep("user2", slot, f"v_{slot}"))
     plan.sort(key=lambda st: st.user)
@@ -375,13 +372,13 @@ def s3_descriptor(q: QualityPair) -> SchemeDescriptor:
     exponent beta; once removed, v_A and u_B are interference-free and
     carry a full rate exponent each.
     """
-    b = float(q.beta)
-    half = PowerTerm(Fraction(1, 2), 1.0)
+    b = q.beta
+    half = PowerTerm(Fraction(1, 2), 1)
     symbols = (
         SymbolSpec("u_0", "user1", "A", aligned("user2", "A"), half, b),
-        SymbolSpec("v_A", "user2", "A", zf_orth("user1", "A"), half, 1.0),
+        SymbolSpec("v_A", "user2", "A", zf_orth("user1", "A"), half, 1),
         SymbolSpec("u_0", "user1", "B", aligned("user1", "B"), half, b),
-        SymbolSpec("u_B", "user1", "B", zf_orth("user2", "B"), half, 1.0),
+        SymbolSpec("u_B", "user1", "B", zf_orth("user2", "B"), half, 1),
     )
     plan = (
         DecodeStep("user1", "A", "u_0"),
@@ -407,13 +404,13 @@ def optimal_unmatched_descriptor(
     power term vanishes (common at beta = 1, u_0 at beta = alpha) are
     dropped along with their decode steps.
     """
-    b, a = float(q.beta), float(q.alpha)
-    has_common = b < 1.0
+    b, a = q.beta, q.alpha
+    has_common = b < 1
     has_u0 = b > a
     symbols: List[SymbolSpec] = []
     if has_common:
         symbols.append(SymbolSpec("xc_A", "common", "A", basis_e1(),
-                                  PowerTerm(1, 1.0, b), 1.0 - b))
+                                  PowerTerm(1, 1, b), 1 - b))
     symbols.append(SymbolSpec("u_A", "user1", "A", zf_orth("user2", "A"),
                               PowerTerm(Fraction(1, 2), a), a))
     if has_u0:
@@ -423,7 +420,7 @@ def optimal_unmatched_descriptor(
                               PowerTerm(Fraction(1, 2), b), b))
     if has_common:
         symbols.append(SymbolSpec("xc_B", "common", "B", basis_e1(),
-                                  PowerTerm(1, 1.0, b), 1.0 - b))
+                                  PowerTerm(1, 1, b), 1 - b))
     symbols.append(SymbolSpec("v_B", "user2", "B", zf_orth("user1", "B"),
                               PowerTerm(Fraction(1, 2), a), a))
     if has_u0:
@@ -465,16 +462,15 @@ def matched_descriptor(
     plan_common: List[DecodeStep] = []
     plan_private: List[DecodeStep] = []
     present_common: List[str] = []
-    for slot, j in (("A", float(q.beta)), ("B", float(q.alpha))):
+    for slot, j in (("A", q.beta), ("B", q.alpha)):
         xc = f"xc_{slot}"
-        if j == 0.0:
-            symbols.append(SymbolSpec(xc, "common", slot, basis_e1(),
-                                      PowerTerm(1, 1.0), 1.0))
+        if j == 0:
+            symbols.append(SymbolSpec(xc, "common", slot, basis_e1(), PowerTerm(1, 1), 1))
             present_common.append(xc)
             continue
-        if j < 1.0:
+        if j < 1:
             symbols.append(SymbolSpec(xc, "common", slot, basis_e1(),
-                                      PowerTerm(1, 1.0, j), 1.0 - j))
+                                      PowerTerm(1, 1, j), 1 - j))
             present_common.append(xc)
         symbols.append(SymbolSpec(f"u_{slot}", "user1", slot,
                                   zf_orth("user2", slot), PowerTerm(Fraction(1, 2), j), j))
@@ -493,30 +489,25 @@ def matched_descriptor(
 
 
 class Scheme(NamedTuple):
-    """A scheme's builder, the scenario kinds it is defined for (the first
-    is implied when none is given) and its closed-form sum DoF."""
+    """A scheme's builder and the scenario kinds it is defined for (the
+    first is implied when none is given)."""
 
     build: Callable[[QualityPair, Scenario], SchemeDescriptor]
     scenarios: Tuple[str, ...]
-    sum_dof: Callable  # (beta, alpha): exact on Fractions, elementwise on arrays
-
-
-def _optimal_sum_dof(beta, alpha):
-    return 1 + (beta + alpha) / 2
 
 
 #: Every scheme by its command-line name.
 SCHEMES = {
-    "fdma": Scheme(lambda q, scenario: fdma_descriptor(), SCENARIO_KINDS,
-                   lambda beta, alpha: 1),
-    "zfbf": Scheme(zfbf_descriptor, SCENARIO_KINDS, lambda beta, alpha: beta + alpha),
-    "s3": Scheme(lambda q, scenario: s3_descriptor(q), ("unmatched",),
-                 lambda beta, alpha: 1 + beta / 2),
+    "fdma": Scheme(lambda q, scenario: fdma_descriptor(), SCENARIO_KINDS),
+    "zfbf": Scheme(zfbf_descriptor, SCENARIO_KINDS),
+    "s3": Scheme(lambda q, scenario: s3_descriptor(q), ("unmatched",)),
     "optimal-unmatched": Scheme(lambda q, scenario: optimal_unmatched_descriptor(q),
-                                ("unmatched",), _optimal_sum_dof),
-    "matched-optimal": Scheme(lambda q, scenario: matched_descriptor(q), ("matched",),
-                              _optimal_sum_dof),
+                                ("unmatched",)),
+    "matched-optimal": Scheme(lambda q, scenario: matched_descriptor(q), ("matched",)),
 }
+
+#: The scheme that reaches each scenario's optimal sum DoF.
+OPTIMAL = {"unmatched": "optimal-unmatched", "matched": "matched-optimal"}
 
 #: Scheme names accepted by build_descriptor (and the command line).
 SCHEME_NAMES = tuple(sorted(SCHEMES))
@@ -540,49 +531,54 @@ def build_descriptor(scheme: str, q: QualityPair, scenario: Scenario) -> SchemeD
 
 
 def analytic_sum_dof(strategy: str, q: QualityPair, scenario="unmatched"):
-    """Closed-form sum DoF (or normalised diagnostic ratio) of a strategy.
-
-    Exact when `q` carries Fraction entries.  Strategies: every scheme of
-    ``SCHEMES``, in the scenarios it is defined for; optimal, the optimal
-    sum DoF of either scenario; and the two private-loading diagnostics
-    icc-private and optimal-private, which are undefined at beta = 0.
-    """
+    """Closed-form sum DoF of a scheme of ``SCHEMES`` in a scenario it is defined for,
+    or of the scenario's optimal scheme ("optimal"); exact on Fraction entries."""
     return analytic_sum_dof_at(strategy, q.beta, q.alpha, scenario)
+
+
+@functools.cache
+def _sum_dof_form(scheme: str, kind: str):
+    """Exact (c0, cb, ca) with sum DoF c0 + cb*beta + ca*alpha, and its floats.
+
+    The builder's sum DoF is affine on the quality triangle, so exact builds
+    at its vertices fix the form."""
+    vertices = [QualityPair(Fraction(b), Fraction(a)) for b, a in ((0, 0), (1, 0), (1, 1))]
+    at = [Fraction(sum_dof_exponent(SCHEMES[scheme].build(q, Scenario(kind)))) for q in vertices]
+    exact = (at[0], at[1] - at[0], at[2] - at[1])
+    return exact, tuple(map(float, exact))
 
 
 def analytic_sum_dof_at(strategy: str, beta, alpha, scenario="unmatched"):
     """``analytic_sum_dof`` on raw exponents, which may be numpy arrays.
 
-    The caller keeps 0 <= alpha <= beta <= 1 elementwise.  fdma gives the
-    scalar 1 whatever the shape of the exponents.
+    The caller keeps 0 <= alpha <= beta <= 1 elementwise.  The form is
+    c0 + (cb*beta + ca*alpha) without its zero terms, exact on rational
+    exponents; fdma's has neither beta nor alpha, so it gives a scalar.
     """
     kind = scenario.kind if isinstance(scenario, Scenario) else str(scenario)
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    row = SCHEMES.get(strategy)
-    if row is not None:
-        if kind not in row.scenarios:
-            raise ValueError(f"the {strategy} scheme is defined for the "
-                             f"{row.scenarios[0]} scenario only")
-        return row.sum_dof(beta, alpha)
     if strategy == "optimal":
-        return _optimal_sum_dof(beta, alpha)
-    if strategy == "icc-private":
-        if np.any(beta == 0):
-            raise ValueError("icc-private is undefined at beta = 0")
-        return (2 * beta + 2 * alpha + 2 * (beta - alpha)) / (3 * beta - alpha)
-    if strategy == "optimal-private":
-        if np.any(beta == 0):
-            raise ValueError("optimal-private is undefined at beta = 0")
-        return (2 * beta + 2 * alpha + (beta - alpha)) / (2 * beta)
-    raise ValueError(f"unsupported strategy {strategy!r}")
+        strategy = OPTIMAL[kind]
+    row = SCHEMES.get(strategy)
+    if row is None:
+        raise ValueError(f"unsupported strategy {strategy!r}")
+    if kind not in row.scenarios:
+        raise ValueError(f"the {strategy} scheme is defined for the "
+                         f"{row.scenarios[0]} scenario only")
+    exact, floats = _sum_dof_form(strategy, kind)
+    rational = isinstance(beta, numbers.Rational) and isinstance(alpha, numbers.Rational)
+    c0, cb, ca = exact if rational else floats
+    terms = [c * x for c, x in ((cb, beta), (ca, alpha)) if c]
+    if not terms:
+        return c0
+    slope = sum(terms[1:], terms[0])
+    return c0 + slope if c0 else slope
 
 
 def sum_dof_exponent(d: SchemeDescriptor) -> float:
-    """Sum of payload rate exponents per channel use of the two-subband frame.
-
-    Repeated payloads count once.
-    """
+    """Sum of payload rate exponents per channel use of the two-subband frame;
+    repeated payloads count once."""
     return sum(sym.rate_exponent for sym in d.payloads().values()) / len(SUBBANDS)
 
 
@@ -622,9 +618,9 @@ class StepMargin:
     user: str
     slot: str
     symbol: str
-    signal_exponent: float
-    interference_exponent: float  # -inf when the step sees no interference
-    margin: float
+    signal_exponent: Fraction
+    interference_exponent: Fraction  # -inf when the step sees no interference
+    margin: Fraction
 
 
 def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
@@ -635,30 +631,35 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
     symbol is zero-forced against the link's own receiving cell; a step
     gathers them (-inf on the padding row).  Its signal exponent minus the
     largest interference exponent (floored at the noise level 0) must
-    cover the symbol's rate exponent.  Raises AchievabilityError naming
-    the first failing step; returns all step margins otherwise.
+    cover the symbol's rate exponent, exactly: a descriptor built on float
+    qualities is rejected with ValueError.  Raises AchievabilityError
+    naming the first failing step; returns all step margins otherwise.
     """
+    q = d.quality
+    if q is not None and not all(isinstance(v, numbers.Rational) for v in (q.beta, q.alpha)):
+        raise ValueError(f"{d.name}: the audit is exact; build the descriptor on Fraction "
+                         f"qualities, not beta={q.beta!r}, alpha={q.alpha!r}")
     links = d.table.links
     symbol, cell = links.symbol.tolist(), links.cell.tolist()
     zf_cell = {r: ref for kind, rows, refs in links.kinds if kind == "zf_orth"
                for r, ref in zip(rows.tolist(), refs.tolist())}  # precoder row -> nulled cell
     exponents = []
     for i, c, r in zip(symbol, cell, links.precoder.tolist()):
-        e = float(d.symbols[i].power.hi)
+        e = d.symbols[i].power.hi
         if zf_cell.get(r) == c:
-            e -= float(Scenario(d.scenario).quality(*CELLS[c], d.quality))
+            e -= Scenario(d.scenario).quality(*CELLS[c], q)
         exponents.append(e)
     exponents.append(-math.inf)  # the padding row
     report: List[StepMargin] = []
     for signal, row in zip(d.table.signal.tolist(), d.table.interference.tolist()):
         user, target = CELLS[cell[signal]][0], d.symbols[symbol[signal]]
         interference = max([exponents[n] for n in row], default=-math.inf)
-        sinr = exponents[signal] - max(interference, 0.0)
+        sinr = exponents[signal] - max(interference, 0)
         margin = sinr - target.rate_exponent
-        if margin < -MARGIN_TOL:
+        if margin < 0:
             raise AchievabilityError(
                 f"{d.name}: step ({user}, slot {target.slot}, {target.id}) needs rate "
-                f"exponent {target.rate_exponent} but the SINR exponent is {sinr:.6g}")
+                f"exponent {target.rate_exponent} but the SINR exponent is {sinr}")
         report.append(StepMargin(user, target.slot, target.id, exponents[signal],
                                  interference, margin))
     return report

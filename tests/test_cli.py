@@ -341,7 +341,7 @@ def test_verify_stdout_bytes_golden(capsys):
     out = capsys.readouterr().out
     assert out == (
         "[PASS] power-identity: 2772 slot ledgers telescope to P\n"
-        "[PASS] achievability-margins: worst step margin -5.55e-17\n"
+        "[PASS] achievability-margins: worst step margin 0\n"
         "[PASS] composition-identity: 0 mismatches in 200 random pairs and 48 edge pairs\n"
         "[PASS] min-ratio-unmatched: min ratio 0.8003 at [(0.665, 0.665)]\n"
         "[PASS] min-ratio-matched: min ratio 0.6667 on beta + alpha = 1 (201 cells)\n"

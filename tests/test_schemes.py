@@ -2,18 +2,30 @@
 and the static exponent-ladder achievability check."""
 
 import math
+import numbers
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
 from dofsim.channel import CELLS, MATCHED, SUBBANDS, UNMATCHED, USERS, QualityPair, Scenario
 from dofsim.regions import contains, outer_bound
+from test_acceptance import private_loading
 
 Q = QualityPair(0.8, 0.5)
+
+
+def _exact(q):
+    """q on the exact values of its entries: the audit's input."""
+    return QualityPair(Fraction(q.beta), Fraction(q.alpha))
+
+
+#: Q exactly; the audit runs on exact builds.
+QX = _exact(Q)
 
 ALL_BUILDERS = [
     ("fdma", lambda q: sch.fdma_descriptor()),
@@ -149,13 +161,13 @@ def _reference_steps(d):
 
 def _reference_margins(d):
     """static_achievability_check's max-plus rule walked over ``_reference_steps`` as tuples,
-    without the table's arrays."""
+    without the table's arrays, in exact arithmetic."""
 
     def exponent(i, user):
         sym = d.symbols[i]
-        e = float(sym.power.hi)
+        e = sym.power.hi
         if sym.precoder == sch.zf_orth(user, sym.slot):
-            e -= float(Scenario(d.scenario).quality(user, sym.slot, d.quality))
+            e -= Scenario(d.scenario).quality(user, sym.slot, d.quality)
         return e
 
     report = []
@@ -164,7 +176,7 @@ def _reference_margins(d):
         signal = exponent(target, user)
         interference = max((exponent(i, user) for i in interfering), default=float("-inf"))
         report.append(sch.StepMargin(user, sym.slot, sym.id, signal, interference,
-                                     signal - max(interference, 0.0) - sym.rate_exponent))
+                                     signal - max(interference, 0) - sym.rate_exponent))
     return report
 
 
@@ -460,8 +472,8 @@ def test_analytic_exact_fractions():
     q = QualityPair(Fraction(4, 5), Fraction(1, 2))
     assert sch.analytic_sum_dof("zfbf", q) == Fraction(13, 10)
     assert sch.analytic_sum_dof("optimal", q) == Fraction(33, 20)
-    assert sch.analytic_sum_dof("icc-private", q) == Fraction(32, 19)
-    assert sch.analytic_sum_dof("optimal-private", q) == Fraction(29, 16)
+    assert private_loading("icc-private", q) == Fraction(32, 19)
+    assert private_loading("optimal-private", q) == Fraction(29, 16)
 
 
 def test_analytic_zero_quality_corner():
@@ -473,10 +485,14 @@ def test_analytic_zero_quality_corner():
 
 
 def test_analytic_error_cases():
-    with pytest.raises(ValueError):
-        sch.analytic_sum_dof("icc-private", QualityPair(0, 0))
-    with pytest.raises(ValueError):
-        sch.analytic_sum_dof("optimal-private", QualityPair(0, 0))
+    with pytest.raises(ValueError, match="icc-private is undefined at beta = 0"):
+        private_loading("icc-private", QualityPair(0, 0))
+    with pytest.raises(ValueError, match="optimal-private is undefined at beta = 0"):
+        private_loading("optimal-private", QualityPair(0, 0))
+    # The private-loading diagnostics are test oracles, not strategies.
+    for strategy in ("icc-private", "optimal-private"):
+        with pytest.raises(ValueError, match=f"^unsupported strategy '{strategy}'$"):
+            sch.analytic_sum_dof(strategy, Q)
     with pytest.raises(ValueError):
         sch.analytic_sum_dof("s3", Q, MATCHED)
     with pytest.raises(ValueError):
@@ -514,7 +530,7 @@ def test_analytic_dominates_simple_strategies():
 
 
 def test_sum_dof_exponent_matches_analytic():
-    for q in _grid(0.25):
+    for q in map(_exact, _grid(0.25)):
         pairs = [
             (sch.fdma_descriptor(), sch.analytic_sum_dof("fdma", q)),
             (sch.zfbf_descriptor(q, UNMATCHED), sch.analytic_sum_dof("zfbf", q)),
@@ -524,7 +540,7 @@ def test_sum_dof_exponent_matches_analytic():
             (sch.matched_descriptor(q), sch.analytic_sum_dof("optimal", q, MATCHED)),
         ]
         for d, target in pairs:
-            assert sch.sum_dof_exponent(d) == pytest.approx(float(target), abs=1e-12), d.name
+            assert sch.sum_dof_exponent(d) == target, d.name
 
 
 def test_user_dof_split_default_and_custom():
@@ -559,55 +575,69 @@ def test_user_dof_pairs_inside_outer_bound():
 
 def test_static_margins_vanish_at_reference_point():
     for name, build in ALL_BUILDERS:
-        report = sch.static_achievability_check(build(Q))
+        report = sch.static_achievability_check(build(QX))
         assert report, name
         for step in report:
-            assert abs(step.margin) <= 1e-12, (name, step)
+            assert step.margin == 0, (name, step)
 
 
 def test_static_check_named_examples():
-    report = sch.static_achievability_check(sch.optimal_unmatched_descriptor(Q))
+    report = sch.static_achievability_check(sch.optimal_unmatched_descriptor(QX))
     by_key = {(s.user, s.slot, s.symbol): s for s in report}
     u0 = by_key[("user1", "A", "u_0")]
-    assert u0.signal_exponent == pytest.approx(0.8)
-    assert u0.interference_exponent == pytest.approx(0.5)
-    assert u0.margin == pytest.approx(0.0, abs=1e-12)
+    assert u0.signal_exponent == QX.beta
+    assert u0.interference_exponent == QX.alpha
+    assert u0.margin == 0
 
-    zf = sch.static_achievability_check(sch.zfbf_descriptor(Q, UNMATCHED))
+    zf = sch.static_achievability_check(sch.zfbf_descriptor(QX, UNMATCHED))
     ua = {(s.user, s.slot, s.symbol): s for s in zf}[("user1", "A", "u_A")]
-    assert ua.signal_exponent == pytest.approx(1.0)
-    assert ua.interference_exponent == pytest.approx(1.0 - 0.8)
-    assert ua.margin == pytest.approx(0.0, abs=1e-12)
+    assert ua.signal_exponent == 1
+    assert ua.interference_exponent == 1 - QX.beta
+    assert ua.margin == 0
 
     fd = sch.static_achievability_check(sch.fdma_descriptor())
     assert all(s.interference_exponent == -math.inf for s in fd)
-    assert all(s.margin == 0.0 for s in fd)
+    assert all(s.margin == 0 for s in fd)
 
 
 def test_static_margins_grid():
-    for q in _grid(0.05):
+    for q in map(_exact, _grid(0.05)):
         for name, build in ALL_BUILDERS:
             for step in sch.static_achievability_check(build(q)):
-                assert step.margin >= -1e-12, (name, q, step)
+                assert step.margin >= 0, (name, q, step)
 
 
-def _bits(margin):
-    """A StepMargin with each float spelled out bit for bit."""
-    floats = (margin.signal_exponent, margin.interference_exponent, margin.margin)
-    assert all(type(x) is float for x in floats), margin
-    return (margin.user, margin.slot, margin.symbol) + tuple(x.hex() for x in floats)
+def _exact_margin(margin):
+    """A StepMargin as a tuple, its exponents checked to be exact (or -inf: no interference)."""
+    values = (margin.signal_exponent, margin.interference_exponent, margin.margin)
+    assert all(isinstance(x, numbers.Rational) or x == -math.inf for x in values), margin
+    assert isinstance(margin.margin, numbers.Rational), margin
+    return (margin.user, margin.slot, margin.symbol) + values
 
 
 def test_static_margins_equal_the_reference_walk_bit_for_bit():
     count = 0
-    for q in _grid(0.05):
+    for q in map(_exact, _grid(0.05)):
         for scheme, row in sch.SCHEMES.items():
             for kind in row.scenarios:
                 d = sch.build_descriptor(scheme, q, Scenario(kind))
-                got = [_bits(m) for m in sch.static_achievability_check(d)]
-                assert got == [_bits(m) for m in _reference_margins(d)], (scheme, kind, q)
+                got = [_exact_margin(m) for m in sch.static_achievability_check(d)]
+                assert got == [_exact_margin(m) for m in _reference_margins(d)], (scheme, kind, q)
                 count += 1
     assert count == 1617
+
+
+@pytest.mark.parametrize("name,build", [ALL_BUILDERS[1], ALL_BUILDERS[3]])
+def test_static_check_rejects_a_float_built_descriptor(name, build):
+    # At (0.1, 0) the float exponents audit to a margin of -2.78e-17: the
+    # verdict on a float build is a rounding accident, so it is refused.
+    q = QualityPair(0.1, 0.0)
+    with pytest.raises(ValueError, match=r"build the descriptor on Fraction qualities, "
+                                         r"not beta=0\.1, alpha=0\.0$"):
+        sch.static_achievability_check(build(q))
+    assert all(step.margin >= 0 for step in sch.static_achievability_check(build(_exact(q))))
+    # fdma's descriptor carries no quality and audits as it is.
+    assert sch.static_achievability_check(sch.fdma_descriptor())
 
 
 def test_static_check_flags_overloaded_step():
@@ -625,13 +655,13 @@ def test_static_check_flags_overloaded_step():
 
 def _cross_subband_zf():
     """u_A is zero-forced against user2's estimate of subband B but sent in A."""
-    half = sch.PowerTerm(Fraction(1, 2), 1.0)
+    half = sch.PowerTerm(Fraction(1, 2), 1)
     return sch.SchemeDescriptor(
-        name="cross-zf", scenario="unmatched", quality=Q,
+        name="cross-zf", scenario="unmatched", quality=QX,
         symbols=(
-            sch.SymbolSpec("u_A", "user1", "A", sch.zf_orth("user2", "B"), half, 0.5),
-            sch.SymbolSpec("v_A", "user2", "A", sch.zf_orth("user1", "A"), half, 0.5),
-            sch.SymbolSpec("x_B", "user2", "B", sch.basis_e1(), sch.PowerTerm(1, 1.0), 1.0),
+            sch.SymbolSpec("u_A", "user1", "A", sch.zf_orth("user2", "B"), half, Fraction(1, 2)),
+            sch.SymbolSpec("v_A", "user2", "A", sch.zf_orth("user1", "A"), half, Fraction(1, 2)),
+            sch.SymbolSpec("x_B", "user2", "B", sch.basis_e1(), sch.PowerTerm(1, 1), 1),
         ),
         decode_plan=(
             sch.DecodeStep("user1", "A", "u_A"),
@@ -646,7 +676,7 @@ def test_zero_forcing_on_another_subband_does_not_null_leakage():
     # full power and v_A's SINR exponent is 1 - 1 = 0, not 1 - alpha.
     d = _cross_subband_zf()
     with pytest.raises(sch.AchievabilityError,
-                       match=r"step \(user2, slot A, v_A\) needs rate exponent 0.5 but "
+                       match=r"step \(user2, slot A, v_A\) needs rate exponent 1/2 but "
                              r"the SINR exponent is 0$"):
         sch.static_achievability_check(d)
     # The simulator agrees: user2's DoF is x_B's 1/2 alone; a v_A at SINR
@@ -658,7 +688,125 @@ def test_zero_forcing_on_another_subband_does_not_null_leakage():
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0, 1), st.floats(0, 1))
 def test_static_margins_hold_everywhere(x, y):
-    q = QualityPair(max(x, y), min(x, y))
+    q = QualityPair(Fraction(max(x, y)), Fraction(min(x, y)))
     for name, build in ALL_BUILDERS:
         for step in sch.static_achievability_check(build(q)):
-            assert step.margin >= -1e-12, (name, q, step)
+            assert step.margin >= 0, (name, q, step)
+
+
+# ---------------------------------------------------------------------------
+# exact builds: one set of exponents per scheme, its sum-DoF form read off it
+
+#: Every (scheme, scenario kind) pair that build_descriptor accepts.
+SCHEME_SCENARIOS = [(scheme, kind) for scheme in sch.SCHEME_NAMES
+                    for kind in sch.SCHEMES[scheme].scenarios]
+
+_SUBNORMAL = 5e-324
+
+
+def _exponents(d):
+    """Every number of d's symbols: each power term's exponents and coefficient, and the rate."""
+    return [(s.id, s.slot, s.power.hi, s.power.lo, s.power.coeff, s.rate_exponent)
+            for s in d.symbols]
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0, 1), st.floats(0, 1))
+@example(_SUBNORMAL, 0.0)
+@example(1.0, _SUBNORMAL)
+@example(2.2250738585072014e-308, 1e-310)
+@example(0.1, 0.0)
+@example(1.0, 1.0)
+def test_float_build_is_the_float_of_the_exact_build(x, y):
+    q = QualityPair(max(x, y), min(x, y))
+    for scheme, kind in SCHEME_SCENARIOS:
+        fl = sch.build_descriptor(scheme, q, Scenario(kind))
+        ex = sch.build_descriptor(scheme, _exact(q), Scenario(kind))
+        assert (fl.decode_plan, fl.common_split) == (ex.decode_plan, ex.common_split)
+        assert [s.precoder for s in fl.symbols] == [s.precoder for s in ex.symbols]
+        for got, exact in zip(_exponents(fl), _exponents(ex), strict=True):
+            assert got[:2] == exact[:2] and got[4] == exact[4], (scheme, kind, q)
+            # Each float exponent is one correctly rounded operation on q.
+            assert [_bits(v) for v in got[2:4] + got[5:]] == [
+                _bits(v) for v in exact[2:4] + exact[5:]], (scheme, kind, q, got, exact)
+            assert all(isinstance(v, numbers.Rational) for v in exact[2:6] if v is not None)
+
+
+_UNIT_FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=10**9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_UNIT_FRACTIONS, _UNIT_FRACTIONS)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(1), Fraction(0))
+@example(Fraction(1), Fraction(1))
+@example(Fraction(2, 3), Fraction(2, 3))
+def test_analytic_sum_dof_is_the_exact_builds_sum_dof(x, y):
+    q = QualityPair(max(x, y), min(x, y))
+    for scheme, kind in SCHEME_SCENARIOS:
+        d = sch.build_descriptor(scheme, q, Scenario(kind))
+        target = sch.analytic_sum_dof(scheme, q, kind)
+        assert isinstance(target, numbers.Rational)
+        assert target == sch.sum_dof_exponent(d), (scheme, kind, q)
+        if scheme == sch.OPTIMAL[kind]:
+            assert sch.analytic_sum_dof("optimal", q, kind) == target
+
+
+def test_sum_dof_forms_are_pinned():
+    """(c0, cb, ca) of c0 + cb*beta + ca*alpha, as read off each builder."""
+    half = Fraction(1, 2)
+    pinned = {
+        ("fdma", "unmatched"): (1, 0, 0), ("fdma", "matched"): (1, 0, 0),
+        ("zfbf", "unmatched"): (0, 1, 1), ("zfbf", "matched"): (0, 1, 1),
+        ("s3", "unmatched"): (1, half, 0),
+        ("optimal-unmatched", "unmatched"): (1, half, half),
+        ("matched-optimal", "matched"): (1, half, half),
+    }
+    assert sorted(pinned) == sorted(SCHEME_SCENARIOS)
+    for key, form in pinned.items():
+        exact, floats = sch._sum_dof_form(*key)
+        assert exact == form and all(type(c) is Fraction for c in exact), key
+        assert floats == tuple(map(float, form)) and all(type(c) is float for c in floats), key
+
+
+#: The closed forms the switcher scored before they were read off the builders.
+_HAND_FORMS = {
+    "fdma": lambda b, a: 1,
+    "zfbf": lambda b, a: b + a,
+    "s3": lambda b, a: 1 + b / 2,
+    "optimal-unmatched": lambda b, a: 1 + (b + a) / 2,
+    "matched-optimal": lambda b, a: 1 + (b + a) / 2,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0, 1), st.floats(0, 1))
+@example(_SUBNORMAL, _SUBNORMAL)
+@example(1.0, _SUBNORMAL)
+@example(0.3, 0.1)
+def test_analytic_sum_dof_on_floats_keeps_the_hand_forms_bits(x, y):
+    hi, lo = max(x, y), min(x, y)
+    arrays = np.array([hi, 0.7, 1.0, _SUBNORMAL]), np.array([lo, 0.2, 1.0, 0.0])
+    for scheme, kind in SCHEME_SCENARIOS:
+        want = _HAND_FORMS[scheme]
+        got = sch.analytic_sum_dof_at(scheme, hi, lo, kind)
+        assert type(got) is float and got.hex() == float(want(hi, lo)).hex(), (scheme, hi, lo)
+        got = sch.analytic_sum_dof_at(scheme, *arrays, kind)
+        shape = arrays[0].shape
+        assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(want(*arrays), shape))
+    assert np.ndim(sch.analytic_sum_dof_at("fdma", *arrays)) == 0
+
+
+@pytest.mark.parametrize("scheme,kind", SCHEME_SCENARIOS)
+def test_estimate_dof_reads_the_same_from_an_exact_build(scheme, kind):
+    scenario = Scenario(kind)
+    for q in (QualityPair(0.8, 0.5), QualityPair(1.0, 0.3), QualityPair(0.6, 0.6)):
+        exact = sch.build_descriptor(scheme, _exact(q), scenario)
+        floats = sch.build_descriptor(scheme, q, scenario)
+        reports = [mc.estimate_dof(d, q, scenario, (40.0, 50.0, 60.0), trials=60, seed=3)
+                   for d in (exact, floats)]
+        assert reports[0].to_json() == reports[1].to_json(), (scheme, kind, q)

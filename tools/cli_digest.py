@@ -11,6 +11,10 @@ the same digest exactly when the battery's bytes agree, so a refactor that
 claims unchanged command-line behaviour shows it by running this on both
 trees under the same interpreter (argparse's help layout varies across
 Python versions).
+
+On stderr it also prints one line per call: a short sha256 of that call's
+parts and its argv.  Diffing the stderr of two trees names the calls whose
+bytes moved.
 """
 
 from __future__ import annotations
@@ -77,6 +81,12 @@ def run(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _parts(argv, code, out, err) -> bytes:
+    """argv, exit code, stdout and stderr, each prefixed with its length."""
+    blobs = [part.encode() for part in (json.dumps(argv), str(code), out, err)]
+    return b"".join(len(data).to_bytes(8, "little") + data for data in blobs)
+
+
 def digest(repo: Path) -> str:
     os.environ["COLUMNS"] = "80"
     sys.path.insert(0, str(repo / "src"))
@@ -86,10 +96,9 @@ def digest(repo: Path) -> str:
         raise SystemExit(f"imported dofsim from {cli.__file__}, not from {repo}")
     h = hashlib.sha256()
     for argv in battery():
-        code, out, err = run(cli.main, argv)
-        for part in (json.dumps(argv), str(code), out, err):
-            data = part.encode()
-            h.update(len(data).to_bytes(8, "little") + data)
+        data = _parts(argv, *run(cli.main, argv))
+        h.update(data)
+        print(hashlib.sha256(data).hexdigest()[:12], json.dumps(argv), file=sys.stderr)
     return h.hexdigest()
 
 
