@@ -17,14 +17,13 @@ Randomness is drawn from per-trial substreams: ``trial_rng(seed, t)`` is a
 pure function of the master seed and the trial index, so runs are
 bit-reproducible and results do not depend on how trials are partitioned
 across workers.  ``trial_rng`` defines the contract; the batched sampler
-(``_trial_normals``) reproduces its streams a block of trials at a time in
-array passes.  It runs SeedSequence's 32-bit hash over the trial indices,
-jumps each PCG64 stream ahead in closed form (the 128-bit LCG state after
-n steps is affine in the seeded state) to every raw word, and applies the
-fast path of numpy's ziggurat, with tables read back from numpy once per
-process.  A trial with a draw that path rejects is resumed by numpy from
-the state before that draw.  A once-per-process check compares a fixed
-block, with both kinds of trial, against ``trial_rng``.
+(``_trial_normals``) reproduces its streams a block of trials at a time.
+It runs SeedSequence's 32-bit hash over the trial indices and PCG64's
+seeding step in array passes, which give each trial's seeded 128-bit
+state.  Then, trial by trial, it writes that state into one process-wide
+PCG64 generator and numpy's own ``standard_normal`` draws the row, so
+every draw is numpy's.  A once-per-process check compares a fixed block
+against ``trial_rng``.
 
 One trial's cells are built from one ``standard_normal`` draw in a fixed
 layout (``_pairs_from_normals``): a realization is one ``ChannelPair``
@@ -42,11 +41,13 @@ arrays.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -168,14 +169,16 @@ TRIAL_BLOCK = 4096
 # Constants of numpy's SeedSequence (hashmix, mix, generate_state) and of
 # PCG64's LCG, which ``_trial_normals`` reproduces.
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_CHUNK_DRAWS = 1 << 14  # per array pass of ``_fill_normals``, to stay in cache
+# The multiplier's high and low words, and the low word's 32-bit limbs.
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (1 << 64) - 1)
+_MULT_0, _MULT_1 = _MULT_LO & np.uint64(_MASK32), _MULT_LO >> np.uint64(32)
+# Held while the shared generator of ``_pcg64`` is written and drawn from.
+_LOCK = threading.Lock()
 
 
 @functools.cache
@@ -204,95 +207,27 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _pcg64_setter() -> Callable[[int, int], np.random.Generator]:
-    """A new PCG64 generator, behind a function that sets its (state, inc) and returns it."""
-    gen, inner = np.random.Generator(np.random.PCG64(0)), {}
-    full = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-
-    def set_state(state: int, inc: int) -> np.random.Generator:
-        inner["state"], inner["inc"] = state, inc
-        gen.bit_generator.state = full
-        return gen
-
-    return set_state
-
-
 @functools.cache
-def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
-    """numpy's ziggurat tables wi and ki, signed and indexed by r & 0x1ff.
+def _pcg64() -> Tuple[np.random.Generator, memoryview, Tuple[int, ...]]:
+    """The process's one PCG64 generator, the 32 bytes of its (state, inc) and their word order.
 
-    A raw word r gives the layer r & 0xff, the sign (bit 8) and rabs (bits
-    9..60); numpy returns +-rabs * wi[layer] if rabs < ki[layer], else it
-    takes its slow path.  With inc = -r * MULT the state (r - inc) / MULT
-    outputs r (the stepped state r has high word 0: no rotation), and after
-    a fast-path draw the next raw output is 0.  wi[layer] is the normal
-    drawn for rabs = 1; ki, a lower bound on numpy's, is floor(2**52 *
-    wi[layer - 1] / wi[layer] * (1 - 1e-9)) if rabs = ki - 1 takes the
-    fast path, else 0, which sends every draw of the layer to numpy's slow
-    path (layer 1, which numpy always rejects, is the one that gets 0).
+    numpy's PCG64 state struct starts with a pointer to its 128-bit state
+    and increment, four uint64 words that the returned memoryview
+    aliases; the view must not outlive the generator, so both are kept
+    here together.  Word j holds (state low, state high, inc low, inc
+    high)[order[j]], read back once from a state set through the public
+    setter, so a build that stores the halves high word first needs no
+    constant of its own.
     """
-    inverse, set_state = pow(_PCG64_MULT, -1, 1 << 128), _pcg64_setter()
-
-    def draw(layer: int, rabs: int) -> Tuple[float, bool]:
-        word = rabs << 9 | layer
-        inc = -word * _PCG64_MULT & _MASK128
-        gen = set_state((word - inc) * inverse & _MASK128, inc)
-        return gen.standard_normal(), gen.bit_generator.random_raw() == 0
-
-    wi = [draw(layer, 1)[0] for layer in range(256)]
-    ki = []
-    for layer in range(256):
-        guess = min(max(int(2**52 * wi[layer - 1] / wi[layer] * (1 - 1e-9)), 0), 2**52)
-        ki.append(guess if guess and draw(layer, guess - 1)[1] else 0)
-    wi, ki = np.array(wi), np.array(ki, dtype=np.int64)
-    return np.concatenate([wi, -wi]), np.concatenate([ki, ki])
-
-
-@functools.cache
-def _jumps(k: int) -> Tuple[np.ndarray, ...]:
-    """(high, low, low & 0xffffffff, low >> 32) of A (row 0) and B (row 1), each (2, k + 1, 1).
-
-    From PCG64's seeded state u * MULT + inc, the state before draw n is
-    u * A + inc * B mod 2**128, with A = MULT**(n + 1), B = 1 + ... + MULT**n.
-    """
-    a, b, rows = _PCG64_MULT, 1, []
-    for _ in range(k + 1):
-        rows.append((a, b))
-        a, b = a * _PCG64_MULT & _MASK128, (b * _PCG64_MULT + 1) & _MASK128
-    c = np.array(rows, dtype=object).T[:, :, None]
-    lo = c & _MASK64
-    return tuple(np.array(x, dtype=np.uint64) for x in (c >> 64, lo, lo & _MASK32, lo >> 32))
-
-
-def _fill_normals(z: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-                  set_state: Callable[[int, int], np.random.Generator]) -> None:
-    """Row t of z: the first normals of the PCG64 stream with (u, inc) = (hi, lo)[:, t].
-
-    Each state u * A + inc * B is computed on uint64 halves (the high word
-    of a low-by-low product from 32-bit limbs) and gives its XSL-RR output.
-    Fast-path draws are +-rabs * wi[layer]; a row with a rejected draw is
-    finished by numpy, on its own slow path, from the state before it.
-    """
-    a_hi, a_lo, a0, a1 = _jumps(z.shape[1])
-    hi, lo = hi[:, None], lo[:, None]
-    x0, x1 = lo & _MASK32, lo >> 32
-    p00, p01, p10, p_lo = a0 * x0, a1 * x0, a0 * x1, a_lo * lo
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    p_hi = a1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a_hi * lo + a_lo * hi
-    s_lo = p_lo[0] + p_lo[1]
-    s_hi = p_hi[0] + p_hi[1] + (s_lo < p_lo[1])
-    x, rot = s_hi[1:] ^ s_lo[1:], s_hi[1:] >> 58
-    words = x >> rot | x << (64 - rot)  # numpy shifts by 64 to 0
-    wi, ki = _ziggurat()
-    layer = (words & 0x1FF).view(np.int64)
-    rabs = (words >> 9 & (1 << 52) - 1).view(np.int64)
-    np.multiply(rabs, wi.take(layer), out=z.T)
-    rejected = rabs >= ki.take(layer)
-    rows = np.flatnonzero(rejected.any(axis=0))
-    first = rejected[:, rows].argmax(axis=0)
-    halves = np.stack([s_hi[first, rows], s_lo[first, rows], hi[1, 0, rows], lo[1, 0, rows]])
-    for t, j, s1, s0, i1, i0 in zip(rows.tolist(), first.tolist(), *halves.tolist()):
-        set_state(s1 << 64 | s0, i1 << 64 | i0).standard_normal(out=z[t, j:])
+    gen = np.random.Generator(np.random.PCG64(0))
+    address = ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address).value
+    words = (ctypes.c_uint64 * 4).from_address(address)
+    known = (2, 1, 5, 3)
+    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": 1 << 64 | 2,
+                               "inc": 3 << 64 | 5}, "has_uint32": 0, "uinteger": 0}
+    if sorted(words) != sorted(known):
+        raise RuntimeError(f"numpy {np.__version__}'s PCG64 state does not start with (state, inc)")
+    return gen, memoryview(words).cast("B"), tuple(known.index(word) for word in words)
 
 
 def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
@@ -301,7 +236,8 @@ def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
     The spawn-key words of trials [start, start + trials) go through
     SeedSequence's hash as uint32 arrays, one row per pool word, and
     ``generate_state(4, uint64)`` follows.  PCG64's seeding step gives
-    each trial's u and inc, and ``_fill_normals`` draws a chunk at a time.
+    each trial's seeded state on uint64 halves; each is written into the
+    shared generator of ``_pcg64``, which draws the row.
     """
     seed = check_seed(seed)
     if start < 0:
@@ -332,19 +268,31 @@ def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
         states.append(out[1::2].astype(np.uint64) << 32 | out[0::2])
         lo = hi
     s1, s0, i1, i0 = np.concatenate(states, axis=1)
-    # inc = (i1:i0) * 2 + 1 and u = (s1:s0) + inc, as (high, low) words.
+    # inc = (i1:i0) * 2 + 1, u = (s1:s0) + inc and the seeded state
+    # u * MULT + inc, as (high, low) words; the high word of the low-by-low
+    # product comes from 32-bit limbs.
     inc_hi, inc_lo = i1 << 1 | i0 >> 63, i0 << 1 | 1
     u_lo = s0 + inc_lo
-    hi, lo = np.stack([s1 + inc_hi + (u_lo < inc_lo), inc_hi]), np.stack([u_lo, inc_lo])
-    z, set_state = np.empty((trials, k)), _pcg64_setter()
-    chunk = max(1, _CHUNK_DRAWS // (k + 1))
-    for c in range(0, trials, chunk):
-        _fill_normals(z[c:c + chunk], hi[:, c:c + chunk], lo[:, c:c + chunk], set_state)
+    u_hi = s1 + inc_hi + (u_lo < inc_lo)
+    x0, x1 = u_lo & _MASK32, u_lo >> 32
+    p00, p01, p10 = x0 * _MULT_0, x0 * _MULT_1, x1 * _MULT_0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    p_hi = x1 * _MULT_1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    state_lo = u_lo * _MULT_LO + inc_lo
+    state_hi = p_hi + u_hi * _MULT_LO + u_lo * _MULT_HI + inc_hi + (state_lo < inc_lo)
+    gen, state, order = _pcg64()
+    halves = (state_lo, state_hi, inc_lo, inc_hi)
+    rows = memoryview(np.stack([halves[i] for i in order], axis=1).view(np.uint8).ravel())
+    z, draw = np.empty((trials, k)), gen.standard_normal
+    with _LOCK:
+        for t, out in enumerate(z):
+            state[:] = rows[32 * t:32 * t + 32]
+            draw(out=out)
     return z
 
 
-#: (seed, start, trials, k): rows on the fast path alone and rows with a
-#: rejection, across the one- to two-word spawn-key boundary.
+#: (seed, start, trials, k): a seed of three words and trials across the
+#: one- to two-word spawn-key boundary.
 _CHECK_BLOCK = (2**70 + 941, 2**32 - 3, 6, 32)
 
 
@@ -356,7 +304,8 @@ def _check_seeding() -> None:
     if not np.array_equal(_trial_normals(seed, start, trials, k), want):
         raise RuntimeError(
             f"numpy {np.__version__} seeds SeedSequence/PCG64 differently from the "
-            "batched sampler, or its ziggurat differs; trial streams would not match trial_rng"
+            "batched sampler, or lays out PCG64's state otherwise; trial streams would "
+            "not match trial_rng"
         )
 
 
@@ -535,8 +484,8 @@ def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> 
     ladder = [float(p) for p in snr_ladder]
     if not all(math.isfinite(p) for p in ladder):
         raise ValueError(f"SNR ladder values must be finite, got {snr_ladder}")
-    if len(ladder) < 2 or any(p <= 1 for p in ladder) or sorted(ladder) != ladder:
-        raise ValueError(f"SNR ladder must be ascending with every p > 1, got {snr_ladder}")
+    if len(ladder) < 2 or ladder[0] <= 1 or any(lo >= hi for lo, hi in zip(ladder, ladder[1:])):
+        raise ValueError(f"SNR ladder must be strictly ascending with every p > 1, got {snr_ladder}")
     if trials < 1:
         raise ValueError("at least one trial is required")
     total = 0.0

@@ -1,5 +1,8 @@
 """Channel sampling, zero-forcing directions and error-scaling statistics."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +272,12 @@ def test_measure_error_exponent_validation():
         ch.measure_error_exponent(0.5, [1e3, 1e4], trials=0)
 
 
+@pytest.mark.parametrize("ladder", [[10, 10, 10], [1e2, 1e3, 1e3]])
+def test_measure_error_exponent_rejects_a_repeated_ladder_point(ladder):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        ch.measure_error_exponent(0.5, ladder, trials=50, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # batched sampling over an SNR ladder
 
@@ -328,10 +337,45 @@ def test_trial_normals_equal_trial_rng_streams(seed, start, trials):
     # With 300 trials, 2**32 - 3 crosses from one-word to two-word spawn
     # keys and 2**64 - 3 from two words to three.  Seeds of more than four
     # words mix their words past the fourth into the pool one at a time.
-    got = ch._trial_normals(seed, start, trials, 16)
-    assert got.shape == (trials, 16)
-    for t in range(trials):
-        assert np.array_equal(got[t], ch.trial_rng(seed, start + t).standard_normal(16)), t
+    for k in (4, 8, 16, 32):
+        got = ch._trial_normals(seed, start, trials, k)
+        assert got.shape == (trials, k)
+        for t in range(trials):
+            assert np.array_equal(got[t], ch.trial_rng(seed, start + t).standard_normal(k)), (k, t)
+
+
+def test_trial_normals_equal_trial_rng_on_a_grid_of_20400_trials():
+    seeds, starts, trials, k = (0, 11, 2**64 + 17, 2**130 + 5), (0, 2**32 - 3, 2**64 - 3), 1700, 32
+    for seed in seeds:
+        for start in starts:
+            got = ch._trial_normals(seed, start, trials, k)
+            for t in range(trials):
+                assert np.array_equal(got[t], ch.trial_rng(seed, start + t).standard_normal(k)), (
+                    seed, start, t)
+
+
+def test_trial_normals_are_unchanged_by_a_thread_sampling_at_once():
+    # The generator is shared: without the lock, a thread switch between
+    # one thread's state write and its draw hands it the other's stream.
+    serial = {seed: ch._trial_normals(seed, 0, 200, 32) for seed in (3, 4)}
+    mismatches = []
+
+    def sample(seed):
+        for _ in range(30):
+            if not np.array_equal(ch._trial_normals(seed, 0, 200, 32), serial[seed]):
+                mismatches.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sample, args=(seed,)) for seed in serial]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
 
 
 def test_trial_normals_reject_a_negative_seed():
@@ -351,57 +395,20 @@ def test_seeding_check_raises_on_a_different_stream(monkeypatch):
         ch._check_seeding.__wrapped__()
 
 
-def _fast_path(seed, start, trials, k):
-    """Each row's raw words read as ziggurat draws, from ``trial_rng``'s own generator.
-
-    Returns each word's layer, whether the fast path accepts it (by the
-    sampler's tables), and each row's first rejected draw (k if none).
-    Words past a row's first rejection are not draws of that row.
-    """
-    _, ki = ch._ziggurat()
-    words = np.array([ch.trial_rng(seed, start + t).bit_generator.random_raw(k)
-                      for t in range(trials)])
-    index = (words & np.uint64(0x1FF)).astype(np.int64)
-    rabs = (words >> np.uint64(9) & np.uint64((1 << 52) - 1)).astype(np.int64)
-    accepted = rabs < ki[index]
-    first = np.where(accepted.all(axis=1), k, np.argmin(accepted, axis=1))
-    return index & 0xFF, accepted, first
-
-
-def test_the_check_block_takes_every_path_of_the_sampler():
+def test_the_check_block_crosses_the_spawn_key_boundary():
     seed, start, trials, k = ch._CHECK_BLOCK
-    layer, accepted, first = _fast_path(seed, start, trials, k)
-    drawn = np.arange(k) <= first[:, None]
-    assert (first == k).any()  # rows the fast path draws alone
-    assert (first == 0).any() and (first == k - 1).any()  # rejections at the first and last draw
-    assert (drawn & accepted & (layer == 0)).any()  # the tail layer on the fast path
-    assert (drawn & (layer == 1)).any()  # layer 1, which numpy always rejects
     assert start < 2**32 < start + trials  # one- and two-word spawn keys
     got = ch._trial_normals(seed, start, trials, k)
     for t in range(trials):
         assert np.array_equal(got[t], ch.trial_rng(seed, start + t).standard_normal(k)), t
 
 
-def test_seeding_check_raises_on_a_perturbed_ziggurat_table(monkeypatch):
-    seed, start, trials, k = ch._CHECK_BLOCK
-    wi, ki = ch._ziggurat()
-    _, _, first = _fast_path(seed, start, trials, k)
-    row = int(np.argmax(first == k))  # drawn on the fast path alone
-    index = int(ch.trial_rng(seed, start + row).bit_generator.random_raw() & np.uint64(0x1FF))
-    bad = wi.copy()
-    bad[index] = np.nextafter(bad[index], np.inf)
-    monkeypatch.setattr(ch, "_ziggurat", lambda: (bad, ki))
-    with pytest.raises(RuntimeError, match="ziggurat differs"):
+def test_seeding_check_raises_on_a_swapped_word_order(monkeypatch):
+    gen, state, order = ch._pcg64()
+    swapped = (order[1], order[0]) + order[2:]  # the state's high and low words
+    monkeypatch.setattr(ch, "_pcg64", lambda: (gen, state, swapped))
+    with pytest.raises(RuntimeError, match="lays out PCG64's state otherwise"):
         ch._check_seeding.__wrapped__()
-
-
-def test_ziggurat_tables_are_derived_once_and_in_bounds():
-    wi, ki = ch._ziggurat()
-    assert ch._ziggurat() is ch._ziggurat()
-    assert wi.shape == ki.shape == (512,)
-    assert np.array_equal(wi[256:], -wi[:256]) and np.array_equal(ki[256:], ki[:256])
-    assert ki[1] == 0 and np.all((ki >= 0) & (ki < 2**52))
-    assert np.all(np.diff(wi[1:256]) > 0)  # layer widths grow towards the base
 
 
 @pytest.mark.parametrize("ps, message", [

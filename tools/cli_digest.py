@@ -54,6 +54,8 @@ def battery():
     for scheme in ("fdma", "zfbf"):
         yield ["simulate", "--scheme", scheme, "--beta", "0.5", "--alpha", "3e-18",
                "--snr", "40,200,400", "--trials", "50"]
+    # 4100 trials: a full block of TRIAL_BLOCK = 4096 trials and a partial second.
+    yield ["simulate", "--scheme", "optimal-unmatched", "--trials", "4100"]
     # 40 and 40.0000001 share the report key "40"; the ladder is rejected.
     yield ["simulate", "--scheme", "fdma", "--snr", "40,40.0000001,50", "--trials", "20"]
     yield ["verify"]
