@@ -92,14 +92,12 @@ def cmd_regions(args) -> int:
         with _open_out(args.out) as stream:
             json.dump(doc, stream, indent=2, sort_keys=True)
             stream.write("\n")
-    elif args.format == "gnuplot":
+    else:
         with _open_out(args.out) as stream:
             _gnuplot_block(stream, "composed", composed.vertices)
             _gnuplot_block(stream, "outer_bound", outer.vertices)
             for name, weight, region in parts:
                 _gnuplot_block(stream, f"component {name} weight={weight!r}", region.vertices)
-    else:
-        raise ValueError(f"regions supports json or gnuplot output, not {args.format!r}")
     if not equal:
         print("composed region does not match the converse bound", file=sys.stderr)
         return 1
@@ -132,11 +130,9 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         with _open_out(args.out) as stream:
             switcher.write_sweep_csv(m, stream)
-    elif args.format == "json":
+    else:
         with _open_out(args.out) as stream:
             switcher.write_summary_json(m, stream)
-    else:
-        raise ValueError(f"sweep supports csv or json output, not {args.format!r}")
     counts = ", ".join(f"{k}={v}" for k, v in sorted(m.counts_by_strategy().items()))
     print(f"min ratio {m.min_ratio():.4f}; {counts}", file=sys.stderr)
     return 0

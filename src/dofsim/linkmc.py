@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import dataclasses
+import operator
 from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -313,7 +314,7 @@ def estimate_dof(
     to the top SNR pair, which sheds most of the finite-SNR offset; both
     estimates appear in the report.
     """
-    check_seed(seed)
+    seed, trials = check_seed(seed), operator.index(trials)  # plain ints, as JSON writes them
     ladder = [float(v) for v in ladder_db]
     if not all(math.isfinite(v) for v in ladder):
         raise ValueError(f"SNR ladder values must be finite, got {ladder_db}")

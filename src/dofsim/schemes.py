@@ -23,7 +23,15 @@ Builders are provided for the five strategies under study:
 * ``matched_descriptor``          -- per-subband rate-splitting (matched
                                      CSIT).
 
-``SCHEMES`` is the single home of each scheme's builder and its scenarios.
+The builders share two layer constructors: ``_common(slot, j)``, a common
+message at P - P^j that both users decode first, and ``_private(owner, slot,
+power, rate)``, a private symbol zero-forced against the other user's
+estimate and decoded by its owner; s3 and the optimal unmatched scheme add
+the repeated aligned symbol u_0.
+
+``SCHEMES`` is the single home of each scheme's builder and its scenarios,
+and ``build_descriptor`` its one gate: ``analytic_sum_dof`` builds through
+it, so both refuse an unknown scheme or scenario with the same message.
 Builders keep the number type of ``q``: the closed-form sum DoF is read off
 ``Fraction`` builds, and the achievability audit runs on them, exactly.
 """
@@ -322,6 +330,31 @@ def power_ledger(d: SchemeDescriptor, slot_id: str) -> Dict[float, Fraction]:
 
 # -- descriptor builders ---------------------------------------------------
 
+def _common(slot: str, j) -> SymbolSpec:
+    """The common message ``xc_<slot>`` on top of a subband of quality j < 1:
+    power P - P^j, rate exponent 1 - j; both users decode it first."""
+    return SymbolSpec(f"xc_{slot}", "common", slot, basis_e1(), PowerTerm(1, 1, j), 1 - j)
+
+
+def _private(owner: str, slot: str, power, rate) -> SymbolSpec:
+    """owner's private symbol in slot (``u_<slot>`` for user1, ``v_<slot>`` for
+    user2) at P^power/2, zero-forced against the other user's estimate there."""
+    letter, other = ("u", "user2") if owner == "user1" else ("v", "user1")
+    return SymbolSpec(f"{letter}_{slot}", owner, slot, zf_orth(other, slot),
+                      PowerTerm(Fraction(1, 2), power), rate)
+
+
+def _decode(sym: SymbolSpec) -> DecodeStep:
+    """The step in which sym's owner decodes it, in its slot."""
+    return DecodeStep(sym.owner, sym.slot, sym.id)
+
+
+def _decode_commons(symbols: Sequence[SymbolSpec]) -> List[DecodeStep]:
+    """Each user decodes every common message first, in descriptor order."""
+    return [DecodeStep(user, s.slot, s.id) for user in USERS for s in symbols
+            if s.owner == "common"]
+
+
 def fdma_descriptor() -> SchemeDescriptor:
     """Subband A carries user1's symbol at full power, subband B user2's."""
     return SchemeDescriptor(
@@ -346,21 +379,11 @@ def zfbf_descriptor(q: QualityPair, scenario: Scenario) -> SchemeDescriptor:
     own estimate in that subband: the co-scheduled symbol is zero-forced
     against that estimate, so the leakage floor sits at P^(1 - quality).
     """
-    symbols = []
-    plan = []
-    for slot in SUBBANDS:
-        r1 = scenario.quality("user1", slot, q)
-        r2 = scenario.quality("user2", slot, q)
-        symbols.append(SymbolSpec(f"u_{slot}", "user1", slot,
-                                  zf_orth("user2", slot), PowerTerm(Fraction(1, 2), 1), r1))
-        symbols.append(SymbolSpec(f"v_{slot}", "user2", slot,
-                                  zf_orth("user1", slot), PowerTerm(Fraction(1, 2), 1), r2))
-        plan.append(DecodeStep("user1", slot, f"u_{slot}"))
-        plan.append(DecodeStep("user2", slot, f"v_{slot}"))
-    plan.sort(key=lambda st: st.user)
+    privates = [_private(user, slot, 1, scenario.quality(user, slot, q))
+                for slot in SUBBANDS for user in USERS]
     return SchemeDescriptor(
-        name="zfbf", scenario=scenario.kind, quality=q,
-        symbols=tuple(symbols), decode_plan=tuple(plan),
+        name="zfbf", scenario=scenario.kind, quality=q, symbols=tuple(privates),
+        decode_plan=tuple(sorted(map(_decode, privates), key=lambda st: st.user)),
     )
 
 
@@ -374,18 +397,15 @@ def s3_descriptor(q: QualityPair) -> SchemeDescriptor:
     """
     b = q.beta
     half = PowerTerm(Fraction(1, 2), 1)
+    v_A, u_B = _private("user2", "A", 1, 1), _private("user1", "B", 1, 1)
     symbols = (
         SymbolSpec("u_0", "user1", "A", aligned("user2", "A"), half, b),
-        SymbolSpec("v_A", "user2", "A", zf_orth("user1", "A"), half, 1),
+        v_A,
         SymbolSpec("u_0", "user1", "B", aligned("user1", "B"), half, b),
-        SymbolSpec("u_B", "user1", "B", zf_orth("user2", "B"), half, 1),
+        u_B,
     )
-    plan = (
-        DecodeStep("user1", "A", "u_0"),
-        DecodeStep("user1", "B", "u_B"),
-        DecodeStep("user2", "B", "u_0"),
-        DecodeStep("user2", "A", "v_A"),
-    )
+    plan = (DecodeStep("user1", "A", "u_0"), _decode(u_B),
+            DecodeStep("user2", "B", "u_0"), _decode(v_A))
     return SchemeDescriptor(
         name="s3", scenario="unmatched", quality=q,
         symbols=symbols, decode_plan=plan,
@@ -405,41 +425,27 @@ def optimal_unmatched_descriptor(
     dropped along with their decode steps.
     """
     b, a = q.beta, q.alpha
-    has_common = b < 1
     has_u0 = b > a
     symbols: List[SymbolSpec] = []
-    if has_common:
-        symbols.append(SymbolSpec("xc_A", "common", "A", basis_e1(),
-                                  PowerTerm(1, 1, b), 1 - b))
-    symbols.append(SymbolSpec("u_A", "user1", "A", zf_orth("user2", "A"),
-                              PowerTerm(Fraction(1, 2), a), a))
-    if has_u0:
-        symbols.append(SymbolSpec("u_0", "user1", "A", aligned("user2", "A"),
-                                  PowerTerm(Fraction(1, 2), b, a), b - a))
-    symbols.append(SymbolSpec("v_A", "user2", "A", zf_orth("user1", "A"),
-                              PowerTerm(Fraction(1, 2), b), b))
-    if has_common:
-        symbols.append(SymbolSpec("xc_B", "common", "B", basis_e1(),
-                                  PowerTerm(1, 1, b), 1 - b))
-    symbols.append(SymbolSpec("v_B", "user2", "B", zf_orth("user1", "B"),
-                              PowerTerm(Fraction(1, 2), a), a))
-    if has_u0:
-        symbols.append(SymbolSpec("u_0", "user1", "B", aligned("user1", "B"),
-                                  PowerTerm(Fraction(1, 2), b, a), b - a))
-    symbols.append(SymbolSpec("u_B", "user1", "B", zf_orth("user2", "B"),
-                              PowerTerm(Fraction(1, 2), b), b))
+    privates = {}  # (owner, slot) -> symbol
+    # In each subband the user whose estimate has quality beta, then the other.
+    for slot, good, poor in (("A", "user1", "user2"), ("B", "user2", "user1")):
+        privates[good, slot] = _private(good, slot, a, a)
+        privates[poor, slot] = _private(poor, slot, b, b)
+        if b < 1:
+            symbols.append(_common(slot, b))
+        symbols.append(privates[good, slot])
+        if has_u0:
+            symbols.append(SymbolSpec("u_0", "user1", slot, aligned(poor, slot),
+                                      PowerTerm(Fraction(1, 2), b, a), b - a))
+        symbols.append(privates[poor, slot])
 
-    plan: List[DecodeStep] = []
-    if has_common:
-        plan.extend(DecodeStep(user, slot, f"xc_{slot}") for user in USERS for slot in SUBBANDS)
-    if has_u0:
-        plan.append(DecodeStep("user1", "A", "u_0"))
-    plan.append(DecodeStep("user1", "A", "u_A"))
-    plan.append(DecodeStep("user1", "B", "u_B"))
-    if has_u0:
-        plan.append(DecodeStep("user2", "B", "u_0"))
-    plan.append(DecodeStep("user2", "B", "v_B"))
-    plan.append(DecodeStep("user2", "A", "v_A"))
+    plan = _decode_commons(symbols)
+    # Each user decodes u_0, then its own privates, in its well-estimated subband first.
+    for user, slots in (("user1", "AB"), ("user2", "BA")):
+        if has_u0:
+            plan.append(DecodeStep(user, slots[0], "u_0"))
+        plan.extend(_decode(privates[user, slot]) for slot in slots)
 
     return SchemeDescriptor(
         name="optimal-unmatched", scenario="unmatched", quality=q,
@@ -459,31 +465,19 @@ def matched_descriptor(
     power (the private symbols would carry rate 0).
     """
     symbols: List[SymbolSpec] = []
-    plan_common: List[DecodeStep] = []
-    plan_private: List[DecodeStep] = []
-    present_common: List[str] = []
+    private_steps: List[DecodeStep] = []
     for slot, j in (("A", q.beta), ("B", q.alpha)):
-        xc = f"xc_{slot}"
         if j == 0:
-            symbols.append(SymbolSpec(xc, "common", slot, basis_e1(), PowerTerm(1, 1), 1))
-            present_common.append(xc)
+            symbols.append(SymbolSpec(f"xc_{slot}", "common", slot, basis_e1(),
+                                      PowerTerm(1, 1), 1))
             continue
-        if j < 1:
-            symbols.append(SymbolSpec(xc, "common", slot, basis_e1(),
-                                      PowerTerm(1, 1, j), 1 - j))
-            present_common.append(xc)
-        symbols.append(SymbolSpec(f"u_{slot}", "user1", slot,
-                                  zf_orth("user2", slot), PowerTerm(Fraction(1, 2), j), j))
-        symbols.append(SymbolSpec(f"v_{slot}", "user2", slot,
-                                  zf_orth("user1", slot), PowerTerm(Fraction(1, 2), j), j))
-        plan_private.append(DecodeStep("user1", slot, f"u_{slot}"))
-        plan_private.append(DecodeStep("user2", slot, f"v_{slot}"))
-    for user in USERS:
-        plan_common.extend(DecodeStep(user, xc[-1], xc) for xc in present_common)
+        privates = [_private(user, slot, j, j) for user in USERS]
+        symbols += ([_common(slot, j)] if j < 1 else []) + privates
+        private_steps += map(_decode, privates)
 
     return SchemeDescriptor(
         name="matched-optimal", scenario="matched", quality=q,
-        symbols=tuple(symbols), decode_plan=tuple(plan_common + plan_private),
+        symbols=tuple(symbols), decode_plan=tuple(_decode_commons(symbols) + private_steps),
         common_split=common_split or {},
     )
 
@@ -543,7 +537,7 @@ def _sum_dof_form(scheme: str, kind: str):
     The builder's sum DoF is affine on the quality triangle, so exact builds
     at its vertices fix the form."""
     vertices = [QualityPair(Fraction(b), Fraction(a)) for b, a in ((0, 0), (1, 0), (1, 1))]
-    at = [Fraction(sum_dof_exponent(SCHEMES[scheme].build(q, Scenario(kind)))) for q in vertices]
+    at = [Fraction(sum_dof_exponent(build_descriptor(scheme, q, Scenario(kind)))) for q in vertices]
     exact = (at[0], at[1] - at[0], at[2] - at[1])
     return exact, tuple(map(float, exact))
 
@@ -555,18 +549,8 @@ def analytic_sum_dof_at(strategy: str, beta, alpha, scenario="unmatched"):
     c0 + (cb*beta + ca*alpha) without its zero terms, exact on rational
     exponents; fdma's has neither beta nor alpha, so it gives a scalar.
     """
-    kind = scenario.kind if isinstance(scenario, Scenario) else str(scenario)
-    if kind not in SCENARIO_KINDS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if strategy == "optimal":
-        strategy = OPTIMAL[kind]
-    row = SCHEMES.get(strategy)
-    if row is None:
-        raise ValueError(f"unsupported strategy {strategy!r}")
-    if kind not in row.scenarios:
-        raise ValueError(f"the {strategy} scheme is defined for the "
-                         f"{row.scenarios[0]} scenario only")
-    exact, floats = _sum_dof_form(strategy, kind)
+    kind = (scenario if isinstance(scenario, Scenario) else Scenario(scenario)).kind
+    exact, floats = _sum_dof_form(OPTIMAL[kind] if strategy == "optimal" else strategy, kind)
     rational = isinstance(beta, numbers.Rational) and isinstance(alpha, numbers.Rational)
     c0, cb, ca = exact if rational else floats
     terms = [c * x for c, x in ((cb, beta), (ca, alpha)) if c]

@@ -536,3 +536,15 @@ def test_estimate_dof_rejects_a_negative_seed(monkeypatch):
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
         mc.estimate_dof(sch.fdma_descriptor(), Q, UNMATCHED, (40.0, 50.0, 60.0),
                         trials=5, seed=-3)
+
+
+def test_estimate_dof_reports_numpy_and_bool_counts_as_plain_ints():
+    d = sch.fdma_descriptor()
+    ladder = (40.0, 50.0, 60.0)
+    text = mc.estimate_dof(d, Q, UNMATCHED, ladder, trials=10, seed=3).to_json()
+    assert mc.estimate_dof(d, Q, UNMATCHED, ladder, trials=np.int64(10),
+                           seed=np.int64(3)).to_json() == text
+    report = mc.estimate_dof(d, Q, UNMATCHED, ladder, trials=np.int32(10), seed=True)
+    assert type(report.seed) is int and type(report.trials) is int
+    assert '"seed": 1,' in report.to_json()
+    assert report.to_json() == mc.estimate_dof(d, Q, UNMATCHED, ladder, trials=10, seed=1).to_json()

@@ -3,6 +3,7 @@ and the static exponent-ladder achievability check."""
 
 import math
 import numbers
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -354,8 +355,8 @@ def test_build_descriptor_follows_the_scenario_table(scheme):
             with pytest.raises(ValueError, match=f"scheme '{scheme}' requires the "
                                                  f"{kinds[0]} scenario, got '{scenario.kind}'"):
                 sch.build_descriptor(scheme, Q, scenario)
-            with pytest.raises(ValueError, match=f"^the {scheme} scheme is defined for the "
-                                                 f"{kinds[0]} scenario only$"):
+            with pytest.raises(ValueError, match=f"^scheme '{scheme}' requires the "
+                                                 f"{kinds[0]} scenario, got '{scenario.kind}'$"):
                 sch.analytic_sum_dof(scheme, Q, scenario)
 
 
@@ -491,7 +492,8 @@ def test_analytic_error_cases():
         private_loading("optimal-private", QualityPair(0, 0))
     # The private-loading diagnostics are test oracles, not strategies.
     for strategy in ("icc-private", "optimal-private"):
-        with pytest.raises(ValueError, match=f"^unsupported strategy '{strategy}'$"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"unknown scheme '{strategy}'; expected one of {sorted(sch.SCHEMES)}") + "$"):
             sch.analytic_sum_dof(strategy, Q)
     with pytest.raises(ValueError):
         sch.analytic_sum_dof("s3", Q, MATCHED)

@@ -46,8 +46,12 @@ def battery():
         for scenario in (None, *SCENARIOS):
             chosen = [] if scenario is None else ["--scenario", scenario]
             yield ["simulate", "--scheme", scheme, *chosen, *mc]
-        for beta in ("0", "1"):
-            yield ["simulate", "--scheme", scheme, "--beta", beta, "--alpha", "0", *mc]
+        # The vertices (0, 0), (1, 0) and (1, 1) and a point on each edge:
+        # the builders branch on beta < 1, beta > alpha and a matched
+        # subband's quality at 0 or 1.
+        for beta, alpha in (("0", "0"), ("1", "0"), ("0.5", "0"), ("1", "0.5"), ("0.6", "0.6"),
+                            ("1", "1")):
+            yield ["simulate", "--scheme", scheme, "--beta", beta, "--alpha", alpha, *mc]
     # With alpha = 3e-18 the alpha cells' estimate variance 1 - P**-alpha
     # rounds to 0 at 40 dB but not at 200 or 400 dB, so the ladder mixes
     # skip patterns: fdma runs, and zfbf zero-forces on a zero estimate.
