@@ -13,17 +13,16 @@ per-entry variance regardless of ``a``.  ``a = 1`` is essentially perfect
 CSI at high SNR, ``a = 0`` makes the estimate useless (it degenerates to
 the zero vector, and zero-forcing on it fails loudly).
 
-Randomness is drawn from per-trial substreams: ``trial_rng(seed, t)`` is a
-pure function of the master seed and the trial index, so runs are
-bit-reproducible and results do not depend on how trials are partitioned
-across workers.  ``trial_rng`` defines the contract; the batched sampler
-(``_trial_normals``) reproduces its streams a block of trials at a time.
-It runs SeedSequence's 32-bit hash over the trial indices and PCG64's
-seeding step in array passes, which give each trial's seeded 128-bit
-state.  Then, trial by trial, it writes that state into one process-wide
-PCG64 generator and numpy's own ``standard_normal`` draws the row, so
-every draw is numpy's.  A once-per-process check compares a fixed block
-against ``trial_rng``.
+Randomness is drawn from one seeded stream per block of ``TRIAL_BLOCK``
+trials: block b is ``SeedSequence(seed, spawn_key=(b,))``, and trial t
+owns row ``t % TRIAL_BLOCK`` of its block's ``standard_normal((rows,
+ROW_WIDTH))``.  A draw that needs k normals reads the first k of its
+row, so every scheme, scenario and ladder point sees the same numbers for
+a trial (common random numbers), runs are bit-reproducible, and results
+do not depend on how a trial range is split.  ``trial_rng(seed, t)``
+defines the contract trial by trial: the block's generator advanced past
+the rows before t's.  The batched sampler (``_trial_normals``) draws each
+block's rows in one numpy call.
 
 One trial's cells are built from one ``standard_normal`` draw in a fixed
 layout (``_pairs_from_normals``): a realization is one ``ChannelPair``
@@ -41,11 +40,8 @@ arrays.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -120,13 +116,34 @@ def db_to_linear(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent substream for one Monte Carlo trial.
+#: The RNG contract's block: trials [b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK)
+#: share block b's stream, one row each.  Callers of ``sample_ladder_cells``
+#: also walk long trial ranges in blocks of this size, which bounds the
+#: memory of the normals and of everything computed from them.
+TRIAL_BLOCK = 4096
+#: The normals in a trial's row: eight per cell (estimate and error, two
+#: real and two imaginary parts each), the most any draw layout takes.
+ROW_WIDTH = 8 * len(CELLS)
 
-    Built from ``SeedSequence(seed, spawn_key=(trial,))`` so the stream is a
-    pure function of (seed, trial) -- no shared state between trials.
+
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """The generator of block ``block``'s stream, before its first row."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The stream of one Monte Carlo trial: its block's, positioned at the trial's row.
+
+    A pure function of (seed, trial): block ``trial // TRIAL_BLOCK`` is
+    seeded from ``SeedSequence(seed, spawn_key=(block,))`` and advanced
+    past the ``trial % TRIAL_BLOCK`` rows of ``ROW_WIDTH`` normals before
+    the trial's own, so its next ``k <= ROW_WIDTH`` normals are the first
+    ``k`` of the trial's row.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    block, row = divmod(trial, TRIAL_BLOCK)
+    rng = _block_rng(seed, block)
+    rng.standard_normal(row * ROW_WIDTH)
+    return rng
 
 
 def check_seed(seed) -> int:
@@ -161,152 +178,23 @@ class ChannelPair:
         return ChannelPair(self.true[index], self.estimate[index], self.error[index])
 
 
-#: Trials per array pass.  Callers of ``sample_ladder_cells`` walk long
-#: trial ranges in blocks of this size, which bounds the memory of the
-#: normals and of everything computed from them.
-TRIAL_BLOCK = 4096
-
-# Constants of numpy's SeedSequence (hashmix, mix, generate_state) and of
-# PCG64's LCG, which ``_trial_normals`` reproduces.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# The multiplier's high and low words, and the low word's 32-bit limbs.
-_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (1 << 64) - 1)
-_MULT_0, _MULT_1 = _MULT_LO & np.uint64(_MASK32), _MULT_LO >> np.uint64(32)
-# Held while the shared generator of ``_pcg64`` is written and drawn from.
-_LOCK = threading.Lock()
-
-
-@functools.cache
-def _hash_constants(h: int, mult: int, n: int) -> np.ndarray:
-    """h and the n hash constants that follow it, each the last times mult (read-only uint32)."""
-    out = [h]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    out = np.array(out, dtype=np.uint32)
-    out.flags.writeable = False
-    return out
-
-
-def _words(n: int) -> List[int]:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two arrays of 32-bit words."""
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
-@functools.cache
-def _pcg64() -> Tuple[np.random.Generator, memoryview, Tuple[int, ...]]:
-    """The process's one PCG64 generator, the 32 bytes of its (state, inc) and their word order.
-
-    numpy's PCG64 state struct starts with a pointer to its 128-bit state
-    and increment, four uint64 words that the returned memoryview
-    aliases; the view must not outlive the generator, so both are kept
-    here together.  Word j holds (state low, state high, inc low, inc
-    high)[order[j]], read back once from a state set through the public
-    setter, so a build that stores the halves high word first needs no
-    constant of its own.
-    """
-    gen = np.random.Generator(np.random.PCG64(0))
-    address = ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address).value
-    words = (ctypes.c_uint64 * 4).from_address(address)
-    known = (2, 1, 5, 3)
-    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": 1 << 64 | 2,
-                               "inc": 3 << 64 | 5}, "has_uint32": 0, "uinteger": 0}
-    if sorted(words) != sorted(known):
-        raise RuntimeError(f"numpy {np.__version__}'s PCG64 state does not start with (state, inc)")
-    return gen, memoryview(words).cast("B"), tuple(known.index(word) for word in words)
-
-
 def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
     """k standard normals per trial: row t is ``trial_rng(seed, start + t).standard_normal(k)``.
 
-    The spawn-key words of trials [start, start + trials) go through
-    SeedSequence's hash as uint32 arrays, one row per pool word, and
-    ``generate_state(4, uint64)`` follows.  PCG64's seeding step gives
-    each trial's seeded state on uint64 halves; each is written into the
-    shared generator of ``_pcg64``, which draws the row.
+    Each block that trials [start, start + trials) touch draws its rows up
+    to the last one needed in one ``standard_normal`` call; rows before
+    ``start`` are drawn and dropped, so an aligned range drops none.
     """
     seed = check_seed(seed)
     if start < 0:
         raise ValueError(f"start must be a non-negative trial index, got {start}")
-    # A spawned SeedSequence zero-pads the seed's words to the pool size and
-    # appends the spawn key's words, so once the seed's words are mixed in
-    # its pool is SeedSequence(seed).pool, after 16 hashmix calls plus 4 per
-    # seed word past the fourth.
-    pool = np.random.SeedSequence(seed).pool
-    h = int(_hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, len(_words(seed)) - _POOL_SIZE))[-1])
-    gen_consts = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    states = [np.empty((4, 0), dtype=np.uint64)]
-    lo, end = start, start + trials
-    while lo < end:
-        # Trials whose spawn key has the same number of words.
-        n_words = len(_words(lo))
-        hi = min(end, 1 << (32 * n_words))
-        index = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
-        mixer = pool[:, None]
-        consts = _hash_constants(h, _MULT_A, _POOL_SIZE * n_words)
-        for j in range(n_words):
-            word = (index >> (32 * j) & _MASK32).astype(np.uint32)
-            c = consts[_POOL_SIZE * j:_POOL_SIZE * (j + 1) + 1, None]
-            v = (word ^ c[:-1]) * c[1:]
-            mixer = _mix(mixer, v ^ (v >> 16))
-        out = (np.concatenate([mixer, mixer]) ^ gen_consts[:-1, None]) * gen_consts[1:, None]
-        out ^= out >> 16
-        states.append(out[1::2].astype(np.uint64) << 32 | out[0::2])
-        lo = hi
-    s1, s0, i1, i0 = np.concatenate(states, axis=1)
-    # inc = (i1:i0) * 2 + 1, u = (s1:s0) + inc and the seeded state
-    # u * MULT + inc, as (high, low) words; the high word of the low-by-low
-    # product comes from 32-bit limbs.
-    inc_hi, inc_lo = i1 << 1 | i0 >> 63, i0 << 1 | 1
-    u_lo = s0 + inc_lo
-    u_hi = s1 + inc_hi + (u_lo < inc_lo)
-    x0, x1 = u_lo & _MASK32, u_lo >> 32
-    p00, p01, p10 = x0 * _MULT_0, x0 * _MULT_1, x1 * _MULT_0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    p_hi = x1 * _MULT_1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    state_lo = u_lo * _MULT_LO + inc_lo
-    state_hi = p_hi + u_hi * _MULT_LO + u_lo * _MULT_HI + inc_hi + (state_lo < inc_lo)
-    gen, state, order = _pcg64()
-    halves = (state_lo, state_hi, inc_lo, inc_hi)
-    rows = memoryview(np.stack([halves[i] for i in order], axis=1).view(np.uint8).ravel())
-    z, draw = np.empty((trials, k)), gen.standard_normal
-    with _LOCK:
-        for t, out in enumerate(z):
-            state[:] = rows[32 * t:32 * t + 32]
-            draw(out=out)
-    return z
-
-
-#: (seed, start, trials, k): a seed of three words and trials across the
-#: one- to two-word spawn-key boundary.
-_CHECK_BLOCK = (2**70 + 941, 2**32 - 3, 6, 32)
-
-
-@functools.cache
-def _check_seeding() -> None:
-    """Once per process: ``_trial_normals`` must match ``trial_rng`` bit for bit."""
-    seed, start, trials, k = _CHECK_BLOCK
-    want = [trial_rng(seed, start + t).standard_normal(k) for t in range(trials)]
-    if not np.array_equal(_trial_normals(seed, start, trials, k), want):
-        raise RuntimeError(
-            f"numpy {np.__version__} seeds SeedSequence/PCG64 differently from the "
-            "batched sampler, or lays out PCG64's state otherwise; trial streams would "
-            "not match trial_rng"
-        )
+    end = start + trials
+    parts = []
+    for block in range(start // TRIAL_BLOCK, (end - 1) // TRIAL_BLOCK + 1):
+        first = block * TRIAL_BLOCK
+        rows = _block_rng(seed, block).standard_normal((min(end - first, TRIAL_BLOCK), ROW_WIDTH))
+        parts.append(rows[max(start - first, 0):, :k])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _variances(a: float, p: float) -> Tuple[float, float]:
@@ -389,9 +277,8 @@ def _sample_cells(
 
     The stacked arrays have shape (cells, len(ps), trials, 2): a ladder
     axis, one entry per linear SNR in ``ps``, follows the cell axis.  Each
-    trial's normals come from a single draw on its ``trial_rng(seed, start
-    + t)`` stream, long enough for the ladder point that needs the most.
-    Ladder points that skip the same zero-variance draws are built in one
+    trial's normals are read once from its row, as many as the ladder
+    point that needs the most takes.  Ladder points that skip the same zero-variance draws are built in one
     pass; a point that skips more reads a prefix of the normals.
     """
     if not len(ps):
@@ -400,7 +287,6 @@ def _sample_cells(
         raise ValueError(f"at least one trial is required, got {trials}")
     per_point = [[_variances(a, p) for a in qualities] for p in ps]
     k = max(_normals_needed(variances) for variances in per_point)
-    _check_seeding()
     z = _trial_normals(seed, start, trials, k)
     variances = np.array(per_point)  # (points, cells, 2)
     groups: Dict[bytes, List[int]] = {}
@@ -429,7 +315,7 @@ def sample_ladder_cells(
 
     Per cell, vectors have shape (len(ps), trials, 2).  Entry [k, t] equals
     ``sample_realization(trial_rng(seed, start + t), q, scenario, ps[k])``
-    bit for bit, and each trial's stream is seeded once for the whole
+    bit for bit, and each block's stream is drawn once for the whole
     ladder.
     """
     qualities = [scenario.quality(u, s, q) for u, s in CELLS]
@@ -476,8 +362,8 @@ def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> 
 
     Computes mean ||error||^2 / 2 at each ladder point and returns the
     least-squares slope of -log2(mean) against log2(p); for errors drawn
-    with variance p**-a the slope estimates a.  Trial t draws from
-    ``trial_rng(seed, t)`` once for the whole ladder; the block sums are
+    with variance p**-a the slope estimates a.  Trial t reads its row of
+    the block streams once for the whole ladder; the block sums are
     added in trial order, in O(TRIAL_BLOCK) memory.
     """
     check_seed(seed)

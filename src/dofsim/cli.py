@@ -35,13 +35,13 @@ def _open_out(path: Optional[str]):
 
 
 def _parse_snr_list(text: str) -> List[float]:
+    tokens = text.split(",")
+    if any(tok.strip() == "" for tok in tokens):
+        raise ValueError(f"--snr has an empty entry in {text!r}")
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"--snr expects comma-separated dB values, got {text!r}") from None
-    if not values:
-        raise ValueError("--snr expects at least one dB value")
-    return values
 
 
 def _seed(text: str) -> int:

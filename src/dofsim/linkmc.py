@@ -15,11 +15,15 @@ two-subband frame against log2(P) over an SNR ladder.
 The walk is elementwise over the axes after the cell axis: the cells of
 ``channel.sample_ladder_cells`` carry a ladder axis and a trial axis, so
 one walk covers a whole block of trials at every ladder point, with a
-fixed number of array operations whatever the ladder's length.  Every
-trial draws its randomness from ``trial_rng(seed, trial)``, once for the
-whole ladder, so the per-trial rate table is a pure function of (seed,
-trial index) and means are bit-identical no matter how the trial range
-is partitioned.
+fixed number of array operations whatever the ladder's length.  Trial t
+reads its randomness once for the whole ladder, from row
+``t % channel.TRIAL_BLOCK`` of its block's seeded stream (the channel
+module's RNG contract; ``trial_rng(seed, t)`` is its per-trial form), so
+the per-trial rate table is a pure function of (seed, trial index) and
+means are bit-identical no matter how the trial range is partitioned.
+The walk's blocks are ``TRIAL_BLOCK`` trials too, so a range that
+starts at trial 0, as ``estimate_dof``'s does, draws each block's rows
+in one walk.
 """
 
 from __future__ import annotations
@@ -309,7 +313,7 @@ def estimate_dof(
     """Estimate per-user and sum DoF from rates across an SNR ladder.
 
     Rates are averaged per ladder point with common random numbers across
-    points (same trial substreams), then regressed on log2(P).  When the
+    points (the same trial rows), then regressed on log2(P).  When the
     fit's residual exceeds RESIDUAL_FALLBACK the headline slope switches
     to the top SNR pair, which sheds most of the finite-SNR offset; both
     estimates appear in the report.

@@ -214,7 +214,7 @@ def test_zf_residual_statistics():
 
 
 # ---------------------------------------------------------------------------
-# trial substreams
+# trial streams
 
 
 def test_trial_rng_is_deterministic():
@@ -316,7 +316,6 @@ def test_sample_ladder_skips_zero_variance_estimates():
 
 
 def test_sample_ladder_seeds_each_trial_once(monkeypatch):
-    ch._check_seeding()
     calls = []
     real = ch._trial_normals
 
@@ -334,9 +333,9 @@ def test_sample_ladder_seeds_each_trial_once(monkeypatch):
 @pytest.mark.parametrize("start", [0, 12345, 2**32 - 3, 2**64 - 3])
 @pytest.mark.parametrize("trials", [1, 300])
 def test_trial_normals_equal_trial_rng_streams(seed, start, trials):
-    # With 300 trials, 2**32 - 3 crosses from one-word to two-word spawn
-    # keys and 2**64 - 3 from two words to three.  Seeds of more than four
-    # words mix their words past the fourth into the pool one at a time.
+    # 2**32 and 2**64 are multiples of TRIAL_BLOCK, so with 300 trials the
+    # starts 2**32 - 3 and 2**64 - 3 cross from one block's stream to the
+    # next; 12345 starts 57 rows into block 3.
     for k in (4, 8, 16, 32):
         got = ch._trial_normals(seed, start, trials, k)
         assert got.shape == (trials, k)
@@ -345,18 +344,46 @@ def test_trial_normals_equal_trial_rng_streams(seed, start, trials):
 
 
 def test_trial_normals_equal_trial_rng_on_a_grid_of_20400_trials():
-    seeds, starts, trials, k = (0, 11, 2**64 + 17, 2**130 + 5), (0, 2**32 - 3, 2**64 - 3), 1700, 32
+    # A positioned trial_rng that has drawn one row of ROW_WIDTH normals
+    # stands at the next row, so one oracle per block covers its trials.
+    seeds, starts, trials = (0, 11, 2**64 + 17, 2**130 + 5), (0, 2**32 - 3, 2**64 - 3), 1700
     for seed in seeds:
         for start in starts:
-            got = ch._trial_normals(seed, start, trials, k)
-            for t in range(trials):
-                assert np.array_equal(got[t], ch.trial_rng(seed, start + t).standard_normal(k)), (
+            got = ch._trial_normals(seed, start, trials, ch.ROW_WIDTH)
+            oracle = None
+            for t in range(start, start + trials):
+                if oracle is None or t % ch.TRIAL_BLOCK == 0:
+                    oracle = ch.trial_rng(seed, t)
+                assert np.array_equal(got[t - start], oracle.standard_normal(ch.ROW_WIDTH)), (
                     seed, start, t)
 
 
+@pytest.mark.parametrize("row", [4095, 4096, 4097])
+def test_rows_at_the_block_boundary_equal_trial_rng(row):
+    got = ch._trial_normals(7, row, 1, ch.ROW_WIDTH)
+    assert np.array_equal(got[0], ch.trial_rng(7, row).standard_normal(ch.ROW_WIDTH))
+
+
+def test_a_range_split_at_the_block_boundary_gives_the_same_rows():
+    whole = ch._trial_normals(3, 4090, 12, ch.ROW_WIDTH)
+    split = np.concatenate([ch._trial_normals(3, 4090, 6, ch.ROW_WIDTH),
+                            ch._trial_normals(3, 4096, 6, ch.ROW_WIDTH)])
+    assert np.array_equal(whole, split)
+    # The two blocks are different streams.
+    assert not np.array_equal(whole[5], whole[6])
+    assert not np.array_equal(ch._trial_normals(3, 0, 1, ch.ROW_WIDTH)[0], whole[6])
+
+
+@pytest.mark.parametrize("k", [4, 8, 16, 24, 32])
+def test_a_draw_of_k_normals_reads_the_first_k_of_the_row(k):
+    rows = ch._trial_normals(9, 4090, 12, ch.ROW_WIDTH)
+    assert np.array_equal(ch._trial_normals(9, 4090, 12, k), rows[:, :k])
+    for t in (0, 5, 6, 11):
+        assert np.array_equal(ch.trial_rng(9, 4090 + t).standard_normal(k), rows[t, :k])
+
+
 def test_trial_normals_are_unchanged_by_a_thread_sampling_at_once():
-    # The generator is shared: without the lock, a thread switch between
-    # one thread's state write and its draw hands it the other's stream.
+    # Each call seeds its own block generators, so threads share no state.
     serial = {seed: ch._trial_normals(seed, 0, 200, 32) for seed in (3, 4)}
     mismatches = []
 
@@ -387,28 +414,6 @@ def test_sample_ladder_cells_rejects_a_negative_start():
     with pytest.raises(ValueError, match="start must be a non-negative trial index, got -1"):
         ch.sample_ladder_cells(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3, 1e4), 3,
                                start=-1)
-
-
-def test_seeding_check_raises_on_a_different_stream(monkeypatch):
-    monkeypatch.setattr(ch, "trial_rng", lambda seed, trial: np.random.default_rng(seed + 1))
-    with pytest.raises(RuntimeError, match="seeds SeedSequence/PCG64 differently"):
-        ch._check_seeding.__wrapped__()
-
-
-def test_the_check_block_crosses_the_spawn_key_boundary():
-    seed, start, trials, k = ch._CHECK_BLOCK
-    assert start < 2**32 < start + trials  # one- and two-word spawn keys
-    got = ch._trial_normals(seed, start, trials, k)
-    for t in range(trials):
-        assert np.array_equal(got[t], ch.trial_rng(seed, start + t).standard_normal(k)), t
-
-
-def test_seeding_check_raises_on_a_swapped_word_order(monkeypatch):
-    gen, state, order = ch._pcg64()
-    swapped = (order[1], order[0]) + order[2:]  # the state's high and low words
-    monkeypatch.setattr(ch, "_pcg64", lambda: (gen, state, swapped))
-    with pytest.raises(RuntimeError, match="lays out PCG64's state otherwise"):
-        ch._check_seeding.__wrapped__()
 
 
 @pytest.mark.parametrize("ps, message", [
@@ -481,7 +486,7 @@ def test_measure_error_exponent_where_the_ladder_points_skip_different_draws():
     # The estimate draw is skipped at 1e4 and 1e5 but not at 1e18 (see
     # test_sample_ladder_rows_equal_per_trial_draws); pinned to the value
     # of the per-point sampler.
-    assert ch.measure_error_exponent(3e-18, [1e4, 1e5, 1e18], 200, 0) == -0.003263050109110934
+    assert ch.measure_error_exponent(3e-18, [1e4, 1e5, 1e18], 200, 0) == -0.0008251917687561145
 
 
 def test_measure_error_exponent_memory_does_not_grow_with_the_trial_count(monkeypatch):

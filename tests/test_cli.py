@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from dofsim import cli, regions, schemes, switcher
+from dofsim import cli, linkmc, regions, schemes, switcher
 from dofsim.channel import SCENARIO_KINDS
 from dofsim.linkmc import SimReport
 
@@ -128,6 +128,15 @@ def test_simulate_scenario_conflicts(capsys):
 def test_simulate_bad_arguments(extra, capsys):
     assert cli.main(["simulate", "--scheme", "fdma"] + extra) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ladder", ["40,,50,60", "40,50,60,", ",40,50,60", "40, ,50,60", ""])
+def test_simulate_rejects_an_empty_snr_entry_up_front(ladder, monkeypatch, capsys):
+    monkeypatch.setattr(linkmc, "estimate_dof", None)
+    assert cli.main(["simulate", "--scheme", "fdma", "--snr", ladder]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --snr has an empty entry in {ladder!r}\n"
 
 
 @pytest.mark.parametrize("ladder", ["40,50,inf", "40,50,nan"])
@@ -311,15 +320,15 @@ def test_module_entry_point_runs():
 # Byte identity of the primary artifacts across refactors: a change that
 # moves one bit of a report or of the verify battery must say so here.
 _SIMULATE_GOLDEN = {
-    ("fdma", "unmatched"): "946dece0e20c93225bd8e4b01804c25bf04eb77d44b00c8a6a62df44be5e5b94",
-    ("fdma", "matched"): "9580c14785bf7b4df706684baaa90153d0141bff429daf6f2578c8be7d20edce",
+    ("fdma", "unmatched"): "f801481fc6fb29978ac91709c4db95037340a03cdb1fc6b0a119512f17f4e14c",
+    ("fdma", "matched"): "c39241b3e1a1e53772f7606166e8cb9d5e911cea0df93ae107730987e211b910",
     ("matched-optimal", "matched"):
-        "77d6fe919ed4f5ad3081bdd4649a69692dd75cc34ef7dd72dada1dadab21084a",
+        "411d4a7aced12fe303f3b859881174ece9fb295cf8b33f9a62c08bfbba68c396",
     ("optimal-unmatched", "unmatched"):
-        "d9127c6719d5e9d6613ab040a6bed1e8cd32702b18fc97073c8bd8f0cf387866",
-    ("s3", "unmatched"): "ea90ec30e603542c806ffe8fa400f32a72f426424ce3feee9e56c432cc676f32",
-    ("zfbf", "unmatched"): "e7e40d67478b4da1dec5e34d2a222372a258d2b9fb371d2a27e6ef94c14bd8b0",
-    ("zfbf", "matched"): "d2b314316557fea8d6f6721982912b6109612b4738a8156b3856215f37423b64",
+        "8f4282a8320773b415b73f7f3bdcbaeaef55cd02a07feac7609d69830b5d6edd",
+    ("s3", "unmatched"): "5c22e2dce9d7f5fa63ef252ac6d4c2e1d9b3ab94cbb57ed9d0356cff25cdb33b",
+    ("zfbf", "unmatched"): "e9fbd8f77816d26dbb91e60105174f7026fe8fee4440bbec8a2ff47c49f7a4b0",
+    ("zfbf", "matched"): "987b4784d091cedc9510a522d10a67d33f8e60062bb79a51ba4a33e00586481f",
 }
 
 
@@ -356,8 +365,8 @@ def test_simulate_bytes_where_the_ladder_points_skip_different_draws(capsys):
                      "--snr", "40,50,180", "--trials", "50"]) == 0
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == (
-        "aa904606ea517f5da2904dc1278dc4bb3116c210ec5d443ce66016df6ac037af")
-    assert captured.err == "fdma: measured sum DoF 1.0086 (analytic 1.0000, fit residual 0.0094)\n"
+        "890a4422a631e9c5684d5585a9b605edfab5780cf30b05be805f9402ff2311f3")
+    assert captured.err == "fdma: measured sum DoF 0.9973 (analytic 1.0000, fit residual 0.0105)\n"
 
 
 _ZERO_FORCE = "error: degenerate direction: cannot zero-force on a zero estimate\n"

@@ -89,12 +89,11 @@ def test_zf_leakage_mean_is_half():
     d = sch.optimal_unmatched_descriptor(Q)
     u_a = _instance(d, "u_A", "A")
     p = 1e4
-    acc = 0.0
     n = 3000
-    for t in range(n):
-        r = ch.sample_realization(ch.trial_rng(31, t), Q, UNMATCHED, p)
-        acc += mc.received_power(r, u_a, "user2", p)
-    assert acc / n == pytest.approx(0.5, abs=0.05)
+    # Trials 0..n-1 of seed 31 in one block, as stacked cells with a trial axis.
+    cells = ch.sample_ladder_cells(31, Q, UNMATCHED, (p,), n)[:, 0]
+    mean = float(np.mean(mc.received_power(cells, u_a, "user2", p)))
+    assert mean == pytest.approx(0.5, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +198,14 @@ def test_trial_rates_partition_independence():
     head = mc.trial_rates(d, Q, UNMATCHED, p, trials=5, seed=9)
     tail = mc.trial_rates(d, Q, UNMATCHED, p, trials=3, seed=9, start=5)
     assert np.array_equal(full, np.vstack([head, tail]))
+
+
+def test_trial_rates_split_at_the_block_boundary_give_the_same_table():
+    d = sch.optimal_unmatched_descriptor(Q)
+    whole = mc.trial_rates(d, Q, UNMATCHED, 1e4, trials=12, seed=6, start=4090)
+    head = mc.trial_rates(d, Q, UNMATCHED, 1e4, trials=6, seed=6, start=4090)
+    tail = mc.trial_rates(d, Q, UNMATCHED, 1e4, trials=6, seed=6, start=4096)
+    assert np.array_equal(whole, np.vstack([head, tail]))
 
 
 def test_trial_rates_validation():
@@ -307,7 +314,7 @@ def test_report_rates_are_duration_weighted_delivered_rates():
     d = sch.optimal_unmatched_descriptor(Q)
     trials = 30
     # Standalone ergodic run at 30 dB must reappear as the report's 30 dB
-    # column (common random numbers: the ladder reuses the same substreams).
+    # column (common random numbers: the ladder reuses the same trial rows).
     means = mc.trial_rates(d, Q, UNMATCHED, ch.db_to_linear(30.0), trials, seed=12).mean(axis=0)
     per_use = {
         sym_id: min(means[c] for c in columns) / len(ch.SUBBANDS)
@@ -392,7 +399,6 @@ def test_step_slopes_match_the_audit_exponents(scheme, scenario):
 
 
 def test_estimate_dof_seeds_each_trial_once_for_the_ladder(monkeypatch):
-    ch._check_seeding()
     calls = []
     real = ch._trial_normals
 
@@ -418,7 +424,6 @@ def _counting(monkeypatch, module, name, calls):
 
 
 def test_each_trial_block_is_sampled_and_walked_once_for_the_whole_ladder(monkeypatch):
-    ch._check_seeding()
     calls = []
     for module, name in ((ch, "_trial_normals"), (ch, "_pairs_from_normals"),
                          (mc, "_step_rates")):
@@ -469,7 +474,10 @@ def test_estimate_dof_memory_does_not_grow_with_the_trial_count(monkeypatch):
 
     d = sch.optimal_unmatched_descriptor(Q)
     block, ladder = 256, (40.0, 50.0, 60.0)
+    # Walk in blocks of the RNG contract's size, as estimate_dof does: a
+    # walk block inside a larger contract block draws the rows before it.
     monkeypatch.setattr(mc, "TRIAL_BLOCK", block)
+    monkeypatch.setattr(ch, "TRIAL_BLOCK", block)
     mc.estimate_dof(d, Q, UNMATCHED, ladder, trials=block, seed=0)  # warm caches
     peaks = []
     for blocks in (2, 8):
@@ -478,8 +486,7 @@ def test_estimate_dof_memory_does_not_grow_with_the_trial_count(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     # Holding the rate table would add a block's table per block (61 KB
-    # here).  The seeding's Python ints vary in size with their values, so
-    # the peak moves by ~1 KB from run to run.
+    # here); the peak moves by ~1 KB from run to run.
     table_per_block = len(ladder) * block * len(d.table.signal) * 8
     assert abs(peaks[1] - peaks[0]) < table_per_block / 8, peaks
 

@@ -1,0 +1,146 @@
+"""In-process CPU time per layer of the Monte-Carlo path.
+
+Usage::
+
+    python tools/mc_layers.py <repo> [--repeats N]
+
+imports ``dofsim`` from ``<repo>/src`` and wraps the layer functions in
+``LAYERS`` from outside: each module attribute is swapped for a timing
+wrapper while the cases run, as perfbench's tracer does, so no code under
+``src/`` changes and two trees are measured by the same script.  The cases
+are ``estimate_dof`` on six schemes at 40/50/60 dB with 100 trials and
+with a full block of 4096, and ``measure_error_exponent`` at 30/40/50 dB
+with 500 draws.
+
+For each case it prints the median CPU ms of a whole call and, per layer,
+the median CPU ms spent in the layer itself (its self time: nested layers
+are not counted twice; ``_link_powers`` calls ``_directions`` and
+``_step_rates`` calls ``_link_powers``), with its share of the call.
+CPU time is the process's (``time.process_time_ns``), so other load on
+the machine shows less than in wall time, but a shared machine still
+spreads the figures: compare two trees side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import importlib
+import statistics
+import sys
+from pathlib import Path
+from time import process_time_ns
+
+#: (label, module attribute) of each layer, in the order they run.
+LAYERS = (
+    ("sampler", "channel._trial_normals"),
+    ("pairs", "channel._pairs_from_normals"),
+    ("directions", "linkmc._directions"),
+    ("link_powers", "linkmc._link_powers"),
+    ("step_rates", "linkmc._step_rates"),
+    ("slopes", "linkmc._slopes"),
+)
+# Spelled out rather than read from dofsim, so every tree runs the same calls.
+CONFIGS = (
+    ("fdma", 0.8, 0.5, "unmatched"),
+    ("zfbf", 1.0, 1.0, "unmatched"),
+    ("zfbf", 0.8, 0.5, "unmatched"),
+    ("s3", 1.0, 0.5, "unmatched"),
+    ("optimal-unmatched", 0.8, 0.5, "unmatched"),
+    ("matched-optimal", 0.8, 0.5, "matched"),
+)
+LADDER_DB = (40.0, 50.0, 60.0)
+TRIALS = (100, 4096)
+EXPONENT_LADDER_DB = (30.0, 40.0, 50.0)
+EXPONENTS = (0.0, 0.5, 1.0)
+DRAWS = 500
+
+
+class Layers:
+    """Self CPU time of each layer while installed, reset per call by ``take``."""
+
+    def __init__(self):
+        self.self_ns = [0] * len(LAYERS)
+        self._stack = []  # [layer, start, ns spent in nested layers]
+        self._saved = []
+
+    def __enter__(self) -> "Layers":
+        for i, (_, target) in enumerate(LAYERS):
+            module, attr = target.split(".")
+            owner = importlib.import_module(f"dofsim.{module}")
+            original = getattr(owner, attr)
+            self._saved.append((owner, attr, original))
+            setattr(owner, attr, self._wrap(original, i))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for owner, attr, original in reversed(self._saved):
+            setattr(owner, attr, original)
+        self._saved.clear()
+
+    def _wrap(self, fn, i):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            frame = [i, process_time_ns(), 0]
+            self._stack.append(frame)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent = process_time_ns() - frame[1]
+                self._stack.pop()
+                self.self_ns[i] += spent - frame[2]
+                if self._stack:
+                    self._stack[-1][2] += spent
+        return timed
+
+    def take(self):
+        out, self.self_ns = self.self_ns, [0] * len(LAYERS)
+        return out
+
+
+def _cases():
+    from dofsim import channel, linkmc, schemes
+
+    ladder = tuple(channel.db_to_linear(v) for v in EXPONENT_LADDER_DB)
+    for trials in TRIALS:
+        for scheme, beta, alpha, kind in CONFIGS:
+            q, scenario = channel.QualityPair(beta, alpha), channel.Scenario(kind)
+            d = schemes.build_descriptor(scheme, q, scenario)
+            yield (f"estimate_dof {scheme}({beta},{alpha}) x{trials}",
+                   functools.partial(linkmc.estimate_dof, d, q, scenario, LADDER_DB, trials, 0))
+    for a in EXPONENTS:
+        yield (f"measure_error_exponent a={a} x{DRAWS}",
+               functools.partial(channel.measure_error_exponent, a, ladder, DRAWS, 0))
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("repo", type=Path)
+    parser.add_argument("--repeats", type=int, default=15, help="timed calls per case")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.repo / "src"))
+    from dofsim import channel
+
+    if not Path(channel.__file__).resolve().is_relative_to(args.repo.resolve()):
+        raise SystemExit(f"imported dofsim from {channel.__file__}, not from {args.repo}")
+    names = [name for name, _ in LAYERS]
+    print(f"{'case':<44} {'call':>8} " + " ".join(f"{n:>17}" for n in names))
+    for label, call in _cases():
+        call()  # warm caches
+        totals, parts = [], []
+        with Layers() as layers:
+            for _ in range(args.repeats):
+                start = process_time_ns()
+                call()
+                totals.append(process_time_ns() - start)
+                parts.append(layers.take())
+        total = statistics.median(totals) / 1e6
+        cols = []
+        for i in range(len(LAYERS)):
+            ms = statistics.median(p[i] for p in parts) / 1e6
+            cols.append(f"{ms:8.3f} ({100 * ms / total:4.1f}%)")
+        print(f"{label:<44} {total:8.3f} " + " ".join(f"{c:>17}" for c in cols))
+
+
+if __name__ == "__main__":
+    main()
