@@ -35,13 +35,16 @@ along a ladder axis (common random numbers), so the arrays have shape
 (cells, points, trials, 2).  Row t at ladder point k equals
 ``sample_realization(trial_rng(seed, start + t), q, scenario, ps[k])``
 bit for bit.  ``zf_direction`` and ``unit`` work row by row on such
-arrays.
+arrays.  ``ladder_fit`` fits the least-squares line against log2 of an
+SNR ladder, as ``np.polyfit`` does, for the exponent and DoF estimates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -230,14 +233,16 @@ def _pairs_from_normals(z: np.ndarray, variances: Sequence[Tuple[float, float]])
     taken = draws.reshape(len(draws), -1)[:, 0] > 0.0
     scale = np.sqrt(draws[taken] / 2.0)
     m, trials = len(scale), z.shape[:-1]
-    # The normals of the taken draws as (draw, *trials, entry, real or
-    # imaginary part), scaled straight into the memory of the complex
-    # vectors (draw, *lead, *trials, entry).
-    normals = np.moveaxis(z[..., :4 * m].reshape(trials + (m, 2, 2)), -3, 0).swapaxes(-1, -2)
+    # Views of the taken draws' normals and of the complex vectors' memory
+    # as (draw, *lead, entry, real or imaginary part, *trials), scaled in
+    # that (C) order, so the inner loop runs over the trials.
+    n = len(trials)
+    normals = np.moveaxis(z[..., :4 * m].reshape(trials + (m, 2, 2)), range(n), range(-n, 0))
     values = np.empty((m,) + lead + trials + (2,), dtype=complex)
-    np.multiply(normals.reshape((m,) + (1,) * len(lead) + trials + (2, 2)),
-                scale.reshape(scale.shape + (1,) * (len(trials) + 2)),
-                out=values.view(float).reshape(values.shape + (2,)))
+    target = np.moveaxis(values.view(float).reshape(values.shape + (2,)),
+                         range(1 + len(lead), 1 + len(lead) + n), range(-n, 0))
+    np.multiply(normals.swapaxes(1, 2).reshape((m,) + (1,) * len(lead) + (2, 2) + trials),
+                scale.reshape(scale.shape + (1,) * (n + 2)), out=target, order="C")
     drawn = values
     if not taken.all():
         drawn = np.zeros((len(draws),) + values.shape[1:], dtype=complex)
@@ -329,8 +334,8 @@ def _sq_norm(v: np.ndarray) -> np.ndarray:
 
 
 def _checked_norm(v: np.ndarray, action: str) -> np.ndarray:
-    """||v|| over the last axis, kept as a length-1 axis; raises if any row is ~0."""
-    norm = np.sqrt(_sq_norm(v))[..., None]
+    """||v|| over the last axis; raises if any row is ~0."""
+    norm = np.sqrt(_sq_norm(v))
     if np.any(norm <= 1e-12):
         raise ValueError(f"degenerate direction: cannot {action} a zero estimate")
     return norm
@@ -342,19 +347,30 @@ def zf_direction(v: np.ndarray) -> np.ndarray:
     Returns (-conj(v2), conj(v1)) / ||v||, which satisfies v^H w = 0
     exactly.  ``v`` may carry leading axes, one 2-vector per row.  Raises
     if any row is (near) zero because ZF on a degenerate estimate has no
-    meaning.
+    meaning.  Each entry is divided in one pass over the rows.
     """
     v = np.asarray(v)
     if v.ndim == 0 or v.shape[-1] != 2:
         raise ValueError(f"expected length-2 vectors, got shape {v.shape}")
     norm = _checked_norm(v, "zero-force on")
-    return np.stack([-np.conj(v[..., 1]), np.conj(v[..., 0])], axis=-1) / norm
+    out = np.empty(v.shape, dtype=np.result_type(v, norm))
+    np.conjugate(v[..., ::-1], out=out)
+    np.negative(out[..., 0], out=out[..., 0])
+    return _divide_rows(out, norm, out)
 
 
 def unit(v: np.ndarray) -> np.ndarray:
     """v / ||v|| row by row, with the same degeneracy guard as zf_direction."""
     v = np.asarray(v)
-    return v / _checked_norm(v, "normalise")
+    norm = _checked_norm(v, "normalise")
+    return _divide_rows(v, norm, np.empty(v.shape, dtype=np.result_type(v, norm)))
+
+
+def _divide_rows(v: np.ndarray, norm: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = v / norm[..., None], in one pass over the rows per entry of the last axis."""
+    for i in range(v.shape[-1]):
+        np.divide(v[..., i], norm, out=out[..., i])
+    return out
 
 
 def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> float:
@@ -379,4 +395,32 @@ def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> 
         errors = _sample_cells(seed, [a], ladder, min(TRIAL_BLOCK, trials - lo), lo).error[0]
         total = total + np.add.reduce(_sq_norm(errors), axis=1)
     log_means = -np.log2(total / trials / 2.0)
-    return float(np.polyfit(np.log2(ladder), log_means, 1)[0])
+    return float(ladder_fit(ladder, log_means)[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _ladder_basis(ps: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x = log2(ps) and ``np.polyfit``'s column-scaled degree-1 Vandermonde
+    matrix on x with its column scales, read-only, as the fit shares them."""
+    x = np.log2(ps)
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    for a in (x, lhs, scale):
+        a.flags.writeable = False
+    return x, lhs, scale
+
+
+def ladder_fit(ps: Sequence[float], y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x = log2(ps), then the slope and intercept of the least-squares line
+    through each column of y against x.
+
+    This is ``np.polyfit(x, y, 1)`` bit for bit: the same LAPACK
+    least-squares call on the same scaled matrix, which is built once per
+    ladder.  y is 1-D, or 2-D with one column per line.
+    """
+    x, lhs, scale = _ladder_basis(tuple(ps))
+    c, _, rank, _ = np.linalg.lstsq(lhs, y, len(x) * np.finfo(float).eps)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    return x, c[0] / scale[0], c[1] / scale[1]

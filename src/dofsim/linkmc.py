@@ -47,6 +47,7 @@ from .channel import (
     cell_index,
     check_snr,
     db_to_linear,
+    ladder_fit,
     sample_ladder_cells,
     unit,
     zf_direction,
@@ -105,11 +106,9 @@ def _link_powers(
     values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
     values = values.reshape(values.shape + (1,) * (w.ndim - 3))  # over the trial axis, if any
     out = np.zeros((len(index.cell) + 1,) + w.shape[1:-1])
-    for c, true in enumerate(cells.true):
-        ns = np.flatnonzero(index.cell == c)
-        if len(ns):
-            products = true.conj() * w[index.precoder[ns]]
-            out[ns] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[index.symbol[ns]]
+    for c, links, rows, syms in index.by_cell:
+        products = cells.true[c].conj() * w[rows]
+        out[links] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[syms]
     return out
 
 
@@ -128,7 +127,8 @@ def received_power(cells: ChannelPair, sym: SymbolSpec, user: str, p: float):
     ``cells`` is a realization's stacked cells; elementwise over any
     trial axis after the cell axis.
     """
-    return _link_powers(_one_point(cells, p), (sym,), index_links((sym,), ((0, user),)), [p])[0, 0]
+    index = index_links(((sym.id, sym.slot, sym.precoder),), ((0, user),))
+    return _link_powers(_one_point(cells, p), (sym,), index, [p])[0, 0]
 
 
 def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
@@ -254,12 +254,15 @@ def _check_descriptor_matches(d: SchemeDescriptor, q: QualityPair, scenario: Sce
         )
 
 
-def _slopes(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares slope, top-pair slope and max |residual| of each column of y on x."""
-    coeffs = np.polyfit(x, y, 1)
-    residual = np.max(np.abs(np.polyval(coeffs, x[:, None]) - y), axis=0)
+def _slopes(ps: Sequence[float], y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares slope, top-pair slope and max |residual| of each column of y on log2(ps).
+
+    The fitted line is evaluated as ``np.polyval`` does, in Horner form.
+    """
+    x, slope, intercept = ladder_fit(ps, y)
+    residual = np.max(np.abs(slope * x[:, None] + intercept - y), axis=0)
     top = (y[-1] - y[-2]) / (x[-1] - x[-2])
-    return coeffs[0], top, residual
+    return slope, top, residual
 
 
 def _headline(ls: float, top: float, residual: float) -> float:
@@ -340,17 +343,17 @@ def estimate_dof(
     sym_rates: Dict[str, Dict[str, float]] = {sym_id: {} for sym_id, _ in payloads}
     per_point = []  # (sum, user1, user2) at each ladder point
     means = _mean_rates(d, q, scenario, ps, trials, seed, ladder=f"{ladder_db} dB")
-    for snr_db, row in zip(ladder, means):
+    for key, row in zip(keys, means.tolist()):
         # A payload delivers its worst decoder's rate once per frame of
         # len(SUBBANDS) equal-width subbands.
-        delivered = {sym_id: float(min(row[c] for c in columns)) / len(SUBBANDS)
+        delivered = {sym_id: min(row[c] for c in columns) / len(SUBBANDS)
                      for sym_id, columns in payloads}
         for sym_id, r in delivered.items():
-            sym_rates[sym_id][_db_key(snr_db)] = r
+            sym_rates[sym_id][key] = r
         u1, u2 = credit_users(d, delivered)
         per_point.append((u1 + u2, u1, u2))
 
-    ls, top, res = _slopes(np.log2(ps), np.array(per_point))
+    ls, top, res = _slopes(ps, np.array(per_point))
     dof = {
         "user1": _headline(ls[1], top[1], res[1]),
         "user2": _headline(ls[2], top[2], res[2]),

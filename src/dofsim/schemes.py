@@ -6,11 +6,14 @@ symbols, each sent in one of the two equal-width subbands of
 and a target rate exponent, and an ordered decode plan per user.  Every
 receiver runs successive interference cancellation (SIC): a step sees as
 interference exactly the same-subband symbols its user has not decoded
-yet, so the plan's order is the whole SIC schedule.  Each descriptor is
-compiled once, when built, into a ``DecodeTable`` of index arrays: each
-link's symbol, cell and precoder, and each step's signal and interfering
-links.  Both walks gather through them: the Monte Carlo link layer sums
-linear received powers, ``static_achievability_check`` high-SNR exponents.
+yet, so the plan's order is the whole SIC schedule.  Each descriptor
+carries a ``DecodeTable`` of read-only index arrays: each link's symbol,
+cell and precoder, and each step's signal and interfering links.  Both
+walks gather through them: the Monte Carlo link layer sums linear
+received powers, ``static_achievability_check`` high-SNR exponents.  The
+table reads only each instance's (id, slot, precoder) and the plan, so it
+is compiled once per such structure and shared by every descriptor built
+on it.
 
 Builders are provided for the five strategies under study:
 
@@ -168,6 +171,10 @@ def _indices(values) -> np.ndarray:
     return out
 
 
+#: A symbol instance's structure, all that decoding reads of it: (id, slot, precoder).
+Instance = Tuple[str, str, Precoder]
+
+
 class LinkIndex(NamedTuple):
     """(symbol index, receiving user) links as index arrays; cells in ``channel.CELLS`` order."""
 
@@ -178,13 +185,16 @@ class LinkIndex(NamedTuple):
     precoder: np.ndarray  # per link: its row of ``precoders``
     cell: np.ndarray  # per link: the receiving user's cell in the symbol's slot
     symbol: np.ndarray  # per link: its symbol index
+    #: (cell, its links, their ``precoder`` rows, their symbols) of each
+    #: receiving cell that has links, in ``CELLS`` order
+    by_cell: Tuple[Tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def index_links(symbols: Sequence[SymbolSpec], links: Sequence[Tuple[int, str]]) -> LinkIndex:
-    """Index arrays of (symbol index, receiving user) links over these symbols."""
+def index_links(instances: Sequence[Instance], links: Sequence[Tuple[int, str]]) -> LinkIndex:
+    """Index arrays of (instance index, receiving user) links over these instances."""
     rows: Dict[Precoder, int] = {}
-    per_link = [(rows.setdefault(symbols[i].precoder, len(rows)),
-                 cell_index(user, symbols[i].slot), i) for i, user in links]
+    per_link = [(rows.setdefault(instances[i][2], len(rows)),
+                 cell_index(user, instances[i][1]), i) for i, user in links]
     precoders = tuple(rows)
     kinds = []
     for kind in PRECODER_KINDS:
@@ -193,11 +203,16 @@ def index_links(symbols: Sequence[SymbolSpec], links: Sequence[Tuple[int, str]])
             refs = None if kind == "basis_e1" else _indices(
                 [cell_index(precoders[r].user, precoders[r].subband) for r in of_kind])
             kinds.append((kind, _indices(of_kind), refs))
-    return LinkIndex(precoders, tuple(kinds), *_indices(per_link).T)
+    by_cell = []
+    for c in range(len(CELLS)):
+        group = [(n, r, i) for n, (r, cell, i) in enumerate(per_link) if cell == c]
+        if group:
+            by_cell.append((c, *_indices(group).T))
+    return LinkIndex(precoders, tuple(kinds), *_indices(per_link).T, tuple(by_cell))
 
 
 class DecodeTable(NamedTuple):
-    """A descriptor's decode plan, resolved to index arrays once.
+    """A decode plan, resolved to read-only index arrays once per structure.
 
     A rate table built on it has one column per step, in plan order.  Row
     j of ``interference`` holds step j's interfering links in instance
@@ -213,22 +228,25 @@ class DecodeTable(NamedTuple):
     payloads: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
 
-def _compile(d: "SchemeDescriptor") -> DecodeTable:
-    """Resolve d's decode plan against its instances; raises on a bad reference.
+@functools.lru_cache(maxsize=256)
+def _compile(instances: Tuple[Instance, ...], plan: Tuple[DecodeStep, ...]) -> DecodeTable:
+    """Resolve a decode plan against its symbol instances; raises on a bad reference.
 
     A step's interference is every same-slot instance other than its target
-    whose symbol the step's user has not decoded in an earlier step.
+    whose symbol the step's user has not decoded in an earlier step.  The
+    table depends only on the instances' (id, slot, precoder) and the plan,
+    so every descriptor of one structure shares one table.
     """
     index: Dict[Tuple[str, str], int] = {}
     by_slot: Dict[str, List[Tuple[str, int]]] = {}  # (symbol id, instance), descriptor order
-    for i, sym in enumerate(d.symbols):
-        if index.setdefault((sym.id, sym.slot), i) != i:
-            raise ValueError(f"duplicate instance of symbol {sym.id!r} in slot {sym.slot!r}")
-        by_slot.setdefault(sym.slot, []).append((sym.id, i))
+    for i, (sym_id, slot, _) in enumerate(instances):
+        if index.setdefault((sym_id, slot), i) != i:
+            raise ValueError(f"duplicate instance of symbol {sym_id!r} in slot {slot!r}")
+        by_slot.setdefault(slot, []).append((sym_id, i))
     decoded: Dict[str, Dict[str, int]] = {u: {} for u in USERS}  # symbol -> step
     links: Dict[Tuple[int, str], int] = {}  # (instance, user) -> link index
     steps: List[List[int]] = []  # per step: its signal link, then its interfering links
-    for step in d.decode_plan:
+    for step in plan:
         user, symbol, slot = step.user, step.symbol, step.slot
         if user not in USERS:
             raise ValueError(f"decode step names unknown user {user!r}")
@@ -249,14 +267,14 @@ def _compile(d: "SchemeDescriptor") -> DecodeTable:
         steps.append(row)
     payloads = tuple(
         (sym_id, tuple(decoded[u][sym_id] for u in USERS if sym_id in decoded[u]))
-        for sym_id in d.payloads()
+        for sym_id in dict.fromkeys(sym_id for sym_id, _, _ in instances)
     )
     undecoded = [sym_id for sym_id, columns in payloads if not columns]
     if undecoded:
         raise ValueError(f"symbols {sorted(undecoded)} are never decoded")
     width = max(map(len, steps))
     by_step = _indices([row + [len(links)] * (width - len(row)) for row in steps])
-    return DecodeTable(index_links(d.symbols, tuple(links)), by_step[:, 0], by_step[:, 1:], payloads)
+    return DecodeTable(index_links(instances, tuple(links)), by_step[:, 0], by_step[:, 1:], payloads)
 
 
 @dataclass(frozen=True)
@@ -268,7 +286,7 @@ class SchemeDescriptor:
     decode_plan: Tuple[DecodeStep, ...]
     #: common symbol id -> fraction of its rate credited to user1
     common_split: Mapping[str, float] = field(default_factory=dict)
-    #: The compiled decode plan, built by the constructor.
+    #: The compiled decode plan, shared by every descriptor of the same structure.
     table: DecodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -278,7 +296,9 @@ class SchemeDescriptor:
             if sym.owner != first.owner or sym.rate_exponent != first.rate_exponent:
                 raise ValueError(f"instances of {sym.id!r} disagree on owner or rate")
         self._check_power_identity()
-        object.__setattr__(self, "table", _compile(self))
+        object.__setattr__(self, "table", _compile(
+            tuple((sym.id, sym.slot, sym.precoder) for sym in self.symbols),
+            tuple(self.decode_plan)))
         # By default a common payload sent first in subband A goes to user1, in B to user2.
         split = {sym_id: float(sym.slot == "A") for sym_id, sym in self.payloads().items()
                  if sym.owner == "common"}

@@ -505,3 +505,134 @@ def test_measure_error_exponent_memory_does_not_grow_with_the_trial_count(monkey
     # trials) buffer per block (24 KB here), 147 KB from 2 to 8 blocks.
     buffer_per_block = len(ladder) * block * 8
     assert abs(peaks[1] - peaks[0]) < buffer_per_block / 4, peaks
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracles: the array formulas that the long-loop kernels replaced
+
+
+def _pairs_oracle(z, variances):
+    """``_pairs_from_normals`` as one broadcast multiply over the (entry,
+    part) tiles of a transposed view of z."""
+    draws = np.asarray(variances, dtype=float)
+    lead = draws.shape[2:]
+    draws = draws.reshape((-1,) + lead)
+    taken = draws.reshape(len(draws), -1)[:, 0] > 0.0
+    scale = np.sqrt(draws[taken] / 2.0)
+    m, trials = len(scale), z.shape[:-1]
+    normals = np.moveaxis(z[..., :4 * m].reshape(trials + (m, 2, 2)), -3, 0).swapaxes(-1, -2)
+    values = np.empty((m,) + lead + trials + (2,), dtype=complex)
+    np.multiply(normals.reshape((m,) + (1,) * len(lead) + trials + (2, 2)),
+                scale.reshape(scale.shape + (1,) * (len(trials) + 2)),
+                out=values.view(float).reshape(values.shape + (2,)))
+    drawn = values
+    if not taken.all():
+        drawn = np.zeros((len(draws),) + values.shape[1:], dtype=complex)
+        drawn[taken] = values
+    return ch.ChannelPair(true=drawn[0::2] + drawn[1::2], estimate=drawn[0::2], error=drawn[1::2])
+
+
+def _zf_oracle(v):
+    norm = np.sqrt(ch._sq_norm(v))[..., None]
+    return np.stack([-np.conj(v[..., 1]), np.conj(v[..., 0])], axis=-1) / norm
+
+
+def _unit_oracle(v):
+    return v / np.sqrt(ch._sq_norm(v))[..., None]
+
+
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(float), want.view(float))
+
+
+def _assert_pairs_bits_equal(got, want):
+    for part in ("true", "estimate", "error"):
+        _assert_bits_equal(getattr(got, part), getattr(want, part))
+
+
+#: Per-cell qualities in draw order: one a = 0 cell skips its estimate draw.
+_ORACLE_QUALITIES = (0.8, 0.0, 1.0, 0.5)
+_ORACLE_LADDER = (1e4, 1e5, 1e6)
+
+
+@pytest.mark.parametrize("trials", [None, 1, 100, 4096])
+def test_pairs_from_normals_without_a_ladder_axis_equals_the_oracle(trials):
+    z = np.random.default_rng(8).standard_normal((() if trials is None else (trials,)) + (32,))
+    for p in _ORACLE_LADDER:
+        variances = [ch._variances(a, p) for a in _ORACLE_QUALITIES]
+        _assert_pairs_bits_equal(ch._pairs_from_normals(z, variances), _pairs_oracle(z, variances))
+        every = [ch._variances(a, p) for a in (0.8, 0.5, 0.3, 1.0)]  # no draw skipped
+        _assert_pairs_bits_equal(ch._pairs_from_normals(z, every), _pairs_oracle(z, every))
+
+
+@pytest.mark.parametrize("trials", [1, 100, 4096])
+def test_pairs_from_normals_with_a_ladder_axis_equals_the_oracle(trials):
+    z = np.random.default_rng(9).standard_normal((trials, 32))
+    variances = np.array([[ch._variances(a, p) for a in _ORACLE_QUALITIES]
+                          for p in _ORACLE_LADDER]).transpose(1, 2, 0)
+    _assert_pairs_bits_equal(ch._pairs_from_normals(z, variances), _pairs_oracle(z, variances))
+
+
+@pytest.mark.parametrize("trials", [1, 100, 4096])
+def test_ladder_cells_with_mixed_skip_patterns_equal_the_oracle(monkeypatch, trials):
+    # alpha = 3e-18 skips the alpha cells' estimate draw at 40 dB but not
+    # at 400 dB, so the ladder's points are built in two groups.
+    q, ps = ch.QualityPair(0.5, 3e-18), [ch.db_to_linear(v) for v in (40.0, 200.0, 400.0)]
+    got = ch.sample_ladder_cells(7, q, ch.UNMATCHED, ps, trials)
+    alpha_cell = ch.cell_index("user1", "B")
+    assert np.all(got.estimate[alpha_cell, 0] == 0) and np.all(got.estimate[alpha_cell, 2] != 0)
+    monkeypatch.setattr(ch, "_pairs_from_normals", _pairs_oracle)
+    _assert_pairs_bits_equal(got, ch.sample_ladder_cells(7, q, ch.UNMATCHED, ps, trials))
+
+
+@pytest.mark.parametrize("trials", [1, 100, 4096])
+def test_zf_direction_and_unit_equal_the_oracles(trials):
+    estimate = ch.sample_ladder_cells(4, ch.QualityPair(0.8, 0.5), ch.UNMATCHED,
+                                      _ORACLE_LADDER, trials).estimate
+    for v in (estimate, estimate[1], estimate[[0, 3, 2]], estimate[2, 1, 0]):
+        _assert_bits_equal(ch.zf_direction(v), _zf_oracle(v))
+        _assert_bits_equal(ch.unit(v), _unit_oracle(v))
+
+
+def test_unit_keeps_its_input_s_result_dtype():
+    v = np.array([[3.0 + 1.0j, -4.0], [0.5, 2.0j]])
+    for x in (v.astype(np.complex64), v.real, v.real.astype(np.float32), np.array([3, 4])):
+        got = ch.unit(x)
+        assert got.dtype == _unit_oracle(x).dtype, x.dtype
+        assert np.array_equal(got, _unit_oracle(x)), x.dtype
+    assert ch.zf_direction(v.astype(np.complex64)).dtype == np.complex64
+
+
+def test_zf_direction_and_unit_keep_their_error_messages():
+    zero = np.zeros((3, 2), dtype=complex)
+    with pytest.raises(ValueError, match="^degenerate direction: cannot zero-force on a zero "
+                                         "estimate$"):
+        ch.zf_direction(zero)
+    with pytest.raises(ValueError, match="^degenerate direction: cannot normalise a zero "
+                                         "estimate$"):
+        ch.unit(zero)
+    with pytest.raises(ValueError, match=r"^expected length-2 vectors, got shape \(4, 3\)$"):
+        ch.zf_direction(np.ones((4, 3)))
+    with pytest.raises(ValueError, match=r"^expected length-2 vectors, got shape \(\)$"):
+        ch.zf_direction(1.0)
+
+
+@pytest.mark.parametrize("ps", [(1e4, 1e5, 1e6), (1e3, 1e8), (2.0, 10.0, 1e3, 1e9, 1e17)])
+def test_ladder_fit_equals_polyfit(ps):
+    rng = np.random.default_rng(len(ps))
+    for y in (rng.standard_normal(len(ps)), rng.standard_normal((len(ps), 3)) * 10.0):
+        x, slope, intercept = ch.ladder_fit(ps, y)
+        want = np.polyfit(np.log2(ps), y, 1)
+        assert np.array_equal(x, np.log2(ps))
+        assert np.shape(slope) == np.shape(want[0])
+        assert np.array_equal(slope, want[0]) and np.array_equal(intercept, want[1])
+
+
+def test_ladder_fit_warns_where_polyfit_does():
+    y = np.array([1.0, 2.0, 4.0])
+    with pytest.warns(np.exceptions.RankWarning):
+        want = np.polyfit(np.log2([8.0] * 3), y, 1)
+    with pytest.warns(np.exceptions.RankWarning):
+        _, slope, intercept = ch.ladder_fit([8.0] * 3, y)
+    assert np.array_equal([slope, intercept], want)

@@ -555,3 +555,69 @@ def test_estimate_dof_reports_numpy_and_bool_counts_as_plain_ints():
     assert type(report.seed) is int and type(report.trials) is int
     assert '"seed": 1,' in report.to_json()
     assert report.to_json() == mc.estimate_dof(d, Q, UNMATCHED, ladder, trials=10, seed=1).to_json()
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracles: the formulas that the long-loop kernels replaced
+
+
+def _slopes_oracle(ps, y):
+    x = np.log2(ps)
+    coeffs = np.polyfit(x, y, 1)
+    residual = np.max(np.abs(np.polyval(coeffs, x[:, None]) - y), axis=0)
+    return coeffs[0], (y[-1] - y[-2]) / (x[-1] - x[-2]), residual
+
+
+def _link_powers_oracle(cells, symbols, index, ps):
+    """The walk that looked up each receiving cell's links with flatnonzero."""
+    w = mc._directions(cells.estimate, index)
+    values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
+    values = values.reshape(values.shape + (1,) * (w.ndim - 3))
+    out = np.zeros((len(index.cell) + 1,) + w.shape[1:-1])
+    for c, true in enumerate(cells.true):
+        ns = np.flatnonzero(index.cell == c)
+        if len(ns):
+            products = true.conj() * w[index.precoder[ns]]
+            out[ns] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[index.symbol[ns]]
+    return out
+
+
+@pytest.mark.parametrize("ps", [(1e4, 1e5, 1e6), (1e14, 1e16, 1e18), (3.0, 1e2, 1e3, 1e7)])
+def test_slopes_equal_polyfit_and_polyval(ps):
+    rng = np.random.default_rng(len(ps))
+    for y in (rng.standard_normal(len(ps)) * 5.0, rng.standard_normal((len(ps), 3)) * 5.0 + 20.0):
+        got, want = mc._slopes(ps, y), _slopes_oracle(ps, y)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("trials", [1, 100, 4096])
+def test_link_powers_equal_the_flatnonzero_walk(trials):
+    ps = [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
+    cells = ch.sample_ladder_cells(2, Q, UNMATCHED, ps, trials)
+    for d in (sch.optimal_unmatched_descriptor(Q), sch.s3_descriptor(Q), sch.fdma_descriptor()):
+        args = (cells, d.symbols, d.table.links, ps)
+        assert np.array_equal(mc._link_powers(*args), _link_powers_oracle(*args))
+
+
+@pytest.mark.parametrize("scheme,scenario", list(_cli_pairs()))
+def test_reports_equal_the_reports_of_the_oracle_kernels(monkeypatch, scheme, scenario):
+    from test_channel import _pairs_oracle, _unit_oracle, _zf_oracle
+
+    cases = [(QualityPair(0.8, 0.5), (40.0, 50.0, 60.0), 100),
+             (QualityPair(1.0, 0.3), (140.0, 160.0, 180.0), 7)]
+    if scheme == "fdma":  # the others direct symbols along the zero estimates at 40 dB
+        cases.append((QualityPair(0.5, 3e-18), (40.0, 200.0, 400.0), 50))
+
+    def reports():
+        return [mc.estimate_dof(sch.build_descriptor(scheme, q, scenario), q, scenario,
+                                ladder, trials, seed=11).to_json()
+                for q, ladder, trials in cases]
+
+    got = reports()
+    monkeypatch.setattr(ch, "_pairs_from_normals", _pairs_oracle)
+    monkeypatch.setattr(mc, "zf_direction", _zf_oracle)
+    monkeypatch.setattr(mc, "unit", _unit_oracle)
+    monkeypatch.setattr(mc, "_link_powers", _link_powers_oracle)
+    monkeypatch.setattr(mc, "_slopes", _slopes_oracle)
+    assert got == reports()

@@ -812,3 +812,55 @@ def test_estimate_dof_reads_the_same_from_an_exact_build(scheme, kind):
         reports = [mc.estimate_dof(d, q, scenario, (40.0, 50.0, 60.0), trials=60, seed=3)
                    for d in (exact, floats)]
         assert reports[0].to_json() == reports[1].to_json(), (scheme, kind, q)
+
+
+# ---------------------------------------------------------------------------
+# one decode table per structure
+
+
+def _index_arrays(table):
+    links = table.links
+    arrays = [links.precoder, links.cell, links.symbol, table.signal, table.interference]
+    arrays += [a for _, rows, refs in links.kinds for a in (rows, refs) if a is not None]
+    arrays += [a for _, *group in links.by_cell for a in group]
+    return arrays
+
+
+def test_builds_on_one_face_share_one_read_only_table():
+    for scheme, kind in SCHEME_SCENARIOS:
+        tables = [sch.build_descriptor(scheme, q, Scenario(kind)).table
+                  for q in (QualityPair(0.8, 0.5), QualityPair(0.7, 0.2),
+                            QualityPair(Fraction(3, 5), Fraction(1, 3)))]
+        assert tables[0] is tables[1] is tables[2], scheme
+        for a in _index_arrays(tables[0]):
+            assert not a.flags.writeable, scheme
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
+def test_builds_on_different_faces_get_different_tables():
+    inner = sch.optimal_unmatched_descriptor(QualityPair(0.8, 0.5)).table
+    faces = [sch.optimal_unmatched_descriptor(QualityPair(1.0, 0.5)).table,  # no common layer
+             sch.optimal_unmatched_descriptor(QualityPair(0.6, 0.6)).table]  # no u_0
+    assert len({id(t) for t in [inner] + faces}) == 3
+    matched = [sch.matched_descriptor(q).table
+               for q in (QualityPair(0.8, 0.5), QualityPair(0.8, 0.0), QualityPair(0.0, 0.0))]
+    assert len({id(t) for t in matched}) == 3
+
+
+def test_a_malformed_plan_raises_the_same_message_on_every_call():
+    sym = sch.SymbolSpec("x", "user1", "A", sch.basis_e1(), sch.PowerTerm(1, 1.0), 1.0)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not transmitted") as err:
+            _probe((sym,), (sch.DecodeStep("user1", "B", "x"),))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_the_decode_table_cache_is_bounded():
+    maxsize = sch._compile.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 3):
+        sch._compile(((f"x{k}", "A", sch.basis_e1()),), (sch.DecodeStep("user1", "A", f"x{k}"),))
+    assert sch._compile.cache_info().currsize == maxsize

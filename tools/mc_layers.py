@@ -15,7 +15,10 @@ with 500 draws.
 For each case it prints the median CPU ms of a whole call and, per layer,
 the median CPU ms spent in the layer itself (its self time: nested layers
 are not counted twice; ``_link_powers`` calls ``_directions`` and
-``_step_rates`` calls ``_link_powers``), with its share of the call.
+``_step_rates`` calls ``_link_powers``), with its share of the call.  An
+``estimate_dof`` call builds its descriptor first, as the ``simulate``
+command does, so the ``build`` layer (``schemes.build_descriptor``) is
+part of it.
 CPU time is the process's (``time.process_time_ns``), so other load on
 the machine shows less than in wall time, but a shared machine still
 spreads the figures: compare two trees side by side.
@@ -33,6 +36,7 @@ from time import process_time_ns
 
 #: (label, module attribute) of each layer, in the order they run.
 LAYERS = (
+    ("build", "schemes.build_descriptor"),
     ("sampler", "channel._trial_normals"),
     ("pairs", "channel._pairs_from_normals"),
     ("directions", "linkmc._directions"),
@@ -98,16 +102,22 @@ class Layers:
         return out
 
 
+def _build_and_estimate(scheme, q, scenario, trials):
+    from dofsim import linkmc, schemes
+
+    d = schemes.build_descriptor(scheme, q, scenario)
+    return linkmc.estimate_dof(d, q, scenario, LADDER_DB, trials, 0)
+
+
 def _cases():
-    from dofsim import channel, linkmc, schemes
+    from dofsim import channel
 
     ladder = tuple(channel.db_to_linear(v) for v in EXPONENT_LADDER_DB)
     for trials in TRIALS:
         for scheme, beta, alpha, kind in CONFIGS:
             q, scenario = channel.QualityPair(beta, alpha), channel.Scenario(kind)
-            d = schemes.build_descriptor(scheme, q, scenario)
             yield (f"estimate_dof {scheme}({beta},{alpha}) x{trials}",
-                   functools.partial(linkmc.estimate_dof, d, q, scenario, LADDER_DB, trials, 0))
+                   functools.partial(_build_and_estimate, scheme, q, scenario, trials))
     for a in EXPONENTS:
         yield (f"measure_error_exponent a={a} x{DRAWS}",
                functools.partial(channel.measure_error_exponent, a, ladder, DRAWS, 0))
