@@ -102,10 +102,7 @@ class Scenario:
 
     def quality(self, user: str, subband: str, q: QualityPair):
         """CSIT quality exponent of `user`'s channel estimate in `subband`."""
-        if user not in USERS:
-            raise ValueError(f"unknown user {user!r}")
-        if subband not in SUBBANDS:
-            raise ValueError(f"unknown subband {subband!r}")
+        cell_index(user, subband)  # raises on an unknown cell
         if self.kind == "matched":
             return q.beta if subband == "A" else q.alpha
         return q.beta if (user == "user1") == (subband == "A") else q.alpha
@@ -334,7 +331,9 @@ def _sq_norm(v: np.ndarray) -> np.ndarray:
 
 
 def _checked_norm(v: np.ndarray, action: str) -> np.ndarray:
-    """||v|| over the last axis; raises if any row is ~0."""
+    """||v|| over the last axis, which must have length 2; raises if any row is ~0."""
+    if v.ndim == 0 or v.shape[-1] != 2:
+        raise ValueError(f"expected length-2 vectors, got shape {v.shape}")
     norm = np.sqrt(_sq_norm(v))
     if np.any(norm <= 1e-12):
         raise ValueError(f"degenerate direction: cannot {action} a zero estimate")
@@ -350,8 +349,6 @@ def zf_direction(v: np.ndarray) -> np.ndarray:
     meaning.  Each entry is divided in one pass over the rows.
     """
     v = np.asarray(v)
-    if v.ndim == 0 or v.shape[-1] != 2:
-        raise ValueError(f"expected length-2 vectors, got shape {v.shape}")
     norm = _checked_norm(v, "zero-force on")
     out = np.empty(v.shape, dtype=np.result_type(v, norm))
     np.conjugate(v[..., ::-1], out=out)
@@ -360,7 +357,7 @@ def zf_direction(v: np.ndarray) -> np.ndarray:
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """v / ||v|| row by row, with the same degeneracy guard as zf_direction."""
+    """v / ||v|| row by row, with the same shape and degeneracy guards as zf_direction."""
     v = np.asarray(v)
     norm = _checked_norm(v, "normalise")
     return _divide_rows(v, norm, np.empty(v.shape, dtype=np.result_type(v, norm)))

@@ -7,10 +7,10 @@ in ``channel.CELLS`` order) it builds each link's received power once,
 gathers them through ``d.table.signal`` and ``d.table.interference`` and
 gives every step the rate log2(1 + S / (1 + I)), where I sums the powers
 the step has not cancelled.  Rates come as one array with a leading step
-axis in decode-plan order; ``d.table.payloads`` names the steps that
-decode each payload, whose worst rate the payload delivers.  The DoF
-estimate is the slope of the mean delivered rate per channel use of the
-two-subband frame against log2(P) over an SNR ladder.
+axis in decode-plan order; each row of ``d.table.payloads`` names the
+steps that decode its payload, whose worst rate the payload delivers.
+The DoF estimate is the slope of the mean delivered rate per channel use
+of the two-subband frame against log2(P) over an SNR ladder.
 
 The walk is elementwise over the axes after the cell axis: the cells of
 ``channel.sample_ladder_cells`` carry a ladder axis and a trial axis, so
@@ -55,7 +55,7 @@ from .channel import (
 # Not called here, but kept importable as ``linkmc.trial_rng`` and
 # ``linkmc.sample_realization``: the per-layer trace wraps them by this path.
 from .channel import sample_realization, trial_rng  # noqa: F401
-from .schemes import LinkIndex, SchemeDescriptor, SymbolSpec, credit_users, index_links
+from .schemes import DecodeStep, DecodeTable, SchemeDescriptor, SymbolSpec, _compile, credit_users
 
 #: Fit residual (bits per channel use) above which the slope estimate falls
 #: back to the top SNR pair; the common layer's rate converges slowly.
@@ -69,8 +69,8 @@ def _direction(kind: str, ref: np.ndarray) -> np.ndarray:
     return zf_direction(ref) if kind == "zf_orth" else unit(ref)
 
 
-def _directions(estimate: np.ndarray, index: LinkIndex) -> np.ndarray:
-    """Every direction of the index, stacked on a leading axis.
+def _directions(estimate: np.ndarray, table: DecodeTable) -> np.ndarray:
+    """Every direction of the table, stacked on a leading axis.
 
     ``estimate`` is the stacked estimates, (cells, points, ..., 2).  All
     zero-forcing directions come from one ``zf_direction`` call and all
@@ -78,13 +78,13 @@ def _directions(estimate: np.ndarray, index: LinkIndex) -> np.ndarray:
     the error of the first degenerate direction in order at the first
     ladder point that has one, as a walk of one point at a time would.
     """
-    out = np.empty((len(index.precoders),) + estimate.shape[1:], dtype=complex)
+    out = np.empty((len(table.precoders),) + estimate.shape[1:], dtype=complex)
     try:
-        for kind, rows, refs in index.kinds:
+        for kind, rows, refs in table.kinds:
             out[rows] = _E1 if refs is None else _direction(kind, estimate[refs])
     except ValueError:
         for k in range(estimate.shape[1]):
-            for pre in index.precoders:
+            for pre in table.precoders:
                 if pre.kind != "basis_e1":
                     _direction(pre.kind, estimate[cell_index(pre.user, pre.subband), k])
         raise
@@ -92,9 +92,9 @@ def _directions(estimate: np.ndarray, index: LinkIndex) -> np.ndarray:
 
 
 def _link_powers(
-    cells: ChannelPair, symbols: Sequence[SymbolSpec], index: LinkIndex, ps: Sequence[float]
+    cells: ChannelPair, symbols: Sequence[SymbolSpec], table: DecodeTable, ps: Sequence[float]
 ) -> np.ndarray:
-    """|h^H w|^2 times the symbol's power for every link of the index.
+    """|h^H w|^2 times the symbol's power for every link of the table.
 
     ``cells`` is a realization's stacked cells with a ladder axis after
     the cell axis, one entry per linear SNR in ps.  Returns shape (links +
@@ -102,11 +102,11 @@ def _link_powers(
     last; the extra last row is zero, for padding.  One array pass per
     receiving cell covers all of its links.
     """
-    w = _directions(cells.estimate, index)
+    w = _directions(cells.estimate, table)
     values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
     values = values.reshape(values.shape + (1,) * (w.ndim - 3))  # over the trial axis, if any
-    out = np.zeros((len(index.cell) + 1,) + w.shape[1:-1])
-    for c, links, rows, syms in index.by_cell:
+    out = np.zeros((len(table.cell) + 1,) + w.shape[1:-1])
+    for c, links, rows, syms in table.by_cell:
         products = cells.true[c].conj() * w[rows]
         out[links] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[syms]
     return out
@@ -125,10 +125,10 @@ def received_power(cells: ChannelPair, sym: SymbolSpec, user: str, p: float):
     """|h^H w|^2 times the symbol's allocated power at linear SNR p.
 
     ``cells`` is a realization's stacked cells; elementwise over any
-    trial axis after the cell axis.
+    trial axis after the cell axis.  The link is compiled as a one-step plan.
     """
-    index = index_links(((sym.id, sym.slot, sym.precoder),), ((0, user),))
-    return _link_powers(_one_point(cells, p), (sym,), index, [p])[0, 0]
+    table = _compile(((sym.id, sym.slot, sym.precoder),), (DecodeStep(user, sym.slot, sym.id),))
+    return _link_powers(_one_point(cells, p), (sym,), table, [p])[0, 0]
 
 
 def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
@@ -141,7 +141,7 @@ def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
     would.
     """
     table = d.table
-    powers = _link_powers(cells, d.symbols, table.links, ps)
+    powers = _link_powers(cells, d.symbols, table, ps)
     gathered = powers[table.interference]
     total = sum(gathered[:, j] for j in range(table.interference.shape[1]))
     return np.log2(1.0 + powers[table.signal] / (1.0 + total))
@@ -340,14 +340,14 @@ def estimate_dof(
         raise ValueError("every ladder point must exceed 0 dB")
 
     payloads = d.table.payloads
-    sym_rates: Dict[str, Dict[str, float]] = {sym_id: {} for sym_id, _ in payloads}
+    sym_rates: Dict[str, Dict[str, float]] = {sym_id: {} for sym_id, _, _ in payloads}
     per_point = []  # (sum, user1, user2) at each ladder point
     means = _mean_rates(d, q, scenario, ps, trials, seed, ladder=f"{ladder_db} dB")
     for key, row in zip(keys, means.tolist()):
         # A payload delivers its worst decoder's rate once per frame of
         # len(SUBBANDS) equal-width subbands.
         delivered = {sym_id: min(row[c] for c in columns) / len(SUBBANDS)
-                     for sym_id, columns in payloads}
+                     for sym_id, _, columns in payloads}
         for sym_id, r in delivered.items():
             sym_rates[sym_id][key] = r
         u1, u2 = credit_users(d, delivered)

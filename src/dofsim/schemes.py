@@ -7,13 +7,13 @@ and a target rate exponent, and an ordered decode plan per user.  Every
 receiver runs successive interference cancellation (SIC): a step sees as
 interference exactly the same-subband symbols its user has not decoded
 yet, so the plan's order is the whole SIC schedule.  Each descriptor
-carries a ``DecodeTable`` of read-only index arrays: each link's symbol,
-cell and precoder, and each step's signal and interfering links.  Both
-walks gather through them: the Monte Carlo link layer sums linear
-received powers, ``static_achievability_check`` high-SNR exponents.  The
-table reads only each instance's (id, slot, precoder) and the plan, so it
-is compiled once per such structure and shared by every descriptor built
-on it.
+carries a ``DecodeTable``, built by ``_compile`` alone: read-only index
+arrays of each link's symbol, cell and precoder and each step's links,
+and each payload's first instance and decoding steps.  Both walks gather
+through it, the Monte Carlo link layer over linear received powers and
+``static_achievability_check`` over high-SNR exponents.  It reads only
+each instance's (id, slot, precoder) and the plan, so it is compiled
+once per such structure and shared by every descriptor built on it.
 
 Builders are provided for the five strategies under study:
 
@@ -46,7 +46,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,11 +79,7 @@ class Precoder:
             if self.user is not None or self.subband is not None:
                 raise ValueError("basis_e1 takes no estimate reference")
         else:
-            if self.user not in USERS or self.subband not in SUBBANDS:
-                raise ValueError(
-                    f"{self.kind} needs a (user, subband) estimate reference, "
-                    f"got ({self.user!r}, {self.subband!r})"
-                )
+            cell_index(self.user, self.subband)  # raises on an unknown cell
 
 
 def basis_e1() -> Precoder:
@@ -102,12 +98,13 @@ def aligned(user: str, subband: str) -> Precoder:
 class PowerTerm:
     """Symbol power coeff * (P^hi - P^lo), or coeff * P^hi when lo is None."""
 
-    coeff: Fraction
+    coeff: Union[int, Fraction]  # kept as given, so that the power ledger sums it exactly
     hi: float
     lo: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if type(self.coeff) not in (int, Fraction):
+            raise ValueError(f"power coefficient must be an int or a Fraction, got {self.coeff!r}")
         if self.coeff <= 0:
             raise ValueError(f"power coefficient must be positive, got {self.coeff}")
         if not 0 <= self.hi <= 1:
@@ -175,8 +172,15 @@ def _indices(values) -> np.ndarray:
 Instance = Tuple[str, str, Precoder]
 
 
-class LinkIndex(NamedTuple):
-    """(symbol index, receiving user) links as index arrays; cells in ``channel.CELLS`` order."""
+class DecodeTable(NamedTuple):
+    """A decode plan, resolved to read-only index arrays once per structure.
+
+    Its links are (symbol index, receiving user) pairs in order of first
+    use, cells in ``channel.CELLS`` order.  A rate table built on it has
+    one column per step, in plan order.  Row j of ``interference`` holds
+    step j's interfering links in instance order, padded with
+    ``len(cell)``, a walk's padding row (zero power, or exponent -inf).
+    """
 
     precoders: Tuple[Precoder, ...]  # each direction the links use once, in order of first use
     #: (kind, its rows of ``precoders``, their reference cells), in
@@ -188,44 +192,11 @@ class LinkIndex(NamedTuple):
     #: (cell, its links, their ``precoder`` rows, their symbols) of each
     #: receiving cell that has links, in ``CELLS`` order
     by_cell: Tuple[Tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-def index_links(instances: Sequence[Instance], links: Sequence[Tuple[int, str]]) -> LinkIndex:
-    """Index arrays of (instance index, receiving user) links over these instances."""
-    rows: Dict[Precoder, int] = {}
-    per_link = [(rows.setdefault(instances[i][2], len(rows)),
-                 cell_index(user, instances[i][1]), i) for i, user in links]
-    precoders = tuple(rows)
-    kinds = []
-    for kind in PRECODER_KINDS:
-        of_kind = [r for r, pre in enumerate(precoders) if pre.kind == kind]
-        if of_kind:
-            refs = None if kind == "basis_e1" else _indices(
-                [cell_index(precoders[r].user, precoders[r].subband) for r in of_kind])
-            kinds.append((kind, _indices(of_kind), refs))
-    by_cell = []
-    for c in range(len(CELLS)):
-        group = [(n, r, i) for n, (r, cell, i) in enumerate(per_link) if cell == c]
-        if group:
-            by_cell.append((c, *_indices(group).T))
-    return LinkIndex(precoders, tuple(kinds), *_indices(per_link).T, tuple(by_cell))
-
-
-class DecodeTable(NamedTuple):
-    """A decode plan, resolved to read-only index arrays once per structure.
-
-    A rate table built on it has one column per step, in plan order.  Row
-    j of ``interference`` holds step j's interfering links in instance
-    order, padded with ``len(links.cell)``, a walk's padding row (zero
-    power, or exponent -inf).
-    """
-
-    links: LinkIndex  # (symbol index, receiving user) links, in order of first use
     signal: np.ndarray  # per step: its signal link
     interference: np.ndarray  # (steps, width): its interfering links, padded
-    #: (id, indices of the steps that decode it) per payload, in order of
-    #: first appearance
-    payloads: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    #: (id, index of its first instance, indices of the steps that decode
+    #: it) per payload, in order of first appearance
+    payloads: Tuple[Tuple[str, int, Tuple[int, ...]], ...]
 
 
 @functools.lru_cache(maxsize=256)
@@ -238,10 +209,12 @@ def _compile(instances: Tuple[Instance, ...], plan: Tuple[DecodeStep, ...]) -> D
     so every descriptor of one structure shares one table.
     """
     index: Dict[Tuple[str, str], int] = {}
+    first: Dict[str, int] = {}  # symbol id -> its first instance
     by_slot: Dict[str, List[Tuple[str, int]]] = {}  # (symbol id, instance), descriptor order
     for i, (sym_id, slot, _) in enumerate(instances):
         if index.setdefault((sym_id, slot), i) != i:
             raise ValueError(f"duplicate instance of symbol {sym_id!r} in slot {slot!r}")
+        first.setdefault(sym_id, i)
         by_slot.setdefault(slot, []).append((sym_id, i))
     decoded: Dict[str, Dict[str, int]] = {u: {} for u in USERS}  # symbol -> step
     links: Dict[Tuple[int, str], int] = {}  # (instance, user) -> link index
@@ -266,15 +239,32 @@ def _compile(instances: Tuple[Instance, ...], plan: Tuple[DecodeStep, ...]) -> D
         done[symbol] = len(steps)
         steps.append(row)
     payloads = tuple(
-        (sym_id, tuple(decoded[u][sym_id] for u in USERS if sym_id in decoded[u]))
-        for sym_id in dict.fromkeys(sym_id for sym_id, _, _ in instances)
+        (sym_id, i, tuple(decoded[u][sym_id] for u in USERS if sym_id in decoded[u]))
+        for sym_id, i in first.items()
     )
-    undecoded = [sym_id for sym_id, columns in payloads if not columns]
+    undecoded = [sym_id for sym_id, _, columns in payloads if not columns]
     if undecoded:
         raise ValueError(f"symbols {sorted(undecoded)} are never decoded")
+    rows: Dict[Precoder, int] = {}  # precoder -> its row of ``precoders``
+    per_link = [(rows.setdefault(instances[i][2], len(rows)),
+                 cell_index(user, instances[i][1]), i) for i, user in links]
+    precoders = tuple(rows)
+    kinds = []
+    for kind in PRECODER_KINDS:
+        of_kind = [r for r, pre in enumerate(precoders) if pre.kind == kind]
+        if of_kind:
+            refs = None if kind == "basis_e1" else _indices(
+                [cell_index(precoders[r].user, precoders[r].subband) for r in of_kind])
+            kinds.append((kind, _indices(of_kind), refs))
+    by_cell = []
+    for c in range(len(CELLS)):
+        group = [(n, r, i) for n, (r, cell, i) in enumerate(per_link) if cell == c]
+        if group:
+            by_cell.append((c, *_indices(group).T))
     width = max(map(len, steps))
     by_step = _indices([row + [len(links)] * (width - len(row)) for row in steps])
-    return DecodeTable(index_links(instances, tuple(links)), by_step[:, 0], by_step[:, 1:], payloads)
+    return DecodeTable(precoders, tuple(kinds), *_indices(per_link).T, tuple(by_cell),
+                       by_step[:, 0], by_step[:, 1:], payloads)
 
 
 @dataclass(frozen=True)
@@ -290,17 +280,17 @@ class SchemeDescriptor:
     table: DecodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._check_power_identity()
+        object.__setattr__(self, "table", _compile(
+            tuple((sym.id, sym.slot, sym.precoder) for sym in self.symbols),
+            tuple(self.decode_plan)))
         payloads = self.payloads()
         for sym in self.symbols:
             first = payloads[sym.id]
             if sym.owner != first.owner or sym.rate_exponent != first.rate_exponent:
                 raise ValueError(f"instances of {sym.id!r} disagree on owner or rate")
-        self._check_power_identity()
-        object.__setattr__(self, "table", _compile(
-            tuple((sym.id, sym.slot, sym.precoder) for sym in self.symbols),
-            tuple(self.decode_plan)))
         # By default a common payload sent first in subband A goes to user1, in B to user2.
-        split = {sym_id: float(sym.slot == "A") for sym_id, sym in self.payloads().items()
+        split = {sym_id: float(sym.slot == "A") for sym_id, sym in payloads.items()
                  if sym.owner == "common"}
         for sym_id in self.common_split:
             if sym_id not in split:
@@ -329,10 +319,7 @@ class SchemeDescriptor:
 
         A repeated payload's instances agree on owner and rate exponent.
         """
-        out: Dict[str, SymbolSpec] = {}
-        for s in self.symbols:
-            out.setdefault(s.id, s)
-        return out
+        return {sym_id: self.symbols[first] for sym_id, first, _ in self.table.payloads}
 
 
 def power_ledger(d: SchemeDescriptor, slot_id: str) -> Dict[float, Fraction]:
@@ -583,7 +570,7 @@ def analytic_sum_dof_at(strategy: str, beta, alpha, scenario="unmatched"):
 def sum_dof_exponent(d: SchemeDescriptor) -> float:
     """Sum of payload rate exponents per channel use of the two-subband frame;
     repeated payloads count once."""
-    return sum(sym.rate_exponent for sym in d.payloads().values()) / len(SUBBANDS)
+    return sum(d.symbols[first].rate_exponent for _, first, _ in d.table.payloads) / len(SUBBANDS)
 
 
 def credit_users(d: SchemeDescriptor, per_payload: Mapping[str, float]) -> Tuple[float, float]:
@@ -591,10 +578,11 @@ def credit_users(d: SchemeDescriptor, per_payload: Mapping[str, float]) -> Tuple
 
     A private payload counts for its owner; a common one is shared by
     ``d.common_split`` (user1's fraction).  Payloads are summed in
-    ``d.payloads()`` order.
+    ``d.table.payloads`` order.
     """
     u1 = u2 = 0.0
-    for sym_id, sym in d.payloads().items():
+    for sym_id, first, _ in d.table.payloads:
+        sym = d.symbols[first]
         r = per_payload[sym_id]
         if sym.owner == "common":
             share = d.common_split[sym_id]
@@ -609,8 +597,8 @@ def credit_users(d: SchemeDescriptor, per_payload: Mapping[str, float]) -> Tuple
 
 def user_dof_exponents(d: SchemeDescriptor) -> Tuple[float, float]:
     """Per-user analytic DoF pair implied by ownership and the common split."""
-    u1, u2 = credit_users(d, {sym_id: sym.rate_exponent
-                              for sym_id, sym in d.payloads().items()})
+    u1, u2 = credit_users(d, {sym_id: d.symbols[first].rate_exponent
+                              for sym_id, first, _ in d.table.payloads})
     return u1 / len(SUBBANDS), u2 / len(SUBBANDS)
 
 
@@ -643,19 +631,19 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
     if q is not None and not all(isinstance(v, numbers.Rational) for v in (q.beta, q.alpha)):
         raise ValueError(f"{d.name}: the audit is exact; build the descriptor on Fraction "
                          f"qualities, not beta={q.beta!r}, alpha={q.alpha!r}")
-    links = d.table.links
-    symbol, cell = links.symbol.tolist(), links.cell.tolist()
-    zf_cell = {r: ref for kind, rows, refs in links.kinds if kind == "zf_orth"
+    table = d.table
+    symbol, cell = table.symbol.tolist(), table.cell.tolist()
+    zf_cell = {r: ref for kind, rows, refs in table.kinds if kind == "zf_orth"
                for r, ref in zip(rows.tolist(), refs.tolist())}  # precoder row -> nulled cell
     exponents = []
-    for i, c, r in zip(symbol, cell, links.precoder.tolist()):
+    for i, c, r in zip(symbol, cell, table.precoder.tolist()):
         e = d.symbols[i].power.hi
         if zf_cell.get(r) == c:
             e -= Scenario(d.scenario).quality(*CELLS[c], q)
         exponents.append(e)
     exponents.append(-math.inf)  # the padding row
     report: List[StepMargin] = []
-    for signal, row in zip(d.table.signal.tolist(), d.table.interference.tolist()):
+    for signal, row in zip(table.signal.tolist(), table.interference.tolist()):
         user, target = CELLS[cell[signal]][0], d.symbols[symbol[signal]]
         interference = max([exponents[n] for n in row], default=-math.inf)
         sinr = exponents[signal] - max(interference, 0)

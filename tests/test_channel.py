@@ -618,6 +618,16 @@ def test_zf_direction_and_unit_keep_their_error_messages():
         ch.zf_direction(1.0)
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("direction", [ch.zf_direction, ch.unit])
+def test_directions_reject_vectors_that_are_not_2_long(direction, shape):
+    # A 3-vector must not be normalised by the norm of its first two entries.
+    v = np.arange(3.0, 3.0 + np.prod(shape, dtype=int)).reshape(shape)
+    with pytest.raises(ValueError) as err:
+        direction(v)
+    assert str(err.value) == f"expected length-2 vectors, got shape {shape}"
+
+
 @pytest.mark.parametrize("ps", [(1e4, 1e5, 1e6), (1e3, 1e8), (2.0, 10.0, 1e3, 1e9, 1e17)])
 def test_ladder_fit_equals_polyfit(ps):
     rng = np.random.default_rng(len(ps))

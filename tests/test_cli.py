@@ -1,13 +1,22 @@
 """End-to-end command-line tests: exit codes, output formats, reproducibility."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import os
+import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dofsim import cli, linkmc, regions, schemes, switcher
 from dofsim.channel import SCENARIO_KINDS
@@ -400,3 +409,77 @@ def test_simulate_runs_at_alpha_zero(scheme, beta, capsys):
     captured = capsys.readouterr()
     assert SimReport.from_json(captured.out).scheme == scheme
     assert captured.err.startswith(f"{scheme}: measured sum DoF ")
+
+
+# ---------------------------------------------------------------------------
+# the input contract of simulate and regions, fuzzed
+
+_ULP_ABOVE_1 = float(np.nextafter(1.0, 2.0))
+#: Quality exponents on the corners, subnormal or at the smallest normal.
+_EDGE_QUALITIES = [0.0, 1.0, 0.5, 5e-324, 1e-310, 2.2250738585072014e-308]
+_QUALITY = st.floats(0, 1) | st.sampled_from(_EDGE_QUALITIES)
+#: (beta, alpha) anywhere in the triangle, on each of its edges, or 1 ulp outside it.
+_PAIRS = st.one_of(
+    st.tuples(_QUALITY, _QUALITY).map(lambda t: (max(t), min(t))),
+    _QUALITY.map(lambda x: (x, x)),
+    _QUALITY.map(lambda x: (x, 0.0)),
+    _QUALITY.map(lambda x: (1.0, x)),
+    _QUALITY.map(lambda x: (x, float(np.nextafter(x, 2.0))))
+    | st.sampled_from([(_ULP_ABOVE_1, 0.5), (_ULP_ABOVE_1, _ULP_ABOVE_1), (0.5, -5e-324),
+                       (0.0, -5e-324)]),
+)
+#: dB values that repeat, nearly collide (one report key, or 1 ulp apart),
+#: are negative or zero, or overflow the received powers or a linear SNR.
+_SNR_POINTS = st.floats(-20.0, 400.0) | st.sampled_from([
+    40.0, 50.0, 60.0, 40.0000001, float(np.nextafter(40.0, 50.0)), -10.0, 0.0, 5e-324,
+    140.0, 160.0, 180.0, 3000.0, 3080.0, 1e308])
+_LADDERS = st.one_of(
+    st.lists(st.floats(1.0, 400.0) | st.floats(3070.0, 3083.0), min_size=3, max_size=4,
+             unique=True).map(sorted),
+    st.lists(_SNR_POINTS, min_size=3, max_size=5).map(sorted),  # ascending, or with repeats
+    st.lists(_SNR_POINTS, max_size=5),
+).map(lambda v: ",".join(map(repr, v)))
+
+
+@st.composite
+def _argvs(draw):
+    beta, alpha = draw(_PAIRS)
+    argv = [f"--beta={beta!r}", f"--alpha={alpha!r}"]
+    if draw(st.booleans()):
+        scenario = draw(st.sampled_from(SCENARIO_KINDS))
+        return ["regions", f"--scenario={scenario}",
+                f"--format={draw(st.sampled_from(['json', 'gnuplot']))}"] + argv
+    argv += [f"--scheme={draw(st.sampled_from(schemes.SCHEME_NAMES))}",
+             f"--snr={draw(_LADDERS)}",
+             f"--trials={draw(st.integers(1, 3) | st.integers(-1, 3))}"]
+    scenario = draw(st.none() | st.sampled_from(SCENARIO_KINDS))
+    return ["simulate"] + argv + ([] if scenario is None else [f"--scenario={scenario}"])
+
+
+def _run(argv):
+    """(exit code, stdout, stderr, output file bytes or None) of one ``cli.main`` call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv + [f"--out={path}"])
+            except SystemExit as exc:  # argparse's refusals
+                code = exc.code
+        written = pathlib.Path(path).read_bytes() if os.path.exists(path) else None
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_simulate_and_regions_either_work_or_refuse_up_front(argv):
+    code, out, err, written = result = _run(argv)
+    if code == 0:
+        assert written is not None and out == ""
+        assert not re.search(rb"nan|inf", written, re.IGNORECASE), written
+    else:
+        assert code == 2, result
+        assert out == "" and written is None, result
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            err.splitlines()[-1]], err
+    assert _run(argv) == result

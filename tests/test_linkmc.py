@@ -32,8 +32,8 @@ def _instance(d, sym_id, slot):
 
 def _steps(d):
     """(symbol, decoding user) of each decode step, read off its signal link."""
-    links = d.table.links
-    return [(d.symbols[links.symbol[n]].id, ch.CELLS[links.cell[n]][0]) for n in d.table.signal]
+    table = d.table
+    return [(d.symbols[table.symbol[n]].id, ch.CELLS[table.cell[n]][0]) for n in table.signal]
 
 
 def _column(d, sym_id, user):
@@ -107,7 +107,7 @@ def test_sic_fdma_rate_is_single_user_formula():
     x_a, x_b = mc.sic_rates(d, r, p)
     assert x_a == pytest.approx(np.log2(1 + 4.0 * p), rel=1e-12)
     assert x_b == pytest.approx(np.log2(1 + 1.0 * p), rel=1e-12)
-    assert d.table.payloads == (("x_A", (0,)), ("x_B", (1,)))
+    assert d.table.payloads == (("x_A", 0, (0,)), ("x_B", 1, (1,)))
 
 
 def test_sic_u0_step_matches_hand_computed_sinr():
@@ -173,7 +173,7 @@ def test_delivered_rate_is_worst_decoder():
     # Both users decode the common symbol, so its payload reads both their
     # steps; a report credits the minimum over a payload's steps.
     d = sch.optimal_unmatched_descriptor(Q)
-    columns = dict(d.table.payloads)["xc_A"]
+    columns = {sym_id: steps for sym_id, _, steps in d.table.payloads}["xc_A"]
     assert sorted(columns) == sorted(_column(d, "xc_A", user) for user in ch.USERS)
 
 
@@ -244,9 +244,9 @@ def test_zfbf_perfect_csit_rate_offset():
     d = sch.zfbf_descriptor(q, UNMATCHED)
     p = 1e4
     means = mc.trial_rates(d, q, UNMATCHED, p, trials=800, seed=3).mean(axis=0)
-    for sym, columns in d.table.payloads:
+    for sym, _, columns in d.table.payloads:
         assert abs(min(means[c] for c in columns) - np.log2(p / 2)) < 1.5, sym
-    assert [sym for sym, _ in d.table.payloads] == ["u_A", "v_A", "u_B", "v_B"]
+    assert [sym for sym, _, _ in d.table.payloads] == ["u_A", "v_A", "u_B", "v_B"]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def test_report_rates_are_duration_weighted_delivered_rates():
     means = mc.trial_rates(d, Q, UNMATCHED, ch.db_to_linear(30.0), trials, seed=12).mean(axis=0)
     per_use = {
         sym_id: min(means[c] for c in columns) / len(ch.SUBBANDS)
-        for sym_id, columns in d.table.payloads
+        for sym_id, _, columns in d.table.payloads
     }
     report = mc.estimate_dof(d, Q, UNMATCHED, (20.0, 30.0, 40.0), trials=trials, seed=12)
     for sym, value in per_use.items():
@@ -446,7 +446,7 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch):
     for snr_db in ladder:
         means = mc.trial_rates(d, Q, UNMATCHED, ch.db_to_linear(snr_db), trials,
                                seed=5).mean(axis=0)
-        for sym_id, columns in d.table.payloads:
+        for sym_id, _, columns in d.table.payloads:
             want = float(min(means[c] for c in columns)) / len(ch.SUBBANDS)
             assert whole.rates[sym_id][mc._db_key(snr_db)] == want, (snr_db, sym_id)
     monkeypatch.setattr(mc, "TRIAL_BLOCK", 7)
@@ -596,7 +596,7 @@ def test_link_powers_equal_the_flatnonzero_walk(trials):
     ps = [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
     cells = ch.sample_ladder_cells(2, Q, UNMATCHED, ps, trials)
     for d in (sch.optimal_unmatched_descriptor(Q), sch.s3_descriptor(Q), sch.fdma_descriptor()):
-        args = (cells, d.symbols, d.table.links, ps)
+        args = (cells, d.symbols, d.table, ps)
         assert np.array_equal(mc._link_powers(*args), _link_powers_oracle(*args))
 
 

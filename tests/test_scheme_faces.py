@@ -4,15 +4,20 @@ split, built on ``Fraction`` qualities.
 
 Every builder branch (a common layer below beta = 1, the repeated u_0
 above beta = alpha, a matched subband at quality 0 or 1) is constant on a
-face, so these seven builds fix the shape of every build.
+face, so these seven builds fix the shape of every build.  Each face's
+builds also read one compiled decode table, which the last tests check.
 """
 
+import functools
 import numbers
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from dofsim import channel as ch
+from dofsim import linkmc as mc
 from dofsim import schemes as sch
 from dofsim.channel import QualityPair, Scenario
 from test_schemes import SCHEME_SCENARIOS
@@ -370,3 +375,49 @@ def test_every_scheme_and_face_is_pinned():
     assert sorted(PINNED) == sorted((scheme, kind, beta, alpha)
                                     for scheme, kind in SCHEME_SCENARIOS if scheme != "fdma"
                                     for beta, alpha in FACES)
+
+
+def _payloads_by_scan(d):
+    """The first instance of each payload by a scan of ``d.symbols``, in order of first
+    appearance: the oracle of ``SchemeDescriptor.payloads``, which reads the table's rows."""
+    out = {}
+    for s in d.symbols:
+        out.setdefault(s.id, s)
+    return out
+
+
+#: The linear SNR of the received-power comparison (40 dB).
+P = 1e4
+
+
+@functools.cache
+def _cells(trials):
+    """Cells with no zero estimate, so every precoder of every face has a direction.
+
+    The powers of a descriptor's links depend only on the cells they are
+    given, not on the qualities the descriptor was built for."""
+    return ch.sample_ladder_cells(7, QualityPair(0.8, 0.5), ch.UNMATCHED, [P], trials)
+
+
+@pytest.mark.parametrize("beta,alpha", FACES)
+@pytest.mark.parametrize("scheme,kind", SCHEME_SCENARIOS)
+def test_each_face_reads_one_decode_table(scheme, kind, beta, alpha):
+    exact = QualityPair(Fraction(beta), Fraction(alpha))
+    d = sch.build_descriptor(scheme, exact, Scenario(kind))
+    floats = sch.build_descriptor(scheme, QualityPair(float(exact.beta), float(exact.alpha)),
+                                  Scenario(kind))
+    assert floats.table is d.table
+    assert list(d.payloads().items()) == list(_payloads_by_scan(d).items())
+    links = list(zip(d.table.symbol.tolist(), d.table.cell.tolist()))
+    for trials in (1, 100, 4096):
+        cells = _cells(trials)
+        powers = mc._link_powers(cells, d.symbols, d.table, [P])
+        for n, (i, c) in enumerate(links):
+            got = mc.received_power(cells[:, 0], d.symbols[i], ch.CELLS[c][0], P)
+            assert got.shape == (trials,) and np.array_equal(got, powers[n, 0]), (trials, n)
+
+
+def test_a_one_step_plan_naming_an_unknown_user_is_refused():
+    sym = sch.fdma_descriptor().symbols[0]
+    with pytest.raises(ValueError, match="decode step names unknown user 'user3'"):
+        mc.received_power(_cells(1)[:, 0], sym, "user3", P)

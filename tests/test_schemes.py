@@ -79,6 +79,13 @@ def test_power_term_validation():
         sch.PowerTerm(1, 0.5, 0.5)
     with pytest.raises(ValueError):
         sch.PowerTerm(1, 0.5, 0.8)
+    # Only an exact coefficient keeps the power ledger exact, and it is kept as given.
+    for inexact in (0.5, True, np.int64(1), "1/2"):
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            sch.PowerTerm(inexact, 1.0)
+    half = Fraction(1, 2)
+    assert sch.PowerTerm(half, 1.0).coeff is half
+    assert type(sch.PowerTerm(1, 1.0).coeff) is int
 
 
 def test_symbol_spec_validation():
@@ -139,7 +146,7 @@ def test_optimal_unmatched_precoders_and_repetition():
 
 def _table_steps(d):
     """(user, target instance, interfering instances) of each step, read off d.table."""
-    links, pad = d.table.links, len(d.table.links.cell)
+    links, pad = d.table, len(d.table.cell)
     return [(CELLS[links.cell[signal]][0], int(links.symbol[signal]),
              tuple(int(links.symbol[n]) for n in row if n != pad))
             for signal, row in zip(d.table.signal.tolist(), d.table.interference.tolist())]
@@ -221,37 +228,37 @@ def test_compiled_indices_match_the_links_and_steps(scheme, beta, alpha):
     """The table's arrays against the decode plan's steps under the interference rule."""
     for kind in sch.SCHEMES[scheme].scenarios:
         d = sch.build_descriptor(scheme, QualityPair(beta, alpha), Scenario(kind))
-        table, index = d.table, d.table.links
+        table = d.table
         steps = _reference_steps(d)
         assert _table_steps(d) == steps
         # Every link of a step is received in the step's cell, and the
         # links are the steps' (instance, user) pairs in order of first use.
         for (user, _, _), signal, row in zip(steps, table.signal.tolist(),
                                              table.interference.tolist()):
-            slot = d.symbols[index.symbol[signal]].slot
-            assert {index.cell[n] for n in row + [signal] if n != len(index.cell)} == {
+            slot = d.symbols[table.symbol[signal]].slot
+            assert {table.cell[n] for n in row + [signal] if n != len(table.cell)} == {
                 CELLS.index((user, slot))}
         used = {}
         for user, target, interference in steps:
             for i in (target,) + interference:
                 used.setdefault((i, user), len(used))
-        assert list(zip(index.symbol.tolist(), [CELLS[c][0] for c in index.cell])) == list(used)
+        assert list(zip(table.symbol.tolist(), [CELLS[c][0] for c in table.cell])) == list(used)
         assert table.interference.shape == (len(steps), max(len(st[2]) for st in steps))
-        assert index.cell.tolist() == [CELLS.index((user, d.symbols[i].slot))
+        assert table.cell.tolist() == [CELLS.index((user, d.symbols[i].slot))
                                        for i, user in used]
-        assert [index.precoders[r] for r in index.precoder] == [
+        assert [table.precoders[r] for r in table.precoder] == [
             d.symbols[i].precoder for i, _ in used]
-        assert len(set(index.precoders)) == len(index.precoders)
-        assert [kind for kind, _, _ in index.kinds] == [
-            k for k in sch.PRECODER_KINDS if any(pre.kind == k for pre in index.precoders)]
-        for kind, rows, refs in index.kinds:
-            assert rows.tolist() == [r for r, pre in enumerate(index.precoders)
+        assert len(set(table.precoders)) == len(table.precoders)
+        assert [kind for kind, _, _ in table.kinds] == [
+            k for k in sch.PRECODER_KINDS if any(pre.kind == k for pre in table.precoders)]
+        for kind, rows, refs in table.kinds:
+            assert rows.tolist() == [r for r, pre in enumerate(table.precoders)
                                      if pre.kind == kind]
             if kind == "basis_e1":
                 assert refs is None
             else:
-                assert refs.tolist() == [CELLS.index((index.precoders[r].user,
-                                                      index.precoders[r].subband))
+                assert refs.tolist() == [CELLS.index((table.precoders[r].user,
+                                                      table.precoders[r].subband))
                                          for r in rows.tolist()]
 
 
@@ -819,10 +826,9 @@ def test_estimate_dof_reads_the_same_from_an_exact_build(scheme, kind):
 
 
 def _index_arrays(table):
-    links = table.links
-    arrays = [links.precoder, links.cell, links.symbol, table.signal, table.interference]
-    arrays += [a for _, rows, refs in links.kinds for a in (rows, refs) if a is not None]
-    arrays += [a for _, *group in links.by_cell for a in group]
+    arrays = [table.precoder, table.cell, table.symbol, table.signal, table.interference]
+    arrays += [a for _, rows, refs in table.kinds for a in (rows, refs) if a is not None]
+    arrays += [a for _, *group in table.by_cell for a in group]
     return arrays
 
 
