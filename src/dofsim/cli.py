@@ -160,8 +160,8 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
                     d = schemes.build_descriptor(scheme, q, Scenario(kind))
                     if d not in at_q:  # fdma's descriptor is the same in both scenarios
                         at_q.append(d)
+                        schemes.check_power_identity(d)
             descriptors += at_q
-        # Each descriptor's constructor checks that its subband ledgers telescope.
         count = len(SUBBANDS) * len(descriptors)
         yield "power-identity", True, f"{count} slot ledgers telescope to P"
     except ValueError as exc:

@@ -147,13 +147,6 @@ def outer_bound(q) -> DofRegion:
     return DofRegion((1, s - 1), (s - 1, 1))
 
 
-def contains(region: DofRegion, point: Tuple[float, float], tol: float = 1e-9) -> bool:
-    """Rank test: every constraint of the region holds at the point, within tol."""
-    x, y = point
-    r1, r2, r12 = region.ranks
-    return -tol <= x <= r1 + tol and -tol <= y <= r2 + tol and x + y <= r12 + tol
-
-
 def region_equal(r1: DofRegion, r2: DofRegion, tol: float = 1e-9) -> bool:
     """Equality of the three ranks within tol (tol = 0 with Fractions is exact)."""
     return all(abs(a - b) <= tol for a, b in zip(r1.ranks, r2.ranks))

@@ -33,10 +33,16 @@ estimate and decoded by its owner; s3 and the optimal unmatched scheme add
 the repeated aligned symbol u_0.
 
 ``SCHEMES`` is the single home of each scheme's builder and its scenarios,
-and ``build_descriptor`` its one gate: ``analytic_sum_dof`` builds through
-it, so both refuse an unknown scheme or scenario with the same message.
-Builders keep the number type of ``q``: the closed-form sum DoF is read off
-``Fraction`` builds, and the achievability audit runs on them, exactly.
+and ``_scheme`` its one gate: ``build_descriptor`` and ``analytic_sum_dof``
+read through it, so both refuse an unknown scheme or scenario with the
+same message.
+Builders keep the number type of ``q``, and every branch of theirs is
+constant on each face of the quality triangle, where every exponent is
+affine in (beta, alpha).  So ``build_descriptor`` runs each builder once
+per face, on ``_Affine`` forms that compare as functions on the face, and
+that template's checks hold on the whole face; a build evaluates its forms
+at q, in q's number type.  The closed-form sum DoF is read off the interior
+template, and the achievability audit runs on ``Fraction`` builds, exactly.
 """
 
 from __future__ import annotations
@@ -44,8 +50,10 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -280,7 +288,7 @@ class SchemeDescriptor:
     table: DecodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._check_power_identity()
+        check_power_identity(self)
         object.__setattr__(self, "table", _compile(
             tuple((sym.id, sym.slot, sym.precoder) for sym in self.symbols),
             tuple(self.decode_plan)))
@@ -301,16 +309,7 @@ class SchemeDescriptor:
         for sym_id, share in split.items():
             if not 0 <= share <= 1:
                 raise ValueError(f"common split for {sym_id!r} must lie in [0, 1], got {share}")
-        object.__setattr__(self, "common_split", split)
-
-    def _check_power_identity(self) -> None:
-        for slot_id in SUBBANDS:
-            ledger = power_ledger(self, slot_id)
-            if ledger != {1.0: Fraction(1)}:
-                raise ValueError(
-                    f"power identity violated in slot {slot_id!r} of {self.name!r}: "
-                    f"summed terms are {ledger} instead of P"
-                )
+        object.__setattr__(self, "common_split", MappingProxyType(split))  # read-only: shared
 
     # -- accessors ---------------------------------------------------------
 
@@ -333,6 +332,17 @@ def power_ledger(d: SchemeDescriptor, slot_id: str) -> Dict[float, Fraction]:
         for exponent, coeff in sym.power.ledger():
             acc[exponent] = acc.get(exponent, 0) + coeff
     return {e: c for e, c in acc.items() if c != 0}
+
+
+def check_power_identity(d: SchemeDescriptor) -> None:
+    """Raise ValueError unless each subband's power terms telescope to P."""
+    for slot_id in SUBBANDS:
+        ledger = power_ledger(d, slot_id)
+        if ledger != {1.0: Fraction(1)}:
+            raise ValueError(
+                f"power identity violated in slot {slot_id!r} of {d.name!r}: "
+                f"summed terms are {ledger} instead of P"
+            )
 
 
 # -- descriptor builders ---------------------------------------------------
@@ -514,18 +524,137 @@ OPTIMAL = {"unmatched": "optimal-unmatched", "matched": "matched-optimal"}
 SCHEME_NAMES = tuple(sorted(SCHEMES))
 
 
-def build_descriptor(scheme: str, q: QualityPair, scenario: Scenario) -> SchemeDescriptor:
-    """Build any named scheme; scheme names match the command-line ones."""
+def _scheme(scheme: str, kind: str) -> Scheme:
+    """The row of a scheme defined for the scenario kind: the one scheme/scenario gate."""
     try:
         row = SCHEMES[scheme]
     except KeyError:
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}"
         ) from None
-    if scenario.kind not in row.scenarios:
+    if kind not in row.scenarios:
         raise ValueError(f"scheme {scheme!r} requires the {row.scenarios[0]} scenario, "
-                         f"got {scenario.kind!r}")
-    return row.build(q, scenario)
+                         f"got {kind!r}")
+    return row
+
+
+def build_descriptor(scheme: str, q: QualityPair, scenario: Scenario) -> SchemeDescriptor:
+    """Build any named scheme; scheme names match the command-line ones.
+
+    The template of q's face, evaluated at q: the same fields, bits and
+    number types as the builder's own build on q."""
+    b, a = q.beta, q.alpha
+    return _at(_template(_scheme(scheme, scenario.kind).build, scenario.kind,
+                         (b == 1, b == a, a == 0)), q)
+
+
+# -- face templates --------------------------------------------------------
+
+
+@functools.total_ordering
+class _Affine:
+    """c0 + cb*beta + ca*alpha, an exponent on one face of the quality triangle.
+
+    It compares as a function on the face, by its values at the face's
+    corners: a comparison holds at every point of the face or at none, or
+    it raises.  So a builder run on forms takes the branches of every point
+    of the face, and a power ledger keyed by forms telescopes on all of it.
+    """
+
+    def __init__(self, form, face):
+        self.form, self.face = form, face
+
+    def __repr__(self) -> str:
+        return "({} + {}*beta + {}*alpha)".format(*self.form)
+
+    def _zip(self, op, x):
+        return _Affine(tuple(map(op, self.form, x.form if isinstance(x, _Affine) else (x, 0, 0))),
+                       self.face)
+
+    def __add__(self, x):
+        return self._zip(operator.add, x)
+
+    __radd__ = __add__
+
+    def __sub__(self, x):
+        return self._zip(operator.sub, x)
+
+    def __rsub__(self, x):
+        return self._zip(lambda c, d: d - c, x)
+
+    def __truediv__(self, k):
+        return self._zip(lambda c, _: Fraction(c) / k, 0)
+
+    def _values(self) -> List:
+        """The form's values at the face's corners."""
+        c0, cb, ca = self.form
+        return [c0 + cb * b + ca * a for b, a in self.face]
+
+    def _sign(self, x) -> int:
+        v = (self - x)._values()
+        if min(v) < 0 < max(v):
+            raise ValueError(f"{self!r} - {x!r} changes sign on the face with corners {self.face}")
+        return (max(v) > 0) - (min(v) < 0)
+
+    def __eq__(self, x):
+        return self._sign(x) == 0 if isinstance(x, (_Affine, numbers.Real)) else NotImplemented
+
+    def __lt__(self, x):
+        return self._sign(x) < 0
+
+    def __hash__(self) -> int:  # a form constant on the face hashes as that number
+        v = self._values()
+        return hash(v[0] if len(set(v)) == 1 else tuple(v))
+
+
+#: The corners (beta, alpha) of the quality triangle, each opposite one of its
+#: edges beta = 1, alpha = beta and alpha = 0.
+_CORNERS = ((0, 0), (1, 0), (1, 1))
+
+
+@functools.cache
+def _template(build: Callable, kind: str, on_edges: Tuple[bool, bool, bool]) -> SchemeDescriptor:
+    """build's descriptor on the face that lies on the given edges, its
+    exponents ``_Affine`` forms: its checks run once and hold on all the face."""
+    face = tuple(v for v, on in zip(_CORNERS, on_edges) if not on)
+    return build(QualityPair(_Affine((0, 1, 0), face), _Affine((0, 0, 1), face)), Scenario(kind))
+
+
+def _evaluate(form, beta, alpha):
+    """c0 + (cb*beta + ca*alpha) without its zero terms, in the number type of beta and alpha."""
+    c0, cb, ca = form
+    if not (cb or ca):
+        return c0
+    slope = cb * beta + ca * alpha if cb and ca else cb * beta if cb else ca * alpha
+    return c0 + slope if c0 else slope
+
+
+def _like(obj, **changes):
+    """A copy of a frozen dataclass instance with some fields changed, without
+    its checks: the template ran them for every point of its face."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **changes)
+    return new
+
+
+def _at(t: SchemeDescriptor, q: QualityPair) -> SchemeDescriptor:
+    """Template t evaluated at q, a point of its face, sharing every part that
+    does not depend on q: the plan, the table, the read-only common split,
+    constant power terms and symbols, and all of fdma's descriptor."""
+    def at(x):
+        return _evaluate(x.form, q.beta, q.alpha) if type(x) is _Affine else x
+
+    symbols = []
+    for sym in t.symbols:
+        p, rate = sym.power, sym.rate_exponent
+        if type(p.hi) is _Affine or type(p.lo) is _Affine:
+            p = _like(p, hi=at(p.hi), lo=at(p.lo))
+        if p is not sym.power or type(rate) is _Affine:
+            sym = _like(sym, power=p, rate_exponent=at(rate))
+        symbols.append(sym)
+    if t.quality is None and all(map(operator.is_, symbols, t.symbols)):
+        return t
+    return _like(t, quality=None if t.quality is None else q, symbols=tuple(symbols))
 
 
 # -- analytic DoF ----------------------------------------------------------
@@ -539,13 +668,11 @@ def analytic_sum_dof(strategy: str, q: QualityPair, scenario="unmatched"):
 
 @functools.cache
 def _sum_dof_form(scheme: str, kind: str):
-    """Exact (c0, cb, ca) with sum DoF c0 + cb*beta + ca*alpha, and its floats.
-
-    The builder's sum DoF is affine on the quality triangle, so exact builds
-    at its vertices fix the form."""
-    vertices = [QualityPair(Fraction(b), Fraction(a)) for b, a in ((0, 0), (1, 0), (1, 1))]
-    at = [Fraction(sum_dof_exponent(build_descriptor(scheme, q, Scenario(kind)))) for q in vertices]
-    exact = (at[0], at[1] - at[0], at[2] - at[1])
+    """Exact (c0, cb, ca) with sum DoF c0 + cb*beta + ca*alpha, and its floats,
+    read off the scheme's template inside the quality triangle: the sum DoF
+    is continuous, so the form holds on the edges and corners too."""
+    dof = sum_dof_exponent(_template(_scheme(scheme, kind).build, kind, (False,) * 3))
+    exact = tuple(map(Fraction, dof.form if isinstance(dof, _Affine) else (dof, 0, 0)))
     return exact, tuple(map(float, exact))
 
 
@@ -553,18 +680,13 @@ def analytic_sum_dof_at(strategy: str, beta, alpha, scenario="unmatched"):
     """``analytic_sum_dof`` on raw exponents, which may be numpy arrays.
 
     The caller keeps 0 <= alpha <= beta <= 1 elementwise.  The form is
-    c0 + (cb*beta + ca*alpha) without its zero terms, exact on rational
-    exponents; fdma's has neither beta nor alpha, so it gives a scalar.
+    evaluated as a template's exponents are, exact on rational exponents;
+    fdma's has neither beta nor alpha, so it gives a scalar.
     """
     kind = (scenario if isinstance(scenario, Scenario) else Scenario(scenario)).kind
     exact, floats = _sum_dof_form(OPTIMAL[kind] if strategy == "optimal" else strategy, kind)
     rational = isinstance(beta, numbers.Rational) and isinstance(alpha, numbers.Rational)
-    c0, cb, ca = exact if rational else floats
-    terms = [c * x for c, x in ((cb, beta), (ca, alpha)) if c]
-    if not terms:
-        return c0
-    slope = sum(terms[1:], terms[0])
-    return c0 + slope if c0 else slope
+    return _evaluate(exact if rational else floats, beta, alpha)
 
 
 def sum_dof_exponent(d: SchemeDescriptor) -> float:

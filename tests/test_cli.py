@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dofsim import cli, linkmc, regions, schemes, switcher
-from dofsim.channel import SCENARIO_KINDS
+from dofsim.channel import SCENARIO_KINDS, Scenario
 from dofsim.linkmc import SimReport
 
 # exit-code contract: 0 success, 1 verification failure, 2 bad args, 3 I/O
@@ -252,6 +252,24 @@ def test_verify_battery_passes(capsys):
     assert "[PASS] power-identity: 2772 slot ledgers telescope to P" in out
 
 
+def test_verify_checks_every_grid_ledger_itself(monkeypatch):
+    """Builds evaluate face templates, whose ledgers were proved once, so
+    verify runs ``power_ledger`` on each subband of each grid descriptor."""
+    scenarios = [Scenario(kind) for kind in SCENARIO_KINDS]
+    assert next(cli._verify_checks(scenarios, 0))[1]  # builds every template the grid needs
+    seen = []
+    ledger = schemes.power_ledger
+    monkeypatch.setattr(schemes, "power_ledger",
+                        lambda d, slot: seen.append(slot) or ledger(d, slot))
+    assert next(cli._verify_checks(scenarios, 0)) == (
+        "power-identity", True, "2772 slot ledgers telescope to P")
+    assert len(seen) == 2772
+    monkeypatch.setattr(schemes, "power_ledger", lambda d, slot: {})
+    name, passed, detail = next(cli._verify_checks(scenarios, 0))
+    assert (name, passed) == ("power-identity", False)
+    assert detail.startswith("power identity violated in slot 'A' of 'fdma'"), detail
+
+
 def test_verify_composition_identity_is_exact(monkeypatch, capsys):
     # A composition off by 1e-15 in every rank, far inside any float
     # tolerance, must fail the exact check.
@@ -456,30 +474,63 @@ def _argvs(draw):
     return ["simulate"] + argv + ([] if scenario is None else [f"--scenario={scenario}"])
 
 
-def _run(argv):
-    """(exit code, stdout, stderr, output file bytes or None) of one ``cli.main`` call."""
+def _run(argv, writes=True):
+    """(exit code, stdout, stderr, output file bytes or None) of one ``cli.main``
+    call, given an ``--out`` file when the command ``writes`` one."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = cli.main(argv + [f"--out={path}"])
+                code = cli.main(argv + ([f"--out={path}"] if writes else []))
             except SystemExit as exc:  # argparse's refusals
                 code = exc.code
         written = pathlib.Path(path).read_bytes() if os.path.exists(path) else None
     return code, out.getvalue(), err.getvalue(), written
 
 
-@settings(max_examples=300, deadline=None)
-@given(_argvs())
-def test_simulate_and_regions_either_work_or_refuse_up_front(argv):
-    code, out, err, written = result = _run(argv)
+def _assert_works_or_refuses_up_front(argv, writes=True):
+    """Exit 0 with a finite artifact (the output file, or verify's report on
+    stdout), or exit 2 with one ``error:`` line and nothing written; the same
+    bytes again on a repeat."""
+    code, out, err, written = result = _run(argv, writes)
     if code == 0:
-        assert written is not None and out == ""
-        assert not re.search(rb"nan|inf", written, re.IGNORECASE), written
+        artifact = written if writes else out.encode()
+        assert artifact and (out == "" if writes else written is None), result
+        assert not re.search(rb"nan|inf", artifact, re.IGNORECASE), artifact
     else:
         assert code == 2, result
         assert out == "" and written is None, result
         assert [line for line in err.splitlines() if "error:" in line] == [
             err.splitlines()[-1]], err
-    assert _run(argv) == result
+    assert _run(argv, writes) == result
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_simulate_and_regions_either_work_or_refuse_up_front(argv):
+    _assert_works_or_refuses_up_front(argv)
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+#: Steps that divide 1 (coarse, or the benchmark's 0.005), that do not, that
+#: raster too many cells, and that lie outside (0, 0.1].
+_STEPS = st.floats(0.01, 0.1) | st.sampled_from([
+    0.1, 0.05, 0.02, 0.005, 0.03, 1 / 3, 0.0, -0.1, 5e-324, 1e-4,
+    float(np.nextafter(0.1, 1.0))] + _NON_FINITE)
+_RHOS = st.floats(0, 1) | st.sampled_from([0.0, 5e-324, 0.9, 1.0, _ULP_ABOVE_1, -0.5] + _NON_FINITE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SCENARIO_KINDS), _STEPS, _RHOS, st.sampled_from(["csv", "json"]))
+def test_sweep_either_works_or_refuses_up_front(scenario, step, rho, fmt):
+    _assert_works_or_refuses_up_front(["sweep", f"--scenario={scenario}", f"--step={step!r}",
+                                       f"--rho={rho!r}", f"--format={fmt}"])
+
+
+@pytest.mark.parametrize("seed,scenario", [
+    ("-1", None), ("1.5", None), ("nan", "unmatched"), ("0x10", "matched"),
+    (str(10**23), "matched"), ("7", None)])
+def test_verify_either_works_or_refuses_up_front(seed, scenario):
+    argv = ["verify", f"--seed={seed}"] + ([] if scenario is None else [f"--scenario={scenario}"])
+    _assert_works_or_refuses_up_front(argv, writes=False)

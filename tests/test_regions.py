@@ -21,6 +21,14 @@ from dofsim import regions as reg
 from dofsim.channel import QualityPair
 from dofsim.cli import _EDGE_PAIRS
 
+
+def contains(region, point, tol=1e-9):
+    """Rank test: every constraint of the region holds at the point, within tol."""
+    x, y = point
+    r1, r2, r12 = region.ranks
+    return -tol <= x <= r1 + tol and -tol <= y <= r2 + tol and x + y <= r12 + tol
+
+
 _COMPOSERS = (
     (reg.compose_unmatched, reg.components_unmatched),
     (reg.compose_matched, reg.components_matched),
@@ -83,12 +91,12 @@ def test_canonical_unknown_kind():
 
 def test_alternating_sum_face_point():
     # (0.75, 0.75) sits on the d1 + d2 = 1.5 face.
-    assert reg.contains(reg.canonical("alternating"), (0.75, 0.75))
-    assert not reg.contains(reg.canonical("alternating"), (0.76, 0.76))
+    assert contains(reg.canonical("alternating"), (0.75, 0.75))
+    assert not contains(reg.canonical("alternating"), (0.76, 0.76))
 
 
 def test_perfect_contains_corner():
-    assert reg.contains(reg.canonical("perfect"), (1.0, 1.0))
+    assert contains(reg.canonical("perfect"), (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +132,8 @@ def test_constructor_enforces_down_closure():
     assert r.ranks == (0.9, 0.7, 0.9 + 0.2)
     assert r.vertices == ((0.0, 0.0), (0.9, 0.0), (0.9, 0.2), (0.4, 0.7), (0.0, 0.7))
     for p in [(0.0, 0.0), (0.9, 0.0), (0.0, 0.7), (0.4, 0.0), (0.0, 0.2), (0.9, 0.2), (0.4, 0.7)]:
-        assert reg.contains(r, p)
-    assert not reg.contains(r, (0.9, 0.21))
+        assert contains(r, p)
+    assert not contains(r, (0.9, 0.21))
 
 
 def test_constructor_rejects_negative_coordinates():
@@ -162,16 +170,16 @@ def test_every_built_region_has_equal_corner_sums():
 def test_degenerate_point_region():
     r = reg.DofRegion((0.0, 0.0), (0.0, 0.0))
     assert r.vertices == ((0.0, 0.0),)
-    assert reg.contains(r, (0.0, 0.0))
-    assert not reg.contains(r, (0.1, 0.0))
+    assert contains(r, (0.0, 0.0))
+    assert not contains(r, (0.1, 0.0))
 
 
 def test_degenerate_segment_region():
     r = reg.DofRegion((0.5, 0.0), (0.5, 0.0))
     assert r.vertices == ((0.0, 0.0), (0.5, 0.0))
-    assert reg.contains(r, (0.25, 0.0))
-    assert not reg.contains(r, (0.25, 0.01))
-    assert not reg.contains(r, (0.51, 0.0))
+    assert contains(r, (0.25, 0.0))
+    assert not contains(r, (0.25, 0.01))
+    assert not contains(r, (0.51, 0.0))
 
 
 _RANK = st.fractions(0, 2, max_denominator=1000)
@@ -321,8 +329,8 @@ def test_outer_bound_reference_point():
     r = reg.outer_bound(QualityPair(0.8, 0.5))
     assert len(r.vertices) == 5
     assert _support(r, (1.0, 1.0)) == pytest.approx(1.65, abs=1e-12)
-    assert reg.contains(r, (1.0, 0.65))
-    assert not reg.contains(r, (1.0, 0.66))
+    assert contains(r, (1.0, 0.65))
+    assert not contains(r, (1.0, 0.66))
 
 
 def test_outer_bound_corners():
@@ -379,7 +387,7 @@ def test_composition_monotone_in_quality():
         lo = QualityPair(max(a, b), min(a, b))
         hi = QualityPair(min(1.0, lo.beta + db), min(min(1.0, lo.beta + db), lo.alpha + da))
         small, big = reg.compose_unmatched(lo), reg.compose_unmatched(hi)
-        assert all(reg.contains(big, p) for p in small.vertices)
+        assert all(contains(big, p) for p in small.vertices)
 
 
 def test_support_trivial():

@@ -5,7 +5,10 @@ split, built on ``Fraction`` qualities.
 Every builder branch (a common layer below beta = 1, the repeated u_0
 above beta = alpha, a matched subband at quality 0 or 1) is constant on a
 face, so these seven builds fix the shape of every build.  Each face's
-builds also read one compiled decode table, which the last tests check.
+builds also read one compiled decode table, which the next tests check.
+The last ones check ``build_descriptor``'s face templates against the
+builders themselves, the oracle, field by field, bit by bit and type by
+type, and that a template is refused where its face breaks a check.
 """
 
 import functools
@@ -421,3 +424,111 @@ def test_a_one_step_plan_naming_an_unknown_user_is_refused():
     sym = sch.fdma_descriptor().symbols[0]
     with pytest.raises(ValueError, match="decode step names unknown user 'user3'"):
         mc.received_power(_cells(1)[:, 0], sym, "user3", P)
+
+
+# ---------------------------------------------------------------------------
+# face templates: build_descriptor evaluates one template per face
+
+
+def _typed(x):
+    """x with its type and every bit of it: repr tells -0.0 from 0.0 and round-trips."""
+    return None if x is None else (type(x), repr(x))
+
+
+def _fields(d):
+    """Every field of d, each exponent as ``_typed``."""
+    return (d.name, d.scenario, d.quality, d.decode_plan, dict(d.common_split),
+            [(s.id, s.owner, s.slot, s.precoder, _typed(s.power.coeff), _typed(s.power.hi),
+              _typed(s.power.lo), _typed(s.rate_exponent)) for s in d.symbols])
+
+
+def _assert_builds_match_the_builders(pairs):
+    for beta, alpha in pairs:
+        q = QualityPair(beta, alpha)
+        for scheme, kind in SCHEME_SCENARIOS:
+            built = sch.build_descriptor(scheme, q, Scenario(kind))
+            oracle = sch.SCHEMES[scheme].build(q, Scenario(kind))  # the builder, every check run
+            assert _fields(built) == _fields(oracle), (scheme, kind, beta, alpha)
+            assert built.quality is oracle.quality
+
+
+def test_builds_equal_the_builders_on_the_verify_grid():
+    grid = [Fraction(i, 20) for i in range(21)]
+    _assert_builds_match_the_builders([(b, a) for b in grid for a in grid if a <= b])
+
+
+def test_builds_equal_the_builders_on_the_pinned_faces():
+    _assert_builds_match_the_builders([(Fraction(b), Fraction(a)) for b, a in FACES])
+
+
+def _ulp(x, toward):
+    return float(np.nextafter(x, toward))
+
+
+#: Points 1 ulp off each edge and corner, on the faces in denormals, and -0.0.
+_NEAR_FACES = [
+    (0.5, _ulp(0, 1)), (0.5, _ulp(0.5, 0)), (_ulp(0.5, 1), 0.5), (_ulp(1, 0), 0.5),
+    (_ulp(0, 1), 0.0), (_ulp(0, 1), _ulp(0, 1)), (_ulp(1, 0), 0.0), (1.0, _ulp(0, 1)),
+    (_ulp(1, 0), _ulp(1, 0)), (1.0, _ulp(1, 0)), (_ulp(1, 0), _ulp(_ulp(1, 0), 0)),
+    (5e-324, 0.0), (5e-324, 5e-324), (1.0, 5e-324), (2.2250738585072014e-308, 1e-310),
+    (0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (-0.0, -0.0), (0.5, -0.0), (1.0, -0.0),
+]
+
+
+def test_builds_equal_the_builders_on_floats_near_every_face():
+    rng = np.random.default_rng(2013)
+    pairs = [(float(hi), float(lo)) for lo, hi in np.sort(rng.uniform(0, 1, (200, 2)), axis=1)]
+    _assert_builds_match_the_builders(pairs + _NEAR_FACES)
+
+
+def test_builds_keep_other_number_types():
+    """ints, numpy floats and a mixed pair keep the builder's types too."""
+    _assert_builds_match_the_builders([
+        (1, 0), (1, 1), (0, 0), (np.float64(0.8), np.float64(0.5)), (np.float64(1.0), 0.25),
+        (Fraction(1, 2), 0.25), (Fraction(1, 2), 0.5), (1, Fraction(1, 3))])
+
+
+def test_a_shared_descriptor_hands_out_no_mutable_state():
+    q1, q2 = QualityPair(0.8, 0.5), QualityPair(0.7, 0.2)
+    for scheme, kind in SCHEME_SCENARIOS:
+        d1, d2 = (sch.build_descriptor(scheme, q, Scenario(kind)) for q in (q1, q2))
+        before = dict(d2.common_split)
+        with pytest.raises(TypeError):
+            d1.common_split["xc_A"] = 0.5
+        assert dict(d2.common_split) == before
+        assert type(d1.symbols) is tuple and type(d1.decode_plan) is tuple
+        with pytest.raises(AttributeError):
+            d1.symbols[0].power.hi = 0.0
+    # fdma's descriptor does not depend on q, so every build shares it whole.
+    assert (sch.build_descriptor("fdma", q1, ch.UNMATCHED)
+            is sch.build_descriptor("fdma", q2, ch.UNMATCHED))
+
+
+def _no_u0(q, scenario):
+    """optimal-unmatched without u_0 and its cross private at P^alpha/2: each
+    subband's power telescopes to P only where alpha = beta."""
+    b, a = q.beta, q.alpha
+    symbols = [s for slot in ch.SUBBANDS for s in (
+        sch._common(slot, b), sch._private("user1", slot, a, a), sch._private("user2", slot, a, a))]
+    plan = sch._decode_commons(symbols) + [sch._decode(s) for s in symbols if s.owner != "common"]
+    return sch.SchemeDescriptor("no-u0", "unmatched", q, tuple(symbols), tuple(plan))
+
+
+def test_a_template_whose_ledger_does_not_telescope_on_its_face_is_refused():
+    # On the edge alpha = beta, and at each of its points, the ledger telescopes.
+    assert sch._template(_no_u0, "unmatched", (False, True, False)).name == "no-u0"
+    sch.check_power_identity(_no_u0(QualityPair(Fraction(3, 5), Fraction(3, 5)), None))
+    # Inside the triangle it does not, although it does at every point with alpha = beta.
+    with pytest.raises(ValueError, match="power identity violated in slot 'A' of 'no-u0'"):
+        sch._template(_no_u0, "unmatched", (False, False, False))
+
+
+def _split_at_half(q, scenario):
+    """fdma with a branch that is not constant on a face."""
+    return sch.fdma_descriptor() if q.beta > Fraction(1, 2) else sch.fdma_descriptor()
+
+
+def test_a_builder_branch_that_is_not_constant_on_its_face_is_refused():
+    with pytest.raises(ValueError, match="changes sign on the face"):
+        sch._template(_split_at_half, "unmatched", (False, False, False))
+    assert sch._template(_split_at_half, "unmatched", (True, False, False)).name == "fdma"

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
 from dofsim.channel import CELLS, MATCHED, SUBBANDS, UNMATCHED, USERS, QualityPair, Scenario
-from dofsim.regions import contains, outer_bound
+from dofsim.regions import outer_bound
 from test_acceptance import private_loading
+from test_regions import contains
 
 Q = QualityPair(0.8, 0.5)
 
