@@ -105,7 +105,7 @@ def _link_powers(
     w = _directions(cells.estimate, table)
     values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
     values = values.reshape(values.shape + (1,) * (w.ndim - 3))  # over the trial axis, if any
-    out = np.zeros((len(table.cell) + 1,) + w.shape[1:-1])
+    out = np.zeros((table.links + 1,) + w.shape[1:-1])
     for c, links, rows, syms in table.by_cell:
         products = cells.true[c].conj() * w[rows]
         out[links] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[syms]
@@ -127,7 +127,7 @@ def received_power(cells: ChannelPair, sym: SymbolSpec, user: str, p: float):
     ``cells`` is a realization's stacked cells; elementwise over any
     trial axis after the cell axis.  The link is compiled as a one-step plan.
     """
-    table = _compile(((sym.id, sym.slot, sym.precoder),), (DecodeStep(user, sym.slot, sym.id),))
+    table = _compile((sym,), (DecodeStep(user, sym.slot, sym.id),))
     return _link_powers(_one_point(cells, p), (sym,), table, [p])[0, 0]
 
 

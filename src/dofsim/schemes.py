@@ -8,12 +8,13 @@ receiver runs successive interference cancellation (SIC): a step sees as
 interference exactly the same-subband symbols its user has not decoded
 yet, so the plan's order is the whole SIC schedule.  Each descriptor
 carries a ``DecodeTable``, built by ``_compile`` alone: read-only index
-arrays of each link's symbol, cell and precoder and each step's links,
-and each payload's first instance and decoding steps.  Both walks gather
-through it, the Monte Carlo link layer over linear received powers and
-``static_achievability_check`` over high-SNR exponents.  It reads only
-each instance's (id, slot, precoder) and the plan, so it is compiled
-once per such structure and shared by every descriptor built on it.
+arrays of each receiving cell's links, each link held once with its
+precoder and symbol, of each step's links, and each payload's first
+instance and decoding steps.  Both walks fill one value per link, cell by
+cell, and gather it per step: the Monte Carlo link layer over linear
+received powers and ``static_achievability_check`` over high-SNR
+exponents.  A descriptor compiles its own table, except that every
+``build_descriptor`` result shares the table of its face template.
 
 Builders are provided for the five strategies under study:
 
@@ -176,29 +177,24 @@ def _indices(values) -> np.ndarray:
     return out
 
 
-#: A symbol instance's structure, all that decoding reads of it: (id, slot, precoder).
-Instance = Tuple[str, str, Precoder]
-
-
 class DecodeTable(NamedTuple):
-    """A decode plan, resolved to read-only index arrays once per structure.
+    """A decode plan, resolved to read-only index arrays.
 
-    Its links are (symbol index, receiving user) pairs in order of first
-    use, cells in ``channel.CELLS`` order.  A rate table built on it has
-    one column per step, in plan order.  Row j of ``interference`` holds
-    step j's interfering links in instance order, padded with
-    ``len(cell)``, a walk's padding row (zero power, or exponent -inf).
+    Its links are (symbol instance, receiving user) pairs, numbered in
+    order of first use and held once each, grouped by receiving cell in
+    ``channel.CELLS`` order.  A rate table built on it has one column per
+    step, in plan order.  Row j of ``interference`` holds step j's
+    interfering links in instance order, padded with ``links``, a walk's
+    padding row (zero power, or exponent -inf).
     """
 
     precoders: Tuple[Precoder, ...]  # each direction the links use once, in order of first use
     #: (kind, its rows of ``precoders``, their reference cells), in
     #: ``PRECODER_KINDS`` order; basis_e1 references no cell (None)
     kinds: Tuple[Tuple[str, np.ndarray, Optional[np.ndarray]], ...]
-    precoder: np.ndarray  # per link: its row of ``precoders``
-    cell: np.ndarray  # per link: the receiving user's cell in the symbol's slot
-    symbol: np.ndarray  # per link: its symbol index
-    #: (cell, its links, their ``precoder`` rows, their symbols) of each
-    #: receiving cell that has links, in ``CELLS`` order
+    links: int  # the link count, which is also the padding row's index
+    #: (cell, its links, their rows of ``precoders``, their symbol
+    #: instances) of each receiving cell that has links, links ascending
     by_cell: Tuple[Tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     signal: np.ndarray  # per step: its signal link
     interference: np.ndarray  # (steps, width): its interfering links, padded
@@ -207,23 +203,21 @@ class DecodeTable(NamedTuple):
     payloads: Tuple[Tuple[str, int, Tuple[int, ...]], ...]
 
 
-@functools.lru_cache(maxsize=256)
-def _compile(instances: Tuple[Instance, ...], plan: Tuple[DecodeStep, ...]) -> DecodeTable:
+def _compile(symbols: Sequence[SymbolSpec], plan: Sequence[DecodeStep]) -> DecodeTable:
     """Resolve a decode plan against its symbol instances; raises on a bad reference.
 
     A step's interference is every same-slot instance other than its target
     whose symbol the step's user has not decoded in an earlier step.  The
-    table depends only on the instances' (id, slot, precoder) and the plan,
-    so every descriptor of one structure shares one table.
+    table reads only the instances' (id, slot, precoder) and the plan.
     """
     index: Dict[Tuple[str, str], int] = {}
     first: Dict[str, int] = {}  # symbol id -> its first instance
     by_slot: Dict[str, List[Tuple[str, int]]] = {}  # (symbol id, instance), descriptor order
-    for i, (sym_id, slot, _) in enumerate(instances):
-        if index.setdefault((sym_id, slot), i) != i:
-            raise ValueError(f"duplicate instance of symbol {sym_id!r} in slot {slot!r}")
-        first.setdefault(sym_id, i)
-        by_slot.setdefault(slot, []).append((sym_id, i))
+    for i, sym in enumerate(symbols):
+        if index.setdefault((sym.id, sym.slot), i) != i:
+            raise ValueError(f"duplicate instance of symbol {sym.id!r} in slot {sym.slot!r}")
+        first.setdefault(sym.id, i)
+        by_slot.setdefault(sym.slot, []).append((sym.id, i))
     decoded: Dict[str, Dict[str, int]] = {u: {} for u in USERS}  # symbol -> step
     links: Dict[Tuple[int, str], int] = {}  # (instance, user) -> link index
     steps: List[List[int]] = []  # per step: its signal link, then its interfering links
@@ -254,8 +248,8 @@ def _compile(instances: Tuple[Instance, ...], plan: Tuple[DecodeStep, ...]) -> D
     if undecoded:
         raise ValueError(f"symbols {sorted(undecoded)} are never decoded")
     rows: Dict[Precoder, int] = {}  # precoder -> its row of ``precoders``
-    per_link = [(rows.setdefault(instances[i][2], len(rows)),
-                 cell_index(user, instances[i][1]), i) for i, user in links]
+    per_link = [(rows.setdefault(symbols[i].precoder, len(rows)),
+                 cell_index(user, symbols[i].slot), i) for i, user in links]
     precoders = tuple(rows)
     kinds = []
     for kind in PRECODER_KINDS:
@@ -271,7 +265,7 @@ def _compile(instances: Tuple[Instance, ...], plan: Tuple[DecodeStep, ...]) -> D
             by_cell.append((c, *_indices(group).T))
     width = max(map(len, steps))
     by_step = _indices([row + [len(links)] * (width - len(row)) for row in steps])
-    return DecodeTable(precoders, tuple(kinds), *_indices(per_link).T, tuple(by_cell),
+    return DecodeTable(precoders, tuple(kinds), len(links), tuple(by_cell),
                        by_step[:, 0], by_step[:, 1:], payloads)
 
 
@@ -284,14 +278,12 @@ class SchemeDescriptor:
     decode_plan: Tuple[DecodeStep, ...]
     #: common symbol id -> fraction of its rate credited to user1
     common_split: Mapping[str, float] = field(default_factory=dict)
-    #: The compiled decode plan, shared by every descriptor of the same structure.
+    #: The compiled decode plan; ``build_descriptor`` shares its face template's.
     table: DecodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_power_identity(self)
-        object.__setattr__(self, "table", _compile(
-            tuple((sym.id, sym.slot, sym.precoder) for sym in self.symbols),
-            tuple(self.decode_plan)))
+        object.__setattr__(self, "table", _compile(self.symbols, self.decode_plan))
         payloads = self.payloads()
         for sym in self.symbols:
             first = payloads[sym.id]
@@ -742,38 +734,40 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
 
     Walks ``d.table`` in max-plus: a link's received exponent is its power
     term's top exponent, lowered by the CSIT quality exponent when the
-    symbol is zero-forced against the link's own receiving cell; a step
-    gathers them (-inf on the padding row).  Its signal exponent minus the
-    largest interference exponent (floored at the noise level 0) must
-    cover the symbol's rate exponent, exactly: a descriptor built on float
-    qualities is rejected with ValueError.  Raises AchievabilityError
-    naming the first failing step; returns all step margins otherwise.
+    symbol is zero-forced against the link's own receiving cell; a step of
+    ``d.decode_plan`` gathers them (-inf on the padding row).  Its signal
+    exponent minus the largest interference exponent (floored at the noise
+    level 0) must cover the symbol's rate exponent, exactly: a descriptor
+    built on float qualities is rejected with ValueError.  Raises
+    AchievabilityError naming the first failing step; returns all step
+    margins otherwise.
     """
     q = d.quality
     if q is not None and not all(isinstance(v, numbers.Rational) for v in (q.beta, q.alpha)):
         raise ValueError(f"{d.name}: the audit is exact; build the descriptor on Fraction "
                          f"qualities, not beta={q.beta!r}, alpha={q.alpha!r}")
     table = d.table
-    symbol, cell = table.symbol.tolist(), table.cell.tolist()
     zf_cell = {r: ref for kind, rows, refs in table.kinds if kind == "zf_orth"
                for r, ref in zip(rows.tolist(), refs.tolist())}  # precoder row -> nulled cell
-    exponents = []
-    for i, c, r in zip(symbol, cell, table.precoder.tolist()):
-        e = d.symbols[i].power.hi
-        if zf_cell.get(r) == c:
-            e -= Scenario(d.scenario).quality(*CELLS[c], q)
-        exponents.append(e)
-    exponents.append(-math.inf)  # the padding row
+    exponents = [-math.inf] * (table.links + 1)  # the last is the padding row
+    for c, links, rows, symbols in table.by_cell:
+        for n, r, i in zip(links.tolist(), rows.tolist(), symbols.tolist()):
+            e = d.symbols[i].power.hi
+            if zf_cell.get(r) == c:
+                e -= Scenario(d.scenario).quality(*CELLS[c], q)
+            exponents[n] = e
+    payloads = d.payloads()
     report: List[StepMargin] = []
-    for signal, row in zip(table.signal.tolist(), table.interference.tolist()):
-        user, target = CELLS[cell[signal]][0], d.symbols[symbol[signal]]
+    for step, signal, row in zip(d.decode_plan, table.signal.tolist(),
+                                 table.interference.tolist()):
+        rate = payloads[step.symbol].rate_exponent
         interference = max([exponents[n] for n in row], default=-math.inf)
         sinr = exponents[signal] - max(interference, 0)
-        margin = sinr - target.rate_exponent
+        margin = sinr - rate
         if margin < 0:
             raise AchievabilityError(
-                f"{d.name}: step ({user}, slot {target.slot}, {target.id}) needs rate "
-                f"exponent {target.rate_exponent} but the SINR exponent is {sinr}")
-        report.append(StepMargin(user, target.slot, target.id, exponents[signal],
+                f"{d.name}: step ({step.user}, slot {step.slot}, {step.symbol}) needs rate "
+                f"exponent {rate} but the SINR exponent is {sinr}")
+        report.append(StepMargin(step.user, step.slot, step.symbol, exponents[signal],
                                  interference, margin))
     return report

@@ -41,9 +41,10 @@ STRATEGIES = ("fdma", "zfbf", "s3")
 _CSV_BLOCK = 4096
 
 #: Most cells a sweep rasters: the grid of step 0.001.  Memory grows with
-#: the cell count; a csv sweep of this grid peaks near 177 MB unmatched and
-#: 120 MB matched, a json one near 94 MB unmatched (ru_maxrss, x86-64,
-#: Python 3.11, numpy 2.4).
+#: the cell count; a csv sweep of this grid peaks near 146 MB unmatched and
+#: 118 MB matched, a json one near 94 MB unmatched (the ``ru_maxrss`` of a
+#: fresh ``python -m dofsim.cli sweep --step 0.001 --out /dev/null``
+#: process, x86-64, Python 3.11.7, numpy 2.4.6).
 MAX_GRID_CELLS = 1001 ** 2
 _MAX_DIVISIONS = math.isqrt(MAX_GRID_CELLS) - 1
 

@@ -534,3 +534,11 @@ def test_sweep_either_works_or_refuses_up_front(scenario, step, rho, fmt):
 def test_verify_either_works_or_refuses_up_front(seed, scenario):
     argv = ["verify", f"--seed={seed}"] + ([] if scenario is None else [f"--scenario={scenario}"])
     _assert_works_or_refuses_up_front(argv, writes=False)
+
+
+@pytest.mark.parametrize("seed,scheme", [
+    ("-1", "fdma"), ("1.5", "zfbf"), ("nan", "s3"), ("0x10", "matched-optimal"),
+    (str(10**23), "optimal-unmatched"), ("7", "zfbf")])
+def test_simulate_seed_either_works_or_refuses_up_front(seed, scheme):
+    _assert_works_or_refuses_up_front(["simulate", f"--scheme={scheme}", "--snr=40,50,60",
+                                       "--trials=3", f"--seed={seed}"])

@@ -20,6 +20,7 @@ from dofsim import channel as ch
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
 from dofsim.channel import MATCHED, UNMATCHED, QualityPair
+from test_schemes import _reference_links, _table_links
 
 Q = QualityPair(0.8, 0.5)
 
@@ -32,8 +33,9 @@ def _instance(d, sym_id, slot):
 
 def _steps(d):
     """(symbol, decoding user) of each decode step, read off its signal link."""
-    table = d.table
-    return [(d.symbols[table.symbol[n]].id, ch.CELLS[table.cell[n]][0]) for n in table.signal]
+    links = _table_links(d.table)
+    return [(d.symbols[links[n][2]].id, ch.CELLS[links[n][0]][0])
+            for n in d.table.signal.tolist()]
 
 
 def _column(d, sym_id, user):
@@ -568,18 +570,29 @@ def _slopes_oracle(ps, y):
     return coeffs[0], (y[-1] - y[-2]) / (x[-1] - x[-2]), residual
 
 
-def _link_powers_oracle(cells, symbols, index, ps):
-    """The walk that looked up each receiving cell's links with flatnonzero."""
-    w = mc._directions(cells.estimate, index)
-    values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
-    values = values.reshape(values.shape + (1,) * (w.ndim - 3))
-    out = np.zeros((len(index.cell) + 1,) + w.shape[1:-1])
-    for c, true in enumerate(cells.true):
-        ns = np.flatnonzero(index.cell == c)
-        if len(ns):
-            products = true.conj() * w[index.precoder[ns]]
-            out[ns] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[index.symbol[ns]]
-    return out
+def _link_powers_oracle(d):
+    """``mc._link_powers`` for d by the walk that looked up each receiving cell's
+    links with flatnonzero, each link's cell, precoder row and symbol taken from
+    the plan walk ``_reference_links``, not from the table."""
+    links = _reference_links(d)
+
+    def link_powers(cells, symbols, table, ps):
+        assert symbols is d.symbols
+        cell = np.array([ch.cell_index(user, symbols[i].slot) for i, user in links])
+        precoder = np.array([table.precoders.index(symbols[i].precoder) for i, _ in links])
+        symbol = np.array([i for i, _ in links])
+        w = mc._directions(cells.estimate, table)
+        values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
+        values = values.reshape(values.shape + (1,) * (w.ndim - 3))
+        out = np.zeros((len(links) + 1,) + w.shape[1:-1])
+        for c, true in enumerate(cells.true):
+            ns = np.flatnonzero(cell == c)
+            if len(ns):
+                products = true.conj() * w[precoder[ns]]
+                out[ns] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[symbol[ns]]
+        return out
+
+    return link_powers
 
 
 @pytest.mark.parametrize("ps", [(1e4, 1e5, 1e6), (1e14, 1e16, 1e18), (3.0, 1e2, 1e3, 1e7)])
@@ -597,7 +610,7 @@ def test_link_powers_equal_the_flatnonzero_walk(trials):
     cells = ch.sample_ladder_cells(2, Q, UNMATCHED, ps, trials)
     for d in (sch.optimal_unmatched_descriptor(Q), sch.s3_descriptor(Q), sch.fdma_descriptor()):
         args = (cells, d.symbols, d.table, ps)
-        assert np.array_equal(mc._link_powers(*args), _link_powers_oracle(*args))
+        assert np.array_equal(mc._link_powers(*args), _link_powers_oracle(d)(*args))
 
 
 @pytest.mark.parametrize("scheme,scenario", list(_cli_pairs()))
@@ -609,15 +622,18 @@ def test_reports_equal_the_reports_of_the_oracle_kernels(monkeypatch, scheme, sc
     if scheme == "fdma":  # the others direct symbols along the zero estimates at 40 dB
         cases.append((QualityPair(0.5, 3e-18), (40.0, 200.0, 400.0), 50))
 
-    def reports():
-        return [mc.estimate_dof(sch.build_descriptor(scheme, q, scenario), q, scenario,
-                                ladder, trials, seed=11).to_json()
-                for q, ladder, trials in cases]
+    def reports(oracle=False):
+        out = []
+        for q, ladder, trials in cases:
+            d = sch.build_descriptor(scheme, q, scenario)
+            if oracle:
+                monkeypatch.setattr(mc, "_link_powers", _link_powers_oracle(d))
+            out.append(mc.estimate_dof(d, q, scenario, ladder, trials, seed=11).to_json())
+        return out
 
     got = reports()
     monkeypatch.setattr(ch, "_pairs_from_normals", _pairs_oracle)
     monkeypatch.setattr(mc, "zf_direction", _zf_oracle)
     monkeypatch.setattr(mc, "unit", _unit_oracle)
-    monkeypatch.setattr(mc, "_link_powers", _link_powers_oracle)
     monkeypatch.setattr(mc, "_slopes", _slopes_oracle)
-    assert got == reports()
+    assert got == reports(oracle=True)

@@ -23,7 +23,7 @@ from dofsim import channel as ch
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
 from dofsim.channel import QualityPair, Scenario
-from test_schemes import SCHEME_SCENARIOS
+from test_schemes import SCHEME_SCENARIOS, _reference_links
 
 #: (beta, alpha) on the interior, the edges alpha = 0, beta = 1 and
 #: beta = alpha, and the corners (0, 0), (1, 0) and (1, 1).
@@ -411,12 +411,12 @@ def test_each_face_reads_one_decode_table(scheme, kind, beta, alpha):
                                   Scenario(kind))
     assert floats.table is d.table
     assert list(d.payloads().items()) == list(_payloads_by_scan(d).items())
-    links = list(zip(d.table.symbol.tolist(), d.table.cell.tolist()))
+    links = _reference_links(d)  # (instance, receiving user), by the plan walk
     for trials in (1, 100, 4096):
         cells = _cells(trials)
         powers = mc._link_powers(cells, d.symbols, d.table, [P])
-        for n, (i, c) in enumerate(links):
-            got = mc.received_power(cells[:, 0], d.symbols[i], ch.CELLS[c][0], P)
+        for n, (i, user) in enumerate(links):
+            got = mc.received_power(cells[:, 0], d.symbols[i], user, P)
             assert got.shape == (trials,) and np.array_equal(got, powers[n, 0]), (trials, n)
 
 

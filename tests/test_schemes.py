@@ -145,11 +145,17 @@ def test_optimal_unmatched_precoders_and_repetition():
     assert steps == {"user1": "A", "user2": "B"}
 
 
+def _table_links(table):
+    """link -> (receiving cell, precoder row, symbol instance), read off table.by_cell."""
+    return {n: (c, r, i) for c, *group in table.by_cell
+            for n, r, i in zip(*(a.tolist() for a in group))}
+
+
 def _table_steps(d):
     """(user, target instance, interfering instances) of each step, read off d.table."""
-    links, pad = d.table, len(d.table.cell)
-    return [(CELLS[links.cell[signal]][0], int(links.symbol[signal]),
-             tuple(int(links.symbol[n]) for n in row if n != pad))
+    links = _table_links(d.table)
+    return [(CELLS[links[signal][0]][0], links[signal][2],
+             tuple(links[n][2] for n in row if n != d.table.links))
             for signal, row in zip(d.table.signal.tolist(), d.table.interference.tolist())]
 
 
@@ -166,6 +172,16 @@ def _reference_steps(d):
         decoded[st.user].add(st.symbol)
         steps.append((st.user, target, interference))
     return steps
+
+
+def _reference_links(d):
+    """(symbol instance, receiving user) of every link, in order of first use by the
+    steps of ``_reference_steps``: each step's target, then its interference."""
+    used = {}
+    for user, target, interference in _reference_steps(d):
+        for i in (target,) + interference:
+            used.setdefault((i, user), len(used))
+    return list(used)
 
 
 def _reference_margins(d):
@@ -232,23 +248,30 @@ def test_compiled_indices_match_the_links_and_steps(scheme, beta, alpha):
         table = d.table
         steps = _reference_steps(d)
         assert _table_steps(d) == steps
-        # Every link of a step is received in the step's cell, and the
-        # links are the steps' (instance, user) pairs in order of first use.
-        for (user, _, _), signal, row in zip(steps, table.signal.tolist(),
-                                             table.interference.tolist()):
-            slot = d.symbols[table.symbol[signal]].slot
-            assert {table.cell[n] for n in row + [signal] if n != len(table.cell)} == {
-                CELLS.index((user, slot))}
-        used = {}
-        for user, target, interference in steps:
-            for i in (target,) + interference:
-                used.setdefault((i, user), len(used))
-        assert list(zip(table.symbol.tolist(), [CELLS[c][0] for c in table.cell])) == list(used)
+        # Each link is held once, in its receiving cell's group, links
+        # ascending within a group and the groups in CELLS order; the links
+        # are the steps' (instance, user) pairs in order of first use, and
+        # the padding index is the link count.
+        used = _reference_links(d)
+        assert table.links == len(used)
+        numbered = [n for _, group, _, _ in table.by_cell for n in group.tolist()]
+        assert sorted(numbered) == list(range(len(used)))
+        for _, group, rows, symbols in table.by_cell:
+            assert len(group) == len(rows) == len(symbols) > 0
+            assert np.all(np.diff(group) > 0)
+        cells = [c for c, *_ in table.by_cell]
+        assert cells == sorted(set(cells))
+        links = _table_links(table)
+        for n, (c, r, i) in links.items():
+            assert used[n] == (i, CELLS[c][0]) and d.symbols[i].slot == CELLS[c][1], n
+            assert table.precoders[r] == d.symbols[i].precoder, n
+        assert set(table.interference.ravel().tolist()) <= set(links) | {table.links}
+        # Every link of a step is received in the step's cell.
+        for (user, target, _), signal, row in zip(steps, table.signal.tolist(),
+                                                  table.interference.tolist()):
+            assert {links[n][0] for n in row + [signal] if n != table.links} == {
+                CELLS.index((user, d.symbols[target].slot))}
         assert table.interference.shape == (len(steps), max(len(st[2]) for st in steps))
-        assert table.cell.tolist() == [CELLS.index((user, d.symbols[i].slot))
-                                       for i, user in used]
-        assert [table.precoders[r] for r in table.precoder] == [
-            d.symbols[i].precoder for i, _ in used]
         assert len(set(table.precoders)) == len(table.precoders)
         assert [kind for kind, _, _ in table.kinds] == [
             k for k in sch.PRECODER_KINDS if any(pre.kind == k for pre in table.precoders)]
@@ -827,7 +850,7 @@ def test_estimate_dof_reads_the_same_from_an_exact_build(scheme, kind):
 
 
 def _index_arrays(table):
-    arrays = [table.precoder, table.cell, table.symbol, table.signal, table.interference]
+    arrays = [table.signal, table.interference]
     arrays += [a for _, rows, refs in table.kinds for a in (rows, refs) if a is not None]
     arrays += [a for _, *group in table.by_cell for a in group]
     return arrays
@@ -863,11 +886,3 @@ def test_a_malformed_plan_raises_the_same_message_on_every_call():
             _probe((sym,), (sch.DecodeStep("user1", "B", "x"),))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-
-
-def test_the_decode_table_cache_is_bounded():
-    maxsize = sch._compile.cache_info().maxsize
-    assert maxsize is not None
-    for k in range(maxsize + 3):
-        sch._compile(((f"x{k}", "A", sch.basis_e1()),), (sch.DecodeStep("user1", "A", f"x{k}"),))
-    assert sch._compile.cache_info().currsize == maxsize
