@@ -233,12 +233,13 @@ def _pairs_from_normals(z: np.ndarray, variances: Sequence[Tuple[float, float]])
     # Views of the taken draws' normals and of the complex vectors' memory
     # as (draw, *lead, entry, real or imaginary part, *trials), scaled in
     # that (C) order, so the inner loop runs over the trials.
-    n = len(trials)
-    normals = np.moveaxis(z[..., :4 * m].reshape(trials + (m, 2, 2)), range(n), range(-n, 0))
+    n, t0 = len(trials), 1 + len(lead)  # t0: the first trial axis of ``values``
+    normals = z[..., :4 * m].reshape(trials + (m, 2, 2)).transpose(
+        (n, n + 2, n + 1) + tuple(range(n)))
     values = np.empty((m,) + lead + trials + (2,), dtype=complex)
-    target = np.moveaxis(values.view(float).reshape(values.shape + (2,)),
-                         range(1 + len(lead), 1 + len(lead) + n), range(-n, 0))
-    np.multiply(normals.swapaxes(1, 2).reshape((m,) + (1,) * len(lead) + (2, 2) + trials),
+    target = values.view(float).reshape(values.shape + (2,)).transpose(
+        tuple(range(t0)) + (t0 + n, t0 + n + 1) + tuple(range(t0, t0 + n)))
+    np.multiply(normals.reshape((m,) + (1,) * len(lead) + (2, 2) + trials),
                 scale.reshape(scale.shape + (1,) * (n + 2)), out=target, order="C")
     drawn = values
     if not taken.all():
@@ -287,13 +288,12 @@ def _sample_cells(
         raise ValueError("the SNR ladder needs at least one point")
     if trials < 1:
         raise ValueError(f"at least one trial is required, got {trials}")
-    per_point = [[_variances(a, p) for a in qualities] for p in ps]
-    k = max(_normals_needed(variances) for variances in per_point)
-    z = _trial_normals(seed, start, trials, k)
-    variances = np.array(per_point)  # (points, cells, 2)
+    variances = np.array([[_variances(a, p) for a in qualities] for p in ps])  # (points, cells, 2)
+    taken = variances > 0.0
+    z = _trial_normals(seed, start, trials, 4 * int(taken.sum(axis=(1, 2)).max()))
     groups: Dict[bytes, List[int]] = {}
-    for point, zero in enumerate(variances <= 0.0):
-        groups.setdefault(zero.tobytes(), []).append(point)
+    for point, drawn in enumerate(taken):
+        groups.setdefault(drawn.tobytes(), []).append(point)
     if len(groups) == 1:
         return _pairs_from_normals(z, variances.transpose(1, 2, 0))
     cells = ChannelPair(*(np.empty((len(qualities), len(ps), trials, 2), dtype=complex)
@@ -335,7 +335,7 @@ def _checked_norm(v: np.ndarray, action: str) -> np.ndarray:
     if v.ndim == 0 or v.shape[-1] != 2:
         raise ValueError(f"expected length-2 vectors, got shape {v.shape}")
     norm = np.sqrt(_sq_norm(v))
-    if np.any(norm <= 1e-12):
+    if (norm <= 1e-12).any():
         raise ValueError(f"degenerate direction: cannot {action} a zero estimate")
     return norm
 

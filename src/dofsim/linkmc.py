@@ -4,9 +4,10 @@ The decoder walks the index arrays of the descriptor's compiled table
 (``schemes.DecodeTable``), which the static achievability check walks
 over exponents: from a realization's cells (one ``ChannelPair`` stacked
 in ``channel.CELLS`` order) it builds each link's received power once,
-gathers them through ``d.table.signal`` and ``d.table.interference`` and
-gives every step the rate log2(1 + S / (1 + I)), where I sums the powers
-the step has not cancelled.  Rates come as one array with a leading step
+in one pass over the table's per-link columns, gathers them through
+``d.table.signal`` and ``d.table.interference`` and gives every step the
+rate log2(1 + S / (1 + I)), where I sums the powers the step has not
+cancelled.  Rates come as one array with a leading step
 axis in decode-plan order; each row of ``d.table.payloads`` names the
 steps that decode its payload, whose worst rate the payload delivers.
 The DoF estimate is the slope of the mean delivered rate per channel use
@@ -15,7 +16,8 @@ of the two-subband frame against log2(P) over an SNR ladder.
 The walk is elementwise over the axes after the cell axis: the cells of
 ``channel.sample_ladder_cells`` carry a ladder axis and a trial axis, so
 one walk covers a whole block of trials at every ladder point, with a
-fixed number of array operations whatever the ladder's length.  Trial t
+fixed number of array operations whatever the ladder's length, in
+sub-blocks of ``WALK_BLOCK`` trials that bound its temporaries.  Trial t
 reads its randomness once for the whole ladder, from row
 ``t % channel.TRIAL_BLOCK`` of its block's seeded stream (the channel
 module's RNG contract; ``trial_rng(seed, t)`` is its per-trial form), so
@@ -61,6 +63,10 @@ from .schemes import DecodeStep, DecodeTable, SchemeDescriptor, SymbolSpec, _com
 #: back to the top SNR pair; the common layer's rate converges slowly.
 RESIDUAL_FALLBACK = 0.02
 
+#: Trials per sub-block of a walk: bounds its temporaries, which grow with
+#: the links times the ladder points times the trials of one pass.
+WALK_BLOCK = 1024
+
 _E1 = np.array([1.0, 0.0], dtype=complex)
 
 
@@ -99,16 +105,23 @@ def _link_powers(
     ``cells`` is a realization's stacked cells with a ladder axis after
     the cell axis, one entry per linear SNR in ps.  Returns shape (links +
     1, points, ...), the trailing axes those of a cell's vectors less the
-    last; the extra last row is zero, for padding.  One array pass per
-    receiving cell covers all of its links.
+    last; the extra last row is zero, for padding.  The true channels and
+    the directions are gathered once for all links, through the table's
+    per-link columns, and every later pass runs in place.
     """
-    w = _directions(cells.estimate, table)
+    w = _directions(cells.estimate, table)[table.precoder]
     values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
     values = values.reshape(values.shape + (1,) * (w.ndim - 3))  # over the trial axis, if any
-    out = np.zeros((table.links + 1,) + w.shape[1:-1])
-    for c, links, rows, syms in table.by_cell:
-        products = cells.true[c].conj() * w[rows]
-        out[links] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[syms]
+    products = cells.true[table.cell].astype(np.result_type(cells.true, w), copy=False)
+    np.conjugate(products, out=products)
+    products *= w
+    summed = products[..., 0]
+    summed += products[..., 1]
+    out = np.empty((table.links + 1,) + w.shape[1:-1])
+    out[-1] = 0.0
+    powers = np.abs(summed, out=out[:-1])
+    np.square(powers, out=powers)
+    powers *= values[table.symbol]
     return out
 
 
@@ -138,13 +151,23 @@ def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
     the cell axis, one entry per ps.  Returns shape (steps, points, ...),
     steps in decode-plan order.  Each step's interference is summed in
     descriptor order, left to right, as a Python ``sum`` over its links
-    would.
+    would.  A trial axis is walked in sub-blocks of ``WALK_BLOCK``
+    trials, so the walk's temporaries are bounded by a sub-block.
     """
     table = d.table
-    powers = _link_powers(cells, d.symbols, table, ps)
-    gathered = powers[table.interference]
-    total = sum(gathered[:, j] for j in range(table.interference.shape[1]))
-    return np.log2(1.0 + powers[table.signal] / (1.0 + total))
+    out = np.empty(table.signal.shape + cells.true.shape[1:-1])
+    trials = out.shape[2] if out.ndim > 2 else 1  # a lone realization has no trial axis
+    for lo in range(0, trials, WALK_BLOCK):
+        part = (slice(None), slice(None), slice(lo, lo + WALK_BLOCK))[:out.ndim]
+        try:
+            powers = _link_powers(cells[part], d.symbols, table, ps)
+        except ValueError:
+            _directions(cells.estimate, table)  # the whole block's first degenerate direction
+            raise
+        total = sum(powers[links] for links in table.interference.T)
+        np.log2(1.0 + powers[table.signal] / (1.0 + total), out=out[part])
+        del powers, total  # before the next sub-block's walk
+    return out
 
 
 def sic_rates(d: SchemeDescriptor, cells: ChannelPair, p: float) -> np.ndarray:
@@ -210,7 +233,7 @@ def _ladder_rates(
 
 def _check_finite(rates: np.ndarray, ladder: str) -> None:
     """Raise ValueError, naming the ladder, if a rate is not finite."""
-    if not np.all(np.isfinite(rates)):
+    if not np.isfinite(rates).all():
         raise ValueError(f"SNR ladder {ladder} overflows the received powers")
 
 
@@ -260,7 +283,7 @@ def _slopes(ps: Sequence[float], y: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
     The fitted line is evaluated as ``np.polyval`` does, in Horner form.
     """
     x, slope, intercept = ladder_fit(ps, y)
-    residual = np.max(np.abs(slope * x[:, None] + intercept - y), axis=0)
+    residual = np.abs(slope * x[:, None] + intercept - y).max(axis=0)
     top = (y[-1] - y[-2]) / (x[-1] - x[-2])
     return slope, top, residual
 

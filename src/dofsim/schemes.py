@@ -8,10 +8,10 @@ receiver runs successive interference cancellation (SIC): a step sees as
 interference exactly the same-subband symbols its user has not decoded
 yet, so the plan's order is the whole SIC schedule.  Each descriptor
 carries a ``DecodeTable``, built by ``_compile`` alone: read-only index
-arrays of each receiving cell's links, each link held once with its
-precoder and symbol, of each step's links, and each payload's first
-instance and decoding steps.  Both walks fill one value per link, cell by
-cell, and gather it per step: the Monte Carlo link layer over linear
+columns of each link's receiving cell, precoder and symbol, each link held
+once, arrays of each step's links, and each payload's first instance and
+decoding steps.  Both walks fill one value per link in one pass over the
+columns and gather it per step: the Monte Carlo link layer over linear
 received powers and ``static_achievability_check`` over high-SNR
 exponents.  A descriptor compiles its own table, except that every
 ``build_descriptor`` result shares the table of its face template.
@@ -181,11 +181,12 @@ class DecodeTable(NamedTuple):
     """A decode plan, resolved to read-only index arrays.
 
     Its links are (symbol instance, receiving user) pairs, numbered in
-    order of first use and held once each, grouped by receiving cell in
-    ``channel.CELLS`` order.  A rate table built on it has one column per
-    step, in plan order.  Row j of ``interference`` holds step j's
-    interfering links in instance order, padded with ``links``, a walk's
-    padding row (zero power, or exponent -inf).
+    order of first use and held once each; ``cell``, ``precoder`` and
+    ``symbol`` are their columns, one entry per link.  A rate table built
+    on it has one column per step, in plan order.  Row j of
+    ``interference`` holds step j's interfering links in instance order,
+    padded with ``links``, a walk's padding row (zero power, or exponent
+    -inf).
     """
 
     precoders: Tuple[Precoder, ...]  # each direction the links use once, in order of first use
@@ -193,9 +194,9 @@ class DecodeTable(NamedTuple):
     #: ``PRECODER_KINDS`` order; basis_e1 references no cell (None)
     kinds: Tuple[Tuple[str, np.ndarray, Optional[np.ndarray]], ...]
     links: int  # the link count, which is also the padding row's index
-    #: (cell, its links, their rows of ``precoders``, their symbol
-    #: instances) of each receiving cell that has links, links ascending
-    by_cell: Tuple[Tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    cell: np.ndarray  # per link: its receiving cell, in ``channel.CELLS`` order
+    precoder: np.ndarray  # per link: its row of ``precoders``
+    symbol: np.ndarray  # per link: its symbol instance
     signal: np.ndarray  # per step: its signal link
     interference: np.ndarray  # (steps, width): its interfering links, padded
     #: (id, index of its first instance, indices of the steps that decode
@@ -248,8 +249,8 @@ def _compile(symbols: Sequence[SymbolSpec], plan: Sequence[DecodeStep]) -> Decod
     if undecoded:
         raise ValueError(f"symbols {sorted(undecoded)} are never decoded")
     rows: Dict[Precoder, int] = {}  # precoder -> its row of ``precoders``
-    per_link = [(rows.setdefault(symbols[i].precoder, len(rows)),
-                 cell_index(user, symbols[i].slot), i) for i, user in links]
+    per_link = [(cell_index(user, symbols[i].slot),
+                 rows.setdefault(symbols[i].precoder, len(rows)), i) for i, user in links]
     precoders = tuple(rows)
     kinds = []
     for kind in PRECODER_KINDS:
@@ -258,14 +259,9 @@ def _compile(symbols: Sequence[SymbolSpec], plan: Sequence[DecodeStep]) -> Decod
             refs = None if kind == "basis_e1" else _indices(
                 [cell_index(precoders[r].user, precoders[r].subband) for r in of_kind])
             kinds.append((kind, _indices(of_kind), refs))
-    by_cell = []
-    for c in range(len(CELLS)):
-        group = [(n, r, i) for n, (r, cell, i) in enumerate(per_link) if cell == c]
-        if group:
-            by_cell.append((c, *_indices(group).T))
     width = max(map(len, steps))
     by_step = _indices([row + [len(links)] * (width - len(row)) for row in steps])
-    return DecodeTable(precoders, tuple(kinds), len(links), tuple(by_cell),
+    return DecodeTable(precoders, tuple(kinds), len(links), *_indices(per_link).T,
                        by_step[:, 0], by_step[:, 1:], payloads)
 
 
@@ -749,13 +745,13 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
     table = d.table
     zf_cell = {r: ref for kind, rows, refs in table.kinds if kind == "zf_orth"
                for r, ref in zip(rows.tolist(), refs.tolist())}  # precoder row -> nulled cell
-    exponents = [-math.inf] * (table.links + 1)  # the last is the padding row
-    for c, links, rows, symbols in table.by_cell:
-        for n, r, i in zip(links.tolist(), rows.tolist(), symbols.tolist()):
-            e = d.symbols[i].power.hi
-            if zf_cell.get(r) == c:
-                e -= Scenario(d.scenario).quality(*CELLS[c], q)
-            exponents[n] = e
+    exponents = []
+    for c, r, i in zip(table.cell.tolist(), table.precoder.tolist(), table.symbol.tolist()):
+        e = d.symbols[i].power.hi
+        if zf_cell.get(r) == c:
+            e -= Scenario(d.scenario).quality(*CELLS[c], q)
+        exponents.append(e)
+    exponents.append(-math.inf)  # the padding row
     payloads = d.payloads()
     report: List[StepMargin] = []
     for step, signal, row in zip(d.decode_plan, table.signal.tolist(),

@@ -130,6 +130,14 @@ def test_sic_u0_step_matches_hand_computed_sinr():
     assert rates[_column(d, "u_0", "user1")] == pytest.approx(want, rel=1e-12)
 
 
+def test_sic_rates_take_a_real_valued_realization():
+    d = sch.optimal_unmatched_descriptor(Q)
+    r = _manual_realization()
+    real = ch.ChannelPair(r.true.real, r.estimate.real, r.error.real)
+    cast = ch.ChannelPair(*(a.astype(complex) for a in (real.true, real.estimate, real.error)))
+    assert np.array_equal(mc.sic_rates(d, real, 1e4), mc.sic_rates(d, cast, 1e4))
+
+
 def test_sic_cancellation_never_hurts():
     q = QualityPair(0.9, 0.4)
     d = sch.s3_descriptor(q)
@@ -507,9 +515,30 @@ def test_one_block_walk_gathers_one_receiving_cell_at_a_time():
     finally:
         tracemalloc.stop()
     # 9 537 920 bytes when the walk read one array per cell (x86-64,
-    # numpy 2.4).  Each receiving cell has 4 of the 16 links; gathering
-    # the directions and products of all 16 at once peaks at ~17.0 MB.
+    # numpy 2.4).  The walk now gathers all 16 links at once, which over
+    # the whole block would peak at ~17.0 MB, but in sub-blocks of
+    # mc.WALK_BLOCK trials, so its temporaries are those of a quarter block.
     assert peak <= 1.05 * 9_537_920, peak
+
+
+def test_one_block_walk_peaks_at_one_sub_block_of_links():
+    import tracemalloc
+
+    d = sch.optimal_unmatched_descriptor(Q)
+    ps = [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
+    cells = ch.sample_ladder_cells(0, Q, UNMATCHED, ps, ch.TRIAL_BLOCK)
+    mc._step_rates(d, cells, ps)  # warm caches
+    tracemalloc.start()
+    try:
+        mc._step_rates(d, cells, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 4 615 928 bytes (x86-64, numpy 2.4): the block's rate array (983 040)
+    # plus one sub-block's gathered directions and products (1 572 864
+    # each) and its link powers; a previous sub-block's temporaries held
+    # into the next one's walk would add ~0.7 MB.
+    assert peak <= 1.05 * 4_615_928, peak
 
 
 def test_trial_rates_do_not_depend_on_the_block_size(monkeypatch):
@@ -571,9 +600,10 @@ def _slopes_oracle(ps, y):
 
 
 def _link_powers_oracle(d):
-    """``mc._link_powers`` for d by the walk that looked up each receiving cell's
-    links with flatnonzero, each link's cell, precoder row and symbol taken from
-    the plan walk ``_reference_links``, not from the table."""
+    """``mc._link_powers`` for d by the walk it replaced, one receiving cell's
+    links at a time (looked up with flatnonzero), each link's cell, precoder
+    row and symbol taken from the plan walk ``_reference_links``, not from the
+    table's columns."""
     links = _reference_links(d)
 
     def link_powers(cells, symbols, table, ps):
@@ -595,6 +625,26 @@ def _link_powers_oracle(d):
     return link_powers
 
 
+def _step_rates_oracle(d):
+    """``mc._step_rates`` for d as one pass over the whole block, through the
+    per-cell walk of ``_link_powers_oracle``, interference gathered at once."""
+    link_powers = _link_powers_oracle(d)
+
+    def step_rates(walked, cells, ps):
+        assert walked is d
+        table = d.table
+        powers = link_powers(cells, d.symbols, table, ps)
+        gathered = powers[table.interference]
+        total = sum(gathered[:, j] for j in range(table.interference.shape[1]))
+        return np.log2(1.0 + powers[table.signal] / (1.0 + total))
+
+    return step_rates
+
+
+#: Trial counts at the edges of a walk's sub-blocks and of the sampler's blocks.
+WALK_TRIALS = [1, 100, 1023, 1024, 1025, 4096, 9000]
+
+
 @pytest.mark.parametrize("ps", [(1e4, 1e5, 1e6), (1e14, 1e16, 1e18), (3.0, 1e2, 1e3, 1e7)])
 def test_slopes_equal_polyfit_and_polyval(ps):
     rng = np.random.default_rng(len(ps))
@@ -604,13 +654,67 @@ def test_slopes_equal_polyfit_and_polyval(ps):
             assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("trials", [1, 100, 4096])
+@pytest.mark.parametrize("trials", WALK_TRIALS)
 def test_link_powers_equal_the_flatnonzero_walk(trials):
     ps = [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
-    cells = ch.sample_ladder_cells(2, Q, UNMATCHED, ps, trials)
-    for d in (sch.optimal_unmatched_descriptor(Q), sch.s3_descriptor(Q), sch.fdma_descriptor()):
+    for scheme, scenario in _cli_pairs():
+        cells = ch.sample_ladder_cells(2, Q, scenario, ps, trials)
+        d = sch.build_descriptor(scheme, Q, scenario)
         args = (cells, d.symbols, d.table, ps)
-        assert np.array_equal(mc._link_powers(*args), _link_powers_oracle(d)(*args))
+        assert np.array_equal(mc._link_powers(*args), _link_powers_oracle(d)(*args)), scheme
+
+
+@pytest.mark.parametrize("trials", WALK_TRIALS)
+def test_step_rates_equal_the_whole_block_walk(trials):
+    ps = [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
+    for scheme, scenario in _cli_pairs():
+        cells = ch.sample_ladder_cells(2, Q, scenario, ps, trials)
+        d = sch.build_descriptor(scheme, Q, scenario)
+        got, want = mc._step_rates(d, cells, ps), _step_rates_oracle(d)(d, cells, ps)
+        assert got.shape == want.shape and np.array_equal(got, want), scheme
+
+
+@pytest.mark.parametrize("trials", WALK_TRIALS)
+def test_reports_equal_the_reports_of_the_whole_block_walk(monkeypatch, trials):
+    """Every scheme's report, or its refusal, at sub-block and block edges: on
+    the 40/50/60 dB ladder and on the alpha = 3e-18 ladder, which zeroes the
+    estimates at 40 dB only, so every scheme that directs a symbol along one
+    refuses it."""
+    cases = [(Q, (40.0, 50.0, 60.0)), (QualityPair(0.5, 3e-18), (40.0, 200.0, 400.0))]
+
+    def reports(oracle=False):
+        out = []
+        for scheme, scenario in _cli_pairs():
+            for q, ladder in cases:
+                d = sch.build_descriptor(scheme, q, scenario)
+                if oracle:
+                    monkeypatch.setattr(mc, "_step_rates", _step_rates_oracle(d))
+                try:
+                    out.append(mc.estimate_dof(d, q, scenario, ladder, trials, seed=11).to_json())
+                except ValueError as e:
+                    out.append(str(e))
+        return out
+
+    got = reports()
+    assert sum(r.startswith("degenerate direction") for r in got) == 5  # all but fdma's 2
+    assert got == reports(oracle=True)
+
+
+def test_a_zero_estimate_refusal_names_the_whole_blocks_first_degenerate_direction():
+    """s3's first precoder is aligned along (user2, A)'s estimate and its second
+    zero-forces against (user1, A)'s.  With (user1, A)'s estimate zero in the
+    first sub-block and (user2, A)'s only in the last, the walk refuses to
+    normalise, as one walk of the whole block does."""
+    d = sch.s3_descriptor(Q)
+    assert [(pre.kind, pre.user, pre.subband) for pre in d.table.precoders[:2]] == [
+        ("aligned", "user2", "A"), ("zf_orth", "user1", "A")]
+    cells = ch.sample_ladder_cells(0, Q, UNMATCHED, [1e4], 2 * mc.WALK_BLOCK)[:, 0]
+    cells.estimate[ch.cell_index("user1", "A"), 0] = 0.0
+    cells.estimate[ch.cell_index("user2", "A"), -1] = 0.0
+    with pytest.raises(ValueError, match="^degenerate direction: cannot normalise a zero "):
+        mc.sic_rates(d, cells, 1e4)
+    with pytest.raises(ValueError, match="cannot zero-force"):
+        mc.sic_rates(d, cells[:, :mc.WALK_BLOCK], 1e4)
 
 
 @pytest.mark.parametrize("scheme,scenario", list(_cli_pairs()))
@@ -627,7 +731,7 @@ def test_reports_equal_the_reports_of_the_oracle_kernels(monkeypatch, scheme, sc
         for q, ladder, trials in cases:
             d = sch.build_descriptor(scheme, q, scenario)
             if oracle:
-                monkeypatch.setattr(mc, "_link_powers", _link_powers_oracle(d))
+                monkeypatch.setattr(mc, "_step_rates", _step_rates_oracle(d))
             out.append(mc.estimate_dof(d, q, scenario, ladder, trials, seed=11).to_json())
         return out
 

@@ -146,9 +146,9 @@ def test_optimal_unmatched_precoders_and_repetition():
 
 
 def _table_links(table):
-    """link -> (receiving cell, precoder row, symbol instance), read off table.by_cell."""
-    return {n: (c, r, i) for c, *group in table.by_cell
-            for n, r, i in zip(*(a.tolist() for a in group))}
+    """link -> (receiving cell, precoder row, symbol instance), read off the table's columns."""
+    return dict(enumerate(zip(table.cell.tolist(), table.precoder.tolist(),
+                              table.symbol.tolist())))
 
 
 def _table_steps(d):
@@ -248,19 +248,14 @@ def test_compiled_indices_match_the_links_and_steps(scheme, beta, alpha):
         table = d.table
         steps = _reference_steps(d)
         assert _table_steps(d) == steps
-        # Each link is held once, in its receiving cell's group, links
-        # ascending within a group and the groups in CELLS order; the links
-        # are the steps' (instance, user) pairs in order of first use, and
-        # the padding index is the link count.
+        # Each link is held once, one entry of each column; the links are
+        # the steps' (instance, user) pairs in order of first use, and the
+        # padding index is the link count.
         used = _reference_links(d)
         assert table.links == len(used)
-        numbered = [n for _, group, _, _ in table.by_cell for n in group.tolist()]
-        assert sorted(numbered) == list(range(len(used)))
-        for _, group, rows, symbols in table.by_cell:
-            assert len(group) == len(rows) == len(symbols) > 0
-            assert np.all(np.diff(group) > 0)
-        cells = [c for c, *_ in table.by_cell]
-        assert cells == sorted(set(cells))
+        for column in (table.cell, table.precoder, table.symbol):
+            assert column.shape == (len(used),) and column.dtype == np.intp
+        assert set(table.cell.tolist()) <= set(range(len(CELLS)))
         links = _table_links(table)
         for n, (c, r, i) in links.items():
             assert used[n] == (i, CELLS[c][0]) and d.symbols[i].slot == CELLS[c][1], n
@@ -852,7 +847,7 @@ def test_estimate_dof_reads_the_same_from_an_exact_build(scheme, kind):
 def _index_arrays(table):
     arrays = [table.signal, table.interference]
     arrays += [a for _, rows, refs in table.kinds for a in (rows, refs) if a is not None]
-    arrays += [a for _, *group in table.by_cell for a in group]
+    arrays += [table.cell, table.precoder, table.symbol]
     return arrays
 
 

@@ -12,10 +12,14 @@ are ``estimate_dof`` on six schemes at 40/50/60 dB with 100 trials and
 with a full block of 4096, and ``measure_error_exponent`` at 30/40/50 dB
 with 500 draws.
 
-For each case it prints the median CPU ms of a whole call and, per layer,
-the median CPU ms spent in the layer itself (its self time: nested layers
-are not counted twice; ``_link_powers`` calls ``_directions`` and
-``_step_rates`` calls ``_link_powers``), with its share of the call.  An
+For each case it prints the CPU ms of a whole call as its median and
+quartiles over the timed calls and, per layer, the median CPU ms spent in
+the layer itself (its self time: nested layers are not counted twice;
+``_link_powers`` calls ``_directions`` and ``_step_rates`` calls
+``_link_powers``), with its share of the median call.  For the
+``estimate_dof`` cases of a full block it also prints the walk's
+(``linkmc._step_rates``) tracemalloc peak in bytes, above what was
+allocated when the walk started, from one more call that is not timed.  An
 ``estimate_dof`` call builds its descriptor first, as the ``simulate``
 command does, so the ``build`` layer (``schemes.build_descriptor``) is
 part of it.
@@ -31,6 +35,7 @@ import functools
 import importlib
 import statistics
 import sys
+import tracemalloc
 from pathlib import Path
 from time import process_time_ns
 
@@ -102,6 +107,32 @@ class Layers:
         return out
 
 
+def _walk_peak(call) -> int:
+    """The largest tracemalloc peak of a ``linkmc._step_rates`` call during
+    call(), above what was allocated when that walk started."""
+    from dofsim import linkmc
+
+    walk, peaks = linkmc._step_rates, []
+
+    @functools.wraps(walk)
+    def traced(*args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return walk(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    linkmc._step_rates = traced
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        tracemalloc.stop()
+        linkmc._step_rates = walk
+    return max(peaks)
+
+
 def _build_and_estimate(scheme, q, scenario, trials):
     from dofsim import linkmc, schemes
 
@@ -117,10 +148,11 @@ def _cases():
         for scheme, beta, alpha, kind in CONFIGS:
             q, scenario = channel.QualityPair(beta, alpha), channel.Scenario(kind)
             yield (f"estimate_dof {scheme}({beta},{alpha}) x{trials}",
-                   functools.partial(_build_and_estimate, scheme, q, scenario, trials))
+                   functools.partial(_build_and_estimate, scheme, q, scenario, trials),
+                   trials == channel.TRIAL_BLOCK)
     for a in EXPONENTS:
         yield (f"measure_error_exponent a={a} x{DRAWS}",
-               functools.partial(channel.measure_error_exponent, a, ladder, DRAWS, 0))
+               functools.partial(channel.measure_error_exponent, a, ladder, DRAWS, 0), False)
 
 
 def main(argv=None) -> None:
@@ -128,14 +160,17 @@ def main(argv=None) -> None:
     parser.add_argument("repo", type=Path)
     parser.add_argument("--repeats", type=int, default=15, help="timed calls per case")
     args = parser.parse_args(argv)
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2, for the quartiles")
     sys.path.insert(0, str(args.repo / "src"))
     from dofsim import channel
 
     if not Path(channel.__file__).resolve().is_relative_to(args.repo.resolve()):
         raise SystemExit(f"imported dofsim from {channel.__file__}, not from {args.repo}")
     names = [name for name, _ in LAYERS]
-    print(f"{'case':<44} {'call':>8} " + " ".join(f"{n:>17}" for n in names))
-    for label, call in _cases():
+    print(f"{'case':<46} {'call [q1, q3]':>26} "
+          + " ".join(f"{n:>17}" for n in names) + f" {'walk peak B':>12}")
+    for label, call, full_block in _cases():
         call()  # warm caches
         totals, parts = [], []
         with Layers() as layers:
@@ -144,12 +179,14 @@ def main(argv=None) -> None:
                 call()
                 totals.append(process_time_ns() - start)
                 parts.append(layers.take())
-        total = statistics.median(totals) / 1e6
+        q1, total, q3 = (v / 1e6 for v in statistics.quantiles(totals, n=4))
         cols = []
         for i in range(len(LAYERS)):
             ms = statistics.median(p[i] for p in parts) / 1e6
             cols.append(f"{ms:8.3f} ({100 * ms / total:4.1f}%)")
-        print(f"{label:<44} {total:8.3f} " + " ".join(f"{c:>17}" for c in cols))
+        peak = f"{_walk_peak(call):12d}" if full_block else f"{'':12}"
+        print(f"{label:<46} {total:8.3f} [{q1:7.3f}, {q3:7.3f}] "
+              + " ".join(f"{c:>17}" for c in cols) + f" {peak}")
 
 
 if __name__ == "__main__":
