@@ -24,18 +24,17 @@ defines the contract trial by trial: the block's generator advanced past
 the rows before t's.  The batched sampler (``_trial_normals``) draws each
 block's rows in one numpy call.
 
-One trial's cells are built from one ``standard_normal`` draw in a fixed
-layout (``_pairs_from_normals``): a realization is one ``ChannelPair``
-with the cells on a leading axis in ``CELLS`` order, so
-``cells[cell_index(u, s)]`` is one cell.  ``sample_pair`` and
-``sample_realization`` build one cell or one trial at one SNR.
+Cells are built from a trial's normals in a fixed draw layout
+(``_pairs_from_normals``), always as arrays shaped (cell, ladder point,
+trial, antenna): a ``ChannelPair`` with the cells on a leading axis in
+``CELLS`` order, so ``cells[cell_index(u, s)]`` is one cell.
 ``sample_ladder_cells`` builds many trials at every point of an SNR
 ladder in one pass: each trial's normals are drawn once and rescaled
-along a ladder axis (common random numbers), so the arrays have shape
-(cells, points, trials, 2).  Row t at ladder point k equals
-``sample_realization(trial_rng(seed, start + t), q, scenario, ps[k])``
-bit for bit.  ``zf_direction`` and ``unit`` work row by row on such
-arrays.  ``ladder_fit`` fits the least-squares line against log2 of an
+along the ladder axis (common random numbers).  ``sample_pair`` and
+``sample_realization`` build one cell or one trial at one SNR as a
+one-point, one-trial draw and drop those axes.  Row t at ladder point k
+equals ``sample_realization(trial_rng(seed, start + t), q, scenario,
+ps[k])`` bit for bit.  ``zf_direction`` and ``unit`` work row by row.  ``ladder_fit`` fits the least-squares line against log2 of an
 SNR ladder, as ``np.polyfit`` does, for the exponent and DoF estimates.
 """
 
@@ -210,8 +209,8 @@ def _normals_needed(variances: Sequence[Tuple[float, float]]) -> int:
     return 4 * sum(var > 0.0 for cell in variances for var in cell)
 
 
-def _pairs_from_normals(z: np.ndarray, variances: Sequence[Tuple[float, float]]) -> ChannelPair:
-    """Build cells, stacked in draw order, from the normals on the last axis of z.
+def _pairs_from_normals(z: np.ndarray, variances) -> ChannelPair:
+    """Cells shaped (cells, points, trials, 2) from normals z shaped (trials, k).
 
     This is the draw layout.  Each cell draws its estimate, then its
     error.  A draw of variance ``var`` takes the next four normals (two
@@ -219,28 +218,21 @@ def _pairs_from_normals(z: np.ndarray, variances: Sequence[Tuple[float, float]])
     variance ``var``.  A draw with ``var <= 0`` is the zero vector and
     takes no normals, so every later draw reads four positions earlier.
 
-    ``variances`` holds one (estimate, error) pair per cell.  It may carry
-    a trailing ladder axis, one variance per ladder point, whose entries
-    agree on whether they are 0; the vectors then gain a ladder axis after
-    the cell axis.  All draws are scaled in one array pass.
+    ``variances`` is shaped (points, cells, 2): each cell's (estimate,
+    error) pair at each ladder point, where the points agree on which
+    draws are 0.  All draws are scaled in one array pass.
     """
-    draws = np.asarray(variances, dtype=float)
-    lead = draws.shape[2:]  # the ladder axis, if any
-    draws = draws.reshape((-1,) + lead)  # in draw order
-    taken = draws.reshape(len(draws), -1)[:, 0] > 0.0
+    draws = np.asarray(variances, dtype=float).reshape(len(variances), -1).T  # in draw order
+    taken = draws[:, 0] > 0.0
     scale = np.sqrt(draws[taken] / 2.0)
-    m, trials = len(scale), z.shape[:-1]
+    (m, points), trials = scale.shape, len(z)
     # Views of the taken draws' normals and of the complex vectors' memory
-    # as (draw, *lead, entry, real or imaginary part, *trials), scaled in
-    # that (C) order, so the inner loop runs over the trials.
-    n, t0 = len(trials), 1 + len(lead)  # t0: the first trial axis of ``values``
-    normals = z[..., :4 * m].reshape(trials + (m, 2, 2)).transpose(
-        (n, n + 2, n + 1) + tuple(range(n)))
-    values = np.empty((m,) + lead + trials + (2,), dtype=complex)
-    target = values.view(float).reshape(values.shape + (2,)).transpose(
-        tuple(range(t0)) + (t0 + n, t0 + n + 1) + tuple(range(t0, t0 + n)))
-    np.multiply(normals.reshape((m,) + (1,) * len(lead) + (2, 2) + trials),
-                scale.reshape(scale.shape + (1,) * (n + 2)), out=target, order="C")
+    # as (draw, ladder point, entry, real or imaginary part, trial), scaled
+    # in that (C) order, so the inner loop runs over the trials.
+    normals = z[:, :4 * m].reshape(trials, m, 2, 2).transpose(1, 3, 2, 0)
+    values = np.empty((m, points, trials, 2), dtype=complex)
+    target = values.view(float).reshape(values.shape + (2,)).transpose(0, 1, 3, 4, 2)
+    np.multiply(normals[:, None], scale[:, :, None, None, None], out=target, order="C")
     drawn = values
     if not taken.all():
         drawn = np.zeros((len(draws),) + values.shape[1:], dtype=complex)
@@ -261,7 +253,8 @@ def sample_pair(rng: np.random.Generator, a: float, p: float) -> ChannelPair:
         CN(0, 1 - sigma2); ``true == estimate + error`` holds bitwise.
     """
     variances = [_variances(a, p)]
-    return _pairs_from_normals(rng.standard_normal(_normals_needed(variances)), variances)[0]
+    z = rng.standard_normal((1, _normals_needed(variances)))
+    return _pairs_from_normals(z, [variances])[0, 0, 0]
 
 
 def sample_realization(
@@ -269,8 +262,8 @@ def sample_realization(
 ) -> ChannelPair:
     """Draw the four cells of one trial, stacked in ``CELLS`` order."""
     variances = [_variances(scenario.quality(u, s, q), p) for u, s in CELLS]
-    z = rng.standard_normal(_normals_needed(variances))
-    return _pairs_from_normals(z, variances)
+    z = rng.standard_normal((1, _normals_needed(variances)))
+    return _pairs_from_normals(z, [variances])[:, 0, 0]
 
 
 def _sample_cells(
@@ -295,11 +288,11 @@ def _sample_cells(
     for point, drawn in enumerate(taken):
         groups.setdefault(drawn.tobytes(), []).append(point)
     if len(groups) == 1:
-        return _pairs_from_normals(z, variances.transpose(1, 2, 0))
+        return _pairs_from_normals(z, variances)
     cells = ChannelPair(*(np.empty((len(qualities), len(ps), trials, 2), dtype=complex)
                           for _ in range(3)))
     for points in groups.values():
-        part = _pairs_from_normals(z, variances[points].transpose(1, 2, 0))
+        part = _pairs_from_normals(z, variances[points])
         cells.true[:, points], cells.estimate[:, points], cells.error[:, points] = (
             part.true, part.estimate, part.error)
     return cells

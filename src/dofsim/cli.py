@@ -53,6 +53,11 @@ def _seed(text: str) -> int:
             f"expected a non-negative integer, got {text!r}") from None
 
 
+def _quality(args) -> QualityPair:
+    """The (--beta, --alpha) pair; adding 0.0 reads -0.0 as 0.0, so both give the same bytes."""
+    return QualityPair(args.beta + 0.0, args.alpha + 0.0)
+
+
 def _gnuplot_block(stream, name: str, vertices) -> None:
     # Two blank lines end a gnuplot dataset, so `plot ... index N` picks
     # out one polygon; the first vertex is repeated to close the outline.
@@ -65,7 +70,7 @@ def _gnuplot_block(stream, name: str, vertices) -> None:
 
 
 def cmd_regions(args) -> int:
-    q = QualityPair(args.beta, args.alpha)
+    q = _quality(args)
     scenario = Scenario(args.scenario)
     if scenario.kind == "unmatched":
         parts = regions.components_unmatched(q)
@@ -105,7 +110,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    q = QualityPair(args.beta, args.alpha)
+    q = _quality(args)
     kind = args.scenario or schemes.SCHEMES[args.scheme].scenarios[0]
     scenario = Scenario(kind)
     descriptor = schemes.build_descriptor(args.scheme, q, scenario)

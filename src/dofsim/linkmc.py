@@ -2,30 +2,26 @@
 
 The decoder walks the index arrays of the descriptor's compiled table
 (``schemes.DecodeTable``), which the static achievability check walks
-over exponents: from a realization's cells (one ``ChannelPair`` stacked
-in ``channel.CELLS`` order) it builds each link's received power once,
-in one pass over the table's per-link columns, gathers them through
-``d.table.signal`` and ``d.table.interference`` and gives every step the
-rate log2(1 + S / (1 + I)), where I sums the powers the step has not
-cancelled.  Rates come as one array with a leading step
-axis in decode-plan order; each row of ``d.table.payloads`` names the
-steps that decode its payload, whose worst rate the payload delivers.
-The DoF estimate is the slope of the mean delivered rate per channel use
-of the two-subband frame against log2(P) over an SNR ladder.
+over exponents: from the cells it builds each link's received power
+once, in one pass over the table's per-link columns, gathers them
+through ``d.table.signal`` and ``d.table.interference`` and gives every
+step the rate log2(1 + S / (1 + I)), where I sums the powers the step
+has not cancelled.  Rates come as one array with a leading step axis in
+decode-plan order; each row of ``d.table.payloads`` names the steps
+that decode its payload, whose worst rate the payload delivers.  The
+DoF estimate is the slope of the mean delivered rate per channel use of
+the two-subband frame against log2(P) over an SNR ladder.
 
-The walk is elementwise over the axes after the cell axis: the cells of
-``channel.sample_ladder_cells`` carry a ladder axis and a trial axis, so
-one walk covers a whole block of trials at every ladder point, with a
-fixed number of array operations whatever the ladder's length, in
-sub-blocks of ``WALK_BLOCK`` trials that bound its temporaries.  Trial t
-reads its randomness once for the whole ladder, from row
-``t % channel.TRIAL_BLOCK`` of its block's seeded stream (the channel
-module's RNG contract; ``trial_rng(seed, t)`` is its per-trial form), so
-the per-trial rate table is a pure function of (seed, trial index) and
+The walk has one layout, that of ``channel.sample_ladder_cells``:
+(cell, ladder point, trial, antenna).  One walk covers a block of trials
+at every ladder point with a fixed number of array operations, in
+sub-blocks of ``WALK_BLOCK`` trials that bound its temporaries;
+``sic_rates`` and ``received_power`` take one realization or a block of
+trials at one SNR and add the missing axes.  Trial t reads its
+randomness once for the whole ladder, from row ``t % TRIAL_BLOCK`` of
+its block's seeded stream (the channel module's RNG contract), so the
+per-trial rate table is a pure function of (seed, trial index) and
 means are bit-identical no matter how the trial range is partitioned.
-The walk's blocks are ``TRIAL_BLOCK`` trials too, so a range that
-starts at trial 0, as ``estimate_dof``'s does, draws each block's rows
-in one walk.
 """
 
 from __future__ import annotations
@@ -78,40 +74,31 @@ def _direction(kind: str, ref: np.ndarray) -> np.ndarray:
 def _directions(estimate: np.ndarray, table: DecodeTable) -> np.ndarray:
     """Every direction of the table, stacked on a leading axis.
 
-    ``estimate`` is the stacked estimates, (cells, points, ..., 2).  All
-    zero-forcing directions come from one ``zf_direction`` call and all
-    aligned ones from one ``unit`` call.  On a zero estimate this raises
-    the error of the first degenerate direction in order at the first
-    ladder point that has one, as a walk of one point at a time would.
+    ``estimate`` is the stacked estimates, (cells, points, trials, 2).
+    All zero-forcing directions come from one ``zf_direction`` call and
+    all aligned ones from one ``unit`` call.
     """
     out = np.empty((len(table.precoders),) + estimate.shape[1:], dtype=complex)
-    try:
-        for kind, rows, refs in table.kinds:
-            out[rows] = _E1 if refs is None else _direction(kind, estimate[refs])
-    except ValueError:
-        for k in range(estimate.shape[1]):
-            for pre in table.precoders:
-                if pre.kind != "basis_e1":
-                    _direction(pre.kind, estimate[cell_index(pre.user, pre.subband), k])
-        raise
+    for kind, rows, refs in table.kinds:
+        out[rows] = _E1 if refs is None else _direction(kind, estimate[refs])
     return out
 
 
-def _link_powers(
-    cells: ChannelPair, symbols: Sequence[SymbolSpec], table: DecodeTable, ps: Sequence[float]
-) -> np.ndarray:
+def _power_table(symbols: Sequence[SymbolSpec], table: DecodeTable, ps: Sequence[float]):
+    """Each link's symbol power at each linear SNR in ps, shaped (links, points, 1)."""
+    return np.array([[sym.power.value(p) for p in ps] for sym in symbols])[table.symbol, :, None]
+
+
+def _link_powers(cells: ChannelPair, table: DecodeTable, power: np.ndarray) -> np.ndarray:
     """|h^H w|^2 times the symbol's power for every link of the table.
 
-    ``cells`` is a realization's stacked cells with a ladder axis after
-    the cell axis, one entry per linear SNR in ps.  Returns shape (links +
-    1, points, ...), the trailing axes those of a cell's vectors less the
-    last; the extra last row is zero, for padding.  The true channels and
-    the directions are gathered once for all links, through the table's
-    per-link columns, and every later pass runs in place.
+    Returns shape (links + 1, points, trials) for cells shaped (cells,
+    points, trials, 2) and the table's ``_power_table`` on their ladder;
+    the extra last row is zero, for padding.  The true channels and the
+    directions are gathered once for all links, and every later pass
+    runs in place.
     """
     w = _directions(cells.estimate, table)[table.precoder]
-    values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
-    values = values.reshape(values.shape + (1,) * (w.ndim - 3))  # over the trial axis, if any
     products = cells.true[table.cell].astype(np.result_type(cells.true, w), copy=False)
     np.conjugate(products, out=products)
     products *= w
@@ -121,48 +108,57 @@ def _link_powers(
     out[-1] = 0.0
     powers = np.abs(summed, out=out[:-1])
     np.square(powers, out=powers)
-    powers *= values[table.symbol]
+    powers *= power
     return out
 
 
-def _one_point(cells: ChannelPair, p: float) -> ChannelPair:
-    """cells with a one-point ladder axis, once checked to stack ``CELLS`` at a valid SNR p."""
-    if np.shape(cells.true)[:1] != (len(CELLS),):
-        raise ValueError(f"expected the {len(CELLS)} cells stacked in CELLS order, "
-                         f"got true channels of shape {np.shape(cells.true)}")
+def _one_point(cells: ChannelPair, p: float):
+    """One realization's or a block's cells in the walk's layout at a checked SNR p,
+    and the index that drops the added point axis (and trial axis) from a walk's output."""
+    shape = np.shape(cells.true)
+    if shape[:1] != (len(CELLS),) or len(shape) not in (2, 3):
+        raise ValueError(f"expected the {len(CELLS)} cells stacked in CELLS order, each a "
+                         f"2-vector or a (trials, 2) block, got true channels of shape {shape}")
     check_snr(p)
-    return cells[:, None]
+    if len(shape) == 2:
+        return cells[:, None, None], np.s_[:, 0, 0]
+    return cells[:, None], np.s_[:, 0]
 
 
 def received_power(cells: ChannelPair, sym: SymbolSpec, user: str, p: float):
     """|h^H w|^2 times the symbol's allocated power at linear SNR p.
 
-    ``cells`` is a realization's stacked cells; elementwise over any
-    trial axis after the cell axis.  The link is compiled as a one-step plan.
+    ``cells`` is one realization's or a block of trials' stacked cells.
+    The link is compiled as a one-step plan.
     """
     table = _compile((sym,), (DecodeStep(user, sym.slot, sym.id),))
-    return _link_powers(_one_point(cells, p), (sym,), table, [p])[0, 0]
+    cells, drop = _one_point(cells, p)
+    return _link_powers(cells, table, _power_table((sym,), table, [p]))[drop][0]
 
 
 def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
     """The rate of every step of ``d.table`` at every linear SNR in ps.
 
-    ``cells`` is a realization's stacked cells with a ladder axis after
-    the cell axis, one entry per ps.  Returns shape (steps, points, ...),
-    steps in decode-plan order.  Each step's interference is summed in
-    descriptor order, left to right, as a Python ``sum`` over its links
-    would.  A trial axis is walked in sub-blocks of ``WALK_BLOCK``
-    trials, so the walk's temporaries are bounded by a sub-block.
+    Returns shape (steps, points, trials) for cells shaped (cells, points,
+    trials, 2), steps in plan order.  Each step's interference is summed
+    in descriptor order, as a Python ``sum`` over its links would.  The
+    power table is built once, the trials walked in sub-blocks of
+    ``WALK_BLOCK``.  On a zero estimate this raises the error of the
+    block's first degenerate direction, in first-use order, at the first
+    ladder point that has one.
     """
     table = d.table
     out = np.empty(table.signal.shape + cells.true.shape[1:-1])
-    trials = out.shape[2] if out.ndim > 2 else 1  # a lone realization has no trial axis
-    for lo in range(0, trials, WALK_BLOCK):
-        part = (slice(None), slice(None), slice(lo, lo + WALK_BLOCK))[:out.ndim]
+    power = _power_table(d.symbols, table, ps)
+    for lo in range(0, out.shape[2], WALK_BLOCK):
+        part = np.s_[:, :, lo:lo + WALK_BLOCK]
         try:
-            powers = _link_powers(cells[part], d.symbols, table, ps)
+            powers = _link_powers(cells[part], table, power)
         except ValueError:
-            _directions(cells.estimate, table)  # the whole block's first degenerate direction
+            for k in range(len(ps)):
+                for pre in table.precoders:
+                    if pre.kind != "basis_e1":
+                        _direction(pre.kind, cells.estimate[cell_index(pre.user, pre.subband), k])
             raise
         total = sum(powers[links] for links in table.interference.T)
         np.log2(1.0 + powers[table.signal] / (1.0 + total), out=out[part])
@@ -178,7 +174,8 @@ def sic_rates(d: SchemeDescriptor, cells: ChannelPair, p: float) -> np.ndarray:
     not cancelled.  Returns shape (steps, ...), steps in decode-plan
     order, then the trial axis after the cell axis, if any.
     """
-    return _step_rates(d, _one_point(cells, p), [p])[:, 0]
+    cells, drop = _one_point(cells, p)
+    return _step_rates(d, cells, [p])[drop]
 
 
 def trial_rates(

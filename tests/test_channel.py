@@ -93,8 +93,8 @@ def _sample_pairs(rng, a, p, n):
     """
     variances = [ch._variances(a, p)]
     (pair,) = ch._pairs_from_normals(
-        rng.standard_normal((n, ch._normals_needed(variances))), variances)
-    return pair
+        rng.standard_normal((n, ch._normals_needed(variances))), [variances])
+    return pair[0]
 
 
 def _leakage(true, w):
@@ -556,22 +556,33 @@ _ORACLE_QUALITIES = (0.8, 0.0, 1.0, 0.5)
 _ORACLE_LADDER = (1e4, 1e5, 1e6)
 
 
+def _one_point_pairs(z, variances):
+    """``_pairs_from_normals`` at one ladder point, for z shaped (k,) or (trials, k)."""
+    pairs = ch._pairs_from_normals(np.atleast_2d(z), [variances])[:, 0]
+    return pairs if z.ndim == 2 else pairs[:, 0]
+
+
+def _oracle_layout(z, variances):
+    """``_pairs_oracle`` called with (points, cells, 2) variances, the kernel's layout."""
+    return _pairs_oracle(z, np.transpose(variances, (1, 2, 0)))
+
+
 @pytest.mark.parametrize("trials", [None, 1, 100, 4096])
 def test_pairs_from_normals_without_a_ladder_axis_equals_the_oracle(trials):
     z = np.random.default_rng(8).standard_normal((() if trials is None else (trials,)) + (32,))
     for p in _ORACLE_LADDER:
         variances = [ch._variances(a, p) for a in _ORACLE_QUALITIES]
-        _assert_pairs_bits_equal(ch._pairs_from_normals(z, variances), _pairs_oracle(z, variances))
+        _assert_pairs_bits_equal(_one_point_pairs(z, variances), _pairs_oracle(z, variances))
         every = [ch._variances(a, p) for a in (0.8, 0.5, 0.3, 1.0)]  # no draw skipped
-        _assert_pairs_bits_equal(ch._pairs_from_normals(z, every), _pairs_oracle(z, every))
+        _assert_pairs_bits_equal(_one_point_pairs(z, every), _pairs_oracle(z, every))
 
 
 @pytest.mark.parametrize("trials", [1, 100, 4096])
 def test_pairs_from_normals_with_a_ladder_axis_equals_the_oracle(trials):
     z = np.random.default_rng(9).standard_normal((trials, 32))
     variances = np.array([[ch._variances(a, p) for a in _ORACLE_QUALITIES]
-                          for p in _ORACLE_LADDER]).transpose(1, 2, 0)
-    _assert_pairs_bits_equal(ch._pairs_from_normals(z, variances), _pairs_oracle(z, variances))
+                          for p in _ORACLE_LADDER])
+    _assert_pairs_bits_equal(ch._pairs_from_normals(z, variances), _oracle_layout(z, variances))
 
 
 @pytest.mark.parametrize("trials", [1, 100, 4096])
@@ -582,7 +593,7 @@ def test_ladder_cells_with_mixed_skip_patterns_equal_the_oracle(monkeypatch, tri
     got = ch.sample_ladder_cells(7, q, ch.UNMATCHED, ps, trials)
     alpha_cell = ch.cell_index("user1", "B")
     assert np.all(got.estimate[alpha_cell, 0] == 0) and np.all(got.estimate[alpha_cell, 2] != 0)
-    monkeypatch.setattr(ch, "_pairs_from_normals", _pairs_oracle)
+    monkeypatch.setattr(ch, "_pairs_from_normals", _oracle_layout)
     _assert_pairs_bits_equal(got, ch.sample_ladder_cells(7, q, ch.UNMATCHED, ps, trials))
 
 

@@ -489,6 +489,19 @@ def _run(argv, writes=True):
     return code, out.getvalue(), err.getvalue(), written
 
 
+@pytest.mark.parametrize("command", [
+    ["regions"], ["regions", "--format=gnuplot"], ["regions", "--scenario=matched"],
+    ["simulate", "--scheme=fdma", "--trials=20"], ["simulate", "--scheme=zfbf", "--trials=20"]])
+def test_a_signed_zero_quality_gives_the_bytes_of_zero(command):
+    # -0.0 is a legal spelling of 0; it once reached the artifacts as "alpha": -0.0.
+    for negative, positive in ((["--alpha=-0.0"], ["--alpha=0"]),
+                               (["--beta=-0.0", "--alpha=-0.0"], ["--beta=0", "--alpha=0"])):
+        for writes in (True, False):
+            got, want = _run(command + negative, writes), _run(command + positive, writes)
+            assert got == want and got[0] in (0, 2), (negative, writes)
+            assert b"-0.0" not in (got[3] or got[1].encode())
+
+
 def _assert_works_or_refuses_up_front(argv, writes=True):
     """Exit 0 with a finite artifact (the output file, or verify's report on
     stdout), or exit 2 with one ``error:`` line and nothing written; the same

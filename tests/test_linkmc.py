@@ -167,6 +167,12 @@ def test_sic_rates_rejects_a_bare_pair():
         mc.sic_rates(d, single, 1e4)
     with pytest.raises(ValueError, match=r"got true channels of shape \(3, 2\)"):
         mc.sic_rates(d, _manual_realization()[:3], 1e4)
+    # The walk has one trial axis; a second one is refused, not walked.
+    blocks = ch.sample_ladder_cells(0, Q, UNMATCHED, [1e4], 6)[:, 0]
+    blocks = ch.ChannelPair(*(a.reshape(4, 2, 3, 2) for a in (blocks.true, blocks.estimate,
+                                                               blocks.error)))
+    with pytest.raises(ValueError, match=r"got true channels of shape \(4, 2, 3, 2\)"):
+        mc.sic_rates(d, blocks, 1e4)
 
 
 def test_sic_rates_and_received_power_reject_an_infinite_snr():
@@ -177,6 +183,42 @@ def test_sic_rates_and_received_power_reject_an_infinite_snr():
         mc.sic_rates(d, r, float("inf"))
     with pytest.raises(ValueError, match="linear SNR must be finite, got inf"):
         mc.received_power(r, d.symbols[0], "user1", float("inf"))
+
+
+@pytest.mark.parametrize("scheme,scenario", [("optimal-unmatched", UNMATCHED),
+                                             ("matched-optimal", MATCHED), ("fdma", UNMATCHED)])
+def test_a_lone_realization_walks_as_a_one_trial_block(scheme, scenario):
+    # The lone (cells, 2) realization and the (cells, 1, 2) block take the
+    # two branches of ``_one_point`` into the one (cell, point, trial, 2) walk.
+    d, p = sch.build_descriptor(scheme, Q, scenario), 1e5
+    for t in range(3):
+        lone = ch.sample_realization(ch.trial_rng(6, t), Q, scenario, p)
+        block = lone[:, None]
+        rates = mc.sic_rates(d, lone, p)
+        assert rates.shape == (len(d.table.signal),)
+        assert np.array_equal(rates, mc.sic_rates(d, block, p)[:, 0])
+        for sym in d.symbols:
+            for user in ch.USERS:
+                power = mc.received_power(lone, sym, user, p)
+                assert np.shape(power) == ()
+                assert np.array_equal(power, mc.received_power(block, sym, user, p)[0])
+
+
+def test_a_walk_builds_its_link_power_table_once(monkeypatch):
+    d = sch.optimal_unmatched_descriptor(Q)
+    ps = [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
+    cells = ch.sample_ladder_cells(0, Q, UNMATCHED, ps, ch.TRIAL_BLOCK)
+    calls, value = [], sch.PowerTerm.value
+
+    def counted(term, p):
+        calls.append(p)
+        return value(term, p)
+
+    monkeypatch.setattr(sch.PowerTerm, "value", counted)
+    mc._step_rates(d, cells, ps)
+    # Once per symbol instance and ladder point, not once per sub-block.
+    assert ch.TRIAL_BLOCK // mc.WALK_BLOCK == 4
+    assert len(calls) == len(d.symbols) * len(ps)
 
 
 def test_delivered_rate_is_worst_decoder():
@@ -363,7 +405,7 @@ def test_trial_rates_rows_match_per_trial_walk(scheme, scenario):
     table = mc.trial_rates(d, q, scenario, p, trials, seed=seed, start=start)
     for t in range(trials):
         r = ch.sample_realization(ch.trial_rng(seed, start + t), q, scenario, p)
-        np.testing.assert_array_max_ulp(table[t], mc.sic_rates(d, r, p), maxulp=2)
+        assert np.array_equal(table[t], mc.sic_rates(d, r, p)), t
 
 
 def _differential_pairs():
@@ -660,8 +702,8 @@ def test_link_powers_equal_the_flatnonzero_walk(trials):
     for scheme, scenario in _cli_pairs():
         cells = ch.sample_ladder_cells(2, Q, scenario, ps, trials)
         d = sch.build_descriptor(scheme, Q, scenario)
-        args = (cells, d.symbols, d.table, ps)
-        assert np.array_equal(mc._link_powers(*args), _link_powers_oracle(d)(*args)), scheme
+        got = mc._link_powers(cells, d.table, mc._power_table(d.symbols, d.table, ps))
+        assert np.array_equal(got, _link_powers_oracle(d)(cells, d.symbols, d.table, ps)), scheme
 
 
 @pytest.mark.parametrize("trials", WALK_TRIALS)
@@ -719,7 +761,7 @@ def test_a_zero_estimate_refusal_names_the_whole_blocks_first_degenerate_directi
 
 @pytest.mark.parametrize("scheme,scenario", list(_cli_pairs()))
 def test_reports_equal_the_reports_of_the_oracle_kernels(monkeypatch, scheme, scenario):
-    from test_channel import _pairs_oracle, _unit_oracle, _zf_oracle
+    from test_channel import _oracle_layout, _unit_oracle, _zf_oracle
 
     cases = [(QualityPair(0.8, 0.5), (40.0, 50.0, 60.0), 100),
              (QualityPair(1.0, 0.3), (140.0, 160.0, 180.0), 7)]
@@ -736,7 +778,7 @@ def test_reports_equal_the_reports_of_the_oracle_kernels(monkeypatch, scheme, sc
         return out
 
     got = reports()
-    monkeypatch.setattr(ch, "_pairs_from_normals", _pairs_oracle)
+    monkeypatch.setattr(ch, "_pairs_from_normals", _oracle_layout)
     monkeypatch.setattr(mc, "zf_direction", _zf_oracle)
     monkeypatch.setattr(mc, "unit", _unit_oracle)
     monkeypatch.setattr(mc, "_slopes", _slopes_oracle)

@@ -1,0 +1,30 @@
+"""``tools/mc_layers.py`` times each Monte-Carlo layer by wrapping it by name.
+
+A layer that the path no longer enters, because it was renamed, inlined or
+bypassed, would read 0 ms in the table without any error; this checks that
+every ``LAYERS`` entry is called on each 100-trial ``estimate_dof`` case.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("mc_layers", ROOT / "tools" / "mc_layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_is_called_by_each_100_trial_estimate():
+    tool = _tool()
+    names = [name for name, _ in tool.LAYERS]
+    cases = [(label, call) for label, call, trials in tool._cases() if trials == 100]
+    assert len(cases) == len(tool.CONFIGS)
+    for label, call in cases:
+        totals, parts = tool.measure(call, repeats=2)
+        assert len(totals) == 2
+        for _, calls in parts:
+            assert min(calls) >= 1, (label, dict(zip(names, calls)))

@@ -414,7 +414,7 @@ def test_each_face_reads_one_decode_table(scheme, kind, beta, alpha):
     links = _reference_links(d)  # (instance, receiving user), by the plan walk
     for trials in (1, 100, 4096):
         cells = _cells(trials)
-        powers = mc._link_powers(cells, d.symbols, d.table, [P])
+        powers = mc._link_powers(cells, d.table, mc._power_table(d.symbols, d.table, [P]))
         for n, (i, user) in enumerate(links):
             got = mc.received_power(cells[:, 0], d.symbols[i], user, P)
             assert got.shape == (trials,) and np.array_equal(got, powers[n, 0]), (trials, n)

@@ -22,7 +22,8 @@ the layer itself (its self time: nested layers are not counted twice;
 allocated when the walk started, from one more call that is not timed.  An
 ``estimate_dof`` call builds its descriptor first, as the ``simulate``
 command does, so the ``build`` layer (``schemes.build_descriptor``) is
-part of it.
+part of it.  ``Layers`` also counts each layer's calls, so a test can
+check that every layer is still entered.
 CPU time is the process's (``time.process_time_ns``), so other load on
 the machine shows less than in wall time, but a shared machine still
 spreads the figures: compare two trees side by side.
@@ -66,10 +67,10 @@ DRAWS = 500
 
 
 class Layers:
-    """Self CPU time of each layer while installed, reset per call by ``take``."""
+    """Self CPU time and call count of each layer while installed, reset by ``take``."""
 
     def __init__(self):
-        self.self_ns = [0] * len(LAYERS)
+        self.self_ns, self.calls = [0] * len(LAYERS), [0] * len(LAYERS)
         self._stack = []  # [layer, start, ns spent in nested layers]
         self._saved = []
 
@@ -92,6 +93,7 @@ class Layers:
         def timed(*args, **kwargs):
             frame = [i, process_time_ns(), 0]
             self._stack.append(frame)
+            self.calls[i] += 1
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -103,8 +105,24 @@ class Layers:
         return timed
 
     def take(self):
-        out, self.self_ns = self.self_ns, [0] * len(LAYERS)
+        """(self ns, calls) per layer since the last take."""
+        out = self.self_ns, self.calls
+        self.self_ns, self.calls = [0] * len(LAYERS), [0] * len(LAYERS)
         return out
+
+
+def measure(call, repeats):
+    """CPU ns of each of ``repeats`` timed calls, and each call's (self ns,
+    calls) per layer, after one warm-up call that is not timed."""
+    call()  # warm caches
+    totals, parts = [], []
+    with Layers() as layers:
+        for _ in range(repeats):
+            start = process_time_ns()
+            call()
+            totals.append(process_time_ns() - start)
+            parts.append(layers.take())
+    return totals, parts
 
 
 def _walk_peak(call) -> int:
@@ -141,6 +159,7 @@ def _build_and_estimate(scheme, q, scenario, trials):
 
 
 def _cases():
+    """(label, call, its estimate_dof trial count or None) of each case."""
     from dofsim import channel
 
     ladder = tuple(channel.db_to_linear(v) for v in EXPONENT_LADDER_DB)
@@ -148,11 +167,10 @@ def _cases():
         for scheme, beta, alpha, kind in CONFIGS:
             q, scenario = channel.QualityPair(beta, alpha), channel.Scenario(kind)
             yield (f"estimate_dof {scheme}({beta},{alpha}) x{trials}",
-                   functools.partial(_build_and_estimate, scheme, q, scenario, trials),
-                   trials == channel.TRIAL_BLOCK)
+                   functools.partial(_build_and_estimate, scheme, q, scenario, trials), trials)
     for a in EXPONENTS:
         yield (f"measure_error_exponent a={a} x{DRAWS}",
-               functools.partial(channel.measure_error_exponent, a, ladder, DRAWS, 0), False)
+               functools.partial(channel.measure_error_exponent, a, ladder, DRAWS, 0), None)
 
 
 def main(argv=None) -> None:
@@ -170,21 +188,14 @@ def main(argv=None) -> None:
     names = [name for name, _ in LAYERS]
     print(f"{'case':<46} {'call [q1, q3]':>26} "
           + " ".join(f"{n:>17}" for n in names) + f" {'walk peak B':>12}")
-    for label, call, full_block in _cases():
-        call()  # warm caches
-        totals, parts = [], []
-        with Layers() as layers:
-            for _ in range(args.repeats):
-                start = process_time_ns()
-                call()
-                totals.append(process_time_ns() - start)
-                parts.append(layers.take())
+    for label, call, trials in _cases():
+        totals, parts = measure(call, args.repeats)
         q1, total, q3 = (v / 1e6 for v in statistics.quantiles(totals, n=4))
         cols = []
         for i in range(len(LAYERS)):
-            ms = statistics.median(p[i] for p in parts) / 1e6
+            ms = statistics.median(ns[i] for ns, _ in parts) / 1e6
             cols.append(f"{ms:8.3f} ({100 * ms / total:4.1f}%)")
-        peak = f"{_walk_peak(call):12d}" if full_block else f"{'':12}"
+        peak = f"{_walk_peak(call):12d}" if trials == channel.TRIAL_BLOCK else f"{'':12}"
         print(f"{label:<46} {total:8.3f} [{q1:7.3f}, {q3:7.3f}] "
               + " ".join(f"{c:>17}" for c in cols) + f" {peak}")
 
