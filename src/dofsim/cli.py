@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import linkmc, regions, schemes, switcher
+from . import jsontext, linkmc, regions, schemes, switcher
 from .channel import SCENARIO_KINDS, SUBBANDS, QualityPair, Scenario, check_seed
 
 def _open_out(path: Optional[str]):
@@ -72,12 +71,10 @@ def _gnuplot_block(stream, name: str, vertices) -> None:
 def cmd_regions(args) -> int:
     q = _quality(args)
     scenario = Scenario(args.scenario)
-    if scenario.kind == "unmatched":
-        parts = regions.components_unmatched(q)
-        composed = regions.compose_unmatched(q)
-    else:
-        parts = regions.components_matched(q)
-        composed = regions.compose_matched(q)
+    components = (regions.components_unmatched if scenario.kind == "unmatched"
+                  else regions.components_matched)
+    parts = components(q)
+    composed = regions.compose(parts)
     outer = regions.outer_bound(q)
     equal = regions.region_equal(composed, outer)
 
@@ -95,8 +92,7 @@ def cmd_regions(args) -> int:
             "equal": equal,
         }
         with _open_out(args.out) as stream:
-            json.dump(doc, stream, indent=2, sort_keys=True)
-            stream.write("\n")
+            stream.write(jsontext.dumps(doc))
     else:
         with _open_out(args.out) as stream:
             _gnuplot_block(stream, "composed", composed.vertices)

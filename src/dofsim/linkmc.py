@@ -34,6 +34,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
+from . import jsontext
 from .channel import (
     CELLS,
     SUBBANDS,
@@ -295,7 +296,7 @@ def _db_key(snr_db: float) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class SimReport:
-    """Result of one DoF estimation run, serialisable to JSON."""
+    """Result of one DoF estimation run; ``to_json`` is the ``simulate`` artifact."""
 
     scheme: str
     beta: float
@@ -312,7 +313,7 @@ class SimReport:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return jsontext.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimReport":

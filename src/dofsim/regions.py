@@ -127,18 +127,19 @@ def components_matched(q) -> List[Tuple[str, float, DofRegion]]:
     return _weighted((("perfect", w), ("no_csit", 1 - w)))
 
 
-def _compose(parts: List[Tuple[str, float, DofRegion]]) -> DofRegion:
+def compose(parts: List[Tuple[str, float, DofRegion]]) -> DofRegion:
+    """The Minkowski sum of the scaled regions of ``components_*(q)``."""
     return functools.reduce(minkowski_sum, (region for _, _, region in parts))
 
 
 def compose_unmatched(q) -> DofRegion:
     """(1-beta) * no_csit + (beta-alpha) * alternating + alpha * perfect."""
-    return _compose(components_unmatched(q))
+    return compose(components_unmatched(q))
 
 
 def compose_matched(q) -> DofRegion:
     """(1-(beta+alpha)/2) * no_csit + ((beta+alpha)/2) * perfect."""
-    return _compose(components_matched(q))
+    return compose(components_matched(q))
 
 
 def outer_bound(q) -> DofRegion:

@@ -17,7 +17,6 @@ grid axis once and one score column per ``SweepCell`` field.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import jsontext
 from .channel import QualityPair, Scenario
 from .schemes import SCHEMES, analytic_sum_dof, analytic_sum_dof_at
 
@@ -233,5 +233,5 @@ def write_sweep_csv(m: SweepMap, stream: io.TextIOBase) -> None:
 
 
 def write_summary_json(m: SweepMap, stream: io.TextIOBase) -> None:
-    json.dump(m.summary_dict(), stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    """The ``sweep --format json`` artifact: ``summary_dict`` through ``jsontext.dumps``."""
+    stream.write(jsontext.dumps(m.summary_dict()))

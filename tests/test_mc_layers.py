@@ -6,6 +6,8 @@ every ``LAYERS`` entry is called on each 100-trial ``estimate_dof`` case.
 """
 
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +30,16 @@ def test_every_layer_is_called_by_each_100_trial_estimate():
         assert len(totals) == 2
         for _, calls in parts:
             assert min(calls) >= 1, (label, dict(zip(names, calls)))
+
+
+def test_printed_quartiles_lie_within_two_timed_calls(monkeypatch, capsys):
+    tool = _tool()
+    layers = len(tool.LAYERS)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(tool, "_cases", lambda: iter([("spread case", None, None)]))
+    monkeypatch.setattr(tool, "measure", lambda call, repeats: (
+        [1_000_000, 9_000_000], [([0] * layers, [1] * layers)] * 2))
+    tool.main([str(ROOT), "--repeats", "2"])
+    line = capsys.readouterr().out.splitlines()[-1]
+    q1, q3 = (float(v) for v in re.search(r"\[\s*(\S+),\s*(\S+)\]", line).groups())
+    assert 1.0 <= q1 <= q3 <= 9.0, line

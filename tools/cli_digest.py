@@ -6,7 +6,8 @@ Usage::
 
 imports ``dofsim`` from ``<repo>/src``, runs every call below in process
 through ``dofsim.cli.main`` with ``COLUMNS=80`` and prints the sha256 of
-each call's argv, exit code, stdout and stderr, in order.  Two trees give
+each call's argv, exit code, stdout and stderr, and of the file it writes
+through ``--out`` (into a temporary directory), in order.  Two trees give
 the same digest exactly when the battery's bytes agree, so a refactor that
 claims unchanged command-line behaviour shows it by running this on both
 trees under the same interpreter (argparse's help layout varies across
@@ -25,12 +26,16 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 # Spelled out rather than read from dofsim, so every tree runs the same calls.
 SCHEMES = ("fdma", "matched-optimal", "optimal-unmatched", "s3", "zfbf")
 SCENARIOS = ("unmatched", "matched")
 COMMANDS = ("regions", "simulate", "sweep", "verify")
+#: Stands for the temporary directory in an ``--out`` path, so the argv that
+#: is hashed does not depend on where the directory is.
+OUT_DIR = "<out>"
 
 
 def battery():
@@ -75,6 +80,14 @@ def battery():
             for fmt in ("json", "gnuplot"):
                 yield ["regions", "--scenario", scenario, "--beta", beta, "--alpha", alpha,
                        "--format", fmt]
+    # One artifact of each kind written to a file rather than to stdout.
+    yield ["regions", "--format", "json", "--out", f"{OUT_DIR}/regions.json"]
+    yield ["regions", "--scenario", "matched", "--format", "gnuplot",
+           "--out", f"{OUT_DIR}/regions.gp"]
+    yield ["simulate", "--scheme", "optimal-unmatched", *mc, "--out", f"{OUT_DIR}/report.json"]
+    yield ["sweep", "--step", "0.05", "--out", f"{OUT_DIR}/sweep.csv"]
+    yield ["sweep", "--scenario", "matched", "--step", "0.1", "--format", "json",
+           "--out", f"{OUT_DIR}/summary.json"]
 
 
 def run(main, argv):
@@ -87,9 +100,10 @@ def run(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _parts(argv, code, out, err) -> bytes:
-    """argv, exit code, stdout and stderr, each prefixed with its length."""
-    blobs = [part.encode() for part in (json.dumps(argv), str(code), out, err)]
+def _parts(argv, code, out, err, *files: bytes) -> bytes:
+    """argv, exit code, stdout, stderr and the bytes of each file written,
+    each prefixed with its length."""
+    blobs = [part.encode() for part in (json.dumps(argv), str(code), out, err)] + list(files)
     return b"".join(len(data).to_bytes(8, "little") + data for data in blobs)
 
 
@@ -101,10 +115,14 @@ def digest(repo: Path) -> str:
     if not Path(cli.__file__).resolve().is_relative_to(repo.resolve()):
         raise SystemExit(f"imported dofsim from {cli.__file__}, not from {repo}")
     h = hashlib.sha256()
-    for argv in battery():
-        data = _parts(argv, *run(cli.main, argv))
-        h.update(data)
-        print(hashlib.sha256(data).hexdigest()[:12], json.dumps(argv), file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in battery():
+            paths = [arg.replace(OUT_DIR, tmp) for arg in argv]
+            code, out, err = run(cli.main, paths)
+            files = [Path(path).read_bytes() for path, arg in zip(paths, argv) if path != arg]
+            data = _parts(argv, code, out, err, *files)
+            h.update(data)
+            print(hashlib.sha256(data).hexdigest()[:12], json.dumps(argv), file=sys.stderr)
     return h.hexdigest()
 
 

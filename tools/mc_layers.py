@@ -190,7 +190,7 @@ def main(argv=None) -> None:
           + " ".join(f"{n:>17}" for n in names) + f" {'walk peak B':>12}")
     for label, call, trials in _cases():
         totals, parts = measure(call, args.repeats)
-        q1, total, q3 = (v / 1e6 for v in statistics.quantiles(totals, n=4))
+        q1, total, q3 = (v / 1e6 for v in statistics.quantiles(totals, n=4, method="inclusive"))
         cols = []
         for i in range(len(LAYERS)):
             ms = statistics.median(ns[i] for ns, _ in parts) / 1e6
