@@ -8,6 +8,10 @@ Subcommands:
 * ``sweep``    -- strategy-switching map over the quality grid.
 * ``verify``   -- run the built-in invariant battery.
 
+``main`` parses a command's words with that command's parser alone; a
+usage error goes through the full parser.  An ``--out`` file is truncated
+and written whole: one write per artifact (or 4096-row CSV block).
+
 Exit codes: 0 success / verified, 1 a verification failed, 2 bad
 arguments, 3 I/O failure.  Runs with the same arguments and seed are
 byte-reproducible.
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -27,10 +32,28 @@ import numpy as np
 from . import jsontext, linkmc, regions, schemes, switcher
 from .channel import SCENARIO_KINDS, SUBBANDS, QualityPair, Scenario, check_seed
 
+
+class _FileOut(contextlib.AbstractContextManager):
+    """A truncated file on a raw descriptor: each ``write`` encodes its text
+    as UTF-8 and makes one ``write(2)``, retried until every byte is out."""
+
+    def __init__(self, path: str):
+        self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+                           | getattr(os, "O_BINARY", 0), 0o666)
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode())
+        while data:
+            data = data[os.write(self._fd, data):]
+
+    def __exit__(self, *exc) -> None:
+        os.close(self._fd)
+
+
 def _open_out(path: Optional[str]):
     if path in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+    return _FileOut(path)
 
 
 def _parse_snr_list(text: str) -> List[float]:
@@ -57,15 +80,11 @@ def _quality(args) -> QualityPair:
     return QualityPair(args.beta + 0.0, args.alpha + 0.0)
 
 
-def _gnuplot_block(stream, name: str, vertices) -> None:
+def _gnuplot_block(name: str, vertices) -> str:
     # Two blank lines end a gnuplot dataset, so `plot ... index N` picks
     # out one polygon; the first vertex is repeated to close the outline.
-    stream.write(f"# {name}\n")
-    for x, y in vertices:
-        stream.write(f"{x!r} {y!r}\n")
-    if len(vertices) > 2:
-        stream.write(f"{vertices[0][0]!r} {vertices[0][1]!r}\n")
-    stream.write("\n\n")
+    ring = vertices + vertices[:1] if len(vertices) > 2 else vertices
+    return f"# {name}\n" + "".join(f"{x!r} {y!r}\n" for x, y in ring) + "\n\n"
 
 
 def cmd_regions(args) -> int:
@@ -91,14 +110,14 @@ def cmd_regions(args) -> int:
             "outer_bound": {"vertices": outer.vertex_list()},
             "equal": equal,
         }
-        with _open_out(args.out) as stream:
-            stream.write(jsontext.dumps(doc))
+        text = jsontext.dumps(doc)
     else:
-        with _open_out(args.out) as stream:
-            _gnuplot_block(stream, "composed", composed.vertices)
-            _gnuplot_block(stream, "outer_bound", outer.vertices)
-            for name, weight, region in parts:
-                _gnuplot_block(stream, f"component {name} weight={weight!r}", region.vertices)
+        text = _gnuplot_block("composed", composed.vertices) \
+            + _gnuplot_block("outer_bound", outer.vertices) \
+            + "".join(_gnuplot_block(f"component {name} weight={weight!r}", region.vertices)
+                      for name, weight, region in parts)
+    with _open_out(args.out) as stream:
+        stream.write(text)
     if not equal:
         print("composed region does not match the converse bound", file=sys.stderr)
         return 1
@@ -255,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--scenario", choices=SCENARIO_KINDS, default=None,
                           help="restrict scenario-specific checks")
     p_verify.add_argument("--seed", type=_seed, default=0)
+    #: Command name -> that command's parser.
+    parser.commands = sub.choices
     return parser
 
 
@@ -265,7 +286,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    own = parser.commands.get(argv[0]) if argv else None
+    args, unknown = own.parse_known_args(argv[1:]) if own else (None, True)
+    if unknown:
+        # No command, or words the command's parser does not know: the full
+        # parser gives the usage message and the exit code.
+        args = parser.parse_args(argv)
+    else:
+        args.command = argv[0]
     # Looked up per call rather than bound into the reused parser, so a
     # command replaced on this module (a test double, a tracer) is the one
     # that runs.

@@ -210,7 +210,7 @@ def write_sweep_csv(m: SweepMap, stream: io.TextIOBase) -> None:
     No field ever needs csv quoting: each is a float repr, a strategy
     name or empty.  Each field is formatted once per distinct value with
     its separator attached, so a block of rows is one join over a
-    (rows, 8) table.
+    (rows, 8) table, written with one ``write`` (the header with the first).
     """
     n = len(m.ratio)
     # Cells run row-major over the grid axis, so beta and alpha index its fields directly.
@@ -223,13 +223,14 @@ def write_sweep_csv(m: SweepMap, stream: io.TextIOBase) -> None:
         _fields(m.d_zfbf, ","), no_s3 if m.d_s3 is None else _fields(m.d_s3, ","),
         _fields(m.d_opt, ","), best, _fields(m.ratio, "\n"),
     ]
-    stream.write(",".join(CSV_HEADER) + "\n")
+    head = ",".join(CSV_HEADER) + "\n"  # rides with the first block: every grid has cells
     table = np.empty((min(n, _CSV_BLOCK), len(columns)), dtype=object)
     for lo in range(0, n, _CSV_BLOCK):
         block = table[:min(_CSV_BLOCK, n - lo)]
         for j, (fields, index) in enumerate(columns):
             block[:, j] = fields[index[lo:lo + len(block)]]
-        stream.write("".join(block.ravel().tolist()))
+        stream.write(head + "".join(block.ravel().tolist()))
+        head = ""
 
 
 def write_summary_json(m: SweepMap, stream: io.TextIOBase) -> None:

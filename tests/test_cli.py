@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -102,7 +103,7 @@ def test_simulate_scenario_is_inferred(tmp_path, capsys):
 
 
 def test_parser_choices_come_from_the_model():
-    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    commands = cli.build_parser().commands
     assert list(commands) == ["regions", "simulate", "sweep", "verify"]
     for command, sub in commands.items():
         choices = {a.dest: a.choices for a in sub._actions if a.choices is not None}
@@ -325,6 +326,149 @@ def test_argparse_errors_still_exit_2_with_a_reused_parser(capsys):
             cli.main(argv)
         assert exc.value.code == 2
     assert cli.main(["regions"]) == 0
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# dispatch: the command's own parser, the full parser for every usage error
+
+def _outcome(call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``; argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _print_namespace(args):
+    print(sorted(vars(args).items()))
+    return 0
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["reg"],
+    ["regions", "--help"], ["regions", "--beta", "0.5", "-h"],
+    ["regions", "--bet", "0.5"], ["regions", "--beta"], ["regions", "--beta", "x"],
+    ["regions", "--format", "svg"],
+    ["regions", "stray"], ["regions", "--nope", "1"],
+    ["regions", "--beta", "-0.5"], ["simulate", "--scheme", "fdma", "--snr=-5,10,20"],
+    ["regions", "--", "x"],
+])
+def test_main_parses_as_the_full_parser_does(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in cli.build_parser().commands:
+        monkeypatch.setattr(cli, f"cmd_{name}", _print_namespace)
+    want = _outcome(lambda a: _print_namespace(cli.build_parser().parse_args(a)), argv)
+    assert _outcome(cli.main, argv) == want
+    assert want[0] in (0, 2)
+
+
+def test_main_reads_sys_argv(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["dofsim", "sweep", "--step", "0.05"])
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: 7 if args.step == 0.05 else 8)
+    assert cli.main() == 7
+
+
+# ---------------------------------------------------------------------------
+# --out files: one write(2) per artifact, truncate-write-close as before
+
+def _text_mode_out(path):
+    """The ``--out`` writer of a text-mode file, as the artifacts were once written."""
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+_ARTIFACTS = [
+    ["regions", "--beta", "0.7", "--alpha", "0.3"],
+    ["regions", "--format", "gnuplot"],
+    ["regions", "--scenario", "matched", "--format", "gnuplot"],
+    ["simulate", "--scheme", "optimal-unmatched", "--snr", "40,50,60", "--trials", "30"],
+    ["sweep", "--step", "0.05"],
+    ["sweep", "--scenario", "matched", "--step", "0.1", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARTIFACTS)
+def test_out_file_has_the_bytes_of_a_text_mode_file(argv, tmp_path, monkeypatch, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path / "raw")]) == 0
+    monkeypatch.setattr(cli, "_open_out", _text_mode_out)
+    assert cli.main(argv + ["--out", str(tmp_path / "text")]) == 0
+    assert (tmp_path / "raw").read_bytes() == (tmp_path / "text").read_bytes()
+    capsys.readouterr()
+
+
+def test_out_truncates_a_longer_file(tmp_path, capsys):
+    target = tmp_path / "regions.json"
+    target.write_bytes(b"x" * 100_000)
+    assert cli.main(["regions", "--out", str(target)]) == 0
+    assert cli.main(["regions"]) == 0
+    assert target.read_text() == capsys.readouterr().out
+
+
+def test_out_retries_short_writes(tmp_path, monkeypatch, capsys):
+    assert cli.main(["regions", "--format", "gnuplot", "--out", str(tmp_path / "whole")]) == 0
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    assert cli.main(["regions", "--format", "gnuplot", "--out", str(tmp_path / "short")]) == 0
+    assert (tmp_path / "short").read_bytes() == (tmp_path / "whole").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failing_write_exits_3_and_closes_the_file(tmp_path, monkeypatch, capsys):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(fd, data):
+        raise full
+
+    monkeypatch.setattr(os, "write", write)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    assert cli.main(["regions", "--out", str(tmp_path / "r.json")]) == 3
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert capsys.readouterr().err == f"i/o error: {full}\n" == \
+        "i/o error: [Errno 28] No space left on device\n"
+
+
+def test_out_file_mode_follows_the_umask(tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        assert cli.main(["regions", "--out", str(tmp_path / "raw")]) == 0
+        with open(tmp_path / "text", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    mode = (tmp_path / "raw").stat().st_mode & 0o777
+    assert mode == 0o666 & ~0o027 == (tmp_path / "text").stat().st_mode & 0o777
+    capsys.readouterr()
+
+
+def test_out_dash_writes_through_sys_stdout(monkeypatch):
+    monkeypatch.setattr(os, "write", None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["regions", "--format", "gnuplot", "--out", "-"]) == 0
+    assert out.getvalue().startswith("# composed\n")
+
+
+@pytest.mark.parametrize("argv,writes", [
+    (["regions"], 1),
+    (["regions", "--format", "gnuplot"], 1),
+    (["simulate", "--scheme", "fdma", "--snr", "40,50,60", "--trials", "20"], 1),
+    (["sweep", "--step", "0.05", "--format", "json"], 1),
+    # 201**2 = 40 401 rows: nine full blocks of 4096 rows and a partial tenth.
+    (["sweep", "--step", "0.005", "--format", "csv"], 10),
+])
+def test_out_artifact_is_written_whole(argv, writes, tmp_path, monkeypatch, capsys):
+    calls = []
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: calls.append(len(data)) or write(fd, data))
+    target = tmp_path / "artifact"
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    assert len(calls) == writes and sum(calls) == target.stat().st_size
     capsys.readouterr()
 
 

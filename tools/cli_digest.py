@@ -88,6 +88,21 @@ def battery():
     yield ["sweep", "--step", "0.05", "--out", f"{OUT_DIR}/sweep.csv"]
     yield ["sweep", "--scenario", "matched", "--step", "0.1", "--format", "json",
            "--out", f"{OUT_DIR}/summary.json"]
+    # Three components (the matched gnuplot call above has two).
+    yield ["regions", "--format", "gnuplot", "--out", f"{OUT_DIR}/regions-unmatched.gp"]
+    # How argv reaches a command's parser: words it does not know, an
+    # abbreviated option, a negative value, the --opt=value form, -h after
+    # other arguments, and words that are not a command.
+    yield ["regions", "stray"]
+    yield ["regions", "--nope", "1"]
+    yield ["regions", "--", "x"]
+    yield ["regions", "--bet", "0.5"]
+    yield ["regions", "--beta", "-0.5"]
+    yield ["simulate", "--scheme", "fdma", "--snr=-5,10,20", "--trials=20"]
+    yield ["regions", "--beta", "0.5", "-h"]
+    yield ["bogus"]
+    yield ["reg"]
+    yield []
 
 
 def run(main, argv):
