@@ -34,8 +34,9 @@ along the ladder axis (common random numbers).  ``sample_pair`` and
 ``sample_realization`` build one cell or one trial at one SNR as a
 one-point, one-trial draw and drop those axes.  Row t at ladder point k
 equals ``sample_realization(trial_rng(seed, start + t), q, scenario,
-ps[k])`` bit for bit.  ``zf_direction`` and ``unit`` work row by row.  ``ladder_fit`` fits the least-squares line against log2 of an
-SNR ladder, as ``np.polyfit`` does, for the exponent and DoF estimates.
+ps[k])`` bit for bit.  ``zf_direction`` and ``unit`` share one row-wise kernel,
+``_steer``.  ``ladder_fit`` fits the least-squares line against log2 of an SNR
+ladder, as ``np.polyfit`` does, for the exponent and DoF estimates.
 """
 
 from __future__ import annotations
@@ -318,49 +319,47 @@ def sample_ladder_cells(
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """||v||^2 over the last axis, which has length 2."""
-    re, im = v.real ** 2, v.imag ** 2
-    return (re[..., 0] + re[..., 1]) + (im[..., 0] + im[..., 1])
+    """||v||^2 over the last axis, which has length 2, as (re1^2 + re2^2) + (im1^2 + im2^2),
+    squared in one pass over a contiguous view in np.sqrt's float type, so integers cannot wrap."""
+    v = np.ascontiguousarray(v)
+    part = v.real.dtype
+    sq = np.square(v.view(part), dtype=np.result_type(part, np.float16))
+    if v.dtype == part:
+        return sq[..., 0] + sq[..., 1]
+    return (sq[..., 0] + sq[..., 2]) + (sq[..., 1] + sq[..., 3])  # rows (re1, im1, re2, im2)
 
 
-def _checked_norm(v: np.ndarray, action: str) -> np.ndarray:
-    """||v|| over the last axis, which must have length 2; raises if any row is ~0."""
+def _steer(v: np.ndarray, null: bool) -> np.ndarray:
+    """``zf_direction(v)`` if ``null``, else ``unit(v)``: one divide pass per entry."""
+    v = np.asarray(v)
     if v.ndim == 0 or v.shape[-1] != 2:
         raise ValueError(f"expected length-2 vectors, got shape {v.shape}")
     norm = np.sqrt(_sq_norm(v))
     if (norm <= 1e-12).any():
+        action = "zero-force on" if null else "normalise"
         raise ValueError(f"degenerate direction: cannot {action} a zero estimate")
-    return norm
+    out = np.empty(v.shape, dtype=np.result_type(v, norm))
+    if null:
+        np.conjugate(v[..., ::-1], out=out)
+        np.negative(out[..., 0], out=out[..., 0])
+        v = out
+    for i in range(2):
+        np.divide(v[..., i], norm, out=out[..., i])
+    return out
 
 
 def zf_direction(v: np.ndarray) -> np.ndarray:
     """Unit vector orthogonal to v with the fixed phase convention.
 
-    Returns (-conj(v2), conj(v1)) / ||v||, which satisfies v^H w = 0
-    exactly.  ``v`` may carry leading axes, one 2-vector per row.  Raises
-    if any row is (near) zero because ZF on a degenerate estimate has no
-    meaning.  Each entry is divided in one pass over the rows.
-    """
-    v = np.asarray(v)
-    norm = _checked_norm(v, "zero-force on")
-    out = np.empty(v.shape, dtype=np.result_type(v, norm))
-    np.conjugate(v[..., ::-1], out=out)
-    np.negative(out[..., 0], out=out[..., 0])
-    return _divide_rows(out, norm, out)
+    Returns (-conj(v2), conj(v1)) / ||v|| for every 2-vector row of v, which
+    satisfies v^H w = 0 exactly.  Raises if any row is (near) zero, because
+    ZF on a degenerate estimate has no meaning."""
+    return _steer(v, null=True)
 
 
 def unit(v: np.ndarray) -> np.ndarray:
     """v / ||v|| row by row, with the same shape and degeneracy guards as zf_direction."""
-    v = np.asarray(v)
-    norm = _checked_norm(v, "normalise")
-    return _divide_rows(v, norm, np.empty(v.shape, dtype=np.result_type(v, norm)))
-
-
-def _divide_rows(v: np.ndarray, norm: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = v / norm[..., None], in one pass over the rows per entry of the last axis."""
-    for i in range(v.shape[-1]):
-        np.divide(v[..., i], norm, out=out[..., i])
-    return out
+    return _steer(v, null=False)
 
 
 def measure_error_exponent(a: float, snr_ladder, trials: int, seed: int = 0) -> float:

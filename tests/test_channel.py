@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -532,13 +533,19 @@ def _pairs_oracle(z, variances):
     return ch.ChannelPair(true=drawn[0::2] + drawn[1::2], estimate=drawn[0::2], error=drawn[1::2])
 
 
+def _sq_norm_oracle(v):
+    """||v||^2 as (re1^2 + re2^2) + (im1^2 + im2^2), from ``.real`` and ``.imag``."""
+    re, im = v.real ** 2, v.imag ** 2
+    return (re[..., 0] + re[..., 1]) + (im[..., 0] + im[..., 1])
+
+
 def _zf_oracle(v):
-    norm = np.sqrt(ch._sq_norm(v))[..., None]
+    norm = np.sqrt(_sq_norm_oracle(v))[..., None]
     return np.stack([-np.conj(v[..., 1]), np.conj(v[..., 0])], axis=-1) / norm
 
 
 def _unit_oracle(v):
-    return v / np.sqrt(ch._sq_norm(v))[..., None]
+    return v / np.sqrt(_sq_norm_oracle(v))[..., None]
 
 
 def _assert_bits_equal(got, want):
@@ -604,6 +611,73 @@ def test_zf_direction_and_unit_equal_the_oracles(trials):
     for v in (estimate, estimate[1], estimate[[0, 3, 2]], estimate[2, 1, 0]):
         _assert_bits_equal(ch.zf_direction(v), _zf_oracle(v))
         _assert_bits_equal(ch.unit(v), _unit_oracle(v))
+
+
+def _steering_rows(dtype):
+    """At least 24 2-vector rows of ``dtype``: ±0.0 and subnormal entries, rows
+    just above the 1e-12 refusal threshold and random rows of many magnitudes."""
+    tiny = np.finfo(dtype).smallest_subnormal * 3
+    above = 1e-12 * (1 + 1e-3)
+    special = [[complex(-0.0, -0.0), 1.0], [complex(0.0, -0.0), complex(-3.0, 2.0)],
+               [tiny, complex(-1.5, tiny)], [complex(-tiny, tiny), -2.0],
+               [above, complex(-0.0, 0.0)], [complex(-0.0, 0.0), -above]]
+    if np.dtype(dtype).kind == "c":  # rows whose real parts alone are zero
+        special += [[0.0, complex(0.0, above)], [complex(0.0, -above), complex(-0.0, 0.0)]]
+    rng = np.random.default_rng(12)
+    noise = rng.standard_normal((18, 2)) + 1j * rng.standard_normal((18, 2))
+    rows = np.concatenate([special, noise * 10.0 ** rng.integers(-6, 7, (18, 1))])
+    return rows.astype(dtype) if np.dtype(dtype).kind == "c" else rows.real.astype(dtype)
+
+
+def _laid_out(values, layout):
+    """An array equal to ``values`` whose memory is laid out as ``layout`` says."""
+    if layout == "contiguous":
+        return values.copy()
+    if layout == "reversed":  # negative strides on every axis
+        return np.flip(np.flip(values).copy())
+    if layout == "transposed":  # Fortran order: the 2-vector axis is the slowest
+        return np.ascontiguousarray(values.T).T
+    padded = np.zeros(tuple(2 * n + 1 for n in values.shape), dtype=values.dtype)
+    every_other = (slice(1, None, 2),) * values.ndim
+    padded[every_other] = values
+    return padded[every_other]
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.float32])
+@pytest.mark.parametrize("layout", ["contiguous", "reversed", "transposed", "strided"])
+@pytest.mark.parametrize("lead", [(), (6,), (4, 6), (2, 3, 4)])
+def test_norm_and_directions_equal_independent_oracles_bit_for_bit(dtype, layout, lead):
+    rows = _steering_rows(dtype)
+    count = int(np.prod(lead, dtype=int))
+    values = rows[np.random.default_rng(count).permutation(len(rows))[:count]].reshape(lead + (2,))
+    v = _laid_out(values, layout)
+    _assert_same_bits(ch._sq_norm(v), _sq_norm_oracle(v))
+    _assert_same_bits(ch.zf_direction(v), _zf_oracle(v))
+    _assert_same_bits(ch.unit(v), _unit_oracle(v))
+    # One row just below the threshold makes both directions refuse the whole array.
+    values[(-1,) * len(lead)] = [1e-12 * (1 - 1e-3), 0.0]
+    v = _laid_out(values, layout)
+    for direction, verb in ((ch.zf_direction, "zero-force on"), (ch.unit, "normalise")):
+        with pytest.raises(ValueError, match=f"^degenerate direction: cannot {verb} a zero "):
+            direction(v)
+
+
+@pytest.mark.parametrize("direction, v, want", [
+    (ch.unit, np.array([2**32, 0]), [1.0, 0.0]),  # 2**64 wrapped to 0: refused
+    (ch.unit, np.array([3_000_000_000, 4_000_000_000]), [0.6, 0.8]),  # 25e18 wrapped
+    (ch.zf_direction, np.array([46341, 0], dtype=np.int32), [-0.0, 1.0]),  # 46341**2 > 2**31
+])
+def test_integer_vectors_do_not_wrap_around(direction, v, want):
+    # The parts of integer vectors are squared in floating point, not in the input's type.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = direction(v)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 def test_unit_keeps_its_input_s_result_dtype():

@@ -59,10 +59,15 @@ def battery():
             yield ["simulate", "--scheme", scheme, "--beta", beta, "--alpha", alpha, *mc]
     # With alpha = 3e-18 the alpha cells' estimate variance 1 - P**-alpha
     # rounds to 0 at 40 dB but not at 200 or 400 dB, so the ladder mixes
-    # skip patterns: fdma runs, and zfbf zero-forces on a zero estimate.
-    for scheme in ("fdma", "zfbf"):
+    # skip patterns: fdma runs, and the schemes that steer on an estimate
+    # refuse to zero-force on or normalise a zero one.
+    for scheme in ("fdma", "zfbf", "s3", "optimal-unmatched", "matched-optimal"):
         yield ["simulate", "--scheme", scheme, "--beta", "0.5", "--alpha", "3e-18",
                "--snr", "40,200,400", "--trials", "50"]
+    # Matched zfbf at alpha = 0 zero-forces on subband B's zero estimates.
+    for beta in ("1", "0"):
+        yield ["simulate", "--scheme", "zfbf", "--scenario", "matched", "--beta", beta,
+               "--alpha", "0", *mc]
     # 4100 trials: a full block of TRIAL_BLOCK = 4096 trials and a partial second.
     yield ["simulate", "--scheme", "optimal-unmatched", "--trials", "4100"]
     # 40 and 40.0000001 share the report key "40"; the ladder is rejected.
