@@ -9,8 +9,9 @@ Subcommands:
 * ``verify``   -- run the built-in invariant battery.
 
 ``main`` parses a command's words with that command's parser alone; a
-usage error goes through the full parser.  An ``--out`` file is truncated
-and written whole: one write per artifact (or 4096-row CSV block).
+usage error goes through the full parser.  An ``--out`` file is overwritten
+in place, one write per artifact (or 4096-row CSV block), then trimmed to
+length; nothing is fsynced, so a killed run can leave the old file's tail.
 
 Exit codes: 0 success / verified, 1 a verification failed, 2 bad
 arguments, 3 I/O failure.  Runs with the same arguments and seed are
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import os
+import stat
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -34,20 +36,29 @@ from .channel import SCENARIO_KINDS, SUBBANDS, QualityPair, Scenario, check_seed
 
 
 class _FileOut(contextlib.AbstractContextManager):
-    """A truncated file on a raw descriptor: each ``write`` encodes its text
-    as UTF-8 and makes one ``write(2)``, retried until every byte is out."""
+    """A file rewritten in place on a raw descriptor: each ``write`` encodes
+    its text as UTF-8 and makes one ``write(2)``, retried until every byte is
+    out, from offset 0 on; on exit a regular file is trimmed to the bytes
+    written.  Without ``O_TRUNC`` a rewrite keeps the file's blocks; nothing
+    is fsynced, so a killed run can leave the old file's tail after the new bytes."""
 
     def __init__(self, path: str):
-        self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-                           | getattr(os, "O_BINARY", 0), 0o666)
+        self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        self._length = 0
 
     def write(self, text: str) -> None:
         data = memoryview(text.encode())
         while data:
-            data = data[os.write(self._fd, data):]
+            sent = os.write(self._fd, data)
+            self._length += sent
+            data = data[sent:]
 
     def __exit__(self, *exc) -> None:
-        os.close(self._fd)
+        try:
+            if stat.S_ISREG(os.fstat(self._fd).st_mode):
+                os.ftruncate(self._fd, self._length)
+        finally:
+            os.close(self._fd)
 
 
 def _open_out(path: Optional[str]):

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -373,7 +374,8 @@ def test_main_reads_sys_argv(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# --out files: one write(2) per artifact, truncate-write-close as before
+# --out files: one write(2) per artifact over the old bytes from offset 0, then a
+# regular file is trimmed to the artifact's length and closed; no fsync, as before
 
 def _text_mode_out(path):
     """The ``--out`` writer of a text-mode file, as the artifacts were once written."""
@@ -469,6 +471,108 @@ def test_out_artifact_is_written_whole(argv, writes, tmp_path, monkeypatch, caps
     target = tmp_path / "artifact"
     assert cli.main(argv + ["--out", str(target)]) == 0
     assert len(calls) == writes and sum(calls) == target.stat().st_size
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("old", ["shorter", "longer", "equal"])
+@pytest.mark.parametrize("argv", _ARTIFACTS)
+def test_out_rewrites_an_existing_file_to_the_text_mode_bytes(argv, old, tmp_path,
+                                                               monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_open_out", _text_mode_out)
+        assert cli.main(argv + ["--out", str(tmp_path / "text")]) == 0
+    want = (tmp_path / "text").read_bytes()
+    size = {"shorter": len(want) // 2, "longer": len(want) + 100_000, "equal": len(want)}[old]
+    target = tmp_path / "raw"
+    target.write_bytes(bytes(b ^ 0xFF for b in want[:size]).ljust(size, b"x"))
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == want
+    capsys.readouterr()
+
+
+def _fd_count():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_write_failing_part_way_leaves_the_bytes_written(tmp_path, monkeypatch, capsys):
+    assert cli.main(["regions", "--out", str(tmp_path / "whole")]) == 0
+    target = tmp_path / "r.json"
+    target.write_bytes(b"x" * 100_000)
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    write, sent = os.write, []
+
+    def write_7_then_fail(fd, data):
+        if sent:
+            raise full
+        sent.append(write(fd, data[:7]))
+        return sent[0]
+
+    monkeypatch.setattr(os, "write", write_7_then_fail)
+    open_fds = _fd_count()
+    assert cli.main(["regions", "--out", str(target)]) == 3
+    assert _fd_count() == open_fds
+    assert sent == [7]
+    assert target.read_bytes() == (tmp_path / "whole").read_bytes()[:7]
+    assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failing_trim_exits_3_and_closes_the_file(tmp_path, monkeypatch, capsys):
+    def ftruncate(fd, length):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "ftruncate", ftruncate)
+    open_fds = _fd_count()
+    assert cli.main(["regions", "--out", str(tmp_path / "r.json")]) == 3
+    assert _fd_count() == open_fds
+    assert capsys.readouterr().err == "i/o error: [Errno 5] Input/output error\n"
+
+
+def _record_ftruncate(monkeypatch):
+    calls = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate",
+                        lambda fd, length: calls.append(length) or ftruncate(fd, length))
+    return calls
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+def test_out_devnull_is_not_trimmed(monkeypatch, capsys):
+    calls = _record_ftruncate(monkeypatch)
+    assert cli.main(["regions", "--out", os.devnull]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_fifo_is_written_whole_and_not_trimmed(tmp_path, monkeypatch, capsys):
+    assert cli.main(["regions", "--format", "gnuplot", "--out", str(tmp_path / "whole")]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    calls = _record_ftruncate(monkeypatch)
+    try:
+        assert cli.main(["regions", "--format", "gnuplot", "--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert calls == []
+    assert got == [(tmp_path / "whole").read_bytes()]
+    capsys.readouterr()
+
+
+def test_out_rewrite_keeps_the_inode_and_mode(tmp_path, capsys):
+    target = tmp_path / "regions.json"
+    target.write_bytes(b"x" * 100_000)
+    target.chmod(0o600)
+    inode = target.stat().st_ino
+    assert cli.main(["regions", "--out", str(target)]) == 0
+    assert target.stat().st_ino == inode
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert len(target.read_bytes()) < 100_000
     capsys.readouterr()
 
 

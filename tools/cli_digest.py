@@ -95,6 +95,13 @@ def battery():
            "--out", f"{OUT_DIR}/summary.json"]
     # Three components (the matched gnuplot call above has two).
     yield ["regions", "--format", "gnuplot", "--out", f"{OUT_DIR}/regions-unmatched.gp"]
+    # Artifacts written over earlier ones at the same path: a shorter one
+    # over a longer one, and a longer one back over a shorter one.
+    yield ["regions", "--format", "gnuplot", "--out", f"{OUT_DIR}/rewrite.gp"]
+    yield ["regions", "--scenario", "matched", "--format", "gnuplot",
+           "--out", f"{OUT_DIR}/rewrite.gp"]
+    for step in ("0.05", "0.1", "0.05"):
+        yield ["sweep", "--step", step, "--out", f"{OUT_DIR}/rewrite.csv"]
     # How argv reaches a command's parser: words it does not know, an
     # abbreviated option, a negative value, the --opt=value form, -h after
     # other arguments, and words that are not a command.
