@@ -10,8 +10,10 @@ Subcommands:
 
 ``main`` parses a command's words with that command's parser alone; a
 usage error goes through the full parser.  An ``--out`` file is overwritten
-in place, one write per artifact (or 4096-row CSV block), then trimmed to
-length; nothing is fsynced, so a killed run can leave the old file's tail.
+in place from offset 0, one write per artifact (or 4096-row CSV block), and
+a longer old file is then trimmed to the artifact's length.  Nothing is
+fsynced, so a killed run or a machine crash can leave old, new or mixed
+bytes at the old or the new length (see ``_FileOut``).
 
 Exit codes: 0 success / verified, 1 a verification failed, 2 bad
 arguments, 3 I/O failure.  Runs with the same arguments and seed are
@@ -38,9 +40,15 @@ from .channel import SCENARIO_KINDS, SUBBANDS, QualityPair, Scenario, check_seed
 class _FileOut(contextlib.AbstractContextManager):
     """A file rewritten in place on a raw descriptor: each ``write`` encodes
     its text as UTF-8 and makes one ``write(2)``, retried until every byte is
-    out, from offset 0 on; on exit a regular file is trimmed to the bytes
-    written.  Without ``O_TRUNC`` a rewrite keeps the file's blocks; nothing
-    is fsynced, so a killed run can leave the old file's tail after the new bytes."""
+    out, from offset 0 on; on exit a regular file longer than the bytes
+    written is trimmed to them.
+
+    Without ``O_TRUNC`` a rewrite neither frees the file's blocks on open nor,
+    on ext4 (``auto_da_alloc``), starts their writeback on close: that is most
+    of the time a rewrite saves, and the dirty pages wait for periodic writeback.
+    Nothing is fsynced.  A run killed before the trim leaves the new bytes
+    followed by the old file's tail; after a machine crash the file can hold
+    old, new or page-by-page mixed bytes, at the old or the new length."""
 
     def __init__(self, path: str):
         self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
@@ -55,7 +63,8 @@ class _FileOut(contextlib.AbstractContextManager):
 
     def __exit__(self, *exc) -> None:
         try:
-            if stat.S_ISREG(os.fstat(self._fd).st_mode):
+            st = os.fstat(self._fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > self._length:
                 os.ftruncate(self._fd, self._length)
         finally:
             os.close(self._fd)

@@ -375,7 +375,7 @@ def test_main_reads_sys_argv(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # --out files: one write(2) per artifact over the old bytes from offset 0, then a
-# regular file is trimmed to the artifact's length and closed; no fsync, as before
+# longer regular file is trimmed to the artifact's length and closed; no fsync, as before
 
 def _text_mode_out(path):
     """The ``--out`` writer of a text-mode file, as the artifacts were once written."""
@@ -474,19 +474,22 @@ def test_out_artifact_is_written_whole(argv, writes, tmp_path, monkeypatch, caps
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("old", ["shorter", "longer", "equal"])
+@pytest.mark.parametrize("old", ["absent", "shorter", "longer", "equal"])
 @pytest.mark.parametrize("argv", _ARTIFACTS)
-def test_out_rewrites_an_existing_file_to_the_text_mode_bytes(argv, old, tmp_path,
-                                                               monkeypatch, capsys):
+def test_out_rewrites_to_the_text_mode_bytes_trimming_only_a_longer_file(argv, old, tmp_path,
+                                                                         monkeypatch, capsys):
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_open_out", _text_mode_out)
         assert cli.main(argv + ["--out", str(tmp_path / "text")]) == 0
     want = (tmp_path / "text").read_bytes()
-    size = {"shorter": len(want) // 2, "longer": len(want) + 100_000, "equal": len(want)}[old]
     target = tmp_path / "raw"
-    target.write_bytes(bytes(b ^ 0xFF for b in want[:size]).ljust(size, b"x"))
+    if old != "absent":
+        size = {"shorter": len(want) // 2, "longer": len(want) + 100_000, "equal": len(want)}[old]
+        target.write_bytes(bytes(b ^ 0xFF for b in want[:size]).ljust(size, b"x"))
+    calls = _record_ftruncate(monkeypatch)
     assert cli.main(argv + ["--out", str(target)]) == 0
     assert target.read_bytes() == want
+    assert calls == ([len(want)] if old == "longer" else [])
     capsys.readouterr()
 
 
@@ -522,9 +525,11 @@ def test_a_failing_trim_exits_3_and_closes_the_file(tmp_path, monkeypatch, capsy
     def ftruncate(fd, length):
         raise OSError(errno.EIO, os.strerror(errno.EIO))
 
+    target = tmp_path / "r.json"
+    target.write_bytes(b"x" * 100_000)
     monkeypatch.setattr(os, "ftruncate", ftruncate)
     open_fds = _fd_count()
-    assert cli.main(["regions", "--out", str(tmp_path / "r.json")]) == 3
+    assert cli.main(["regions", "--out", str(target)]) == 3
     assert _fd_count() == open_fds
     assert capsys.readouterr().err == "i/o error: [Errno 5] Input/output error\n"
 
