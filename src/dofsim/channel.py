@@ -5,13 +5,15 @@ The transmitter has two antennas; each user has one.  In every subband
 
     true = estimate + error,
 
-where the transmitter only knows ``estimate``.  The error entries are
-i.i.d. complex Gaussian with per-entry variance ``sigma2 = p ** -a`` for
-quality exponent ``a`` in [0, 1] at linear SNR ``p``; the estimate is drawn
-with per-entry variance ``1 - sigma2`` so the true channel always has unit
-per-entry variance regardless of ``a``.  ``a = 1`` is essentially perfect
-CSI at high SNR, ``a = 0`` makes the estimate useless (it degenerates to
-the zero vector, and zero-forcing on it fails loudly).
+where the transmitter only knows ``estimate``.  A draw holds the estimate
+and the error; ``ChannelPair.true`` forms their sum when it is read.  The
+error entries are i.i.d. complex Gaussian with per-entry variance
+``sigma2 = p ** -a`` for quality exponent ``a`` in [0, 1] at linear SNR
+``p``; the estimate is drawn with per-entry variance ``1 - sigma2`` so the
+true channel always has unit per-entry variance regardless of ``a``.
+``a = 1`` is essentially perfect CSI at high SNR, ``a = 0`` makes the
+estimate useless (it degenerates to the zero vector, and zero-forcing on
+it fails loudly).
 
 Randomness is drawn from one seeded stream per block of ``TRIAL_BLOCK``
 trials: block b is ``SeedSequence(seed, spawn_key=(b,))``, and trial t
@@ -164,18 +166,22 @@ def check_snr(p) -> None:
 
 @dataclass(frozen=True)
 class ChannelPair:
-    """True channel, transmitter-side estimate and estimation error (2-vectors).
+    """Transmitter-side estimate and estimation error (2-vectors), as drawn.
 
-    Indexing a pair indexes its three arrays alike, so a realization (its
+    Indexing a pair indexes its two arrays alike, so a realization (its
     cells stacked on a leading axis in ``CELLS`` order) iterates over them.
     """
 
-    true: np.ndarray
     estimate: np.ndarray
     error: np.ndarray
 
+    @property
+    def true(self) -> np.ndarray:
+        """The true channel ``estimate + error``, formed anew on each read, not stored."""
+        return self.estimate + self.error
+
     def __getitem__(self, index) -> "ChannelPair":
-        return ChannelPair(self.true[index], self.estimate[index], self.error[index])
+        return ChannelPair(self.estimate[index], self.error[index])
 
 
 def _trial_normals(seed: int, start: int, trials: int, k: int) -> np.ndarray:
@@ -238,11 +244,11 @@ def _pairs_from_normals(z: np.ndarray, variances) -> ChannelPair:
     if not taken.all():
         drawn = np.zeros((len(draws),) + values.shape[1:], dtype=complex)
         drawn[taken] = values
-    return ChannelPair(true=drawn[0::2] + drawn[1::2], estimate=drawn[0::2], error=drawn[1::2])
+    return ChannelPair(estimate=drawn[0::2], error=drawn[1::2])
 
 
 def sample_pair(rng: np.random.Generator, a: float, p: float) -> ChannelPair:
-    """Draw (true, estimate, error) for one (user, subband) cell.
+    """Draw (estimate, error) for one (user, subband) cell.
 
     Args:
         rng: source of randomness (typically a trial substream).
@@ -251,7 +257,7 @@ def sample_pair(rng: np.random.Generator, a: float, p: float) -> ChannelPair:
 
     Returns:
         ChannelPair with error entries CN(0, sigma2) and estimate entries
-        CN(0, 1 - sigma2); ``true == estimate + error`` holds bitwise.
+        CN(0, 1 - sigma2); its ``true`` is their sum, formed on read.
     """
     variances = [_variances(a, p)]
     z = rng.standard_normal((1, _normals_needed(variances)))
@@ -291,11 +297,10 @@ def _sample_cells(
     if len(groups) == 1:
         return _pairs_from_normals(z, variances)
     cells = ChannelPair(*(np.empty((len(qualities), len(ps), trials, 2), dtype=complex)
-                          for _ in range(3)))
+                          for _ in range(2)))
     for points in groups.values():
         part = _pairs_from_normals(z, variances[points])
-        cells.true[:, points], cells.estimate[:, points], cells.error[:, points] = (
-            part.true, part.estimate, part.error)
+        cells.estimate[:, points], cells.error[:, points] = part.estimate, part.error
     return cells
 
 

@@ -95,12 +95,12 @@ def _link_powers(cells: ChannelPair, table: DecodeTable, power: np.ndarray) -> n
 
     Returns shape (links + 1, points, trials) for cells shaped (cells,
     points, trials, 2) and the table's ``_power_table`` on their ladder;
-    the extra last row is zero, for padding.  The true channels and the
-    directions are gathered once for all links, and every later pass
-    runs in place.
+    the extra last row is zero, for padding.  The true channels are formed
+    once (``cells.true``), then they and the directions are gathered once
+    for all links, and every later pass runs in place.
     """
     w = _directions(cells.estimate, table)[table.precoder]
-    products = cells.true[table.cell].astype(np.result_type(cells.true, w), copy=False)
+    products = cells.true[table.cell].astype(np.result_type(cells.estimate, w), copy=False)
     np.conjugate(products, out=products)
     products *= w
     summed = products[..., 0]
@@ -116,7 +116,7 @@ def _link_powers(cells: ChannelPair, table: DecodeTable, power: np.ndarray) -> n
 def _one_point(cells: ChannelPair, p: float):
     """One realization's or a block's cells in the walk's layout at a checked SNR p,
     and the index that drops the added point axis (and trial axis) from a walk's output."""
-    shape = np.shape(cells.true)
+    shape = np.shape(cells.estimate)
     if shape[:1] != (len(CELLS),) or len(shape) not in (2, 3):
         raise ValueError(f"expected the {len(CELLS)} cells stacked in CELLS order, each a "
                          f"2-vector or a (trials, 2) block, got true channels of shape {shape}")
@@ -149,7 +149,7 @@ def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
     ladder point that has one.
     """
     table = d.table
-    out = np.empty(table.signal.shape + cells.true.shape[1:-1])
+    out = np.empty(table.signal.shape + cells.estimate.shape[1:-1])
     power = _power_table(d.symbols, table, ps)
     for lo in range(0, out.shape[2], WALK_BLOCK):
         part = np.s_[:, :, lo:lo + WALK_BLOCK]

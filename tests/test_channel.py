@@ -508,6 +508,25 @@ def test_measure_error_exponent_memory_does_not_grow_with_the_trial_count(monkey
     assert abs(peaks[1] - peaks[0]) < buffer_per_block / 4, peaks
 
 
+def test_a_ladder_draw_holds_only_the_estimate_and_error_stacks():
+    import tracemalloc
+
+    q, ps = ch.QualityPair(0.8, 0.5), [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
+    ch.sample_ladder_cells(0, q, ch.UNMATCHED, ps, ch.TRIAL_BLOCK)  # warm caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cells = ch.sample_ladder_cells(0, q, ch.UNMATCHED, ps, ch.TRIAL_BLOCK)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # Two (cells, points, trials, 2) complex stacks, 3 145 728 bytes; a
+    # stored true-channel stack beside them made it ~4 719 500 (x86-64, numpy 2.4).
+    stacks = 2 * len(ch.CELLS) * len(ps) * ch.TRIAL_BLOCK * 2 * 16
+    assert cells.estimate.shape == (len(ch.CELLS), len(ps), ch.TRIAL_BLOCK, 2)
+    assert held <= 1.01 * stacks, held
+
+
 # ---------------------------------------------------------------------------
 # bit-identity oracles: the array formulas that the long-loop kernels replaced
 
@@ -530,7 +549,7 @@ def _pairs_oracle(z, variances):
     if not taken.all():
         drawn = np.zeros((len(draws),) + values.shape[1:], dtype=complex)
         drawn[taken] = values
-    return ch.ChannelPair(true=drawn[0::2] + drawn[1::2], estimate=drawn[0::2], error=drawn[1::2])
+    return ch.ChannelPair(estimate=drawn[0::2], error=drawn[1::2])
 
 
 def _sq_norm_oracle(v):

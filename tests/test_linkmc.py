@@ -46,7 +46,7 @@ def _manual_realization():
     # One row per cell, in ch.CELLS order: (user1, A), (user2, A), (user1, B), (user2, B).
     true = np.array([[2.0, 1.0j], [0.5, 1.0], [1.0, -1.0], [1.0j, 2.0]])
     estimate = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0], [0.0, 2.0]], dtype=complex)
-    return ch.ChannelPair(true=true, estimate=estimate, error=true - estimate)
+    return ch.ChannelPair(estimate=estimate, error=true - estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,8 @@ def test_sic_u0_step_matches_hand_computed_sinr():
 def test_sic_rates_take_a_real_valued_realization():
     d = sch.optimal_unmatched_descriptor(Q)
     r = _manual_realization()
-    real = ch.ChannelPair(r.true.real, r.estimate.real, r.error.real)
-    cast = ch.ChannelPair(*(a.astype(complex) for a in (real.true, real.estimate, real.error)))
+    real = ch.ChannelPair(r.estimate.real, r.error.real)
+    cast = ch.ChannelPair(*(a.astype(complex) for a in (real.estimate, real.error)))
     assert np.array_equal(mc.sic_rates(d, real, 1e4), mc.sic_rates(d, cast, 1e4))
 
 
@@ -169,8 +169,7 @@ def test_sic_rates_rejects_a_bare_pair():
         mc.sic_rates(d, _manual_realization()[:3], 1e4)
     # The walk has one trial axis; a second one is refused, not walked.
     blocks = ch.sample_ladder_cells(0, Q, UNMATCHED, [1e4], 6)[:, 0]
-    blocks = ch.ChannelPair(*(a.reshape(4, 2, 3, 2) for a in (blocks.true, blocks.estimate,
-                                                               blocks.error)))
+    blocks = ch.ChannelPair(*(a.reshape(4, 2, 3, 2) for a in (blocks.estimate, blocks.error)))
     with pytest.raises(ValueError, match=r"got true channels of shape \(4, 2, 3, 2\)"):
         mc.sic_rates(d, blocks, 1e4)
 
@@ -326,6 +325,34 @@ def test_rates_monotone_in_snr():
     for sym in ("x_A", "x_B"):
         r = [report.rates[sym][k] for k in ("30", "40", "50")]
         assert r[0] < r[1] < r[2]
+
+
+# Known wrong answers: the walk forms h = estimate + error in float64, which
+# rounds away an error below half an ulp of the estimate, so on ladders above
+# ~290 dB the zero-forced leakage is rounding noise of the estimate, not the
+# error's.  Strict, so that mending it turns these red until the marks go.
+_ZF_ROUNDING = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 10: zero-forced links read rounding noise, not the CSIT error")
+_HIGH_LADDER = (380.0, 400.0, 420.0)
+
+
+def _zfbf_sum_dof_on_the_high_ladder(q):
+    d = sch.zfbf_descriptor(q, UNMATCHED)
+    return mc.estimate_dof(d, q, UNMATCHED, _HIGH_LADDER, trials=200, seed=0).dof["sum"]
+
+
+@_ZF_ROUNDING
+def test_zfbf_with_perfect_csit_reads_sum_dof_two_on_a_high_ladder():
+    # Reads 0.5951 today.
+    assert abs(_zfbf_sum_dof_on_the_high_ladder(QualityPair(1, 1)) - 2) <= 1e-9
+
+
+@_ZF_ROUNDING
+def test_zfbf_stays_under_the_outer_bound_on_a_high_ladder():
+    # Analytic 1.3 and outer bound 1.65 at (0.8, 0.5); reads 1.7408 today.
+    dof = _zfbf_sum_dof_on_the_high_ladder(Q)
+    assert abs(dof - 1.3) <= 0.01 and dof <= 1.65
 
 
 def test_estimate_dof_ladder_validation():

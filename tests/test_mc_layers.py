@@ -43,3 +43,15 @@ def test_printed_quartiles_lie_within_two_timed_calls(monkeypatch, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     q1, q3 = (float(v) for v in re.search(r"\[\s*(\S+),\s*(\S+)\]", line).groups())
     assert 1.0 <= q1 <= q3 <= 9.0, line
+
+
+def test_a_full_block_draw_holds_two_cell_stacks():
+    tool = _tool()
+    from dofsim import channel
+
+    label, call, trials = next(case for case in tool._cases() if case[2] == channel.TRIAL_BLOCK)
+    held, peak = tool._memory(call)
+    # The estimate and error stacks, each (cells, points, trials, 2) complex.
+    stacks = 2 * len(channel.CELLS) * len(tool.LADDER_DB) * trials * 2 * 16
+    assert 0 < held and abs(held - stacks) <= 0.01 * stacks, (label, held)
+    assert peak > 0, label

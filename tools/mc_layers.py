@@ -17,12 +17,13 @@ quartiles over the timed calls and, per layer, the median CPU ms spent in
 the layer itself (its self time: nested layers are not counted twice;
 ``_link_powers`` calls ``_directions`` and ``_step_rates`` calls
 ``_link_powers``), with its share of the median call.  For the
-``estimate_dof`` cases of a full block it also prints the walk's
-(``linkmc._step_rates``) tracemalloc peak in bytes, above what was
-allocated when the walk started, from one more call that is not timed.  An
-``estimate_dof`` call builds its descriptor first, as the ``simulate``
-command does, so the ``build`` layer (``schemes.build_descriptor``) is
-part of it.  ``Layers`` also counts each layer's calls, so a test can
+``estimate_dof`` cases of a full block it also prints, from one more call
+that is not timed, the tracemalloc bytes that the draw
+(``channel._sample_cells``) leaves allocated and the walk's
+(``linkmc._step_rates``) peak, each above what was allocated when it
+started.  An ``estimate_dof`` call builds its descriptor first, as the
+``simulate`` command does, so the ``build`` layer
+(``schemes.build_descriptor``) is part of it.  ``Layers`` also counts each layer's calls, so a test can
 check that every layer is still entered.
 CPU time is the process's (``time.process_time_ns``), so other load on
 the machine shows less than in wall time, but a shared machine still
@@ -125,30 +126,37 @@ def measure(call, repeats):
     return totals, parts
 
 
-def _walk_peak(call) -> int:
-    """The largest tracemalloc peak of a ``linkmc._step_rates`` call during
-    call(), above what was allocated when that walk started."""
-    from dofsim import linkmc
+def _memory(call) -> tuple[int, int]:
+    """The most tracemalloc bytes a ``channel._sample_cells`` call left
+    allocated, and the largest peak of a ``linkmc._step_rates`` call, during
+    call(), each above what was allocated when that call started."""
+    from dofsim import channel, linkmc
 
-    walk, peaks = linkmc._step_rates, []
+    held, peaks = [], []
 
-    @functools.wraps(walk)
-    def traced(*args, **kwargs):
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        try:
-            return walk(*args, **kwargs)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    def traced(fn, reading, out):
+        """fn, appending tracemalloc's reading ``reading`` (0 current, 1 peak)
+        after each call, less the bytes allocated before it, to out."""
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                out.append(tracemalloc.get_traced_memory()[reading] - start)
+        return wrapper
 
-    linkmc._step_rates = traced
+    draw, walk = channel._sample_cells, linkmc._step_rates
+    channel._sample_cells = traced(draw, 0, held)
+    linkmc._step_rates = traced(walk, 1, peaks)
     tracemalloc.start()
     try:
         call()
     finally:
         tracemalloc.stop()
-        linkmc._step_rates = walk
-    return max(peaks)
+        channel._sample_cells, linkmc._step_rates = draw, walk
+    return max(held), max(peaks)
 
 
 def _build_and_estimate(scheme, q, scenario, trials):
@@ -187,7 +195,7 @@ def main(argv=None) -> None:
         raise SystemExit(f"imported dofsim from {channel.__file__}, not from {args.repo}")
     names = [name for name, _ in LAYERS]
     print(f"{'case':<46} {'call [q1, q3]':>26} "
-          + " ".join(f"{n:>17}" for n in names) + f" {'walk peak B':>12}")
+          + " ".join(f"{n:>17}" for n in names) + f" {'draw held B':>12} {'walk peak B':>12}")
     for label, call, trials in _cases():
         totals, parts = measure(call, args.repeats)
         q1, total, q3 = (v / 1e6 for v in statistics.quantiles(totals, n=4, method="inclusive"))
@@ -195,9 +203,9 @@ def main(argv=None) -> None:
         for i in range(len(LAYERS)):
             ms = statistics.median(ns[i] for ns, _ in parts) / 1e6
             cols.append(f"{ms:8.3f} ({100 * ms / total:4.1f}%)")
-        peak = f"{_walk_peak(call):12d}" if trials == channel.TRIAL_BLOCK else f"{'':12}"
+        memory = _memory(call) if trials == channel.TRIAL_BLOCK else ("", "")
         print(f"{label:<46} {total:8.3f} [{q1:7.3f}, {q3:7.3f}] "
-              + " ".join(f"{c:>17}" for c in cols) + f" {peak}")
+              + " ".join(f"{c:>17}" for c in cols) + "".join(f" {b:>12}" for b in memory))
 
 
 if __name__ == "__main__":
