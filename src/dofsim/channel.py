@@ -6,7 +6,9 @@ The transmitter has two antennas; each user has one.  In every subband
     true = estimate + error,
 
 where the transmitter only knows ``estimate``.  A draw holds the estimate
-and the error; ``ChannelPair.true`` forms their sum when it is read.  The
+and the error; ``ChannelPair.true`` forms their sum when it is read.  As
+that sum rounds away an error below half an ulp of the estimate, the
+Monte Carlo walk forms none on a nulled link, which reads e^H w.  The
 error entries are i.i.d. complex Gaussian with per-entry variance
 ``sigma2 = p ** -a`` for quality exponent ``a`` in [0, 1] at linear SNR
 ``p``; the estimate is drawn with per-entry variance ``1 - sigma2`` so the

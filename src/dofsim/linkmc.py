@@ -3,7 +3,8 @@
 The decoder walks the index arrays of the descriptor's compiled table
 (``schemes.DecodeTable``), which the static achievability check walks
 over exponents: from the cells it builds each link's received power
-once, in one pass over the table's per-link columns, gathers them
+once, in one pass over the table's per-link columns (a nulled link
+reads e^H w, see ``_link_powers``), gathers them
 through ``d.table.signal`` and ``d.table.interference`` and gives every
 step the rate log2(1 + S / (1 + I)), where I sums the powers the step
 has not cancelled.  Rates come as one array with a leading step axis in
@@ -95,12 +96,15 @@ def _link_powers(cells: ChannelPair, table: DecodeTable, power: np.ndarray) -> n
 
     Returns shape (links + 1, points, trials) for cells shaped (cells,
     points, trials, 2) and the table's ``_power_table`` on their ladder;
-    the extra last row is zero, for padding.  The true channels are formed
-    once (``cells.true``), then they and the directions are gathered once
-    for all links, and every later pass runs in place.
+    the extra last row is zero, for padding.  The directions are gathered
+    once for all links, and each link's row gets its channel: e + ĥ, or e
+    alone on a nulled link (``table.nulled``), which reads e^H w as
+    ĥ^H w = 0 exactly.  Every later pass runs in place.
     """
     w = _directions(cells.estimate, table)[table.precoder]
-    products = cells.true[table.cell].astype(np.result_type(cells.estimate, w), copy=False)
+    products = np.empty(w.shape, dtype=np.result_type(cells.estimate, w))
+    for n, (c, nulled) in enumerate(zip(table.cell.tolist(), table.nulled.tolist())):
+        np.add(cells.error[c], 0.0 if nulled else cells.estimate[c], out=products[n])
     np.conjugate(products, out=products)
     products *= w
     summed = products[..., 0]

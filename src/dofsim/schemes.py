@@ -8,12 +8,12 @@ receiver runs successive interference cancellation (SIC): a step sees as
 interference exactly the same-subband symbols its user has not decoded
 yet, so the plan's order is the whole SIC schedule.  Each descriptor
 carries a ``DecodeTable``, built by ``_compile`` alone: read-only index
-columns of each link's receiving cell, precoder and symbol, each link held
-once, arrays of each step's links, and each payload's first instance and
-decoding steps.  Both walks fill one value per link in one pass over the
-columns and gather it per step: the Monte Carlo link layer over linear
-received powers and ``static_achievability_check`` over high-SNR
-exponents.  A descriptor compiles its own table, except that every
+columns of each link's receiving cell, precoder and symbol and a mask of
+the nulled links, each link held once, arrays of each step's links, and
+each payload's first instance and decoding steps.  Both walks fill one
+value per link in one pass over the columns and gather it per step: the
+Monte Carlo link layer over linear received powers and
+``static_achievability_check`` over high-SNR exponents.  A descriptor compiles its own table, except that every
 ``build_descriptor`` result shares the table of its face template.
 
 Builders are provided for the five strategies under study:
@@ -170,9 +170,9 @@ class DecodeStep:
     symbol: str
 
 
-def _indices(values) -> np.ndarray:
-    """values as a read-only index array, safe to share between walks."""
-    out = np.array(values, dtype=np.intp)
+def _indices(values, dtype=np.intp) -> np.ndarray:
+    """values as a read-only index (or mask) array, safe to share between walks."""
+    out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -181,9 +181,9 @@ class DecodeTable(NamedTuple):
     """A decode plan, resolved to read-only index arrays.
 
     Its links are (symbol instance, receiving user) pairs, numbered in
-    order of first use and held once each; ``cell``, ``precoder`` and
-    ``symbol`` are their columns, one entry per link.  A rate table built
-    on it has one column per step, in plan order.  Row j of
+    order of first use and held once each; ``cell``, ``precoder``,
+    ``symbol`` and ``nulled`` are their columns, one entry per link.  A
+    rate table built on it has one column per step, in plan order.  Row j of
     ``interference`` holds step j's interfering links in instance order,
     padded with ``links``, a walk's padding row (zero power, or exponent
     -inf).
@@ -197,6 +197,9 @@ class DecodeTable(NamedTuple):
     cell: np.ndarray  # per link: its receiving cell, in ``channel.CELLS`` order
     precoder: np.ndarray  # per link: its row of ``precoders``
     symbol: np.ndarray  # per link: its symbol instance
+    #: per link: nulled, its precoder zf_orth on its own receiving cell's
+    #: estimate ĥ, so that ĥ^H w = 0 exactly and the link reads e^H w
+    nulled: np.ndarray
     signal: np.ndarray  # per step: its signal link
     interference: np.ndarray  # (steps, width): its interfering links, padded
     #: (id, index of its first instance, indices of the steps that decode
@@ -261,7 +264,8 @@ def _compile(symbols: Sequence[SymbolSpec], plan: Sequence[DecodeStep]) -> Decod
             kinds.append((kind, _indices(of_kind), refs))
     width = max(map(len, steps))
     by_step = _indices([row + [len(links)] * (width - len(row)) for row in steps])
-    return DecodeTable(precoders, tuple(kinds), len(links), *_indices(per_link).T,
+    nulled = _indices([symbols[i].precoder == zf_orth(*CELLS[c]) for c, _, i in per_link], bool)
+    return DecodeTable(precoders, tuple(kinds), len(links), *_indices(per_link).T, nulled,
                        by_step[:, 0], by_step[:, 1:], payloads)
 
 
@@ -729,8 +733,8 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
     """Verify every decode step's rate against its SINR exponent ladder.
 
     Walks ``d.table`` in max-plus: a link's received exponent is its power
-    term's top exponent, lowered by the CSIT quality exponent when the
-    symbol is zero-forced against the link's own receiving cell; a step of
+    term's top exponent, lowered by its cell's CSIT quality exponent when
+    ``d.table.nulled`` marks it, as a nulled link reads e^H w; a step of
     ``d.decode_plan`` gathers them (-inf on the padding row).  Its signal
     exponent minus the largest interference exponent (floored at the noise
     level 0) must cover the symbol's rate exponent, exactly: a descriptor
@@ -743,12 +747,10 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
         raise ValueError(f"{d.name}: the audit is exact; build the descriptor on Fraction "
                          f"qualities, not beta={q.beta!r}, alpha={q.alpha!r}")
     table = d.table
-    zf_cell = {r: ref for kind, rows, refs in table.kinds if kind == "zf_orth"
-               for r, ref in zip(rows.tolist(), refs.tolist())}  # precoder row -> nulled cell
     exponents = []
-    for c, r, i in zip(table.cell.tolist(), table.precoder.tolist(), table.symbol.tolist()):
+    for c, i, nulled in zip(table.cell.tolist(), table.symbol.tolist(), table.nulled.tolist()):
         e = d.symbols[i].power.hi
-        if zf_cell.get(r) == c:
+        if nulled:
             e -= Scenario(d.scenario).quality(*CELLS[c], q)
         exponents.append(e)
     exponents.append(-math.inf)  # the padding row

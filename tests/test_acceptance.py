@@ -277,6 +277,26 @@ def test_measured_sum_within_bound():
     assert not failures, failures
 
 
+_LIMIT_LADDER_DB = (1000.0, 1100.0, 1200.0)
+
+
+def test_measured_sum_on_the_limit_ladder_meets_the_analytic_value_and_the_bound():
+    """On 1000/1100/1200 dB the finite-SNR bias of the six configurations is
+    gone: 64 trials meet the analytic sum DoF within 1e-12, and the outer bound."""
+    failures = []
+    notes = []
+    for label, scheme, q, scenario, expected, _ in _MC_CONFIGS:
+        descriptor = build_descriptor(scheme, q, scenario)
+        measured = estimate_dof(descriptor, q, scenario, _LIMIT_LADDER_DB, 64, seed=0).dof["sum"]
+        bound = 1.0 + (q.beta + q.alpha) / 2.0
+        notes.append(f"{label} {measured - expected:+.1e}")
+        if abs(measured - expected) > 1e-12 or measured > bound + 1e-12:
+            failures.append(f"{label} measured {measured!r}, want {expected} within 1e-12 "
+                            f"and at most {bound} + 1e-12")
+    _report("measured-sum-at-the-limit-ladder", not failures, "; ".join(notes))
+    assert not failures, failures
+
+
 # ---------------------------------------------------------------------------
 # 8. Private-loading diagnostic ratios, exact in rational arithmetic.
 

@@ -603,12 +603,12 @@ _SIMULATE_GOLDEN = {
     ("fdma", "unmatched"): "f801481fc6fb29978ac91709c4db95037340a03cdb1fc6b0a119512f17f4e14c",
     ("fdma", "matched"): "c39241b3e1a1e53772f7606166e8cb9d5e911cea0df93ae107730987e211b910",
     ("matched-optimal", "matched"):
-        "411d4a7aced12fe303f3b859881174ece9fb295cf8b33f9a62c08bfbba68c396",
+        "ac31778851a8f90c3eb3443ffe87dd5ed7bb322acf267fd277c0ff988702a927",
     ("optimal-unmatched", "unmatched"):
-        "8f4282a8320773b415b73f7f3bdcbaeaef55cd02a07feac7609d69830b5d6edd",
-    ("s3", "unmatched"): "5c22e2dce9d7f5fa63ef252ac6d4c2e1d9b3ab94cbb57ed9d0356cff25cdb33b",
-    ("zfbf", "unmatched"): "e9fbd8f77816d26dbb91e60105174f7026fe8fee4440bbec8a2ff47c49f7a4b0",
-    ("zfbf", "matched"): "987b4784d091cedc9510a522d10a67d33f8e60062bb79a51ba4a33e00586481f",
+        "06ab8bc493d17bd287d5c63e354959526cbbcccba587889546e4853a925ae5ec",
+    ("s3", "unmatched"): "39529c9822d3bc7d7936c1927f5599b0a657c60d2107c5c05cd9b03c5cc8f40c",
+    ("zfbf", "unmatched"): "0e0af6946e4062e6d5070bd1eb7961e6386b385dfcadf70b0ae3f8e2e48e6029",
+    ("zfbf", "matched"): "d5f3c6e4d5c99a64591cb421d6b7f00ae7523e824d5069e0c2012b1f4168bf8a",
 }
 
 
@@ -623,6 +623,17 @@ def test_simulate_report_bytes_golden(scheme, kind, capsys):
                              "--trials", "200", "--out", "-"]) == 0
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == _SIMULATE_GOLDEN[(scheme, kind)]
+
+
+@pytest.mark.parametrize("scheme,kind", [k for k in _SIMULATE_GOLDEN if k[0] != "fdma"])
+def test_simulate_golden_is_the_true_stack_walk_reading_the_error_on_nulled_rows(
+        scheme, kind, capsys, monkeypatch):
+    """The re-pinned goldens are the bytes of the walk that read the true channel
+    on every link, with only its nulled rows read from the error."""
+    from test_linkmc import true_stack_walk_reading_the_error_on_nulled_rows
+
+    monkeypatch.setattr(linkmc, "_link_powers", true_stack_walk_reading_the_error_on_nulled_rows)
+    test_simulate_report_bytes_golden(scheme, kind, capsys)
 
 
 def test_verify_stdout_bytes_golden(capsys):

@@ -20,7 +20,7 @@ from dofsim import channel as ch
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
 from dofsim.channel import MATCHED, UNMATCHED, QualityPair
-from test_schemes import _reference_links, _table_links
+from test_schemes import _reference_links, _table_links, _zero_forced_on
 
 Q = QualityPair(0.8, 0.5)
 
@@ -327,14 +327,12 @@ def test_rates_monotone_in_snr():
         assert r[0] < r[1] < r[2]
 
 
-# Known wrong answers: the walk forms h = estimate + error in float64, which
-# rounds away an error below half an ulp of the estimate, so on ladders above
-# ~290 dB the zero-forced leakage is rounding noise of the estimate, not the
-# error's.  Strict, so that mending it turns these red until the marks go.
-_ZF_ROUNDING = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 10: zero-forced links read rounding noise, not the CSIT error")
+# On ladders above ~290 dB a float64 sum estimate + error rounds away an
+# error below half an ulp of the estimate.  A walk that read the true channel
+# on a zero-forced link saw rounding noise there, not the CSIT error, and read
+# 0.5951 and 1.7408 below; a nulled link reads the error alone.
 _HIGH_LADDER = (380.0, 400.0, 420.0)
+_LIMIT_LADDER = (1000.0, 1100.0, 1200.0)
 
 
 def _zfbf_sum_dof_on_the_high_ladder(q):
@@ -342,17 +340,42 @@ def _zfbf_sum_dof_on_the_high_ladder(q):
     return mc.estimate_dof(d, q, UNMATCHED, _HIGH_LADDER, trials=200, seed=0).dof["sum"]
 
 
-@_ZF_ROUNDING
 def test_zfbf_with_perfect_csit_reads_sum_dof_two_on_a_high_ladder():
-    # Reads 0.5951 today.
     assert abs(_zfbf_sum_dof_on_the_high_ladder(QualityPair(1, 1)) - 2) <= 1e-9
 
 
-@_ZF_ROUNDING
 def test_zfbf_stays_under_the_outer_bound_on_a_high_ladder():
-    # Analytic 1.3 and outer bound 1.65 at (0.8, 0.5); reads 1.7408 today.
+    # Analytic 1.3 and outer bound 1.65 at (0.8, 0.5).
     dof = _zfbf_sum_dof_on_the_high_ladder(Q)
     assert abs(dof - 1.3) <= 0.01 and dof <= 1.65
+
+
+#: The zero-forcing rows of ROADMAP's Baseline table: scheme, qualities,
+#: scenario, analytic sum DoF, and the tolerance on 380/400/420 dB and on
+#: 1000/1100/1200 dB.  The 1e-5 rows have a smallest exponent gap of 1/20,
+#: whose finite-SNR bias is ~3e-6 or less at 1000 dB.
+_ZF_ROWS = [
+    ("zfbf", QualityPair(1, 1), UNMATCHED, 2.0, 1e-9, 1e-12),
+    ("zfbf", QualityPair(0.8, 0.5), UNMATCHED, 1.3, 0.01, 1e-12),
+    ("zfbf", QualityPair(0.95, 0.5), UNMATCHED, 1.45, 0.01, 1e-5),
+    ("optimal-unmatched", QualityPair(0.95, 0.5), UNMATCHED, 1.725, 0.01, 1e-5),
+    ("optimal-unmatched", QualityPair(0.6, 0.55), UNMATCHED, 1.575, 0.01, 1e-5),
+    ("matched-optimal", QualityPair(1, 0.5), MATCHED, 1.75, 1e-9, 1e-12),
+]
+
+
+@pytest.mark.parametrize("ladder", [_HIGH_LADDER, _LIMIT_LADDER], ids=["380dB", "1000dB"])
+@pytest.mark.parametrize("scheme,q,scenario,analytic,tol_high,tol_limit", _ZF_ROWS,
+                         ids=[f"{r[0]}({r[1].beta},{r[1].alpha})" for r in _ZF_ROWS])
+def test_zero_forcing_reads_the_analytic_sum_dof_on_high_ladders(
+        scheme, q, scenario, analytic, tol_high, tol_limit, ladder):
+    # Before nulled links read the error alone, every row read 0.59-0.86 on
+    # 1000/1100/1200 dB, and all but optimal-unmatched (0.6, 0.55) missed by
+    # 0.44-1.41 on 380/400/420 dB, zfbf (0.8, 0.5) above its outer bound.
+    d = sch.build_descriptor(scheme, q, scenario)
+    dof = mc.estimate_dof(d, q, scenario, ladder, trials=200, seed=0).dof["sum"]
+    assert abs(dof - analytic) <= (tol_high if ladder == _HIGH_LADDER else tol_limit), dof
+    assert dof <= 1 + (q.beta + q.alpha) / 2 + 1e-12, dof
 
 
 def test_estimate_dof_ladder_validation():
@@ -672,26 +695,52 @@ def _link_powers_oracle(d):
     """``mc._link_powers`` for d by the walk it replaced, one receiving cell's
     links at a time (looked up with flatnonzero), each link's cell, precoder
     row and symbol taken from the plan walk ``_reference_links``, not from the
-    table's columns."""
+    table's columns.  A link zero-forced on its own cell (``_zero_forced_on``)
+    reads the cell's error, any other link its true channel."""
     links = _reference_links(d)
 
     def link_powers(cells, symbols, table, ps):
         assert symbols is d.symbols
         cell = np.array([ch.cell_index(user, symbols[i].slot) for i, user in links])
+        nulled = np.array([_zero_forced_on(symbols[i].precoder, c)
+                           for (i, _), c in zip(links, cell.tolist())], dtype=bool)
         precoder = np.array([table.precoders.index(symbols[i].precoder) for i, _ in links])
         symbol = np.array([i for i, _ in links])
         w = mc._directions(cells.estimate, table)
         values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
         values = values.reshape(values.shape + (1,) * (w.ndim - 3))
         out = np.zeros((len(links) + 1,) + w.shape[1:-1])
-        for c, true in enumerate(cells.true):
-            ns = np.flatnonzero(cell == c)
-            if len(ns):
-                products = true.conj() * w[precoder[ns]]
-                out[ns] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[symbol[ns]]
+        for c, (true, error) in enumerate(zip(cells.true, cells.error)):
+            for reads, h in ((False, true), (True, error)):
+                ns = np.flatnonzero((cell == c) & (nulled == reads))
+                if len(ns):
+                    products = h.conj() * w[precoder[ns]]
+                    out[ns] = np.abs(products[..., 0] + products[..., 1]) ** 2 * values[symbol[ns]]
         return out
 
     return link_powers
+
+
+def true_stack_walk_reading_the_error_on_nulled_rows(cells, table, power):
+    """``mc._link_powers`` as it was before the table marked nulled links: it
+    gathered the 4-cell ``cells.true`` stack for every link.  Here only the rows
+    of the links zero-forced on their own cell (``_zero_forced_on``) are read
+    from the error instead."""
+    w = mc._directions(cells.estimate, table)[table.precoder]
+    products = cells.true[table.cell].astype(np.result_type(cells.estimate, w), copy=False)
+    rows = [n for n, (c, r) in enumerate(zip(table.cell.tolist(), table.precoder.tolist()))
+            if _zero_forced_on(table.precoders[r], c)]
+    products[rows] = cells.error[table.cell[rows]]
+    np.conjugate(products, out=products)
+    products *= w
+    summed = products[..., 0]
+    summed += products[..., 1]
+    out = np.empty((table.links + 1,) + w.shape[1:-1])
+    out[-1] = 0.0
+    powers = np.abs(summed, out=out[:-1])
+    np.square(powers, out=powers)
+    powers *= power
+    return out
 
 
 def _step_rates_oracle(d):
@@ -810,3 +859,22 @@ def test_reports_equal_the_reports_of_the_oracle_kernels(monkeypatch, scheme, sc
     monkeypatch.setattr(mc, "unit", _unit_oracle)
     monkeypatch.setattr(mc, "_slopes", _slopes_oracle)
     assert got == reports(oracle=True)
+
+
+@pytest.mark.parametrize("trials", [100, 1025])
+def test_reports_equal_those_of_the_true_stack_walk_reading_the_error_on_nulled_rows(
+        monkeypatch, trials):
+    """Every scheme's report on a low, a high and a limit ladder is the report of
+    the walk that gathered the true channel for every link, with only the nulled
+    rows read from the error: the one change to the MC output."""
+    cases = [(Q, (40.0, 50.0, 60.0)), (QualityPair(1, 1), _HIGH_LADDER),
+             (QualityPair(0.95, 0.5), _LIMIT_LADDER)]
+
+    def reports():
+        return [mc.estimate_dof(sch.build_descriptor(scheme, q, scenario), q, scenario,
+                                ladder, trials, seed=5).to_json()
+                for scheme, scenario in _cli_pairs() for q, ladder in cases]
+
+    got = reports()
+    monkeypatch.setattr(mc, "_link_powers", true_stack_walk_reading_the_error_on_nulled_rows)
+    assert got == reports()

@@ -23,7 +23,7 @@ from dofsim import channel as ch
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
 from dofsim.channel import QualityPair, Scenario
-from test_schemes import SCHEME_SCENARIOS, _reference_links
+from test_schemes import SCHEME_SCENARIOS, _reference_links, _zero_forced_on
 
 #: (beta, alpha) on the interior, the edges alpha = 0, beta = 1 and
 #: beta = alpha, and the corners (0, 0), (1, 0) and (1, 1).
@@ -418,6 +418,17 @@ def test_each_face_reads_one_decode_table(scheme, kind, beta, alpha):
         for n, (i, user) in enumerate(links):
             got = mc.received_power(cells[:, 0], d.symbols[i], user, P)
             assert got.shape == (trials,) and np.array_equal(got, powers[n, 0]), (trials, n)
+
+
+@pytest.mark.parametrize("beta,alpha", FACES)
+@pytest.mark.parametrize("scheme,kind", SCHEME_SCENARIOS)
+def test_the_nulled_links_are_those_zero_forced_on_their_own_cell(scheme, kind, beta, alpha):
+    d = sch.build_descriptor(scheme, QualityPair(Fraction(beta), Fraction(alpha)), Scenario(kind))
+    nulled = d.table.nulled
+    assert nulled.dtype == bool and not nulled.flags.writeable
+    assert nulled.tolist() == [
+        _zero_forced_on(d.symbols[i].precoder, ch.cell_index(user, d.symbols[i].slot))
+        for i, user in _reference_links(d)]
 
 
 def test_a_one_step_plan_naming_an_unknown_user_is_refused():

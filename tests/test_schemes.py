@@ -184,6 +184,12 @@ def _reference_links(d):
     return list(used)
 
 
+def _zero_forced_on(precoder, cell):
+    """Whether a link received in ``cell`` is nulled: its precoder is zf_orth on
+    that same cell's estimate, by the precoder's kind and reference cell."""
+    return precoder.kind == "zf_orth" and CELLS.index((precoder.user, precoder.subband)) == cell
+
+
 def _reference_margins(d):
     """static_achievability_check's max-plus rule walked over ``_reference_steps`` as tuples,
     without the table's arrays, in exact arithmetic."""

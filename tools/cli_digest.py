@@ -70,6 +70,12 @@ def battery():
                "--alpha", "0", *mc]
     # 4100 trials: a full block of TRIAL_BLOCK = 4096 trials and a partial second.
     yield ["simulate", "--scheme", "optimal-unmatched", "--trials", "4100"]
+    # On 380/400/420 dB a quality-1 error lies below half an ulp of its
+    # estimate, so a zero-forced link's leakage is the error's alone.
+    for scheme, beta, alpha in (("zfbf", "1", "1"), ("zfbf", "0.8", "0.5"),
+                                ("optimal-unmatched", "0.95", "0.5")):
+        yield ["simulate", "--scheme", scheme, "--beta", beta, "--alpha", alpha,
+               "--snr", "380,400,420", "--trials", "200"]
     # 40 and 40.0000001 share the report key "40"; the ladder is rejected.
     yield ["simulate", "--scheme", "fdma", "--snr", "40,40.0000001,50", "--trials", "20"]
     yield ["verify"]
