@@ -6,7 +6,10 @@ Subcommands:
                   bound, emit JSON or gnuplot-ready vertices.
 * ``simulate`` -- Monte Carlo DoF slope estimate for one scheme.
 * ``sweep``    -- strategy-switching map over the quality grid.
-* ``verify``   -- run the built-in invariant battery.
+* ``verify``   -- prove the power identities, the achievability of every
+                  decode step and the region identity on each face of the
+                  quality triangle, spot-check them at random exact pairs,
+                  and check the worst-case switching ratios.
 
 ``main`` parses a command's words with that command's parser alone; a
 usage error goes through the full parser.  An ``--out`` file is overwritten
@@ -26,15 +29,14 @@ import argparse
 import contextlib
 import functools
 import os
+import random
 import stat
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import jsontext, linkmc, regions, schemes, switcher
-from .channel import SCENARIO_KINDS, SUBBANDS, QualityPair, Scenario, check_seed
+from .channel import SCENARIO_KINDS, QualityPair, Scenario, check_seed
 
 
 class _FileOut(contextlib.AbstractContextManager):
@@ -178,56 +180,81 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-#: Quality pairs a gap of 10**-k from the edges of the square: near
-#: beta = alpha (in the middle and at the top), alpha = 0 and beta = 1.
-#: Each one gives some region component a weight of about the gap.
-_EDGE_PAIRS = [pair for k in range(1, 13) for pair in (
-    (0.5, 0.5 - 10.0 ** -k), (1.0, 1.0 - 10.0 ** -k),
-    (0.5, 10.0 ** -k), (1.0 - 10.0 ** -k, 0.5),
-)]
+#: How many random exact pairs ``verify`` spot-checks.
+_SPOT_PAIRS = 4
+
+
+def _outcome(name: str, failures: List[str], detail: str):
+    """A check's (name, passed, detail); a failed one's detail is its first failure."""
+    more = f" ({len(failures) - 1} more)" if len(failures) > 1 else ""
+    return (name, False, failures[0] + more) if failures else (name, True, detail)
+
+
+def _composition_failures(kind: str, q: QualityPair, where: str) -> List[str]:
+    """The composed region's mismatch with the outer bound at q, if any."""
+    composed = (regions.compose_unmatched if kind == "unmatched" else regions.compose_matched)(q)
+    outer = regions.outer_bound(q)
+    if regions.region_equal(composed, outer, tol=0):
+        return []
+    ranks = [", ".join(map(str, region.ranks)) for region in (composed, outer)]
+    return [f"{kind} at {where}: ranks ({ranks[0]}) against the outer bound's ({ranks[1]})"]
 
 
 def _verify_checks(scenarios: Sequence[Scenario], seed: int):
-    """Yield (name, passed, detail) for the invariant battery."""
-    grid = [Fraction(i, 20) for i in range(21)]
+    """Yield (name, passed, detail) for the invariant battery.
 
-    descriptors = []
-    try:
-        for q in [QualityPair(b, a) for b in grid for a in grid if a <= b]:
-            at_q = []
-            for scheme, row in schemes.SCHEMES.items():
-                for kind in row.scenarios:
+    Every exponent of a face template is affine on its face of the quality
+    triangle, so its power ledger telescopes on the whole face, and a step
+    margin, signal - max(interference, 0) - rate, is concave there: >= 0 on
+    the face once it is at the corners of the face's closure.  The ranks of
+    the composed regions and of the outer bound are affine on the triangle,
+    so they agree on it once they agree at its corners.  Random exact pairs
+    drawn from ``seed`` spot-check builds, audits and compositions."""
+    templates = [(f"{scheme} ({kind}) on {name}", row.build, kind, face)
+                 for scheme, row in schemes.SCHEMES.items() for kind in row.scenarios
+                 for name, face in schemes.FACES.items()]
+    ledgers, audits, margins = [], [], []
+    for where, build, kind, face in templates:
+        try:
+            t = schemes._template(build, kind, face)
+            schemes.check_power_identity(t)  # again, as the template may be cached
+        except ValueError as exc:
+            ledgers.append(f"{where}: {exc}")
+            continue
+        for b, a in face:
+            try:
+                audit = schemes.static_achievability_check(schemes._at(t, QualityPair(b, a)))
+                margins.append(min(step.margin for step in audit))
+            except schemes.AchievabilityError as exc:
+                audits.append(f"{where} at vertex ({b}, {a}): {exc}")
+    yield _outcome("power-identity-proof", ledgers,
+                   f"{len(templates)} face templates telescope to P in both subbands")
+    yield _outcome("achievability-proof", audits, f"{len(margins)} face-vertex audits, "
+                   f"worst step margin {min(margins, default=0)}")
+
+    corners = [QualityPair(Fraction(b), Fraction(a)) for b, a in schemes._CORNERS]
+    failures = [f for scenario in scenarios for q in corners for f in _composition_failures(
+        scenario.kind, q, f"corner ({q.beta}, {q.alpha})")]
+    yield _outcome("composition-proof", failures, f"{len(scenarios) * len(corners)} exact "
+                   "compositions equal the outer bound at the corners")
+
+    rng, failures = random.Random(seed), []
+    for _ in range(_SPOT_PAIRS):
+        q = QualityPair(*sorted((Fraction(rng.random()) for _ in range(2)), reverse=True))
+        where = f"({float(q.beta)!r}, {float(q.alpha)!r})"
+        for scheme, row in schemes.SCHEMES.items():
+            for kind in row.scenarios:
+                try:
                     d = schemes.build_descriptor(scheme, q, Scenario(kind))
-                    if d not in at_q:  # fdma's descriptor is the same in both scenarios
-                        at_q.append(d)
-                        schemes.check_power_identity(d)
-            descriptors += at_q
-        count = len(SUBBANDS) * len(descriptors)
-        yield "power-identity", True, f"{count} slot ledgers telescope to P"
-    except ValueError as exc:
-        yield "power-identity", False, str(exc)
-
-    try:
-        worst = min(s.margin for d in descriptors for s in schemes.static_achievability_check(d))
-        yield "achievability-margins", True, f"worst step margin {worst}"
-    except schemes.AchievabilityError as exc:
-        yield "achievability-margins", False, str(exc)
-
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(200):
-        lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
-        pairs.append((float(hi), float(lo)))
-    bad = 0
-    for b, a in pairs + _EDGE_PAIRS:
-        q = QualityPair(Fraction(b), Fraction(a))
-        for scenario in scenarios:
-            compose = (regions.compose_unmatched if scenario.kind == "unmatched"
-                       else regions.compose_matched)
-            if not regions.region_equal(compose(q), regions.outer_bound(q), tol=0):
-                bad += 1
-    yield ("composition-identity", bad == 0,
-           f"{bad} mismatches in 200 random pairs and {len(_EDGE_PAIRS)} edge pairs")
+                    if d != row.build(q, Scenario(kind)):
+                        raise ValueError("the evaluated face template differs from the build")
+                    schemes.static_achievability_check(d)
+                except (ValueError, schemes.AchievabilityError) as exc:
+                    failures.append(f"{scheme} ({kind}) at {where}: {exc}")
+        failures += [f for scenario in scenarios
+                     for f in _composition_failures(scenario.kind, q, where)]
+    yield _outcome("spot-checks", failures,
+                   f"{_SPOT_PAIRS} random exact pairs: builds, audits and compositions pass")
 
     for scenario in scenarios:
         m = switcher.sweep(scenario, step=0.005, rho=1.0)
@@ -290,10 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--out", default="-", help="output path, - for stdout")
 
-    p_verify = sub.add_parser("verify", help="run the built-in invariant battery")
+    p_verify = sub.add_parser(
+        "verify", help="run the built-in invariant battery",
+        description="Prove the power identities, step achievability and the region identity "
+                    "once per face of the quality triangle, spot-check them at random exact "
+                    "(beta, alpha) pairs, and check the worst-case switching ratios on a "
+                    "0.005 grid.")
     p_verify.add_argument("--scenario", choices=SCENARIO_KINDS, default=None,
                           help="restrict scenario-specific checks")
-    p_verify.add_argument("--seed", type=_seed, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0,
+                          help="seed of the random exact pairs the spot checks draw")
     #: Command name -> that command's parser.
     parser.commands = sub.choices
     return parser

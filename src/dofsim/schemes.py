@@ -42,8 +42,10 @@ constant on each face of the quality triangle, where every exponent is
 affine in (beta, alpha).  So ``build_descriptor`` runs each builder once
 per face, on ``_Affine`` forms that compare as functions on the face, and
 that template's checks hold on the whole face; a build evaluates its forms
-at q, in q's number type.  The closed-form sum DoF is read off the interior
-template, and the achievability audit runs on ``Fraction`` builds, exactly.
+at q, in q's number type.  ``FACES`` names the seven faces by the corners
+of their closures, and ``face_of`` gives a point's face.  The closed-form
+sum DoF is read off the interior template, and the achievability audit runs
+on rational builds, exactly.
 """
 
 from __future__ import annotations
@@ -535,9 +537,8 @@ def build_descriptor(scheme: str, q: QualityPair, scenario: Scenario) -> SchemeD
 
     The template of q's face, evaluated at q: the same fields, bits and
     number types as the builder's own build on q."""
-    b, a = q.beta, q.alpha
     return _at(_template(_scheme(scheme, scenario.kind).build, scenario.kind,
-                         (b == 1, b == a, a == 0)), q)
+                         face_of(q.beta, q.alpha)), q)
 
 
 # -- face templates --------------------------------------------------------
@@ -602,13 +603,21 @@ class _Affine:
 #: The corners (beta, alpha) of the quality triangle, each opposite one of its
 #: edges beta = 1, alpha = beta and alpha = 0.
 _CORNERS = ((0, 0), (1, 0), (1, 1))
+#: The triangle's seven faces by name, each as the corners of its closure.
+FACES = {"interior": _CORNERS, "edge beta = 1": ((1, 0), (1, 1)),
+         "edge alpha = beta": ((0, 0), (1, 1)), "edge alpha = 0": ((0, 0), (1, 0)),
+         **{f"corner {v}": (v,) for v in _CORNERS}}
+
+
+def face_of(beta, alpha) -> Tuple[Tuple[int, int], ...]:
+    """The face (beta, alpha) lies on: the corners opposite the edges it is off."""
+    return tuple(v for v, off in zip(_CORNERS, (beta != 1, alpha != beta, alpha != 0)) if off)
 
 
 @functools.cache
-def _template(build: Callable, kind: str, on_edges: Tuple[bool, bool, bool]) -> SchemeDescriptor:
-    """build's descriptor on the face that lies on the given edges, its
-    exponents ``_Affine`` forms: its checks run once and hold on all the face."""
-    face = tuple(v for v, on in zip(_CORNERS, on_edges) if not on)
+def _template(build: Callable, kind: str, face: Tuple[Tuple[int, int], ...]) -> SchemeDescriptor:
+    """build's descriptor on the face with the given corners, its exponents
+    ``_Affine`` forms: its checks run once and hold on all the face."""
     return build(QualityPair(_Affine((0, 1, 0), face), _Affine((0, 0, 1), face)), Scenario(kind))
 
 
@@ -663,7 +672,7 @@ def _sum_dof_form(scheme: str, kind: str):
     """Exact (c0, cb, ca) with sum DoF c0 + cb*beta + ca*alpha, and its floats,
     read off the scheme's template inside the quality triangle: the sum DoF
     is continuous, so the form holds on the edges and corners too."""
-    dof = sum_dof_exponent(_template(_scheme(scheme, kind).build, kind, (False,) * 3))
+    dof = sum_dof_exponent(_template(_scheme(scheme, kind).build, kind, _CORNERS))
     exact = tuple(map(Fraction, dof.form if isinstance(dof, _Affine) else (dof, 0, 0)))
     return exact, tuple(map(float, exact))
 

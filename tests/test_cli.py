@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dofsim import cli, linkmc, regions, schemes, switcher
-from dofsim.channel import SCENARIO_KINDS, Scenario
+from dofsim.channel import SCENARIO_KINDS, QualityPair, Scenario
 from dofsim.linkmc import SimReport
 
 # exit-code contract: 0 success, 1 verification failure, 2 bad args, 3 I/O
@@ -247,49 +247,92 @@ def test_sweep_rejects_an_oversized_grid(step, capsys):
 def test_verify_battery_passes(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
-    for check in ("power-identity", "achievability-margins", "composition-identity",
-                  "min-ratio-unmatched", "min-ratio-matched"):
+    for check in ("power-identity-proof", "achievability-proof", "composition-proof",
+                  "spot-checks", "min-ratio-unmatched", "min-ratio-matched"):
         assert f"[PASS] {check}" in out
     assert "[FAIL]" not in out
-    assert "[PASS] power-identity: 2772 slot ledgers telescope to P" in out
+    assert "[PASS] power-identity-proof: 49 face templates telescope to P in both subbands" in out
 
 
-def test_verify_checks_every_grid_ledger_itself(monkeypatch):
-    """Builds evaluate face templates, whose ledgers were proved once, so
-    verify runs ``power_ledger`` on each subband of each grid descriptor."""
+def test_verify_checks_every_face_template_ledger_itself(monkeypatch):
+    """verify runs ``power_ledger`` on each subband of each of the 49 face
+    templates, whose ledgers hold as forms on the whole face."""
     scenarios = [Scenario(kind) for kind in SCENARIO_KINDS]
-    assert next(cli._verify_checks(scenarios, 0))[1]  # builds every template the grid needs
+    assert next(cli._verify_checks(scenarios, 0))[1]  # builds every template
     seen = []
     ledger = schemes.power_ledger
     monkeypatch.setattr(schemes, "power_ledger",
                         lambda d, slot: seen.append(slot) or ledger(d, slot))
     assert next(cli._verify_checks(scenarios, 0)) == (
-        "power-identity", True, "2772 slot ledgers telescope to P")
-    assert len(seen) == 2772
+        "power-identity-proof", True, "49 face templates telescope to P in both subbands")
+    assert len(seen) == 2 * 49
     monkeypatch.setattr(schemes, "power_ledger", lambda d, slot: {})
     name, passed, detail = next(cli._verify_checks(scenarios, 0))
-    assert (name, passed) == ("power-identity", False)
-    assert detail.startswith("power identity violated in slot 'A' of 'fdma'"), detail
+    assert (name, passed) == ("power-identity-proof", False)
+    assert detail.startswith("fdma (unmatched) on interior: "
+                             "power identity violated in slot 'A' of 'fdma'"), detail
+    assert detail.endswith(" (48 more)"), detail
+
+
+def test_verify_audits_each_template_at_its_face_vertices(monkeypatch):
+    """The achievability proof audits each template evaluated at each vertex
+    of its face's closure, on the face's own forms: 84 audits."""
+    scenarios = [Scenario(kind) for kind in SCENARIO_KINDS]
+    audited = []
+    audit = schemes.static_achievability_check
+    monkeypatch.setattr(schemes, "static_achievability_check",
+                        lambda d: audited.append(d) or audit(d))
+    checks = cli._verify_checks(scenarios, 0)
+    next(checks)
+    assert next(checks) == ("achievability-proof", True,
+                            "84 face-vertex audits, worst step margin 0")
+    want = [(t, QualityPair(b, a)) for scheme, row in schemes.SCHEMES.items()
+            for kind in row.scenarios for face in schemes.FACES.values()
+            for t in [schemes._template(row.build, kind, face)] for b, a in face]
+    assert len(audited) == len(want) == 84
+    for d, (t, q) in zip(audited, want):
+        assert d == schemes._at(t, q) and d.table is t.table
 
 
 def test_verify_composition_identity_is_exact(monkeypatch, capsys):
     # A composition off by 1e-15 in every rank, far inside any float
-    # tolerance, must fail the exact check.
+    # tolerance, must fail the exact check at every corner and random pair.
     compose = regions.compose_unmatched
     tiny = regions.scale(regions.canonical("no_csit"), Fraction(1, 10**15))
     monkeypatch.setattr(regions, "compose_unmatched",
                         lambda q: regions.minkowski_sum(compose(q), tiny))
     assert cli.main(["verify", "--scenario", "unmatched"]) == 1
-    assert "[FAIL] composition-identity: 248 mismatches in 200 random pairs and 48 edge pairs" \
-        in capsys.readouterr().out
-
-
-def test_verify_checks_the_edge_pairs(capsys):
-    assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert len(cli._EDGE_PAIRS) == 48
-    assert "[PASS] composition-identity: 0 mismatches in 200 random pairs and 48 edge pairs" \
-        in out
+    assert "[FAIL] composition-proof: unmatched at corner (0, 0): ranks " in out
+    assert "(2 more)\n[FAIL] spot-checks: unmatched at (" in out
+
+
+def test_verify_composition_proof_covers_the_edge_pairs(monkeypatch):
+    """The composition proof composes exactly at the three corners of the
+    triangle, whose closure holds every edge pair (``tests/test_verify_proof.py``)
+    and on which the ranks are affine, so no edge pair needs its own composition."""
+    seen = []
+    bound = regions.outer_bound
+    monkeypatch.setattr(regions, "outer_bound", lambda q: seen.append(q) or bound(q))
+    checks = cli._verify_checks([Scenario(kind) for kind in SCENARIO_KINDS], 0)
+    assert next(c for c in checks if c[0] == "composition-proof") == (
+        "composition-proof", True, "6 exact compositions equal the outer bound at the corners")
+    assert [(q.beta, q.alpha) for q in seen] == list(schemes._CORNERS) * len(SCENARIO_KINDS)
+    assert all(type(q.beta) is Fraction and type(q.alpha) is Fraction for q in seen)
+
+
+def test_verify_spot_checks_follow_the_seed(monkeypatch, capsys):
+    drawn = []
+    build = schemes.build_descriptor
+    monkeypatch.setattr(schemes, "build_descriptor",
+                        lambda scheme, q, scenario: drawn.append(q) or build(scheme, q, scenario))
+    for seed in ("0", "0", "1"):
+        assert cli.main(["verify", "--seed", seed]) == 0
+    capsys.readouterr()
+    runs = [drawn[i * len(drawn) // 3:(i + 1) * len(drawn) // 3] for i in range(3)]
+    assert runs[0] == runs[1] != runs[2]
+    assert len(set(runs[0])) == cli._SPOT_PAIRS
+    assert all(type(q.beta) is Fraction and type(q.alpha) is Fraction for q in drawn)
 
 
 @pytest.mark.parametrize("argv", [
@@ -640,9 +683,10 @@ def test_verify_stdout_bytes_golden(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
     assert out == (
-        "[PASS] power-identity: 2772 slot ledgers telescope to P\n"
-        "[PASS] achievability-margins: worst step margin 0\n"
-        "[PASS] composition-identity: 0 mismatches in 200 random pairs and 48 edge pairs\n"
+        "[PASS] power-identity-proof: 49 face templates telescope to P in both subbands\n"
+        "[PASS] achievability-proof: 84 face-vertex audits, worst step margin 0\n"
+        "[PASS] composition-proof: 6 exact compositions equal the outer bound at the corners\n"
+        "[PASS] spot-checks: 4 random exact pairs: builds, audits and compositions pass\n"
         "[PASS] min-ratio-unmatched: min ratio 0.8003 at [(0.665, 0.665)]\n"
         "[PASS] min-ratio-matched: min ratio 0.6667 on beta + alpha = 1 (201 cells)\n"
     )

@@ -19,7 +19,6 @@ from scipy.spatial import ConvexHull
 
 from dofsim import regions as reg
 from dofsim.channel import QualityPair
-from dofsim.cli import _EDGE_PAIRS
 
 
 def contains(region, point, tol=1e-9):
@@ -54,6 +53,15 @@ def _random_region(rng):
     r1, r2 = (Fraction(int(k), 64) for k in rng.integers(1, 97, size=2))
     r12 = max(r1, r2) + Fraction(int(rng.integers(0, 65)), 64) * min(r1, r2)
     return _from_ranks(r1, r2, r12)
+
+
+#: Quality pairs a gap of 10**-k from the edges of the square: near
+#: beta = alpha (in the middle and at the top), alpha = 0 and beta = 1.
+#: Each one gives some region component a weight of about the gap.
+EDGE_PAIRS = [pair for k in range(1, 13) for pair in (
+    (0.5, 0.5 - 10.0 ** -k), (1.0, 1.0 - 10.0 ** -k),
+    (0.5, 10.0 ** -k), (1.0 - 10.0 ** -k, 0.5),
+)]
 
 
 def _random_pairs(seed, n):
@@ -156,7 +164,7 @@ def test_constructor_rejects_unequal_corner_sums():
 
 
 def test_every_built_region_has_equal_corner_sums():
-    pairs = _random_pairs(19, 300) + _EDGE_PAIRS + [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    pairs = _random_pairs(19, 300) + EDGE_PAIRS + [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
     for b, a in pairs:
         for q in (QualityPair(b, a), QualityPair(Fraction(b), Fraction(a))):
             # Building each region runs the constructor's corner-sum check.
@@ -461,7 +469,7 @@ def _exact_ring(region):
 
 def test_composed_rings_are_mirror_symmetric_and_near_exact():
     grid = [i / 20 for i in range(21)]
-    pairs = _random_pairs(31, 300) + _EDGE_PAIRS + [(b, a) for b in grid for a in grid if a <= b]
+    pairs = _random_pairs(31, 300) + EDGE_PAIRS + [(b, a) for b in grid for a in grid if a <= b]
     for b, a in pairs:
         exact_q = QualityPair(Fraction(b), Fraction(a))
         for compose, _ in _COMPOSERS:
@@ -504,7 +512,7 @@ def _hull_of_vertex_sums(regions):
 @pytest.mark.parametrize("compose, components", _COMPOSERS)
 def test_composition_matches_iterated_hull_oracle(compose, components):
     """compose_* == hull of the scaled blocks' pairwise vertex sums, within 1e-12."""
-    for b, a in _random_pairs(77, 200) + _EDGE_PAIRS:
+    for b, a in _random_pairs(77, 200) + EDGE_PAIRS:
         q = QualityPair(b, a)
         blocks = [region for _, w, region in components(q) if w > 0]
         points, hull = _hull_of_vertex_sums(blocks)

@@ -527,11 +527,11 @@ def _no_u0(q, scenario):
 
 def test_a_template_whose_ledger_does_not_telescope_on_its_face_is_refused():
     # On the edge alpha = beta, and at each of its points, the ledger telescopes.
-    assert sch._template(_no_u0, "unmatched", (False, True, False)).name == "no-u0"
+    assert sch._template(_no_u0, "unmatched", sch.FACES["edge alpha = beta"]).name == "no-u0"
     sch.check_power_identity(_no_u0(QualityPair(Fraction(3, 5), Fraction(3, 5)), None))
     # Inside the triangle it does not, although it does at every point with alpha = beta.
     with pytest.raises(ValueError, match="power identity violated in slot 'A' of 'no-u0'"):
-        sch._template(_no_u0, "unmatched", (False, False, False))
+        sch._template(_no_u0, "unmatched", sch.FACES["interior"])
 
 
 def _split_at_half(q, scenario):
@@ -541,5 +541,5 @@ def _split_at_half(q, scenario):
 
 def test_a_builder_branch_that_is_not_constant_on_its_face_is_refused():
     with pytest.raises(ValueError, match="changes sign on the face"):
-        sch._template(_split_at_half, "unmatched", (False, False, False))
-    assert sch._template(_split_at_half, "unmatched", (True, False, False)).name == "fdma"
+        sch._template(_split_at_half, "unmatched", sch.FACES["interior"])
+    assert sch._template(_split_at_half, "unmatched", sch.FACES["edge beta = 1"]).name == "fdma"

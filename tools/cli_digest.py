@@ -80,6 +80,8 @@ def battery():
     yield ["simulate", "--scheme", "fdma", "--snr", "40,40.0000001,50", "--trials", "20"]
     yield ["verify"]
     yield ["verify", "--scenario", "matched"]
+    # Another seed draws other spot-check pairs.
+    yield ["verify", "--seed", "1"]
     for scenario in SCENARIOS:
         yield ["sweep", "--scenario", scenario, "--step", "0.05"]
         yield ["sweep", "--scenario", scenario, "--step", "0.1", "--format", "json"]
