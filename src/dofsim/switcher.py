@@ -2,16 +2,14 @@
 
 For every quality pair the three simple strategies (fdma, zfbf and -- in
 the unmatched scenario -- s3) are scored by analytic sum DoF against the
-optimal scheme.  A sweep rasterises the unit square (cells below the
-diagonal are evaluated on the swapped pair, since relabelling the users
-mirrors the problem) and labels each cell either with the winning simple
-strategy or with "optimal-needed" when even the winner's ratio falls
-below the threshold rho.
+optimal scheme.  A sweep rasterises the unit square and labels each cell
+either with the winning simple strategy or with "optimal-needed" when even
+the winner's ratio falls below the threshold rho.
 
-A sweep is computed as float64 arrays over the whole grid: the same
-closed forms (``schemes.analytic_sum_dof_at``) and the same winner rule
-as ``best_strategy``, applied elementwise.  ``SweepMap`` keeps the
-grid axis once and one score column per ``SweepCell`` field.
+Relabelling the users mirrors the problem, so a sweep scores each mirror
+pair of cells once, as float64 arrays over the entries alpha <= beta: the
+same closed forms (``schemes.analytic_sum_dof_at``) and winner rule as
+``best_strategy``, applied elementwise (see ``SweepMap``).
 """
 
 from __future__ import annotations
@@ -40,11 +38,11 @@ STRATEGIES = ("fdma", "zfbf", "s3")
 #: Rows of CSV text joined per write.
 _CSV_BLOCK = 4096
 
-#: Most cells a sweep rasters: the grid of step 0.001.  Memory grows with
-#: the cell count; a csv sweep of this grid peaks near 146 MB unmatched and
-#: 118 MB matched, a json one near 94 MB unmatched (the ``ru_maxrss`` of a
-#: fresh ``python -m dofsim.cli sweep --step 0.001 --out /dev/null``
-#: process, x86-64, Python 3.11.7, numpy 2.4.6).
+#: Most cells a sweep rasters: the grid of step 0.001, 501 501 entries.
+#: Memory grows with the cell count; a csv sweep of this grid peaks near
+#: 129 MB unmatched and 76 MB matched, a json one near 72 MB unmatched (the
+#: ``ru_maxrss`` of a fresh ``python -m dofsim sweep --step 0.001 --out
+#: /dev/null`` process, x86-64, Python 3.11.7, numpy 2.4.6).
 MAX_GRID_CELLS = 1001 ** 2
 _MAX_DIVISIONS = math.isqrt(MAX_GRID_CELLS) - 1
 
@@ -79,10 +77,6 @@ def _pick(values: Sequence):
     return best, best_value
 
 
-def _needs_optimal(ratio, rho: float):
-    return ratio < rho - _TIE_EPS
-
-
 def best_strategy(q: QualityPair, scenario: Scenario) -> SweepCell:
     """Score the simple strategies at one quality pair.
 
@@ -104,18 +98,21 @@ def best_strategy(q: QualityPair, scenario: Scenario) -> SweepCell:
 
 @dataclass(frozen=True, eq=False)
 class SweepMap:
-    """A scored grid: the grid axis once, then one array per score field.
+    """A scored grid: the grid axis, one score entry per mirror pair, and the cell-to-entry index.
 
-    Cell k sits at (beta, alpha) = (grid[k // n], grid[k % n]) with
-    n = len(grid), so cells run row-major in beta, then alpha.  The score
-    columns are float64; ``best`` holds indices into STRATEGIES; ``d_s3``
-    is None in the matched scenario.
+    Cell k sits at (beta, alpha) = (grid[k // n], grid[k % n]), n = len(grid).
+    The n(n+1)/2 entries are the cells with alpha <= beta in row-major order
+    (``np.tril_indices(n)``): entry h(h+1)/2 + l scores cells (h, l) and (l, h),
+    and ``mirror[k]`` (int32) is cell k's entry.  The score columns are float64
+    over the entries, fdma's sum DoF (the same on every cell) a 0-d array;
+    ``best`` indexes STRATEGIES; ``d_s3`` is None in the matched scenario.
     """
 
     scenario: str
     step: float
     rho: float
     grid: np.ndarray
+    mirror: np.ndarray
     d_fdma: np.ndarray
     d_zfbf: np.ndarray
     d_s3: Optional[np.ndarray]
@@ -126,9 +123,14 @@ class SweepMap:
     @cached_property
     def _counts(self) -> Dict[str, int]:
         names = STRATEGIES + (OPTIMAL_NEEDED,)
-        labels = np.where(_needs_optimal(self.ratio, self.rho), len(STRATEGIES), self.best)
-        counts = np.bincount(labels, minlength=len(names))
-        present = sorted(np.flatnonzero(counts).tolist(), key=lambda k: np.argmax(labels == k))
+        labels = np.where(self.ratio < self.rho - _TIE_EPS, len(STRATEGIES), self.best)
+        n, at = len(self.grid), np.arange(len(self.grid))
+        # Cells (i, j), i <= j, row-major: each entry once, at its first cell.
+        seen = labels[self.mirror.reshape(n, n)[at[:, None] <= at]]
+        # An entry counts for its two cells, one on the diagonal for one.
+        counts = (2 * np.bincount(seen, minlength=len(names))
+                  - np.bincount(labels[self.mirror[::n + 1]], minlength=len(names)))
+        present = sorted(np.flatnonzero(counts).tolist(), key=lambda k: np.argmax(seen == k))
         return {names[k]: int(counts[k]) for k in present}
 
     def counts_by_strategy(self) -> Dict[str, int]:
@@ -139,7 +141,8 @@ class SweepMap:
         return float(self.ratio.min())
 
     def argmin(self) -> List[Tuple[float, float]]:
-        row, col = np.divmod(np.flatnonzero(self.ratio <= self.min_ratio() + 1e-9), len(self.grid))
+        near = self.ratio <= self.min_ratio() + 1e-9
+        row, col = np.divmod(np.flatnonzero(near[self.mirror]), len(self.grid))
         return list(zip(self.grid[row].tolist(), self.grid[col].tolist()))
 
     def summary_dict(self) -> dict:
@@ -166,26 +169,28 @@ def _grid(step: float) -> np.ndarray:
     return np.arange(n + 1) / n
 
 
-def sweep(scenario: Scenario, step: float = 0.01, rho: float = 0.9) -> SweepMap:
-    """Rasterise [0, 1]^2 row-major in beta, then alpha.
+def _entries(grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each entry's (beta, alpha), alpha <= beta, and the cell-to-entry index ``mirror``."""
+    at = np.arange(len(grid), dtype=np.int32)
+    corner = (at * (at + 1) // 2)[:, None] + at  # entry h(h+1)/2 + l at (h, l) for l <= h
+    mirror = np.maximum(corner, corner.T)  # below the diagonal, corner is the larger
+    lower = at[:, None] >= at
+    beta = np.broadcast_to(grid[:, None], corner.shape)
+    return beta[lower], beta.T[lower], mirror.ravel()
 
-    Cells with alpha > beta are evaluated on the swapped pair (user
-    relabelling) but keep their own grid coordinates.
-    """
+
+def sweep(scenario: Scenario, step: float = 0.01, rho: float = 0.9) -> SweepMap:
+    """Rasterise [0, 1]^2, scoring each mirror pair once (see ``SweepMap``)."""
     if not 0 < rho <= 1:
         raise ValueError(f"ratio threshold rho must lie in (0, 1], got {rho}")
     grid = _grid(step)
-    hi, lo = np.maximum.outer(grid, grid).ravel(), np.minimum.outer(grid, grid).ravel()
-
-    def score(name: str) -> np.ndarray:
-        value = analytic_sum_dof_at(name, hi, lo, scenario)
-        return np.broadcast_to(np.asarray(value, dtype=float), hi.shape)
-
-    values = [score(name) for name in _candidates(scenario)]
-    d_opt = score("optimal")
+    hi, lo, mirror = _entries(grid)
+    d_opt, *values = [np.asarray(analytic_sum_dof_at(name, hi, lo, scenario), dtype=float)
+                      for name in ("optimal",) + _candidates(scenario)]
+    del hi, lo  # the winner rule reads only the scores
     best, best_value = _pick(values)
     return SweepMap(
-        scenario=scenario.kind, step=step, rho=rho, grid=grid,
+        scenario=scenario.kind, step=step, rho=rho, grid=grid, mirror=mirror,
         d_fdma=values[0], d_zfbf=values[1], d_s3=values[2] if len(values) > 2 else None,
         d_opt=d_opt, best=best, ratio=best_value / d_opt,
     )
@@ -194,41 +199,42 @@ def sweep(scenario: Scenario, step: float = 0.01, rho: float = 0.9) -> SweepMap:
 CSV_HEADER = ["beta", "alpha", "d_fdma", "d_zfbf", "d_s3", "d_opt", "best", "ratio"]
 
 
-def _fields(column: np.ndarray, end: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Each distinct value's repr with ``end`` attached, and every entry's index into them."""
-    if column.strides == (0,):  # a broadcast constant, like fdma's sum DoF: no sort
-        values, inverse = column[:1], np.broadcast_to(np.int32(0), column.shape)
-    else:
-        values, inverse = np.unique(column, return_inverse=True)
-        inverse = inverse.astype(np.int32)  # a grid holds at most MAX_GRID_CELLS cells
-    return np.array([repr(v) + end for v in values.tolist()], dtype=object), inverse
+def _distinct(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A score column's distinct values, and each entry's index into them."""
+    values, inverse = np.unique(column, return_inverse=True)
+    return values, inverse.astype(np.int32)  # a grid holds at most MAX_GRID_CELLS cells
 
 
 def write_sweep_csv(m: SweepMap, stream: io.TextIOBase) -> None:
     """One row per cell; floats as repr so parsing the file is lossless.
 
     No field ever needs csv quoting: each is a float repr, a strategy
-    name or empty.  Each field is formatted once per distinct value with
-    its separator attached, so a block of rows is one join over a
-    (rows, 8) table, written with one ``write`` (the header with the first).
+    name or empty.  Each score column's distinct values among the entries
+    are formatted once (``str`` of a float is its repr) with the separator
+    after them; a column of one value (fdma's sum DoF, matched's blank d_s3)
+    rides on the field before it.  A block of rows is one ``take`` from that
+    table, beta and alpha by the cell and the scores through ``mirror``,
+    written with one ``write`` (the header with the first).
     """
-    n = len(m.ratio)
-    # Cells run row-major over the grid axis, so beta and alpha index its fields directly.
-    axis, _ = _fields(m.grid, ",")
-    at = np.arange(len(axis), dtype=np.int32)
-    no_s3 = (np.array([","], dtype=object), np.broadcast_to(0, n))
-    best = (np.array([name + "," for name in STRATEGIES], dtype=object), m.best)
-    columns = [
-        (axis, np.repeat(at, len(at))), (axis, np.tile(at, len(at))), _fields(m.d_fdma, ","),
-        _fields(m.d_zfbf, ","), no_s3 if m.d_s3 is None else _fields(m.d_s3, ","),
-        _fields(m.d_opt, ","), best, _fields(m.ratio, "\n"),
-    ]
+    n = len(m.grid)
+    fields = []  # [values, entry index, text after each value]
+    for values, index in [(m.grid, None), (m.grid, None), _distinct(m.d_fdma),
+                          _distinct(m.d_zfbf), _distinct("" if m.d_s3 is None else m.d_s3),
+                          _distinct(m.d_opt), (np.array(STRATEGIES, dtype=object), m.best),
+                          _distinct(m.ratio)]:
+        if len(values) == 1:
+            fields[-1][2] += str(values.tolist()[0]) + ","
+        else:
+            fields.append([values, index, ","])
+    fields[-1][2] = fields[-1][2][:-1] + "\n"
+    table = np.array([str(v) + end for values, _, end in fields for v in values.tolist()],
+                     dtype=object)
+    starts = np.cumsum([0] + [len(values) for values, _, _ in fields[:-1]])
     head = ",".join(CSV_HEADER) + "\n"  # rides with the first block: every grid has cells
-    table = np.empty((min(n, _CSV_BLOCK), len(columns)), dtype=object)
-    for lo in range(0, n, _CSV_BLOCK):
-        block = table[:min(_CSV_BLOCK, n - lo)]
-        for j, (fields, index) in enumerate(columns):
-            block[:, j] = fields[index[lo:lo + len(block)]]
+    for lo in range(0, n * n, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, n * n)
+        at = [*np.divmod(np.arange(lo, hi), n)] + [inv[m.mirror[lo:hi]] for _, inv, _ in fields[2:]]
+        block = table.take(np.column_stack(at) + starts)
         stream.write(head + "".join(block.ravel().tolist()))
         head = ""
 

@@ -161,7 +161,7 @@ def test_switching_worst_case():
 def test_switching_threshold_census():
     strict = sweep(UNMATCHED, step=0.01, rho=0.9)
     lax = sweep(UNMATCHED, step=0.01, rho=0.8)
-    n = len(strict.ratio)
+    n = len(strict.mirror)
     needed_strict = strict.counts_by_strategy().get("optimal-needed", 0)
     needed_lax = lax.counts_by_strategy().get("optimal-needed", 0)
     share = needed_strict / n

@@ -640,6 +640,28 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["equal"] is True
 
 
+def _python_m_dofsim(*argv):
+    """``python -m dofsim argv`` in a fresh interpreter that imports this tree's package."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "dofsim", *argv], capture_output=True,
+                          timeout=120, env=env)
+
+
+def test_package_entry_point_prints_what_main_prints(capsys):
+    proc = _python_m_dofsim("regions", "--format", "gnuplot")
+    assert cli.main(["regions", "--format", "gnuplot"]) == 0
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_package_entry_point_without_a_command_exits_2_with_the_usage():
+    proc = _python_m_dofsim()
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().startswith("usage: dofsim [-h] {regions,simulate,sweep,verify}")
+
+
 # Byte identity of the primary artifacts across refactors: a change that
 # moves one bit of a report or of the verify battery must say so here.
 _SIMULATE_GOLDEN = {

@@ -7,6 +7,7 @@ The array sweep is checked against the per-cell loop it replaced: one
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -53,15 +54,20 @@ def _coords(m):
     return beta.ravel(), alpha.ravel()
 
 
+def _cells(m, column):
+    """A score column at every cell, row-major: its entries read through ``mirror``."""
+    return np.broadcast_to(column, m.ratio.shape)[m.mirror]
+
+
 def _assert_columns_match_the_oracle(m, kind, step):
     cells = _oracle_cells(kind, step)
     beta, alpha = _coords(m)
     assert list(zip(beta.tolist(), alpha.tolist())) == [(c.beta, c.alpha) for c in cells]
     for name in ("d_fdma", "d_zfbf", "d_opt", "ratio"):
-        assert getattr(m, name).tolist() == [getattr(c, name) for c in cells], name
-    d_s3 = None if m.d_s3 is None else m.d_s3.tolist()
+        assert _cells(m, getattr(m, name)).tolist() == [getattr(c, name) for c in cells], name
+    d_s3 = None if m.d_s3 is None else _cells(m, m.d_s3).tolist()
     assert d_s3 == (None if kind == "matched" else [c.d_s3 for c in cells])
-    assert [sw.STRATEGIES[k] for k in m.best.tolist()] == [c.best for c in cells]
+    assert [sw.STRATEGIES[k] for k in _cells(m, m.best).tolist()] == [c.best for c in cells]
 
 
 def _csv_columns(text):
@@ -129,11 +135,25 @@ def test_sweep_csv_bytes_match_the_per_cell_oracle_across_a_block_boundary(kind,
 
 
 @pytest.mark.parametrize("kind", ["unmatched", "matched"])
-@pytest.mark.parametrize("rho", [0.9, 0.66])
-def test_counts_are_keyed_in_order_of_first_appearance(kind, rho):
-    m = sw.sweep(Scenario(kind), step=0.05, rho=rho)
-    want = _oracle_counts(_oracle_cells(kind, 0.05), rho)
+@pytest.mark.parametrize("rho", [0.9, 0.66, 1.0])
+@pytest.mark.parametrize("step", [0.05, 1 / 64])
+def test_counts_are_keyed_in_order_of_first_appearance(kind, rho, step):
+    # An off-diagonal entry counts for two cells, a diagonal one for one, and a
+    # label first appears at the earlier of an entry's two cells.
+    m = sw.sweep(Scenario(kind), step=step, rho=rho)
+    want = _oracle_counts(_oracle_cells(kind, step), rho)
     assert list(m.counts_by_strategy().items()) == list(want.items())
+
+
+def test_a_label_first_appears_at_the_earlier_of_its_entrys_cells():
+    # The model's maps order their labels alike whichever cell of an entry
+    # counts as first, so these labels are set by hand: zfbf at entry (10, 0),
+    # first met at cell (0, 10), and s3 at entry (3, 1), first met at (1, 3).
+    m = sw.sweep(UNMATCHED, step=0.1, rho=0.66)
+    best = np.zeros_like(m.best)
+    best[10 * 11 // 2 + 0], best[3 * 4 // 2 + 1] = 1, 2
+    counts = dataclasses.replace(m, best=best).counts_by_strategy()
+    assert list(counts.items()) == [("fdma", 117), ("zfbf", 2), ("s3", 2)]
 
 
 @pytest.mark.parametrize("kind", ["unmatched", "matched"])
@@ -210,15 +230,20 @@ def test_min_ratio_matched_certificate():
 def test_sweep_cell_count_and_coverage():
     m = sw.sweep(UNMATCHED, step=0.1, rho=0.9)
     assert m.grid.tolist() == [i / 10 for i in range(11)]
-    assert all(len(column) == 11 * 11 for column in (m.d_fdma, m.d_zfbf, m.d_s3, m.d_opt,
-                                                       m.best, m.ratio))
+    assert m.mirror.shape == (11 * 11,) and m.mirror.dtype == np.int32
+    assert all(column.shape == (11 * 12 // 2,) for column in (m.d_zfbf, m.d_s3, m.d_opt,
+                                                                m.best, m.ratio))
+    assert m.d_fdma.shape == ()  # one sum DoF on the whole grid
 
 
 def test_sweep_mirror_symmetry():
+    # Cells (i, j) and (j, i) read one entry, entry h(h+1)/2 + l for h >= l,
+    # and every entry is read.
     m = sw.sweep(UNMATCHED, step=0.1, rho=0.9)
-    for column in (m.ratio, m.best, m.d_s3):
-        square = column.reshape(11, 11)
-        assert np.array_equal(square, square.T)
+    square = m.mirror.reshape(11, 11)
+    assert np.array_equal(square, square.T)
+    h, l = np.tril_indices(11)
+    assert square[h, l].tolist() == (h * (h + 1) // 2 + l).tolist() == list(range(66))
 
 
 def test_sweep_fdma_floor_and_ratio_cap():
@@ -230,14 +255,14 @@ def test_sweep_fdma_floor_and_ratio_cap():
 
 def test_sweep_s3_constant_along_beta_rows():
     m = sw.sweep(UNMATCHED, step=0.05, rho=0.9)
-    square = m.d_s3.reshape(len(m.grid), len(m.grid))
+    square = _cells(m, m.d_s3).reshape(len(m.grid), len(m.grid))
     # Row i at beta = grid[i]; its canonical half (the rest is mirrored) is alpha <= beta.
     assert all(len(set(row[:i + 1].tolist())) == 1 for i, row in enumerate(square))
 
 
 def test_sweep_zfbf_wins_exactly_when_it_should():
     m = sw.sweep(UNMATCHED, step=0.05, rho=0.9)
-    for b, a, best in zip(*_coords(m), m.best.tolist()):
+    for b, a, best in zip(*_coords(m), _cells(m, m.best).tolist()):
         if a > b:
             continue
         s = b + a
@@ -253,7 +278,7 @@ def test_sweep_label_threshold():
     # cell with its winning simple strategy; the counts follow those labels.
     m = sw.sweep(UNMATCHED, step=0.05, rho=0.9)
     want = {}
-    for ratio, best in zip(m.ratio.tolist(), m.best.tolist()):
+    for ratio, best in zip(_cells(m, m.ratio).tolist(), _cells(m, m.best).tolist()):
         label = sw.OPTIMAL_NEEDED if ratio < 0.9 - 1e-12 else sw.STRATEGIES[best]
         want[label] = want.get(label, 0) + 1
     assert sw.OPTIMAL_NEEDED in want
@@ -267,8 +292,8 @@ def test_sweep_counts_at_both_thresholds():
     counts = m_high.counts_by_strategy()
     needed = counts.get(sw.OPTIMAL_NEEDED, 0)
     assert 0 < needed
-    assert 0.3 <= needed / len(m_high.ratio) <= 0.6
-    assert sum(counts.values()) == len(m_high.ratio)
+    assert 0.3 <= needed / len(m_high.mirror) <= 0.6
+    assert sum(counts.values()) == len(m_high.mirror)
 
 
 def test_matched_two_thirds_threshold_never_needs_optimal():
@@ -286,10 +311,33 @@ def test_sweep_memory_at_the_finest_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 1001**2 cells: 66.1 MB measured (x86-64, numpy 2.4).  A map holding a
-    # (beta, alpha) pair per cell needs 16 MB more and fails the bound.
-    assert peak < 70e6, peak
-    assert len(m.ratio) == 1001 ** 2
+    # 1001 * 1002 / 2 entries: 29.1 MB measured (x86-64, numpy 2.4); a map
+    # that scores every one of the 1001**2 cells measured 66.1 MB.
+    assert peak < 30.8e6, peak
+    assert len(m.ratio) == 1001 * 1002 // 2 and len(m.mirror) == 1001 ** 2
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("kind, bound", [("unmatched", 17.8e6), ("matched", 14.6e6)])
+def test_sweep_csv_writer_memory(kind, bound):
+    import tracemalloc
+
+    m = sw.sweep(Scenario(kind), step=0.002)
+    sw.write_sweep_csv(sw.sweep(Scenario(kind), step=0.1), _Discard())  # warm caches
+    tracemalloc.start()
+    try:
+        sw.write_sweep_csv(m, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 501**2 rows: 13.9 MB unmatched and 6.2 MB matched measured (x86-64,
+    # numpy 2.4); the bounds are the peaks of a writer that formatted every
+    # cell's scores from full-grid columns.
+    assert peak < bound, peak
 
 
 def test_sweep_validation():
@@ -313,11 +361,11 @@ def test_csv_roundtrip_lossless():
     assert text.startswith(",".join(sw.CSV_HEADER) + "\n")
     columns = _csv_columns(text)
     beta, alpha = _coords(m)
-    for name, want in (("beta", beta), ("alpha", alpha), ("d_fdma", m.d_fdma),
-                       ("d_zfbf", m.d_zfbf), ("d_s3", m.d_s3), ("d_opt", m.d_opt),
-                       ("ratio", m.ratio)):
+    for name, want in (("beta", beta), ("alpha", alpha), ("d_fdma", _cells(m, m.d_fdma)),
+                       ("d_zfbf", _cells(m, m.d_zfbf)), ("d_s3", _cells(m, m.d_s3)),
+                       ("d_opt", _cells(m, m.d_opt)), ("ratio", _cells(m, m.ratio))):
         assert [float(v) for v in columns[name]] == want.tolist(), name
-    assert list(columns["best"]) == [sw.STRATEGIES[k] for k in m.best.tolist()]
+    assert list(columns["best"]) == [sw.STRATEGIES[k] for k in _cells(m, m.best).tolist()]
 
 
 @pytest.mark.parametrize("kind", ["unmatched", "matched"])
@@ -332,15 +380,20 @@ def test_csv_coordinates_are_the_grid_axis_row_major(kind, step):
     assert [float(v) for v in columns["alpha"]] == np.tile(m.grid, n).tolist()
 
 
+@pytest.mark.parametrize("kind", ["unmatched", "matched"])
 @pytest.mark.parametrize("value", [1.0, 0.1, -0.0])
-def test_a_broadcast_column_formats_as_its_copy_does(value):
-    column = np.broadcast_to(value, 7)
-    assert column.strides == (0,)
-    fields, index = sw._fields(column, ",")
-    want_fields, want_index = sw._fields(column.copy(), ",")
-    assert fields.tolist() == want_fields.tolist() == [repr(value) + ","]
-    assert index.tolist() == want_index.tolist() == [0] * 7
-    assert index.dtype == want_index.dtype
+def test_a_column_of_one_value_writes_as_any_other(kind, value):
+    # A column of one value rides on the field before it: here d_zfbf, held
+    # to one value over the entries, with a varying d_fdma before it.
+    m = sw.sweep(Scenario(kind), step=0.1, rho=0.9)
+    held = dataclasses.replace(m, d_fdma=m.d_opt, d_zfbf=np.full(m.ratio.shape, value))
+    buf = io.StringIO()
+    sw.write_sweep_csv(held, buf)
+    columns = _csv_columns(buf.getvalue())
+    assert [float(v) for v in columns["d_fdma"]] == _cells(m, m.d_opt).tolist()
+    assert columns["d_zfbf"] == (repr(value),) * 121
+    assert columns["d_s3"] == (("",) * 121 if m.d_s3 is None
+                               else tuple(map(repr, _cells(m, m.d_s3).tolist())))
 
 
 def test_csv_matched_leaves_s3_blank():
@@ -363,4 +416,4 @@ def test_summary_json_fields():
     assert doc["step"] == 0.1 and doc["rho"] == 0.7
     assert doc["min_ratio"] == pytest.approx(2 / 3)
     assert all(len(pair) == 2 for pair in doc["argmin"])
-    assert sum(doc["counts_by_strategy"].values()) == len(m.ratio)
+    assert sum(doc["counts_by_strategy"].values()) == len(m.mirror)
