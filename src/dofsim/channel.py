@@ -14,19 +14,19 @@ error entries are i.i.d. complex Gaussian with per-entry variance
 ``p``; the estimate is drawn with per-entry variance ``1 - sigma2`` so the
 true channel always has unit per-entry variance regardless of ``a``.
 ``a = 1`` is essentially perfect CSI at high SNR, ``a = 0`` makes the
-estimate useless (it degenerates to the zero vector, and zero-forcing on
-it fails loudly).
+estimate useless (it is scaled by 0 to the zero vector, and zero-forcing
+on it fails loudly).
 
 Randomness is drawn from one seeded stream per block of ``TRIAL_BLOCK``
 trials: block b is ``SeedSequence(seed, spawn_key=(b,))``, and trial t
 owns row ``t % TRIAL_BLOCK`` of its block's ``standard_normal((rows,
-ROW_WIDTH))``.  A draw that needs k normals reads the first k of its
-row, so every scheme, scenario and ladder point sees the same numbers for
-a trial (common random numbers), runs are bit-reproducible, and results
-do not depend on how a trial range is split.  ``trial_rng(seed, t)``
-defines the contract trial by trial: the block's generator advanced past
-the rows before t's.  The batched sampler (``_trial_normals``) draws each
-block's rows in one numpy call.
+ROW_WIDTH))``.  Cell c always reads normals 8c..8c+7 of the row, whatever
+its variances, so every scheme, scenario and ladder point sees the same
+numbers for a trial (common random numbers), runs are bit-reproducible,
+and results do not depend on how a trial range is split.
+``trial_rng(seed, t)`` defines the contract trial by trial: the block's
+generator advanced past the rows before t's.  The batched sampler
+(``_trial_normals``) draws each block's rows in one numpy call.
 
 Cells are built from a trial's normals in a fixed draw layout
 (``_pairs_from_normals``), always as arrays shaped (cell, ladder point,
@@ -50,7 +50,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -126,7 +126,7 @@ def db_to_linear(snr_db: float) -> float:
 #: memory of the normals and of everything computed from them.
 TRIAL_BLOCK = 4096
 #: The normals in a trial's row: eight per cell (estimate and error, two
-#: real and two imaginary parts each), the most any draw layout takes.
+#: real and two imaginary parts each).
 ROW_WIDTH = 8 * len(CELLS)
 
 
@@ -141,8 +141,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     A pure function of (seed, trial): block ``trial // TRIAL_BLOCK`` is
     seeded from ``SeedSequence(seed, spawn_key=(block,))`` and advanced
     past the ``trial % TRIAL_BLOCK`` rows of ``ROW_WIDTH`` normals before
-    the trial's own, so its next ``k <= ROW_WIDTH`` normals are the first
-    ``k`` of the trial's row.
+    the trial's own, so its next ``ROW_WIDTH`` normals are the trial's row.
     """
     block, row = divmod(trial, TRIAL_BLOCK)
     rng = _block_rng(seed, block)
@@ -214,39 +213,29 @@ def _variances(a: float, p: float) -> Tuple[float, float]:
     return 1.0 - sigma2, sigma2
 
 
-def _normals_needed(variances: Sequence[Tuple[float, float]]) -> int:
-    return 4 * sum(var > 0.0 for cell in variances for var in cell)
-
-
 def _pairs_from_normals(z: np.ndarray, variances) -> ChannelPair:
-    """Cells shaped (cells, points, trials, 2) from normals z shaped (trials, k).
+    """Cells shaped (cells, points, trials, 2) from normals z shaped (trials, 8 * cells).
 
     This is the draw layout.  Each cell draws its estimate, then its
-    error.  A draw of variance ``var`` takes the next four normals (two
-    real parts, then two imaginary parts) and scales them to per-entry
-    variance ``var``.  A draw with ``var <= 0`` is the zero vector and
-    takes no normals, so every later draw reads four positions earlier.
+    error, so draw d reads normals 4d..4d+3 of a trial's row (two real
+    parts, then two imaginary parts) and cell c reads 8c..8c+7.  A draw
+    scales its four normals to per-entry variance ``var``; a zero-variance
+    draw is scaled by 0, so it is the zero vector.
 
     ``variances`` is shaped (points, cells, 2): each cell's (estimate,
-    error) pair at each ladder point, where the points agree on which
-    draws are 0.  All draws are scaled in one array pass.
+    error) pair at each ladder point.  All draws are scaled in one array
+    pass.
     """
-    draws = np.asarray(variances, dtype=float).reshape(len(variances), -1).T  # in draw order
-    taken = draws[:, 0] > 0.0
-    scale = np.sqrt(draws[taken] / 2.0)
+    scale = np.sqrt(np.asarray(variances, dtype=float).reshape(len(variances), -1).T / 2.0)
     (m, points), trials = scale.shape, len(z)
-    # Views of the taken draws' normals and of the complex vectors' memory
-    # as (draw, ladder point, entry, real or imaginary part, trial), scaled
-    # in that (C) order, so the inner loop runs over the trials.
+    # Views of the normals and of the complex vectors' memory as (draw,
+    # ladder point, entry, real or imaginary part, trial), scaled in that
+    # (C) order, so the inner loop runs over the trials.
     normals = z[:, :4 * m].reshape(trials, m, 2, 2).transpose(1, 3, 2, 0)
     values = np.empty((m, points, trials, 2), dtype=complex)
     target = values.view(float).reshape(values.shape + (2,)).transpose(0, 1, 3, 4, 2)
     np.multiply(normals[:, None], scale[:, :, None, None, None], out=target, order="C")
-    drawn = values
-    if not taken.all():
-        drawn = np.zeros((len(draws),) + values.shape[1:], dtype=complex)
-        drawn[taken] = values
-    return ChannelPair(estimate=drawn[0::2], error=drawn[1::2])
+    return ChannelPair(estimate=values[0::2], error=values[1::2])
 
 
 def sample_pair(rng: np.random.Generator, a: float, p: float) -> ChannelPair:
@@ -261,9 +250,7 @@ def sample_pair(rng: np.random.Generator, a: float, p: float) -> ChannelPair:
         ChannelPair with error entries CN(0, sigma2) and estimate entries
         CN(0, 1 - sigma2); its ``true`` is their sum, formed on read.
     """
-    variances = [_variances(a, p)]
-    z = rng.standard_normal((1, _normals_needed(variances)))
-    return _pairs_from_normals(z, [variances])[0, 0, 0]
+    return _pairs_from_normals(rng.standard_normal((1, 8)), [[_variances(a, p)]])[0, 0, 0]
 
 
 def sample_realization(
@@ -271,8 +258,7 @@ def sample_realization(
 ) -> ChannelPair:
     """Draw the four cells of one trial, stacked in ``CELLS`` order."""
     variances = [_variances(scenario.quality(u, s, q), p) for u, s in CELLS]
-    z = rng.standard_normal((1, _normals_needed(variances)))
-    return _pairs_from_normals(z, [variances])[:, 0, 0]
+    return _pairs_from_normals(rng.standard_normal((1, ROW_WIDTH)), [variances])[:, 0, 0]
 
 
 def _sample_cells(
@@ -282,28 +268,15 @@ def _sample_cells(
 
     The stacked arrays have shape (cells, len(ps), trials, 2): a ladder
     axis, one entry per linear SNR in ``ps``, follows the cell axis.  Each
-    trial's normals are read once from its row, as many as the ladder
-    point that needs the most takes.  Ladder points that skip the same zero-variance draws are built in one
-    pass; a point that skips more reads a prefix of the normals.
+    trial's 8 normals per cell are read once from its row and rescaled at
+    every ladder point in one pass.
     """
     if not len(ps):
         raise ValueError("the SNR ladder needs at least one point")
     if trials < 1:
         raise ValueError(f"at least one trial is required, got {trials}")
-    variances = np.array([[_variances(a, p) for a in qualities] for p in ps])  # (points, cells, 2)
-    taken = variances > 0.0
-    z = _trial_normals(seed, start, trials, 4 * int(taken.sum(axis=(1, 2)).max()))
-    groups: Dict[bytes, List[int]] = {}
-    for point, drawn in enumerate(taken):
-        groups.setdefault(drawn.tobytes(), []).append(point)
-    if len(groups) == 1:
-        return _pairs_from_normals(z, variances)
-    cells = ChannelPair(*(np.empty((len(qualities), len(ps), trials, 2), dtype=complex)
-                          for _ in range(2)))
-    for points in groups.values():
-        part = _pairs_from_normals(z, variances[points])
-        cells.estimate[:, points], cells.error[:, points] = part.estimate, part.error
-    return cells
+    variances = [[_variances(a, p) for a in qualities] for p in ps]  # (points, cells, 2)
+    return _pairs_from_normals(_trial_normals(seed, start, trials, 8 * len(qualities)), variances)
 
 
 def sample_ladder_cells(
@@ -319,7 +292,7 @@ def sample_ladder_cells(
     Per cell, vectors have shape (len(ps), trials, 2).  Entry [k, t] equals
     ``sample_realization(trial_rng(seed, start + t), q, scenario, ps[k])``
     bit for bit, and each block's stream is drawn once for the whole
-    ladder.
+    ladder, whose points all read the same normals.
     """
     qualities = [scenario.quality(u, s, q) for u, s in CELLS]
     return _sample_cells(seed, qualities, ps, trials, start)

@@ -141,8 +141,14 @@ class SweepMap:
         return float(self.ratio.min())
 
     def argmin(self) -> List[Tuple[float, float]]:
-        near = self.ratio <= self.min_ratio() + 1e-9
-        row, col = np.divmod(np.flatnonzero(near[self.mirror]), len(self.grid))
+        """The cells within 1e-9 of the minimum ratio, row-major: entry
+        h(h+1)/2 + l stands for cells (h, l) and (l, h), one cell if h = l."""
+        near = np.flatnonzero(self.ratio <= self.min_ratio() + 1e-9)
+        n = len(self.grid)
+        first = np.arange(n) * (np.arange(n) + 1) // 2
+        h = np.searchsorted(first, near, side="right") - 1
+        low = near - first[h]
+        row, col = np.divmod(np.unique(np.concatenate([h * n + low, low * n + h])), n)
         return list(zip(self.grid[row].tolist(), self.grid[col].tolist()))
 
     def summary_dict(self) -> dict:

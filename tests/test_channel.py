@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dofsim import channel as ch
@@ -92,9 +92,7 @@ def _sample_pairs(rng, a, p, n):
 
     One (n, k) normal draw gives the values of n draws of k, in order.
     """
-    variances = [ch._variances(a, p)]
-    (pair,) = ch._pairs_from_normals(
-        rng.standard_normal((n, ch._normals_needed(variances))), [variances])
+    (pair,) = ch._pairs_from_normals(rng.standard_normal((n, 8)), [[ch._variances(a, p)]])
     return pair[0]
 
 
@@ -125,22 +123,25 @@ def test_error_norm_mean_at_half_exponent():
 
 def test_draw_layout_is_fixed():
     """The seeded stream contract, spelled out: per cell the estimate's two
-    real parts, its two imaginary parts, then the error's; a zero-variance
-    draw takes no normals."""
+    real parts, its two imaginary parts, then the error's, so draw d reads
+    normals 4d..4d+3 of the row whatever the variances; a zero-variance
+    draw reads its four and is scaled by 0."""
     p = 1e4
-    z = ch.trial_rng(9, 0).standard_normal(24)
+    z = ch.trial_rng(9, 0).standard_normal(32)
     pair = ch.sample_pair(ch.trial_rng(9, 0), 0.5, p)
     s2 = p ** -0.5
     assert np.array_equal(pair.estimate, np.sqrt((1 - s2) / 2) * (z[0:2] + 1j * z[2:4]))
     assert np.array_equal(pair.error, np.sqrt(s2 / 2) * (z[4:6] + 1j * z[6:8]))
-    # matched (0.5, 0): cells (user1, A), (user2, A) take 8 normals each,
-    # then (user1, B), (user2, B) draw only their error, 4 normals each.
+    # matched (0.5, 0): subband B's estimates have zero variance and still
+    # take normals 16..19 and 24..27, so every error reads its own four.
     r = ch.sample_realization(ch.trial_rng(9, 0), ch.QualityPair(0.5, 0.0), ch.MATCHED, p)
-    error = r.error[[ch.cell_index(*cell) for cell in (("user2", "A"), ("user1", "B"),
-                                                      ("user2", "B"))]]
-    assert np.array_equal(error[0], np.sqrt(s2 / 2) * (z[12:14] + 1j * z[14:16]))
-    assert np.array_equal(error[1], np.sqrt(0.5) * (z[16:18] + 1j * z[18:20]))
-    assert np.array_equal(error[2], np.sqrt(0.5) * (z[20:22] + 1j * z[22:24]))
+    for c, (estimate_var, error_var) in enumerate([(1 - s2, s2)] * 2 + [(0.0, 1.0)] * 2):
+        d = 8 * c
+        assert np.array_equal(r.estimate[c],
+                              np.sqrt(estimate_var / 2) * (z[d:d + 2] + 1j * z[d + 2:d + 4]))
+        assert np.array_equal(r.error[c],
+                              np.sqrt(error_var / 2) * (z[d + 4:d + 6] + 1j * z[d + 6:d + 8]))
+    assert not r.estimate[2:].any()
 
 
 def test_sample_realization_covers_all_cells():
@@ -294,7 +295,7 @@ def _assert_realizations_equal(batch, row, single):
     (ch.QualityPair(1.0, 0.0), ch.MATCHED, (1e4, 1e5, 1e6)),
     (ch.QualityPair(0.6, 0.0), ch.UNMATCHED, (1.5, 1e3)),
     # 1 - p**-1e-18 rounds to 0 at p = 100 but not at p = 1e300, so the
-    # estimate draw of the alpha cells is skipped at one point only.
+    # estimate of the alpha cells has zero variance at one point only.
     (ch.QualityPair(0.9, 1e-18), ch.UNMATCHED, (1e2, 1e300)),
 ])
 def test_sample_ladder_rows_equal_per_trial_draws(q, scenario, ladder):
@@ -307,13 +308,42 @@ def test_sample_ladder_rows_equal_per_trial_draws(q, scenario, ladder):
             _assert_realizations_equal(cells, (k, t), single)
 
 
-def test_sample_ladder_skips_zero_variance_estimates():
+def test_sample_ladder_zero_variance_estimates_are_zero():
     q = ch.QualityPair(0.8, 0.0)
     r = ch.sample_ladder_cells(3, q, ch.UNMATCHED, (1e4,), 4)
     estimate = r.estimate[:, 0]
     assert np.all(estimate[ch.cell_index("user1", "B")] == 0)
     assert np.all(estimate[ch.cell_index("user2", "A")] == 0)
     assert np.all(estimate[ch.cell_index("user1", "A")] != 0)
+
+
+_CRN_LADDER = tuple(ch.db_to_linear(v) for v in (40.0, 200.0, 400.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0, 1), st.floats(0, 1))
+@example(0.5, 3e-18)  # the alpha cells' estimates have zero variance at 40 dB only
+@example(0.8, 0.0)  # and at every point, in different cells in each scenario
+def test_every_ladder_point_and_scenario_reads_the_same_normals(beta, alpha):
+    """Common random numbers: per cell, the error divided by its standard
+    deviation is the same unit normal vector at every ladder point and in
+    both scenarios, and so is the estimate wherever its variance is above 0."""
+    q = ch.QualityPair(max(beta, alpha), min(beta, alpha))
+    units = {}
+    for scenario in (ch.UNMATCHED, ch.MATCHED):
+        cells = ch.sample_ladder_cells(5, q, scenario, _CRN_LADDER, 6)
+        for c, (u, s) in enumerate(ch.CELLS):
+            a = scenario.quality(u, s, q)
+            for k, p in enumerate(_CRN_LADDER):
+                sigma2 = float(p) ** -float(a)
+                for part, var in (("estimate", 1.0 - sigma2), ("error", sigma2)):
+                    if var > 0.0:
+                        unit = getattr(cells, part)[c, k] / np.sqrt(var)
+                        units.setdefault((part, c), []).append(unit)
+    assert {c for part, c in units if part == "error"} == set(range(len(ch.CELLS)))
+    for (part, c), seen in units.items():
+        for unit in seen[1:]:
+            np.testing.assert_allclose(unit, seen[0], rtol=1e-12, err_msg=f"{part} of cell {c}")
 
 
 def test_sample_ladder_seeds_each_trial_once(monkeypatch):
@@ -483,11 +513,17 @@ def test_measure_error_exponent_rejects_a_negative_seed(monkeypatch):
         ch.measure_error_exponent(0.5, [1e2, 1e3], trials=10, seed=-3)
 
 
-def test_measure_error_exponent_where_the_ladder_points_skip_different_draws():
-    # The estimate draw is skipped at 1e4 and 1e5 but not at 1e18 (see
-    # test_sample_ladder_rows_equal_per_trial_draws); pinned to the value
-    # of the per-point sampler.
-    assert ch.measure_error_exponent(3e-18, [1e4, 1e5, 1e18], 200, 0) == -0.0008251917687561145
+def test_measure_error_exponent_where_the_estimate_variance_is_zero_at_some_points():
+    # The estimate variance 1 - p**-3e-18 is 0 at 1e4 and 1e5 but not at
+    # 1e18, and the error reads normals 4..7 at every point; pinned, and
+    # equal to the per-trial loop over trial_rng rows.
+    ladder, trials = [1e4, 1e5, 1e18], 200
+    got = ch.measure_error_exponent(3e-18, ladder, trials, 0)
+    assert got == 1.4402963333329257e-17
+    z = np.array([ch.trial_rng(0, t).standard_normal(8) for t in range(trials)])
+    sq = (z[:, 4:8] ** 2).sum(axis=1)
+    log_means = [-np.log2(np.mean(p ** -3e-18 / 2 * sq) / 2.0) for p in ladder]
+    assert got == pytest.approx(np.polyfit(np.log2(ladder), log_means, 1)[0], abs=1e-12)
 
 
 def test_measure_error_exponent_memory_does_not_grow_with_the_trial_count(monkeypatch):
@@ -532,24 +568,33 @@ def test_a_ladder_draw_holds_only_the_estimate_and_error_stacks():
 
 
 def _pairs_oracle(z, variances):
-    """``_pairs_from_normals`` as one broadcast multiply over the (entry,
-    part) tiles of a transposed view of z."""
+    """``_pairs_from_normals`` draw by draw: for variances shaped (cells, 2,
+    *points), draw d writes the real parts of its vectors from normals
+    4d, 4d + 1 of each row of z and the imaginary parts from 4d + 2, 4d + 3,
+    each scaled by sqrt(var / 2)."""
     draws = np.asarray(variances, dtype=float)
     lead = draws.shape[2:]
     draws = draws.reshape((-1,) + lead)
-    taken = draws.reshape(len(draws), -1)[:, 0] > 0.0
-    scale = np.sqrt(draws[taken] / 2.0)
-    m, trials = len(scale), z.shape[:-1]
-    normals = np.moveaxis(z[..., :4 * m].reshape(trials + (m, 2, 2)), -3, 0).swapaxes(-1, -2)
-    values = np.empty((m,) + lead + trials + (2,), dtype=complex)
-    np.multiply(normals.reshape((m,) + (1,) * len(lead) + trials + (2, 2)),
-                scale.reshape(scale.shape + (1,) * (len(trials) + 2)),
-                out=values.view(float).reshape(values.shape + (2,)))
-    drawn = values
-    if not taken.all():
-        drawn = np.zeros((len(draws),) + values.shape[1:], dtype=complex)
-        drawn[taken] = values
+    trials = z.shape[:-1]
+    drawn = np.empty((len(draws),) + lead + trials + (2,), dtype=complex)
+    for d, var in enumerate(draws):
+        scale = np.sqrt(var / 2.0).reshape(lead + (1,) * (len(trials) + 1))
+        drawn[d].real = scale * z[..., 4 * d:4 * d + 2]
+        drawn[d].imag = scale * z[..., 4 * d + 2:4 * d + 4]
     return ch.ChannelPair(estimate=drawn[0::2], error=drawn[1::2])
+
+
+def _cells_oracle(seed, qualities, ps, trials, start):
+    """``_sample_cells`` from ``trial_rng`` rows: row t is the first 8 normals
+    per cell of ``trial_rng(seed, start + t)``, read on from one stream per
+    block, and ``_pairs_oracle`` scales it to each cell's variances."""
+    rows = []
+    for t in range(start, start + trials):
+        if t == start or t % ch.TRIAL_BLOCK == 0:
+            rng = ch.trial_rng(seed, t)
+        rows.append(rng.standard_normal(ch.ROW_WIDTH)[:8 * len(qualities)])
+    sigma2 = np.array([[float(p) ** -float(a) for p in ps] for a in qualities])
+    return _pairs_oracle(np.array(rows), np.stack([1.0 - sigma2, sigma2], axis=1))
 
 
 def _sq_norm_oracle(v):
@@ -577,7 +622,7 @@ def _assert_pairs_bits_equal(got, want):
         _assert_bits_equal(getattr(got, part), getattr(want, part))
 
 
-#: Per-cell qualities in draw order: one a = 0 cell skips its estimate draw.
+#: Per-cell qualities in draw order: one a = 0 cell's estimate has zero variance.
 _ORACLE_QUALITIES = (0.8, 0.0, 1.0, 0.5)
 _ORACLE_LADDER = (1e4, 1e5, 1e6)
 
@@ -599,7 +644,7 @@ def test_pairs_from_normals_without_a_ladder_axis_equals_the_oracle(trials):
     for p in _ORACLE_LADDER:
         variances = [ch._variances(a, p) for a in _ORACLE_QUALITIES]
         _assert_pairs_bits_equal(_one_point_pairs(z, variances), _pairs_oracle(z, variances))
-        every = [ch._variances(a, p) for a in (0.8, 0.5, 0.3, 1.0)]  # no draw skipped
+        every = [ch._variances(a, p) for a in (0.8, 0.5, 0.3, 1.0)]  # no zero variance
         _assert_pairs_bits_equal(_one_point_pairs(z, every), _pairs_oracle(z, every))
 
 
@@ -612,15 +657,15 @@ def test_pairs_from_normals_with_a_ladder_axis_equals_the_oracle(trials):
 
 
 @pytest.mark.parametrize("trials", [1, 100, 4096])
-def test_ladder_cells_with_mixed_skip_patterns_equal_the_oracle(monkeypatch, trials):
-    # alpha = 3e-18 skips the alpha cells' estimate draw at 40 dB but not
-    # at 400 dB, so the ladder's points are built in two groups.
+def test_ladder_cells_where_an_estimate_variance_is_zero_at_one_point_equal_the_oracle(trials):
+    # alpha = 3e-18 gives the alpha cells' estimates zero variance at 40 dB
+    # but not at 400 dB, and every point reads the same normals.
     q, ps = ch.QualityPair(0.5, 3e-18), [ch.db_to_linear(v) for v in (40.0, 200.0, 400.0)]
     got = ch.sample_ladder_cells(7, q, ch.UNMATCHED, ps, trials)
     alpha_cell = ch.cell_index("user1", "B")
     assert np.all(got.estimate[alpha_cell, 0] == 0) and np.all(got.estimate[alpha_cell, 2] != 0)
-    monkeypatch.setattr(ch, "_pairs_from_normals", _oracle_layout)
-    _assert_pairs_bits_equal(got, ch.sample_ladder_cells(7, q, ch.UNMATCHED, ps, trials))
+    qualities = [ch.UNMATCHED.quality(u, s, q) for u, s in ch.CELLS]
+    _assert_pairs_bits_equal(got, _cells_oracle(7, qualities, ps, trials, 0))
 
 
 @pytest.mark.parametrize("trials", [1, 100, 4096])

@@ -714,16 +714,16 @@ def test_verify_stdout_bytes_golden(capsys):
     )
 
 
-def test_simulate_bytes_where_the_ladder_points_skip_different_draws(capsys):
+def test_simulate_bytes_where_an_estimate_variance_is_zero_at_some_ladder_points(capsys):
     """At alpha = 3e-18 the alpha cells' estimates have zero variance at 40
-    and 50 dB but not at 180 dB, so those points skip draws the top point
-    makes; the report is pinned to the bytes of the per-point sampler."""
+    and 50 dB but not at 180 dB; every point reads the same normals, so the
+    fit sees one set of draws rescaled along the ladder."""
     assert cli.main(["simulate", "--scheme", "fdma", "--beta", "0.5", "--alpha", "3e-18",
                      "--snr", "40,50,180", "--trials", "50"]) == 0
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == (
-        "890a4422a631e9c5684d5585a9b605edfab5780cf30b05be805f9402ff2311f3")
-    assert captured.err == "fdma: measured sum DoF 0.9973 (analytic 1.0000, fit residual 0.0105)\n"
+        "9aa67e8dfcf7685730d51120f194ea915b17d25815311908d42ace1b2574c0c1")
+    assert captured.err == "fdma: measured sum DoF 0.9996 (analytic 1.0000, fit residual 0.0014)\n"
 
 
 _ZERO_FORCE = "error: degenerate direction: cannot zero-force on a zero estimate\n"

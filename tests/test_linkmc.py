@@ -837,7 +837,7 @@ def test_a_zero_estimate_refusal_names_the_whole_blocks_first_degenerate_directi
 
 @pytest.mark.parametrize("scheme,scenario", list(_cli_pairs()))
 def test_reports_equal_the_reports_of_the_oracle_kernels(monkeypatch, scheme, scenario):
-    from test_channel import _oracle_layout, _unit_oracle, _zf_oracle
+    from test_channel import _cells_oracle, _unit_oracle, _zf_oracle
 
     cases = [(QualityPair(0.8, 0.5), (40.0, 50.0, 60.0), 100),
              (QualityPair(1.0, 0.3), (140.0, 160.0, 180.0), 7)]
@@ -854,7 +854,7 @@ def test_reports_equal_the_reports_of_the_oracle_kernels(monkeypatch, scheme, sc
         return out
 
     got = reports()
-    monkeypatch.setattr(ch, "_pairs_from_normals", _oracle_layout)
+    monkeypatch.setattr(ch, "_sample_cells", _cells_oracle)
     monkeypatch.setattr(mc, "zf_direction", _zf_oracle)
     monkeypatch.setattr(mc, "unit", _unit_oracle)
     monkeypatch.setattr(mc, "_slopes", _slopes_oracle)

@@ -227,6 +227,25 @@ def test_min_ratio_matched_certificate():
     assert all(abs(b + a - 1.0) <= 1e-9 for b, a in argmin)
 
 
+def _argmin_by_gather(m):
+    """``SweepMap.argmin`` as a gather of the near entries over all n*n cells."""
+    near = m.ratio <= m.min_ratio() + 1e-9
+    row, col = np.divmod(np.flatnonzero(near[m.mirror]), len(m.grid))
+    return list(zip(m.grid[row].tolist(), m.grid[col].tolist()))
+
+
+@pytest.mark.parametrize("scenario", [UNMATCHED, MATCHED])
+@pytest.mark.parametrize("step", [0.1, 0.05, 0.02, 0.01, 0.005])
+def test_argmin_equals_the_gather_over_every_cell(scenario, step):
+    m = sw.sweep(scenario, step=step, rho=1.0)
+    assert m.argmin() == _argmin_by_gather(m)
+    # Ties at random entries, on the diagonal and off it.
+    ratio = np.random.default_rng(round(1 / step)).choice([0.5, 0.7], size=m.ratio.shape)
+    tied = dataclasses.replace(m, ratio=ratio)
+    assert len(tied.argmin()) > len(m.grid)
+    assert tied.argmin() == _argmin_by_gather(tied)
+
+
 def test_sweep_cell_count_and_coverage():
     m = sw.sweep(UNMATCHED, step=0.1, rho=0.9)
     assert m.grid.tolist() == [i / 10 for i in range(11)]

@@ -58,9 +58,9 @@ def battery():
                             ("1", "1")):
             yield ["simulate", "--scheme", scheme, "--beta", beta, "--alpha", alpha, *mc]
     # With alpha = 3e-18 the alpha cells' estimate variance 1 - P**-alpha
-    # rounds to 0 at 40 dB but not at 200 or 400 dB, so the ladder mixes
-    # skip patterns: fdma runs, and the schemes that steer on an estimate
-    # refuse to zero-force on or normalise a zero one.
+    # rounds to 0 at 40 dB but not at 200 or 400 dB, so those estimates are
+    # zero at one ladder point only: fdma runs, and the schemes that steer
+    # on an estimate refuse to zero-force on or normalise a zero one.
     for scheme in ("fdma", "zfbf", "s3", "optimal-unmatched", "matched-optimal"):
         yield ["simulate", "--scheme", scheme, "--beta", "0.5", "--alpha", "3e-18",
                "--snr", "40,200,400", "--trials", "50"]

@@ -8,8 +8,9 @@ imports ``dofsim`` from ``<repo>/src`` and wraps the layer functions in
 ``LAYERS`` from outside: each module attribute is swapped for a timing
 wrapper while the cases run, as perfbench's tracer does, so no code under
 ``src/`` changes and two trees are measured by the same script.  The cases
-are ``estimate_dof`` on six schemes at 40/50/60 dB with 100 trials and
-with a full block of 4096, and ``measure_error_exponent`` at 30/40/50 dB
+are ``estimate_dof`` on each of ``CONFIGS`` (six with alpha > 0 and two
+at alpha = 0) at 40/50/60 dB with 100 trials and with a full
+block of 4096, and ``measure_error_exponent`` at 30/40/50 dB
 with 500 draws.
 
 For each case it prints the CPU ms of a whole call as its median and
@@ -59,6 +60,9 @@ CONFIGS = (
     ("s3", 1.0, 0.5, "unmatched"),
     ("optimal-unmatched", 0.8, 0.5, "unmatched"),
     ("matched-optimal", 0.8, 0.5, "matched"),
+    # alpha = 0: the alpha cells' estimates have zero variance and are scaled by 0.
+    ("fdma", 0.8, 0.0, "unmatched"),
+    ("matched-optimal", 0.8, 0.0, "matched"),
 )
 LADDER_DB = (40.0, 50.0, 60.0)
 TRIALS = (100, 4096)
