@@ -6,9 +6,9 @@ The transmitter has two antennas; each user has one.  In every subband
     true = estimate + error,
 
 where the transmitter only knows ``estimate``.  A draw holds the estimate
-and the error; ``ChannelPair.true`` forms their sum when it is read.  As
-that sum rounds away an error below half an ulp of the estimate, the
-Monte Carlo walk forms none on a nulled link, which reads e^H w.  The
+and the error, not their sum.  As that sum rounds away an error below
+half an ulp of the estimate, the Monte Carlo walk forms none on a nulled
+link, which reads e^H w.  The
 error entries are i.i.d. complex Gaussian with per-entry variance
 ``sigma2 = p ** -a`` for quality exponent ``a`` in [0, 1] at linear SNR
 ``p``; the estimate is drawn with per-entry variance ``1 - sigma2`` so the
@@ -47,73 +47,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-USERS = ("user1", "user2")
-SUBBANDS = ("A", "B")
-SCENARIO_KINDS = ("unmatched", "matched")
-#: (user, subband) cells in draw order, the order of a stack of cells.
-CELLS = tuple((user, subband) for subband in SUBBANDS for user in USERS)
-
-
-def cell_index(user: str, subband: str) -> int:
-    """The position of the (user, subband) cell in ``CELLS``."""
-    try:
-        return CELLS.index((user, subband))
-    except ValueError:
-        raise ValueError(f"unknown cell ({user!r}, {subband!r}); the cells are {CELLS}") from None
-
-
-@dataclass(frozen=True)
-class QualityPair:
-    """CSIT quality exponents (beta, alpha) with 0 <= alpha <= beta <= 1.
-
-    The pair is ordered by convention: beta is the better quality.  Exact
-    rational values (``fractions.Fraction``) are accepted and preserved so
-    closed-form DoF expressions can be evaluated exactly.
-    """
-
-    beta: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.alpha <= self.beta <= 1):
-            raise ValueError(
-                f"quality exponents need 0 <= alpha <= beta <= 1, got "
-                f"beta={self.beta}, alpha={self.alpha}"
-            )
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """CSIT allocation across (user, subband) cells.
-
-    unmatched: user1 has quality beta in subband A and alpha in B, user2 the
-    reverse (each user has one well-sounded subband).
-    matched: both users have beta in subband A and alpha in B.
-    """
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"scenario kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
-
-    def quality(self, user: str, subband: str, q: QualityPair):
-        """CSIT quality exponent of `user`'s channel estimate in `subband`."""
-        cell_index(user, subband)  # raises on an unknown cell
-        if self.kind == "matched":
-            return q.beta if subband == "A" else q.alpha
-        return q.beta if (user == "user1") == (subband == "A") else q.alpha
-
-
-UNMATCHED = Scenario("unmatched")
-MATCHED = Scenario("matched")
+from .model import CELLS, QualityPair, Scenario, check_seed
+from .model import MATCHED, UNMATCHED  # noqa: F401 -- perfbench's workloads import them here
 
 
 def db_to_linear(snr_db: float) -> float:
@@ -149,14 +90,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return rng
 
 
-def check_seed(seed) -> int:
-    """The master seed as an int; a negative seed raises ValueError."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
-
-
 def check_snr(p) -> None:
     """Raise ValueError unless the linear SNR p is finite and exceeds 1 (nan does not)."""
     if not p > 1:
@@ -175,11 +108,6 @@ class ChannelPair:
 
     estimate: np.ndarray
     error: np.ndarray
-
-    @property
-    def true(self) -> np.ndarray:
-        """The true channel ``estimate + error``, formed anew on each read, not stored."""
-        return self.estimate + self.error
 
     def __getitem__(self, index) -> "ChannelPair":
         return ChannelPair(self.estimate[index], self.error[index])
@@ -248,7 +176,7 @@ def sample_pair(rng: np.random.Generator, a: float, p: float) -> ChannelPair:
 
     Returns:
         ChannelPair with error entries CN(0, sigma2) and estimate entries
-        CN(0, 1 - sigma2); its ``true`` is their sum, formed on read.
+        CN(0, 1 - sigma2); the true channel is their sum.
     """
     return _pairs_from_normals(rng.standard_normal((1, 8)), [[_variances(a, p)]])[0, 0, 0]
 

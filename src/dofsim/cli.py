@@ -35,8 +35,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from . import jsontext, linkmc, regions, schemes, switcher
-from .channel import SCENARIO_KINDS, QualityPair, Scenario, check_seed
+from . import jsontext, regions, schemes
+from .model import SCENARIO_KINDS, QualityPair, Scenario, check_seed
 
 
 class _FileOut(contextlib.AbstractContextManager):
@@ -147,6 +147,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import linkmc
     q = _quality(args)
     kind = args.scenario or schemes.SCHEMES[args.scheme].scenarios[0]
     scenario = Scenario(kind)
@@ -167,6 +168,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import switcher
     scenario = Scenario(args.scenario)
     m = switcher.sweep(scenario, step=args.step, rho=args.rho)
     if args.format == "csv":
@@ -256,6 +258,7 @@ def _verify_checks(scenarios: Sequence[Scenario], seed: int):
     yield _outcome("spot-checks", failures,
                    f"{_SPOT_PAIRS} random exact pairs: builds, audits and compositions pass")
 
+    from . import switcher
     for scenario in scenarios:
         m = switcher.sweep(scenario, step=0.005, rho=1.0)
         value, argmin = m.min_ratio(), m.argmin()

@@ -1,13 +1,13 @@
 """Monte Carlo link layer: SIC step rates and DoF slope estimates.
 
-The decoder walks the index arrays of the descriptor's compiled table
-(``schemes.DecodeTable``), which the static achievability check walks
-over exponents: from the cells it builds each link's received power
-once, in one pass over the table's per-link columns (a nulled link
-reads e^H w, see ``_link_powers``), gathers them
-through ``d.table.signal`` and ``d.table.interference`` and gives every
-step the rate log2(1 + S / (1 + I)), where I sums the powers the step
-has not cancelled.  Rates come as one array with a leading step axis in
+The decoder walks the descriptor's compiled table (``schemes.DecodeTable``),
+which the static achievability check walks over exponents, through index
+arrays that ``_walk_arrays`` builds once for all equal tables: from the
+cells it builds each link's received power once, in one pass over the
+per-link columns (a nulled link reads e^H w, see ``_link_powers``),
+gathers them per step, padded with a zero-power row, and gives every step
+the rate log2(1 + S / (1 + I)), where I sums the powers the step has not
+cancelled.  Rates come as one array with a leading step axis in
 decode-plan order; each row of ``d.table.payloads`` names the steps
 that decode its payload, whose worst rate the payload delivers.  The
 DoF estimate is the slope of the mean delivered rate per channel use of
@@ -27,24 +27,19 @@ means are bit-identical no matter how the trial range is partitioned.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
-import dataclasses
 import operator
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import jsontext
 from .channel import (
-    CELLS,
-    SUBBANDS,
     TRIAL_BLOCK,
     ChannelPair,
-    QualityPair,
-    Scenario,
-    check_seed,
-    cell_index,
     check_snr,
     db_to_linear,
     ladder_fit,
@@ -55,7 +50,9 @@ from .channel import (
 # Not called here, but kept importable as ``linkmc.trial_rng`` and
 # ``linkmc.sample_realization``: the per-layer trace wraps them by this path.
 from .channel import sample_realization, trial_rng  # noqa: F401
-from .schemes import DecodeStep, DecodeTable, SchemeDescriptor, SymbolSpec, _compile, credit_users
+from .model import CELLS, SUBBANDS, QualityPair, Scenario, cell_index, check_seed
+from .schemes import (PRECODER_KINDS, DecodeStep, DecodeTable, SchemeDescriptor, SymbolSpec,
+                      _compile, credit_users)
 
 #: Fit residual (bits per channel use) above which the slope estimate falls
 #: back to the top SNR pair; the common layer's rate converges slowly.
@@ -73,7 +70,38 @@ def _direction(kind: str, ref: np.ndarray) -> np.ndarray:
     return zf_direction(ref) if kind == "zf_orth" else unit(ref)
 
 
-def _directions(estimate: np.ndarray, table: DecodeTable) -> np.ndarray:
+class _WalkArrays(NamedTuple):
+    """A decode table's read-only index arrays, as the walk gathers through them."""
+
+    #: (kind, its rows of the table's precoders, their reference cells), in
+    #: ``PRECODER_KINDS`` order; basis_e1 references no cell (None)
+    kinds: Tuple[Tuple[str, np.ndarray, Optional[np.ndarray]], ...]
+    precoder: np.ndarray  # these three: the table's columns of the same names
+    symbol: np.ndarray
+    signal: np.ndarray
+    interference: np.ndarray  # (steps, width), padded with the link count
+
+
+def _indices(values) -> np.ndarray:
+    """values as a read-only index array, safe to share between walks."""
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _walk_arrays(table: DecodeTable) -> _WalkArrays:
+    """The walk's arrays of ``table``, built once for all equal tables."""
+    pre, width = table.precoders, max(map(len, table.interference))
+    rows = {kind: [r for r, p in enumerate(pre) if p.kind == kind] for kind in PRECODER_KINDS}
+    kinds = tuple((kind, _indices(rs), None if kind == "basis_e1" else
+                   _indices([cell_index(pre[r].user, pre[r].subband) for r in rs]))
+                  for kind, rs in rows.items() if rs)
+    padded = [row + (len(table.cell),) * (width - len(row)) for row in table.interference]
+    return _WalkArrays(kinds, *map(_indices, (table.precoder, table.symbol, table.signal, padded)))
+
+
+def _directions(estimate: np.ndarray, table: DecodeTable, walk: _WalkArrays) -> np.ndarray:
     """Every direction of the table, stacked on a leading axis.
 
     ``estimate`` is the stacked estimates, (cells, points, trials, 2).
@@ -81,17 +109,17 @@ def _directions(estimate: np.ndarray, table: DecodeTable) -> np.ndarray:
     all aligned ones from one ``unit`` call.
     """
     out = np.empty((len(table.precoders),) + estimate.shape[1:], dtype=complex)
-    for kind, rows, refs in table.kinds:
+    for kind, rows, refs in walk.kinds:
         out[rows] = _E1 if refs is None else _direction(kind, estimate[refs])
     return out
 
 
-def _power_table(symbols: Sequence[SymbolSpec], table: DecodeTable, ps: Sequence[float]):
+def _power_table(symbols: Sequence[SymbolSpec], walk: _WalkArrays, ps: Sequence[float]):
     """Each link's symbol power at each linear SNR in ps, shaped (links, points, 1)."""
-    return np.array([[sym.power.value(p) for p in ps] for sym in symbols])[table.symbol, :, None]
+    return np.array([[sym.power.value(p) for p in ps] for sym in symbols])[walk.symbol, :, None]
 
 
-def _link_powers(cells: ChannelPair, table: DecodeTable, power: np.ndarray) -> np.ndarray:
+def _link_powers(cells: ChannelPair, table: DecodeTable, walk: _WalkArrays, power) -> np.ndarray:
     """|h^H w|^2 times the symbol's power for every link of the table.
 
     Returns shape (links + 1, points, trials) for cells shaped (cells,
@@ -101,15 +129,15 @@ def _link_powers(cells: ChannelPair, table: DecodeTable, power: np.ndarray) -> n
     alone on a nulled link (``table.nulled``), which reads e^H w as
     ĥ^H w = 0 exactly.  Every later pass runs in place.
     """
-    w = _directions(cells.estimate, table)[table.precoder]
+    w = _directions(cells.estimate, table, walk)[walk.precoder]
     products = np.empty(w.shape, dtype=np.result_type(cells.estimate, w))
-    for n, (c, nulled) in enumerate(zip(table.cell.tolist(), table.nulled.tolist())):
+    for n, (c, nulled) in enumerate(zip(table.cell, table.nulled)):
         np.add(cells.error[c], 0.0 if nulled else cells.estimate[c], out=products[n])
     np.conjugate(products, out=products)
     products *= w
     summed = products[..., 0]
     summed += products[..., 1]
-    out = np.empty((table.links + 1,) + w.shape[1:-1])
+    out = np.empty((len(table.cell) + 1,) + w.shape[1:-1])
     out[-1] = 0.0
     powers = np.abs(summed, out=out[:-1])
     np.square(powers, out=powers)
@@ -137,8 +165,9 @@ def received_power(cells: ChannelPair, sym: SymbolSpec, user: str, p: float):
     The link is compiled as a one-step plan.
     """
     table = _compile((sym,), (DecodeStep(user, sym.slot, sym.id),))
+    walk = _walk_arrays(table)
     cells, drop = _one_point(cells, p)
-    return _link_powers(cells, table, _power_table((sym,), table, [p]))[drop][0]
+    return _link_powers(cells, table, walk, _power_table((sym,), walk, [p]))[drop][0]
 
 
 def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
@@ -153,20 +182,21 @@ def _step_rates(d: SchemeDescriptor, cells: ChannelPair, ps: Sequence[float]):
     ladder point that has one.
     """
     table = d.table
-    out = np.empty(table.signal.shape + cells.estimate.shape[1:-1])
-    power = _power_table(d.symbols, table, ps)
+    walk = _walk_arrays(table)
+    out = np.empty(walk.signal.shape + cells.estimate.shape[1:-1])
+    power = _power_table(d.symbols, walk, ps)
     for lo in range(0, out.shape[2], WALK_BLOCK):
         part = np.s_[:, :, lo:lo + WALK_BLOCK]
         try:
-            powers = _link_powers(cells[part], table, power)
+            powers = _link_powers(cells[part], table, walk, power)
         except ValueError:
             for k in range(len(ps)):
                 for pre in table.precoders:
                     if pre.kind != "basis_e1":
                         _direction(pre.kind, cells.estimate[cell_index(pre.user, pre.subband), k])
             raise
-        total = sum(powers[links] for links in table.interference.T)
-        np.log2(1.0 + powers[table.signal] / (1.0 + total), out=out[part])
+        total = sum(powers[links] for links in walk.interference.T)
+        np.log2(1.0 + powers[walk.signal] / (1.0 + total), out=out[part])
         del powers, total  # before the next sub-block's walk
     return out
 

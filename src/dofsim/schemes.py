@@ -2,19 +2,21 @@
 
 A scheme is described by *what is sent*, not by code: a list of precoded
 symbols, each sent in one of the two equal-width subbands of
-``channel.SUBBANDS`` with a power term of the form coeff * (P^hi - P^lo)
+``model.SUBBANDS`` with a power term of the form coeff * (P^hi - P^lo)
 and a target rate exponent, and an ordered decode plan per user.  Every
 receiver runs successive interference cancellation (SIC): a step sees as
 interference exactly the same-subband symbols its user has not decoded
 yet, so the plan's order is the whole SIC schedule.  Each descriptor
-carries a ``DecodeTable``, built by ``_compile`` alone: read-only index
-columns of each link's receiving cell, precoder and symbol and a mask of
-the nulled links, each link held once, arrays of each step's links, and
-each payload's first instance and decoding steps.  Both walks fill one
-value per link in one pass over the columns and gather it per step: the
-Monte Carlo link layer over linear received powers and
-``static_achievability_check`` over high-SNR exponents.  A descriptor compiles its own table, except that every
-``build_descriptor`` result shares the table of its face template.
+carries a ``DecodeTable`` of plain tuples, built by ``_compile`` alone:
+per-link columns of each link's receiving cell, precoder, symbol and
+whether it is nulled, each link held once, each step's links, and each
+payload's first instance and decoding steps.  Both walks fill one value
+per link in one pass over the columns and gather it per step:
+``static_achievability_check`` over exact high-SNR exponents, and the
+Monte Carlo link layer over linear received powers, through index arrays
+that ``linkmc`` builds from the table.  A descriptor compiles its own
+table, except that every ``build_descriptor`` result shares the table of
+its face template.
 
 Builders are provided for the five strategies under study:
 
@@ -59,9 +61,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .channel import CELLS, SCENARIO_KINDS, SUBBANDS, USERS, QualityPair, Scenario, cell_index
+from .model import CELLS, SCENARIO_KINDS, SUBBANDS, USERS, QualityPair, Scenario, cell_index
 
 OWNERS = USERS + ("common",)
 PRECODER_KINDS = ("basis_e1", "zf_orth", "aligned")
@@ -172,38 +172,24 @@ class DecodeStep:
     symbol: str
 
 
-def _indices(values, dtype=np.intp) -> np.ndarray:
-    """values as a read-only index (or mask) array, safe to share between walks."""
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 class DecodeTable(NamedTuple):
-    """A decode plan, resolved to read-only index arrays.
+    """A decode plan, resolved to tuples of plain facts.
 
     Its links are (symbol instance, receiving user) pairs, numbered in
     order of first use and held once each; ``cell``, ``precoder``,
     ``symbol`` and ``nulled`` are their columns, one entry per link.  A
-    rate table built on it has one column per step, in plan order.  Row j of
-    ``interference`` holds step j's interfering links in instance order,
-    padded with ``links``, a walk's padding row (zero power, or exponent
-    -inf).
+    rate table built on it has one column per step, in plan order.
     """
 
     precoders: Tuple[Precoder, ...]  # each direction the links use once, in order of first use
-    #: (kind, its rows of ``precoders``, their reference cells), in
-    #: ``PRECODER_KINDS`` order; basis_e1 references no cell (None)
-    kinds: Tuple[Tuple[str, np.ndarray, Optional[np.ndarray]], ...]
-    links: int  # the link count, which is also the padding row's index
-    cell: np.ndarray  # per link: its receiving cell, in ``channel.CELLS`` order
-    precoder: np.ndarray  # per link: its row of ``precoders``
-    symbol: np.ndarray  # per link: its symbol instance
+    cell: Tuple[int, ...]  # per link: its receiving cell, in ``model.CELLS`` order
+    precoder: Tuple[int, ...]  # per link: its row of ``precoders``
+    symbol: Tuple[int, ...]  # per link: its symbol instance
     #: per link: nulled, its precoder zf_orth on its own receiving cell's
     #: estimate ĥ, so that ĥ^H w = 0 exactly and the link reads e^H w
-    nulled: np.ndarray
-    signal: np.ndarray  # per step: its signal link
-    interference: np.ndarray  # (steps, width): its interfering links, padded
+    nulled: Tuple[bool, ...]
+    signal: Tuple[int, ...]  # per step: its signal link
+    interference: Tuple[Tuple[int, ...], ...]  # per step: its interfering links, in instance order
     #: (id, index of its first instance, indices of the steps that decode
     #: it) per payload, in order of first appearance
     payloads: Tuple[Tuple[str, int, Tuple[int, ...]], ...]
@@ -256,19 +242,9 @@ def _compile(symbols: Sequence[SymbolSpec], plan: Sequence[DecodeStep]) -> Decod
     rows: Dict[Precoder, int] = {}  # precoder -> its row of ``precoders``
     per_link = [(cell_index(user, symbols[i].slot),
                  rows.setdefault(symbols[i].precoder, len(rows)), i) for i, user in links]
-    precoders = tuple(rows)
-    kinds = []
-    for kind in PRECODER_KINDS:
-        of_kind = [r for r, pre in enumerate(precoders) if pre.kind == kind]
-        if of_kind:
-            refs = None if kind == "basis_e1" else _indices(
-                [cell_index(precoders[r].user, precoders[r].subband) for r in of_kind])
-            kinds.append((kind, _indices(of_kind), refs))
-    width = max(map(len, steps))
-    by_step = _indices([row + [len(links)] * (width - len(row)) for row in steps])
-    nulled = _indices([symbols[i].precoder == zf_orth(*CELLS[c]) for c, _, i in per_link], bool)
-    return DecodeTable(precoders, tuple(kinds), len(links), *_indices(per_link).T, nulled,
-                       by_step[:, 0], by_step[:, 1:], payloads)
+    nulled = tuple(symbols[i].precoder == zf_orth(*CELLS[c]) for c, _, i in per_link)
+    return DecodeTable(tuple(rows), *zip(*per_link), nulled, tuple(row[0] for row in steps),
+                       tuple(tuple(row[1:]) for row in steps), payloads)
 
 
 @dataclass(frozen=True)
@@ -744,7 +720,7 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
     Walks ``d.table`` in max-plus: a link's received exponent is its power
     term's top exponent, lowered by its cell's CSIT quality exponent when
     ``d.table.nulled`` marks it, as a nulled link reads e^H w; a step of
-    ``d.decode_plan`` gathers them (-inf on the padding row).  Its signal
+    ``d.decode_plan`` gathers them (-inf when it has no interferer).  Its signal
     exponent minus the largest interference exponent (floored at the noise
     level 0) must cover the symbol's rate exponent, exactly: a descriptor
     built on float qualities is rejected with ValueError.  Raises
@@ -757,16 +733,14 @@ def static_achievability_check(d: SchemeDescriptor) -> List[StepMargin]:
                          f"qualities, not beta={q.beta!r}, alpha={q.alpha!r}")
     table = d.table
     exponents = []
-    for c, i, nulled in zip(table.cell.tolist(), table.symbol.tolist(), table.nulled.tolist()):
+    for c, i, nulled in zip(table.cell, table.symbol, table.nulled):
         e = d.symbols[i].power.hi
         if nulled:
             e -= Scenario(d.scenario).quality(*CELLS[c], q)
         exponents.append(e)
-    exponents.append(-math.inf)  # the padding row
     payloads = d.payloads()
     report: List[StepMargin] = []
-    for step, signal, row in zip(d.decode_plan, table.signal.tolist(),
-                                 table.interference.tolist()):
+    for step, signal, row in zip(d.decode_plan, table.signal, table.interference):
         rate = payloads[step.symbol].rate_exponent
         interference = max([exponents[n] for n in row], default=-math.inf)
         sinr = exponents[signal] - max(interference, 0)

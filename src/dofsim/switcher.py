@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import jsontext
-from .channel import QualityPair, Scenario
+from .model import QualityPair, Scenario
 from .schemes import SCHEMES, analytic_sum_dof, analytic_sum_dof_at
 
 #: Comparison slack: keeps exact ties (ratio == rho, equal sum DoF) stable

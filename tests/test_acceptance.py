@@ -12,14 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dofsim.channel import (
-    MATCHED,
-    UNMATCHED,
-    QualityPair,
-    db_to_linear,
-    measure_error_exponent,
-)
+from dofsim.channel import db_to_linear, measure_error_exponent
 from dofsim.linkmc import SimReport, estimate_dof
+from dofsim.model import MATCHED, UNMATCHED, QualityPair
 from dofsim.regions import (
     compose_matched,
     compose_unmatched,

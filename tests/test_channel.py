@@ -10,45 +10,47 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dofsim import channel as ch
+from dofsim.model import (CELLS, MATCHED, SUBBANDS, UNMATCHED, USERS, QualityPair, Scenario,
+                          cell_index)
 
 
 def test_quality_pair_accepts_ordered_exponents():
-    q = ch.QualityPair(0.8, 0.5)
+    q = QualityPair(0.8, 0.5)
     assert (q.beta, q.alpha) == (0.8, 0.5)
 
 
 def test_quality_pair_preserves_fractions():
     from fractions import Fraction
 
-    q = ch.QualityPair(Fraction(4, 5), Fraction(1, 2))
+    q = QualityPair(Fraction(4, 5), Fraction(1, 2))
     assert isinstance(q.beta, Fraction) and isinstance(q.alpha, Fraction)
 
 
 @pytest.mark.parametrize("beta,alpha", [(0.5, 0.8), (1.2, 0.1), (0.5, -0.1), (-0.2, -0.3)])
 def test_quality_pair_rejects_bad_exponents(beta, alpha):
     with pytest.raises(ValueError):
-        ch.QualityPair(beta, alpha)
+        QualityPair(beta, alpha)
 
 
 def test_scenario_quality_table():
-    q = ch.QualityPair(0.8, 0.5)
-    u = ch.UNMATCHED
+    q = QualityPair(0.8, 0.5)
+    u = UNMATCHED
     assert u.quality("user1", "A", q) == 0.8
     assert u.quality("user1", "B", q) == 0.5
     assert u.quality("user2", "A", q) == 0.5
     assert u.quality("user2", "B", q) == 0.8
-    m = ch.MATCHED
+    m = MATCHED
     assert m.quality("user1", "A", q) == m.quality("user2", "A", q) == 0.8
     assert m.quality("user1", "B", q) == m.quality("user2", "B", q) == 0.5
 
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        ch.Scenario("mixed")
+        Scenario("mixed")
     with pytest.raises(ValueError):
-        ch.UNMATCHED.quality("user3", "A", ch.QualityPair(1, 1))
+        UNMATCHED.quality("user3", "A", QualityPair(1, 1))
     with pytest.raises(ValueError):
-        ch.UNMATCHED.quality("user1", "C", ch.QualityPair(1, 1))
+        UNMATCHED.quality("user1", "C", QualityPair(1, 1))
 
 
 def test_db_conversions():
@@ -64,7 +66,8 @@ def test_sample_pair_reconstruction_is_bitwise():
     rng = np.random.default_rng(3)
     for a in (0.0, 0.3, 1.0):
         pair = ch.sample_pair(rng, a, 1e4)
-        assert np.array_equal(pair.true, pair.estimate + pair.error)
+        assert pair.estimate.shape == pair.error.shape == (2,)
+        assert pair.estimate.dtype == pair.error.dtype == complex
 
 
 def test_sample_pair_zero_quality_estimate_is_zero():
@@ -107,7 +110,8 @@ def test_sample_pairs_matches_successive_sample_pair_draws():
         rows = [ch.sample_pair(rng, a, 1e4) for _ in range(5)]
         batch = _sample_pairs(np.random.default_rng(4), a, 1e4, 5)
         for t, pair in enumerate(rows):
-            assert np.array_equal(batch.true[t], pair.true)
+            assert np.array_equal(batch.estimate[t], pair.estimate)
+            assert np.array_equal(batch.error[t], pair.error)
             assert np.array_equal(batch.estimate[t], pair.estimate)
             assert np.array_equal(batch.error[t], pair.error)
 
@@ -134,7 +138,7 @@ def test_draw_layout_is_fixed():
     assert np.array_equal(pair.error, np.sqrt(s2 / 2) * (z[4:6] + 1j * z[6:8]))
     # matched (0.5, 0): subband B's estimates have zero variance and still
     # take normals 16..19 and 24..27, so every error reads its own four.
-    r = ch.sample_realization(ch.trial_rng(9, 0), ch.QualityPair(0.5, 0.0), ch.MATCHED, p)
+    r = ch.sample_realization(ch.trial_rng(9, 0), QualityPair(0.5, 0.0), MATCHED, p)
     for c, (estimate_var, error_var) in enumerate([(1 - s2, s2)] * 2 + [(0.0, 1.0)] * 2):
         d = 8 * c
         assert np.array_equal(r.estimate[c],
@@ -145,16 +149,17 @@ def test_draw_layout_is_fixed():
 
 
 def test_sample_realization_covers_all_cells():
-    r = ch.sample_realization(ch.trial_rng(0, 0), ch.QualityPair(0.8, 0.5),
-                              ch.UNMATCHED, 1e4)
-    assert set(ch.CELLS) == {(u, s) for u in ch.USERS for s in ch.SUBBANDS}
-    assert r.true.shape == (len(ch.CELLS), 2)
-    for u in ch.USERS:
-        for s in ch.SUBBANDS:
-            cell = r[ch.cell_index(u, s)]
-            assert np.array_equal(cell.true, cell.estimate + cell.error)
+    r = ch.sample_realization(ch.trial_rng(0, 0), QualityPair(0.8, 0.5),
+                              UNMATCHED, 1e4)
+    assert set(CELLS) == {(u, s) for u in USERS for s in SUBBANDS}
+    assert r.estimate.shape == r.error.shape == (len(CELLS), 2)
+    for u in USERS:
+        for s in SUBBANDS:
+            cell = r[cell_index(u, s)]
+            assert np.array_equal(cell.estimate, r.estimate[cell_index(u, s)])
+            assert np.array_equal(cell.error, r.error[cell_index(u, s)])
     with pytest.raises(ValueError, match=r"unknown cell \('user3', 'A'\)"):
-        ch.cell_index("user3", "A")
+        cell_index("user3", "A")
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +210,14 @@ def test_zf_residual_statistics():
     p, n = 1e4, 100_000
     for a in (0.25, 0.5, 1.0):
         pair = _sample_pairs(np.random.default_rng(int(a * 1000)), a, p, n)
-        mean = float(np.mean(_leakage(pair.true, ch.zf_direction(pair.estimate))))
+        mean = float(np.mean(_leakage(pair.estimate + pair.error, ch.zf_direction(pair.estimate))))
         sigma2 = p ** -a
         assert abs(mean - sigma2) <= 0.05 * sigma2, (
             f"a={a}: residual mean {mean:.3e} vs sigma2 {sigma2:.3e}"
         )
     pair = _sample_pairs(np.random.default_rng(0), 0.0, p, n)
     w = np.array([0.0, 1.0 + 0.0j])
-    assert abs(float(np.mean(_leakage(pair.true, w))) - 1.0) <= 0.05
+    assert abs(float(np.mean(_leakage(pair.estimate + pair.error, w))) - 1.0) <= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +237,23 @@ def test_trial_rng_streams_differ_by_trial_and_seed():
 
 
 def test_trial_rng_order_independent():
-    q, s, p = ch.QualityPair(0.8, 0.5), ch.UNMATCHED, 1e4
+    q, s, p = QualityPair(0.8, 0.5), UNMATCHED, 1e4
     forward = [ch.sample_realization(ch.trial_rng(5, t), q, s, p) for t in range(4)]
     backward = [ch.sample_realization(ch.trial_rng(5, t), q, s, p) for t in (3, 2, 1, 0)]
     for t in range(4):
         want = forward[t]
         got = backward[3 - t]
-        assert np.array_equal(want.true, got.true)
+        assert np.array_equal(want.estimate, got.estimate)
+        assert np.array_equal(want.error, got.error)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0, 1), st.floats(1.001, 1e6), st.integers(0, 2**32 - 1))
 def test_sample_pair_always_reconstructs(a, p, seed):
     pair = ch.sample_pair(ch.trial_rng(seed, 0), a, p)
-    assert np.array_equal(pair.true, pair.estimate + pair.error)
-    assert np.all(np.isfinite(pair.true.view(float)))
+    assert pair.estimate.shape == pair.error.shape == (2,)
+    assert np.all(np.isfinite(pair.estimate.view(float)))
+    assert np.all(np.isfinite(pair.error.view(float)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +292,23 @@ def test_measure_error_exponent_rejects_a_repeated_ladder_point(ladder):
 
 
 def _assert_realizations_equal(batch, row, single):
-    for key, pair, got in zip(ch.CELLS, single, batch):
-        for part in ("true", "estimate", "error"):
+    for key, pair, got in zip(CELLS, single, batch):
+        for part in ("estimate", "error"):
             assert np.array_equal(getattr(got, part)[row], getattr(pair, part)), (key, part)
 
 
 @pytest.mark.parametrize("q,scenario,ladder", [
-    (ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e4, 1e5, 1e6)),
-    (ch.QualityPair(1.0, 0.0), ch.MATCHED, (1e4, 1e5, 1e6)),
-    (ch.QualityPair(0.6, 0.0), ch.UNMATCHED, (1.5, 1e3)),
+    (QualityPair(0.8, 0.5), UNMATCHED, (1e4, 1e5, 1e6)),
+    (QualityPair(1.0, 0.0), MATCHED, (1e4, 1e5, 1e6)),
+    (QualityPair(0.6, 0.0), UNMATCHED, (1.5, 1e3)),
     # 1 - p**-1e-18 rounds to 0 at p = 100 but not at p = 1e300, so the
     # estimate of the alpha cells has zero variance at one point only.
-    (ch.QualityPair(0.9, 1e-18), ch.UNMATCHED, (1e2, 1e300)),
+    (QualityPair(0.9, 1e-18), UNMATCHED, (1e2, 1e300)),
 ])
 def test_sample_ladder_rows_equal_per_trial_draws(q, scenario, ladder):
     seed, start, trials = 21, 5, 7
     cells = ch.sample_ladder_cells(seed, q, scenario, ladder, trials, start)
-    assert cells.true.shape == (len(ch.CELLS), len(ladder), trials, 2)
+    assert cells.estimate.shape == cells.error.shape == (len(CELLS), len(ladder), trials, 2)
     for k, p in enumerate(ladder):
         for t in range(trials):
             single = ch.sample_realization(ch.trial_rng(seed, start + t), q, scenario, p)
@@ -309,12 +316,12 @@ def test_sample_ladder_rows_equal_per_trial_draws(q, scenario, ladder):
 
 
 def test_sample_ladder_zero_variance_estimates_are_zero():
-    q = ch.QualityPair(0.8, 0.0)
-    r = ch.sample_ladder_cells(3, q, ch.UNMATCHED, (1e4,), 4)
+    q = QualityPair(0.8, 0.0)
+    r = ch.sample_ladder_cells(3, q, UNMATCHED, (1e4,), 4)
     estimate = r.estimate[:, 0]
-    assert np.all(estimate[ch.cell_index("user1", "B")] == 0)
-    assert np.all(estimate[ch.cell_index("user2", "A")] == 0)
-    assert np.all(estimate[ch.cell_index("user1", "A")] != 0)
+    assert np.all(estimate[cell_index("user1", "B")] == 0)
+    assert np.all(estimate[cell_index("user2", "A")] == 0)
+    assert np.all(estimate[cell_index("user1", "A")] != 0)
 
 
 _CRN_LADDER = tuple(ch.db_to_linear(v) for v in (40.0, 200.0, 400.0))
@@ -328,11 +335,11 @@ def test_every_ladder_point_and_scenario_reads_the_same_normals(beta, alpha):
     """Common random numbers: per cell, the error divided by its standard
     deviation is the same unit normal vector at every ladder point and in
     both scenarios, and so is the estimate wherever its variance is above 0."""
-    q = ch.QualityPair(max(beta, alpha), min(beta, alpha))
+    q = QualityPair(max(beta, alpha), min(beta, alpha))
     units = {}
-    for scenario in (ch.UNMATCHED, ch.MATCHED):
+    for scenario in (UNMATCHED, MATCHED):
         cells = ch.sample_ladder_cells(5, q, scenario, _CRN_LADDER, 6)
-        for c, (u, s) in enumerate(ch.CELLS):
+        for c, (u, s) in enumerate(CELLS):
             a = scenario.quality(u, s, q)
             for k, p in enumerate(_CRN_LADDER):
                 sigma2 = float(p) ** -float(a)
@@ -340,7 +347,7 @@ def test_every_ladder_point_and_scenario_reads_the_same_normals(beta, alpha):
                     if var > 0.0:
                         unit = getattr(cells, part)[c, k] / np.sqrt(var)
                         units.setdefault((part, c), []).append(unit)
-    assert {c for part, c in units if part == "error"} == set(range(len(ch.CELLS)))
+    assert {c for part, c in units if part == "error"} == set(range(len(CELLS)))
     for (part, c), seen in units.items():
         for unit in seen[1:]:
             np.testing.assert_allclose(unit, seen[0], rtol=1e-12, err_msg=f"{part} of cell {c}")
@@ -355,7 +362,7 @@ def test_sample_ladder_seeds_each_trial_once(monkeypatch):
         return real(seed, start, trials, k)
 
     monkeypatch.setattr(ch, "_trial_normals", counting)
-    ch.sample_ladder_cells(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3, 1e4, 1e5), 6,
+    ch.sample_ladder_cells(0, QualityPair(0.8, 0.5), UNMATCHED, (1e3, 1e4, 1e5), 6,
                            start=2)
     assert calls == [(0, 2, 6)]
 
@@ -443,7 +450,7 @@ def test_trial_normals_reject_a_negative_seed():
 
 def test_sample_ladder_cells_rejects_a_negative_start():
     with pytest.raises(ValueError, match="start must be a non-negative trial index, got -1"):
-        ch.sample_ladder_cells(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3, 1e4), 3,
+        ch.sample_ladder_cells(0, QualityPair(0.8, 0.5), UNMATCHED, (1e3, 1e4), 3,
                                start=-1)
 
 
@@ -455,13 +462,13 @@ def test_sample_ladder_cells_rejects_a_negative_start():
 ])
 def test_sample_ladder_cells_rejects_a_bad_ladder(ps, message):
     with pytest.raises(ValueError, match=message):
-        ch.sample_ladder_cells(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, ps, 3)
+        ch.sample_ladder_cells(0, QualityPair(0.8, 0.5), UNMATCHED, ps, 3)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_sample_ladder_cells_rejects_a_trial_count_below_one(trials):
     with pytest.raises(ValueError, match=f"at least one trial is required, got {trials}"):
-        ch.sample_ladder_cells(0, ch.QualityPair(0.8, 0.5), ch.UNMATCHED, (1e3,), trials)
+        ch.sample_ladder_cells(0, QualityPair(0.8, 0.5), UNMATCHED, (1e3,), trials)
 
 
 def test_batched_zf_direction_and_unit_match_rows():
@@ -547,19 +554,19 @@ def test_measure_error_exponent_memory_does_not_grow_with_the_trial_count(monkey
 def test_a_ladder_draw_holds_only_the_estimate_and_error_stacks():
     import tracemalloc
 
-    q, ps = ch.QualityPair(0.8, 0.5), [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
-    ch.sample_ladder_cells(0, q, ch.UNMATCHED, ps, ch.TRIAL_BLOCK)  # warm caches
+    q, ps = QualityPair(0.8, 0.5), [ch.db_to_linear(v) for v in (40.0, 50.0, 60.0)]
+    ch.sample_ladder_cells(0, q, UNMATCHED, ps, ch.TRIAL_BLOCK)  # warm caches
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        cells = ch.sample_ladder_cells(0, q, ch.UNMATCHED, ps, ch.TRIAL_BLOCK)
+        cells = ch.sample_ladder_cells(0, q, UNMATCHED, ps, ch.TRIAL_BLOCK)
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
     # Two (cells, points, trials, 2) complex stacks, 3 145 728 bytes; a
     # stored true-channel stack beside them made it ~4 719 500 (x86-64, numpy 2.4).
-    stacks = 2 * len(ch.CELLS) * len(ps) * ch.TRIAL_BLOCK * 2 * 16
-    assert cells.estimate.shape == (len(ch.CELLS), len(ps), ch.TRIAL_BLOCK, 2)
+    stacks = 2 * len(CELLS) * len(ps) * ch.TRIAL_BLOCK * 2 * 16
+    assert cells.estimate.shape == (len(CELLS), len(ps), ch.TRIAL_BLOCK, 2)
     assert held <= 1.01 * stacks, held
 
 
@@ -618,7 +625,7 @@ def _assert_bits_equal(got, want):
 
 
 def _assert_pairs_bits_equal(got, want):
-    for part in ("true", "estimate", "error"):
+    for part in ("estimate", "error"):
         _assert_bits_equal(getattr(got, part), getattr(want, part))
 
 
@@ -660,17 +667,17 @@ def test_pairs_from_normals_with_a_ladder_axis_equals_the_oracle(trials):
 def test_ladder_cells_where_an_estimate_variance_is_zero_at_one_point_equal_the_oracle(trials):
     # alpha = 3e-18 gives the alpha cells' estimates zero variance at 40 dB
     # but not at 400 dB, and every point reads the same normals.
-    q, ps = ch.QualityPair(0.5, 3e-18), [ch.db_to_linear(v) for v in (40.0, 200.0, 400.0)]
-    got = ch.sample_ladder_cells(7, q, ch.UNMATCHED, ps, trials)
-    alpha_cell = ch.cell_index("user1", "B")
+    q, ps = QualityPair(0.5, 3e-18), [ch.db_to_linear(v) for v in (40.0, 200.0, 400.0)]
+    got = ch.sample_ladder_cells(7, q, UNMATCHED, ps, trials)
+    alpha_cell = cell_index("user1", "B")
     assert np.all(got.estimate[alpha_cell, 0] == 0) and np.all(got.estimate[alpha_cell, 2] != 0)
-    qualities = [ch.UNMATCHED.quality(u, s, q) for u, s in ch.CELLS]
+    qualities = [UNMATCHED.quality(u, s, q) for u, s in CELLS]
     _assert_pairs_bits_equal(got, _cells_oracle(7, qualities, ps, trials, 0))
 
 
 @pytest.mark.parametrize("trials", [1, 100, 4096])
 def test_zf_direction_and_unit_equal_the_oracles(trials):
-    estimate = ch.sample_ladder_cells(4, ch.QualityPair(0.8, 0.5), ch.UNMATCHED,
+    estimate = ch.sample_ladder_cells(4, QualityPair(0.8, 0.5), UNMATCHED,
                                       _ORACLE_LADDER, trials).estimate
     for v in (estimate, estimate[1], estimate[[0, 3, 2]], estimate[2, 1, 0]):
         _assert_bits_equal(ch.zf_direction(v), _zf_oracle(v))

@@ -5,6 +5,7 @@ import csv
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -21,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dofsim import cli, linkmc, regions, schemes, switcher
-from dofsim.channel import SCENARIO_KINDS, QualityPair, Scenario
 from dofsim.linkmc import SimReport
+from dofsim.model import SCENARIO_KINDS, QualityPair, Scenario
 
 # exit-code contract: 0 success, 1 verification failure, 2 bad args, 3 I/O
 
@@ -646,6 +647,61 @@ def _python_m_dofsim(*argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "dofsim", *argv], capture_output=True,
                           timeout=120, env=env)
+
+
+#: Runs each argv of the JSON list in sys.argv[1] through ``cli.main``, then
+#: the first four ``verify`` checks, with numpy blocked, and prints what they
+#: gave as JSON, with the dofsim modules they loaded.
+_NUMPY_BLOCKED = """
+import contextlib, io, itertools, json, sys
+sys.modules["numpy"] = None
+from dofsim import cli
+from dofsim.model import SCENARIO_KINDS, Scenario
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+checks = itertools.islice(cli._verify_checks([Scenario(k) for k in SCENARIO_KINDS], 0), 4)
+print(json.dumps({"runs": runs, "checks": list(checks),
+                  "loaded": sorted(m for m in sys.modules if m.startswith("dofsim"))}))
+"""
+
+NUMPY_FREE_ARGVS = [
+    ["regions"],
+    ["regions", "--format", "gnuplot"],
+    ["regions", "--scenario", "matched", "--beta", "1", "--alpha", "0", "--format", "gnuplot"],
+    ["regions", "--nope", "1"],  # a usage error
+]
+
+
+def test_regions_and_the_exact_verify_checks_run_without_numpy(monkeypatch, capsys):
+    """``regions``, its usage errors and ``verify``'s four exact checks never
+    import numpy, nor the Monte Carlo modules, and give the same bytes."""
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, json.dumps(NUMPY_FREE_ARGVS)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    got = json.loads(proc.stdout)
+    want = []
+    for argv in NUMPY_FREE_ARGVS:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        want.append([code, *capsys.readouterr()])
+    assert got["runs"] == want
+    assert [code for code, _, _ in want] == [0, 0, 0, 2]
+    scenarios = [Scenario(kind) for kind in SCENARIO_KINDS]
+    checks = [list(check) for check in itertools.islice(cli._verify_checks(scenarios, 0), 4)]
+    assert got["checks"] == checks and all(passed for _, passed, _ in checks)
+    assert got["loaded"] == ["dofsim", "dofsim.cli", "dofsim.jsontext", "dofsim.model",
+                             "dofsim.regions", "dofsim.schemes"]
 
 
 def test_package_entry_point_prints_what_main_prints(capsys):

@@ -19,7 +19,8 @@ import pytest
 from dofsim import channel as ch
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
-from dofsim.channel import MATCHED, UNMATCHED, QualityPair
+from dofsim.model import (CELLS, MATCHED, SUBBANDS, UNMATCHED, USERS, QualityPair, Scenario,
+                          cell_index)
 from test_schemes import _reference_links, _table_links, _zero_forced_on
 
 Q = QualityPair(0.8, 0.5)
@@ -34,8 +35,8 @@ def _instance(d, sym_id, slot):
 def _steps(d):
     """(symbol, decoding user) of each decode step, read off its signal link."""
     links = _table_links(d.table)
-    return [(d.symbols[links[n][2]].id, ch.CELLS[links[n][0]][0])
-            for n in d.table.signal.tolist()]
+    return [(d.symbols[links[n][2]].id, CELLS[links[n][0]][0])
+            for n in d.table.signal]
 
 
 def _column(d, sym_id, user):
@@ -43,7 +44,7 @@ def _column(d, sym_id, user):
 
 
 def _manual_realization():
-    # One row per cell, in ch.CELLS order: (user1, A), (user2, A), (user1, B), (user2, B).
+    # One row per cell, in CELLS order: (user1, A), (user2, A), (user1, B), (user2, B).
     true = np.array([[2.0, 1.0j], [0.5, 1.0], [1.0, -1.0], [1.0j, 2.0]])
     estimate = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0], [0.0, 2.0]], dtype=complex)
     return ch.ChannelPair(estimate=estimate, error=true - estimate)
@@ -118,9 +119,9 @@ def test_sic_u0_step_matches_hand_computed_sinr():
     d = sch.optimal_unmatched_descriptor(Q)
     rates = mc.sic_rates(d, realization, p)
 
-    h = realization.true[ch.cell_index("user1", "A")]
-    g_est = realization.estimate[ch.cell_index("user2", "A")]
-    h_est = realization.estimate[ch.cell_index("user1", "A")]
+    h = (realization.estimate + realization.error)[cell_index("user1", "A")]
+    g_est = realization.estimate[cell_index("user2", "A")]
+    h_est = realization.estimate[cell_index("user1", "A")]
     signal = abs(np.vdot(h, ch.unit(g_est))) ** 2 * (p**0.8 - p**0.5) / 2
     interference = (
         abs(np.vdot(h, ch.zf_direction(g_est))) ** 2 * p**0.5 / 2
@@ -197,7 +198,7 @@ def test_a_lone_realization_walks_as_a_one_trial_block(scheme, scenario):
         assert rates.shape == (len(d.table.signal),)
         assert np.array_equal(rates, mc.sic_rates(d, block, p)[:, 0])
         for sym in d.symbols:
-            for user in ch.USERS:
+            for user in USERS:
                 power = mc.received_power(lone, sym, user, p)
                 assert np.shape(power) == ()
                 assert np.array_equal(power, mc.received_power(block, sym, user, p)[0])
@@ -225,7 +226,7 @@ def test_delivered_rate_is_worst_decoder():
     # steps; a report credits the minimum over a payload's steps.
     d = sch.optimal_unmatched_descriptor(Q)
     columns = {sym_id: steps for sym_id, _, steps in d.table.payloads}["xc_A"]
-    assert sorted(columns) == sorted(_column(d, "xc_A", user) for user in ch.USERS)
+    assert sorted(columns) == sorted(_column(d, "xc_A", user) for user in USERS)
 
 
 def test_rate_columns_follow_the_decode_steps():
@@ -419,7 +420,7 @@ def test_report_rates_are_duration_weighted_delivered_rates():
     # column (common random numbers: the ladder reuses the same trial rows).
     means = mc.trial_rates(d, Q, UNMATCHED, ch.db_to_linear(30.0), trials, seed=12).mean(axis=0)
     per_use = {
-        sym_id: min(means[c] for c in columns) / len(ch.SUBBANDS)
+        sym_id: min(means[c] for c in columns) / len(SUBBANDS)
         for sym_id, _, columns in d.table.payloads
     }
     report = mc.estimate_dof(d, Q, UNMATCHED, (20.0, 30.0, 40.0), trials=trials, seed=12)
@@ -445,7 +446,7 @@ def test_report_rates_are_duration_weighted_delivered_rates():
 def _cli_pairs():
     for scheme in sch.SCHEME_NAMES:
         for kind in sch.SCHEMES[scheme].scenarios:
-            yield scheme, ch.Scenario(kind)
+            yield scheme, Scenario(kind)
 
 
 @pytest.mark.parametrize("scheme,scenario", list(_cli_pairs()))
@@ -549,7 +550,7 @@ def test_report_bytes_do_not_depend_on_the_block_size(monkeypatch):
         means = mc.trial_rates(d, Q, UNMATCHED, ch.db_to_linear(snr_db), trials,
                                seed=5).mean(axis=0)
         for sym_id, _, columns in d.table.payloads:
-            want = float(min(means[c] for c in columns)) / len(ch.SUBBANDS)
+            want = float(min(means[c] for c in columns)) / len(SUBBANDS)
             assert whole.rates[sym_id][mc._db_key(snr_db)] == want, (snr_db, sym_id)
     monkeypatch.setattr(mc, "TRIAL_BLOCK", 7)
     assert mc.estimate_dof(d, Q, UNMATCHED, ladder, trials, seed=5).to_json() == whole.to_json()
@@ -701,16 +702,17 @@ def _link_powers_oracle(d):
 
     def link_powers(cells, symbols, table, ps):
         assert symbols is d.symbols
-        cell = np.array([ch.cell_index(user, symbols[i].slot) for i, user in links])
+        walk = mc._walk_arrays(table)
+        cell = np.array([cell_index(user, symbols[i].slot) for i, user in links])
         nulled = np.array([_zero_forced_on(symbols[i].precoder, c)
                            for (i, _), c in zip(links, cell.tolist())], dtype=bool)
         precoder = np.array([table.precoders.index(symbols[i].precoder) for i, _ in links])
         symbol = np.array([i for i, _ in links])
-        w = mc._directions(cells.estimate, table)
+        w = mc._directions(cells.estimate, table, walk)
         values = np.array([[sym.power.value(p) for p in ps] for sym in symbols])
         values = values.reshape(values.shape + (1,) * (w.ndim - 3))
         out = np.zeros((len(links) + 1,) + w.shape[1:-1])
-        for c, (true, error) in enumerate(zip(cells.true, cells.error)):
+        for c, (true, error) in enumerate(zip(cells.estimate + cells.error, cells.error)):
             for reads, h in ((False, true), (True, error)):
                 ns = np.flatnonzero((cell == c) & (nulled == reads))
                 if len(ns):
@@ -721,21 +723,23 @@ def _link_powers_oracle(d):
     return link_powers
 
 
-def true_stack_walk_reading_the_error_on_nulled_rows(cells, table, power):
+def true_stack_walk_reading_the_error_on_nulled_rows(cells, table, walk, power):
     """``mc._link_powers`` as it was before the table marked nulled links: it
-    gathered the 4-cell ``cells.true`` stack for every link.  Here only the rows
-    of the links zero-forced on their own cell (``_zero_forced_on``) are read
-    from the error instead."""
-    w = mc._directions(cells.estimate, table)[table.precoder]
-    products = cells.true[table.cell].astype(np.result_type(cells.estimate, w), copy=False)
-    rows = [n for n, (c, r) in enumerate(zip(table.cell.tolist(), table.precoder.tolist()))
+    gathered the 4-cell stack of true channels, estimate + error, for every
+    link.  Here only the rows of the links zero-forced on their own cell
+    (``_zero_forced_on``) are read from the error instead."""
+    w = mc._directions(cells.estimate, table, walk)[walk.precoder]
+    cell = np.array(table.cell)
+    true = cells.estimate + cells.error
+    products = true[cell].astype(np.result_type(cells.estimate, w), copy=False)
+    rows = [n for n, (c, r) in enumerate(zip(table.cell, table.precoder))
             if _zero_forced_on(table.precoders[r], c)]
-    products[rows] = cells.error[table.cell[rows]]
+    products[rows] = cells.error[cell[rows]]
     np.conjugate(products, out=products)
     products *= w
     summed = products[..., 0]
     summed += products[..., 1]
-    out = np.empty((table.links + 1,) + w.shape[1:-1])
+    out = np.empty((len(table.cell) + 1,) + w.shape[1:-1])
     out[-1] = 0.0
     powers = np.abs(summed, out=out[:-1])
     np.square(powers, out=powers)
@@ -750,11 +754,11 @@ def _step_rates_oracle(d):
 
     def step_rates(walked, cells, ps):
         assert walked is d
-        table = d.table
-        powers = link_powers(cells, d.symbols, table, ps)
-        gathered = powers[table.interference]
-        total = sum(gathered[:, j] for j in range(table.interference.shape[1]))
-        return np.log2(1.0 + powers[table.signal] / (1.0 + total))
+        walk = mc._walk_arrays(d.table)
+        powers = link_powers(cells, d.symbols, d.table, ps)
+        gathered = powers[walk.interference]
+        total = sum(gathered[:, j] for j in range(walk.interference.shape[1]))
+        return np.log2(1.0 + powers[walk.signal] / (1.0 + total))
 
     return step_rates
 
@@ -778,7 +782,8 @@ def test_link_powers_equal_the_flatnonzero_walk(trials):
     for scheme, scenario in _cli_pairs():
         cells = ch.sample_ladder_cells(2, Q, scenario, ps, trials)
         d = sch.build_descriptor(scheme, Q, scenario)
-        got = mc._link_powers(cells, d.table, mc._power_table(d.symbols, d.table, ps))
+        walk = mc._walk_arrays(d.table)
+        got = mc._link_powers(cells, d.table, walk, mc._power_table(d.symbols, walk, ps))
         assert np.array_equal(got, _link_powers_oracle(d)(cells, d.symbols, d.table, ps)), scheme
 
 
@@ -827,8 +832,8 @@ def test_a_zero_estimate_refusal_names_the_whole_blocks_first_degenerate_directi
     assert [(pre.kind, pre.user, pre.subband) for pre in d.table.precoders[:2]] == [
         ("aligned", "user2", "A"), ("zf_orth", "user1", "A")]
     cells = ch.sample_ladder_cells(0, Q, UNMATCHED, [1e4], 2 * mc.WALK_BLOCK)[:, 0]
-    cells.estimate[ch.cell_index("user1", "A"), 0] = 0.0
-    cells.estimate[ch.cell_index("user2", "A"), -1] = 0.0
+    cells.estimate[cell_index("user1", "A"), 0] = 0.0
+    cells.estimate[cell_index("user2", "A"), -1] = 0.0
     with pytest.raises(ValueError, match="^degenerate direction: cannot normalise a zero "):
         mc.sic_rates(d, cells, 1e4)
     with pytest.raises(ValueError, match="cannot zero-force"):

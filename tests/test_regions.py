@@ -8,6 +8,7 @@ building blocks' vertex sums.
 """
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from dofsim import regions as reg
-from dofsim.channel import QualityPair
+from dofsim.model import QualityPair
 
 
 def contains(region, point, tol=1e-9):
@@ -126,6 +127,15 @@ def test_scale_one_is_identity():
     assert reg.scale(r, 1.0).vertices == r.vertices
 
 
+def test_scale_multiplies_every_corner_coordinate_by_the_weight():
+    # Not a canonical block: no coordinate is 0 or 1, so a division shows.
+    r = reg.DofRegion((Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2)))
+    scaled = reg.scale(r, 2)
+    assert scaled.c1 == (Fraction(3, 2), Fraction(1, 2))
+    assert scaled.c2 == (1, 1)
+    assert scaled.ranks == (Fraction(3, 2), 1, 2)
+
+
 def test_scale_negative_weight_rejected():
     with pytest.raises(ValueError):
         reg.scale(reg.canonical("perfect"), -0.1)
@@ -161,6 +171,22 @@ def test_constructor_rejects_unequal_corner_sums():
     # One rounding apart is the same sum: 0.2 + 0.1 and 0.0 + 0.3 differ in the last bit.
     assert 0.2 + 0.1 != 0.0 + 0.3
     assert reg.DofRegion((0.2, 0.1), (0.0, 0.3)).ranks == (0.2, 0.3, 0.2 + 0.1)
+
+
+def test_corner_sums_exactly_four_ulps_of_their_magnitude_apart_are_one_sum():
+    # 2 and 2 - 2**-49 differ by exactly 4 * eps * 2: on the band's edge, inside.
+    eps = sys.float_info.epsilon
+    below = 1 - 2.0 ** -49
+    assert 2 - (below + 1) == 4 * eps * 2
+    assert reg.DofRegion((1.0, 1.0), (below, 1.0)).ranks == (1.0, 1.0, 2.0)
+
+
+def test_corner_sums_four_and_a_half_ulps_of_their_magnitude_apart_are_rejected():
+    eps = sys.float_info.epsilon
+    below = 1 - 9 * 2.0 ** -52
+    assert 2 - (below + 1) == 4.5 * eps * 2
+    with pytest.raises(ValueError, match="sum to 2.0 and 1.999"):
+        reg.DofRegion((1.0, 1.0), (below, 1.0))
 
 
 def test_every_built_region_has_equal_corner_sums():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dofsim import linkmc as mc
 from dofsim import schemes as sch
-from dofsim.channel import CELLS, MATCHED, SUBBANDS, UNMATCHED, USERS, QualityPair, Scenario
+from dofsim.model import CELLS, MATCHED, SUBBANDS, UNMATCHED, USERS, QualityPair, Scenario
 from dofsim.regions import outer_bound
 from test_acceptance import private_loading
 from test_regions import contains
@@ -147,16 +147,14 @@ def test_optimal_unmatched_precoders_and_repetition():
 
 def _table_links(table):
     """link -> (receiving cell, precoder row, symbol instance), read off the table's columns."""
-    return dict(enumerate(zip(table.cell.tolist(), table.precoder.tolist(),
-                              table.symbol.tolist())))
+    return dict(enumerate(zip(table.cell, table.precoder, table.symbol)))
 
 
 def _table_steps(d):
     """(user, target instance, interfering instances) of each step, read off d.table."""
     links = _table_links(d.table)
-    return [(CELLS[links[signal][0]][0], links[signal][2],
-             tuple(links[n][2] for n in row if n != d.table.links))
-            for signal, row in zip(d.table.signal.tolist(), d.table.interference.tolist())]
+    return [(CELLS[links[signal][0]][0], links[signal][2], tuple(links[n][2] for n in row))
+            for signal, row in zip(d.table.signal, d.table.interference)]
 
 
 def _reference_steps(d):
@@ -248,35 +246,45 @@ FACE_POINTS = [(0.8, 0.5), (1.0, 0.5), (0.5, 0.5), (0.5, 0.0), (0.0, 0.0), (1.0,
 @pytest.mark.parametrize("beta,alpha", FACE_POINTS)
 @pytest.mark.parametrize("scheme", sch.SCHEME_NAMES)
 def test_compiled_indices_match_the_links_and_steps(scheme, beta, alpha):
-    """The table's arrays against the decode plan's steps under the interference rule."""
+    """The table's tuples and the walk's arrays against the decode plan's steps
+    under the interference rule."""
     for kind in sch.SCHEMES[scheme].scenarios:
         d = sch.build_descriptor(scheme, QualityPair(beta, alpha), Scenario(kind))
-        table = d.table
+        table, walk = d.table, mc._walk_arrays(d.table)
         steps = _reference_steps(d)
         assert _table_steps(d) == steps
         # Each link is held once, one entry of each column; the links are
-        # the steps' (instance, user) pairs in order of first use, and the
-        # padding index is the link count.
+        # the steps' (instance, user) pairs in order of first use.
         used = _reference_links(d)
-        assert table.links == len(used)
         for column in (table.cell, table.precoder, table.symbol):
-            assert column.shape == (len(used),) and column.dtype == np.intp
-        assert set(table.cell.tolist()) <= set(range(len(CELLS)))
+            assert type(column) is tuple and len(column) == len(used)
+            assert all(type(v) is int for v in column)
+        # The walk holds the columns it gathers with as intp arrays.
+        for array, column in ((walk.precoder, table.precoder), (walk.symbol, table.symbol),
+                              (walk.signal, table.signal)):
+            assert array.dtype == np.intp and array.tolist() == list(column)
+        assert walk.precoder.shape == walk.symbol.shape == (len(used),)
+        assert set(table.cell) <= set(range(len(CELLS)))
         links = _table_links(table)
         for n, (c, r, i) in links.items():
             assert used[n] == (i, CELLS[c][0]) and d.symbols[i].slot == CELLS[c][1], n
             assert table.precoders[r] == d.symbols[i].precoder, n
-        assert set(table.interference.ravel().tolist()) <= set(links) | {table.links}
+        assert {n for row in table.interference for n in row} <= set(links)
         # Every link of a step is received in the step's cell.
-        for (user, target, _), signal, row in zip(steps, table.signal.tolist(),
-                                                  table.interference.tolist()):
-            assert {links[n][0] for n in row + [signal] if n != table.links} == {
+        for (user, target, _), signal, row in zip(steps, table.signal, table.interference):
+            assert {links[n][0] for n in row + (signal,)} == {
                 CELLS.index((user, d.symbols[target].slot))}
-        assert table.interference.shape == (len(steps), max(len(st[2]) for st in steps))
+        # The walk pads each step's interfering links with the link count,
+        # the index of its zero-power row.
+        width = max(len(st[2]) for st in steps)
+        assert walk.interference.shape == (len(steps), width)
+        assert walk.interference.dtype == np.intp
+        assert walk.interference.tolist() == [
+            list(row) + [len(used)] * (width - len(row)) for row in table.interference]
         assert len(set(table.precoders)) == len(table.precoders)
-        assert [kind for kind, _, _ in table.kinds] == [
+        assert [kind for kind, _, _ in walk.kinds] == [
             k for k in sch.PRECODER_KINDS if any(pre.kind == k for pre in table.precoders)]
-        for kind, rows, refs in table.kinds:
+        for kind, rows, refs in walk.kinds:
             assert rows.tolist() == [r for r, pre in enumerate(table.precoders)
                                      if pre.kind == kind]
             if kind == "basis_e1":
@@ -850,10 +858,10 @@ def test_estimate_dof_reads_the_same_from_an_exact_build(scheme, kind):
 # one decode table per structure
 
 
-def _index_arrays(table):
-    arrays = [table.signal, table.interference]
-    arrays += [a for _, rows, refs in table.kinds for a in (rows, refs) if a is not None]
-    arrays += [table.cell, table.precoder, table.symbol]
+def _index_arrays(walk):
+    arrays = [walk.signal, walk.interference]
+    arrays += [a for _, rows, refs in walk.kinds for a in (rows, refs) if a is not None]
+    arrays += [walk.precoder, walk.symbol]
     return arrays
 
 
@@ -863,10 +871,21 @@ def test_builds_on_one_face_share_one_read_only_table():
                   for q in (QualityPair(0.8, 0.5), QualityPair(0.7, 0.2),
                             QualityPair(Fraction(3, 5), Fraction(1, 3)))]
         assert tables[0] is tables[1] is tables[2], scheme
-        for a in _index_arrays(tables[0]):
+        assert all(type(column) is tuple for column in tables[0]), scheme
+        walks = [mc._walk_arrays(t) for t in tables]
+        assert walks[0] is walks[1] is walks[2], scheme
+        for a in _index_arrays(walks[0]):
             assert not a.flags.writeable, scheme
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+
+def test_equal_tables_share_one_set_of_walk_arrays():
+    for scheme, kind in SCHEME_SCENARIOS:
+        d = sch.build_descriptor(scheme, QualityPair(0.8, 0.5), Scenario(kind))
+        again = sch._compile(d.symbols, d.decode_plan)
+        assert again is not d.table and again == d.table, scheme
+        assert mc._walk_arrays(again) is mc._walk_arrays(d.table), scheme
 
 
 def test_builds_on_different_faces_get_different_tables():

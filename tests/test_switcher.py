@@ -18,7 +18,7 @@ import pytest
 
 from dofsim import cli
 from dofsim import switcher as sw
-from dofsim.channel import MATCHED, UNMATCHED, QualityPair, Scenario
+from dofsim.model import MATCHED, UNMATCHED, QualityPair, Scenario
 from dofsim.schemes import analytic_sum_dof
 
 

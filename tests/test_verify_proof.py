@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from dofsim import cli, regions, schemes
-from dofsim.channel import SCENARIO_KINDS, QualityPair, Scenario
+from dofsim.model import SCENARIO_KINDS, QualityPair, Scenario
 from test_regions import EDGE_PAIRS, _random_pairs
 
 #: The exact 1/20 grid over 0 <= alpha <= beta <= 1.
